@@ -1,9 +1,9 @@
 """Problem-agnostic numerical kernels.
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style), nullspace extraction for 4x4 systems by
-Gaussian elimination with full pivoting, and adaptive Gauss-Legendre
-quadrature over finite panels plus exponentially decaying tails.
+acceleration, Brent style), the kernel of 4x4 systems by singular value
+decomposition, and adaptive Gauss-Legendre quadrature over finite panels
+plus exponentially decaying tails.
 
 All functions are pure and thread-safe.
 """
@@ -127,60 +127,29 @@ def refine_root(
 def nullspace_4x4(matrix, sing_tol: float = 1e-8) -> np.ndarray:
     """Unit-norm kernel vector of a numerically singular 4x4 matrix.
 
-    Gaussian elimination with full pivoting; the final pivot is declared
-    zero when it falls below ``sing_tol`` relative to the largest pivot.
+    Singular value decomposition; singular value k counts as zero when
+    sigma_k / sigma_1 <= ``sing_tol``, and the kernel is the right
+    singular vector of the smallest one.
     Sign convention: the first component of largest magnitude is positive.
 
     Raises :class:`NotSingular` when the rank test finds full rank and
-    :class:`RankDeficiency2` when two or more pivots vanish.
+    :class:`RankDeficiency2` when two or more singular values vanish.
     """
-    u = np.array(matrix, dtype=float)
-    if u.shape != (4, 4):
+    a = np.array(matrix, dtype=float)
+    if a.shape != (4, 4):
         raise InvalidInput("expected a 4x4 matrix")
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix entries must be finite")
-
-    col_perm = list(range(4))
-    p0 = 0.0
-    rank = 4
-    for k in range(4):
-        sub = np.abs(u[k:, k:])
-        flat = int(sub.argmax())
-        i, j = divmod(flat, 4 - k)
-        p = float(sub[i, j])
-        if k == 0:
-            p0 = p
-        if p <= sing_tol * p0:
-            rank = k
-            break
-        i += k
-        j += k
-        if i != k:
-            u[[k, i]] = u[[i, k]]
-        if j != k:
-            u[:, [k, j]] = u[:, [j, k]]
-            col_perm[k], col_perm[j] = col_perm[j], col_perm[k]
-        for r in range(k + 1, 4):
-            factor = u[r, k] / u[k, k]
-            if factor != 0.0:
-                u[r, k:] -= factor * u[k, k:]
+    _, sigma, vt = np.linalg.svd(a)
+    rank = int(np.count_nonzero(sigma > sing_tol * sigma[0]))
     if rank == 4:
-        raise NotSingular(f"no pivot below {sing_tol:g} relative; not an eigenvalue")
+        raise NotSingular(f"no singular value below {sing_tol:g} relative; not an eigenvalue")
     if rank <= 2:
         raise RankDeficiency2(
             f"kernel dimension {4 - rank} >= 2 (degenerate level)",
             kernel_dim=4 - rank,
         )
-
-    x = np.zeros(4)
-    x[3] = 1.0
-    for k in (2, 1, 0):
-        x[k] = -float(u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
-    out = np.zeros(4)
-    for pos, orig in enumerate(col_perm):
-        out[orig] = x[pos]
-    out /= math.sqrt(float(out @ out))
-    return fix_sign(out)
+    return fix_sign(vt[3])
 
 
 def fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -241,22 +210,16 @@ def integrate_tail(
     a: float,
     decay_rate: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    max_panel_width: float | None = None,
 ) -> float:
     """Integral of an exponentially decaying ``f`` over [a, infinity).
 
-    Marches panels of width 5/decay_rate (about five e-foldings each,
-    optionally capped by ``max_panel_width`` for oscillatory factors),
+    Marches panels of width 5/decay_rate (about five e-foldings each),
     integrating each adaptively, and stops once a panel contributes less
     than ``spec.abs_tol`` in magnitude.
     """
     if not decay_rate > 0.0:
         raise InvalidInput("decay_rate must be positive")
     width = 5.0 / decay_rate
-    if max_panel_width is not None:
-        if not max_panel_width > 0.0:
-            raise InvalidInput("max_panel_width must be positive")
-        width = min(width, max_panel_width)
 
     total = 0.0
     lo = a

@@ -18,10 +18,17 @@ combinations collapse to one complex evaluation:
     f2(n, r) = Re K_n(k2p r),
     g2(n, r) = Im K_n(k2p r).
 
-Both bases are returned with their radial derivatives (ladder
-identities, no numerical differentiation).  Bound states live in the
-open energy window  -beta^2/4 < e < v - beta^2/4, where the exterior
-functions decay like
+This module is the one place where Bessel tables become basis values.
+Both bases are returned with their first radial derivatives and, on
+request, their second ones, by the ladder identities
+
+    d/dr J_n(kr) =  k (J_{n-1}(kr) - J_{n+1}(kr)) / 2,
+    d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2,
+
+applied once or twice, never by numerical differentiation.
+
+Bound states live in the open energy window  -beta^2/4 < e < v - beta^2/4,
+where the exterior functions decay like
 
     exp(-r sqrt(v - e - beta^2/4)) / sqrt(r)
 
@@ -50,6 +57,17 @@ class DotParameters:
     m: int
 
     def __post_init__(self):
+        # plain float and int: numpy scalars would change integer and
+        # boolean arithmetic downstream
+        try:
+            v, beta, m = float(self.v), float(self.beta), int(self.m)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("v, beta and m must be real numbers") from None
+        if m != self.m:
+            raise InvalidInput(f"m = {self.m!r} must be an integer")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "m", m)
         if not (math.isfinite(self.v) and self.v > 0.0):
             raise InvalidInput("well depth v must be positive and finite")
         if not math.isfinite(self.beta):
@@ -130,99 +148,98 @@ def _interior_from_tables(m: int, k: InteriorWaveNumbers, jm: dict, jp: dict) ->
     )
 
 
-def interior_basis(m: int, e: float, beta: float, r: float) -> RadialBasisEval:
-    """(f1, g1) and radial derivatives at radius r > 0."""
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
-    k = interior_wave_numbers(e, beta)
-    orders = range(m - 1, m + 2)
-    jm = bessel_j_many(orders, k.k_minus * r)
-    jp = bessel_j_many(orders, k.k_plus * r)
-    return _interior_from_tables(m, k, jm, jp)
+def _interior_second(m: int, k: InteriorWaveNumbers, jm: dict, jp: dict) -> tuple[float, float]:
+    second_minus = 0.25 * k.k_minus**2 * (jm[m - 2] - 2.0 * jm[m] + jm[m + 2])
+    second_plus = 0.25 * k.k_plus**2 * (jp[m - 2] - 2.0 * jp[m] + jp[m + 2])
+    return 0.5 * (second_minus + second_plus), 0.5 * (second_minus - second_plus)
 
 
-def interior_pair(
-    m: int, e: float, beta: float, r: float
-) -> tuple[RadialBasisEval, RadialBasisEval]:
+def interior_pair(m: int, e: float, beta: float, r: float, second: bool = False) -> tuple:
     """Interior basis at orders m and m+1 from one recurrence pass per
-    wave number (the matching matrix needs both)."""
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
-    k = interior_wave_numbers(e, beta)
-    orders = range(m - 1, m + 3)
-    jm = bessel_j_many(orders, k.k_minus * r)
-    jp = bessel_j_many(orders, k.k_plus * r)
-    return (
-        _interior_from_tables(m, k, jm, jp),
-        _interior_from_tables(m + 1, k, jm, jp),
-    )
+    wave number (the matching matrix needs both).
 
-
-def _exterior_scaled_tables(
-    m_low: int, m_high: int, k_plus: complex, r: float
-) -> tuple[dict[int, complex], float]:
-    """Scaled phase-adjusted table S_n with K_n(k_plus r) = S_n e^{-s},
-    s = Re(k_plus) r."""
-    z = k_plus * r
-    scaled = bessel_k_scaled_many(range(m_low, m_high + 1), z)
-    phase = cmath.exp(complex(0.0, -z.imag))
-    return {n: value * phase for n, value in scaled.items()}, z.real
-
-
-def _exterior_from_tables(m: int, k_plus: complex, table: dict) -> RadialBasisEval:
-    value = table[m]
-    deriv = -0.5 * k_plus * (table[m - 1] + table[m + 1])
-    return RadialBasisEval(f=value.real, g=value.imag, df=deriv.real, dg=deriv.imag)
-
-
-def exterior_basis_scaled(
-    m: int, e: float, v: float, beta: float, r: float
-) -> tuple[RadialBasisEval, float]:
-    """(f2, g2) scaled by exp(+decay_rate * r), and the scale exponent.
-
-    The scaled form stays finite for arbitrarily deep wells, where the
-    true basis underflows; true values are scaled * exp(-exponent).
+    With ``second`` the result also holds the second radial derivatives
+    ``(f'', g'')`` at both orders: ``(low, high, low_second, high_second)``.
+    They need two more orders of J, so only callers that use them ask.
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    k = exterior_wave_numbers(e, v, beta)
-    table, exponent = _exterior_scaled_tables(m - 1, m + 1, k.k_plus, r)
-    return _exterior_from_tables(m, k.k_plus, table), exponent
+    k = interior_wave_numbers(e, beta)
+    reach = 2 if second else 1
+    orders = range(m - reach, m + 2 + reach)
+    jm = bessel_j_many(orders, k.k_minus * r)
+    jp = bessel_j_many(orders, k.k_plus * r)
+    pair = (_interior_from_tables(m, k, jm, jp), _interior_from_tables(m + 1, k, jm, jp))
+    if not second:
+        return pair
+    return pair + (_interior_second(m, k, jm, jp), _interior_second(m + 1, k, jm, jp))
 
 
-def exterior_basis(m: int, e: float, v: float, beta: float, r: float) -> RadialBasisEval:
-    """(f2, g2) and radial derivatives at radius r > 0 (true scale)."""
-    scaled, exponent = exterior_basis_scaled(m, e, v, beta, r)
-    damp = math.exp(-exponent)
+def _exterior_scaled_tables(
+    m: int, e: float, v: float, beta: float, r: float, reach: int
+) -> tuple[dict[int, complex], complex, float]:
+    """Scaled phase-adjusted table S_n, n = m - reach .. m + 1 + reach, with
+    K_n(k_plus r) = S_n e^{-s}; returns (table, k_plus, s = Re(k_plus) r)."""
+    if not r > 0.0:
+        raise InvalidInput("r must be positive")
+    k_plus = exterior_wave_numbers(e, v, beta).k_plus
+    z = k_plus * r
+    scaled = bessel_k_scaled_many(range(m - reach, m + 2 + reach), z)
+    phase = cmath.exp(complex(0.0, -z.imag))
+    return {n: value * phase for n, value in scaled.items()}, k_plus, z.real
+
+
+def _exterior_from_tables(
+    m: int, k_plus: complex, table: dict, damp: float = 1.0
+) -> RadialBasisEval:
+    value = table[m]
+    deriv = -0.5 * k_plus * (table[m - 1] + table[m + 1])
     return RadialBasisEval(
-        f=scaled.f * damp, g=scaled.g * damp, df=scaled.df * damp, dg=scaled.dg * damp
+        f=value.real * damp, g=value.imag * damp, df=deriv.real * damp, dg=deriv.imag * damp
     )
+
+
+def _exterior_second(m: int, k_plus: complex, table: dict, damp: float) -> tuple[float, float]:
+    curve = 0.25 * k_plus**2 * (table[m - 2] + 2.0 * table[m] + table[m + 2])
+    return curve.real * damp, curve.imag * damp
 
 
 def exterior_pair_scaled(
     m: int, e: float, v: float, beta: float, r: float
 ) -> tuple[RadialBasisEval, RadialBasisEval, float]:
-    """Scaled exterior basis at orders m and m+1, plus the scale exponent."""
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
-    k = exterior_wave_numbers(e, v, beta)
-    table, exponent = _exterior_scaled_tables(m - 1, m + 2, k.k_plus, r)
+    """Exterior basis at orders m and m+1 scaled by exp(+decay_rate * r),
+    plus that scale exponent.
+
+    The scaled form stays finite for arbitrarily deep wells, where the
+    true basis underflows; true values are scaled * exp(-exponent).
+    """
+    table, k_plus, exponent = _exterior_scaled_tables(m, e, v, beta, r, 1)
     return (
-        _exterior_from_tables(m, k.k_plus, table),
-        _exterior_from_tables(m + 1, k.k_plus, table),
+        _exterior_from_tables(m, k_plus, table),
+        _exterior_from_tables(m + 1, k_plus, table),
         exponent,
     )
 
 
 def exterior_pair(
-    m: int, e: float, v: float, beta: float, r: float
-) -> tuple[RadialBasisEval, RadialBasisEval]:
-    """Exterior basis at orders m and m+1 (true scale)."""
-    low, high, exponent = exterior_pair_scaled(m, e, v, beta, r)
+    m: int, e: float, v: float, beta: float, r: float, second: bool = False
+) -> tuple:
+    """Exterior basis at orders m and m+1 (true scale).
+
+    With ``second`` the result also holds the second radial derivatives
+    ``(f'', g'')`` at both orders, as :func:`interior_pair` does.
+    """
+    table, k_plus, exponent = _exterior_scaled_tables(m, e, v, beta, r, 2 if second else 1)
     damp = math.exp(-exponent)
-    return (
-        RadialBasisEval(low.f * damp, low.g * damp, low.df * damp, low.dg * damp),
-        RadialBasisEval(high.f * damp, high.g * damp, high.df * damp, high.dg * damp),
+    pair = (
+        _exterior_from_tables(m, k_plus, table, damp),
+        _exterior_from_tables(m + 1, k_plus, table, damp),
+    )
+    if not second:
+        return pair
+    return pair + (
+        _exterior_second(m, k_plus, table, damp),
+        _exterior_second(m + 1, k_plus, table, damp),
     )
 
 

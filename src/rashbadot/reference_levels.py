@@ -72,7 +72,8 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 )
 
 # Cells where the embedded reference disagrees with the solved spectrum.
-# The reference is kept verbatim so the table comparison stays faithful.
+# The reference is kept verbatim; ``corrected_levels`` applies these
+# errata, and ``rashbadot table`` compares with its result.
 # tests/test_reference_errata.py certifies every entry below against the
 # finite-difference eigensolver of the coupled radial system in
 # tests/oracle_fd.py: its levels lie within 0.01 of the values below,
@@ -93,3 +94,15 @@ KNOWN_MISSING_LEVELS: dict[tuple[int, float, float], tuple[float, ...]] = {
     (2, 49.0, 0.2): (47.02,),
     (2, 100.0, 0.2): (98.74,),
 }
+
+
+def corrected_levels(row: ReferenceRow) -> tuple[float, ...]:
+    """The printed levels of a reference row with its certified errata:
+    ``KNOWN_VALUE_DEFECTS`` substituted, ``KNOWN_MISSING_LEVELS`` merged in
+    ascending order."""
+    key = (row.m, row.v, row.beta_factor)
+    levels = [
+        KNOWN_VALUE_DEFECTS.get(key + (index,), printed)
+        for index, printed in enumerate(row.levels)
+    ]
+    return tuple(sorted(levels + list(KNOWN_MISSING_LEVELS.get(key, ()))))

@@ -25,14 +25,8 @@ All K evaluation is done internally on the exponentially scaled function
 e^z K_n(z), which stays representable for Re z far beyond the point
 where K itself underflows; the public entry point multiplies the scale
 back in.  Conjugate arguments are routed through K_n(conj z) =
-conj(K_n(z)) so the symmetry holds bit-exactly.
-
-Radial derivatives use the ladder identities
-
-    d/dr J_n(kr) =  k (J_{n-1}(kr) - J_{n+1}(kr)) / 2,
-    d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2,
-
-never numerical differentiation.
+conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
+the basis built from these functions live in ``radial_basis``.
 """
 
 from __future__ import annotations
@@ -124,11 +118,12 @@ def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
         raise ArgumentOutOfRange(f"|x| = {abs(x)!r} beyond validated domain {J_ARGUMENT_CAP}")
     n_abs_max = max((abs(n) for n in orders), default=0)
     seq = _j_sequence(n_abs_max, abs(x))
-    negative_x = x < 0.0
+    # int, not bool: two numpy bools add as a logical or
+    negative_x = int(x < 0.0)
     out = {}
     for n in orders:
         value = seq[abs(n)]
-        flips = (n < 0) + negative_x
+        flips = int(n < 0) + negative_x
         if abs(n) % 2 == 1 and flips % 2 == 1:
             value = -value
         out[n] = value
@@ -138,12 +133,6 @@ def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind, integer order, real argument."""
     return bessel_j_many((n,), x)[n]
-
-
-def bessel_j_radial_derivative(n: int, k: float, r: float) -> float:
-    """d/dr of J_n(k r) via the ladder identities."""
-    pair = bessel_j_many((n - 1, n + 1), k * r)
-    return 0.5 * k * (pair[n - 1] - pair[n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +282,3 @@ def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
 def bessel_k_complex(n: int, z: complex) -> complex:
     """Modified Bessel function of the second kind, integer order."""
     return bessel_k_many((n,), z)[n]
-
-
-def bessel_k_radial_derivative(n: int, k: complex, r: float) -> complex:
-    """d/dr of K_n(k r) via the ladder identities."""
-    pair = bessel_k_many((n - 1, n + 1), k * r)
-    return -0.5 * k * (pair[n - 1] + pair[n + 1])

@@ -21,9 +21,10 @@ norms.  Both operations rescale by strictly positive factors, so the
 zero set is untouched.
 
 At beta = 0 the system is block diagonal in the two spin channels and
-the determinant factorizes into two 2x2 channel determinants; each
-channel is then scanned separately so that degenerate channel roots are
-found rather than lost to an even-order touch of the product.
+the determinant factorizes into the two diagonal 2x2 minors of the same
+scaled rows; each channel minor is then scanned separately so that
+degenerate channel roots are found rather than lost to an even-order
+touch of the product.
 """
 
 from __future__ import annotations
@@ -120,14 +121,21 @@ def _match_rows_scaled(params: DotParameters, e: float) -> tuple[list[list[float
     return _rows_from_basis(b1m, b1m1, b2m, b2m1), exponent
 
 
-def match_matrix(params: DotParameters, e: float) -> MatchMatrix:
-    """Continuity matrix at energy e, strictly inside the window."""
+def match_matrix(params: DotParameters, e: float, scaled: bool = False) -> MatchMatrix:
+    """Continuity matrix at energy e, strictly inside the window.
+
+    With ``scaled`` the exterior columns (c2, d2) are multiplied by
+    exp(+decay_rate), which keeps them representable in deep wells where
+    the true-scale K columns underflow; this is the form the scan and the
+    kernel solve work on.
+    """
     _check_window(params, e)
     rows, exponent = _match_rows_scaled(params, e)
-    damp = math.exp(-exponent)
-    for row in rows:
-        row[1] *= damp
-        row[3] *= damp
+    if not scaled:
+        damp = math.exp(-exponent)
+        for row in rows:
+            row[1] *= damp
+            row[3] *= damp
     return MatchMatrix(entries=tuple(tuple(row) for row in rows), params=params, e=e)
 
 
@@ -169,50 +177,34 @@ def _normalized_det(rows: list[list[float]]) -> float:
     return det / norm
 
 
-def _scan_function(params: DotParameters) -> Callable[[float], float]:
-    """Scale-free determinant, safe for arbitrarily deep wells."""
-
-    def value(e: float) -> float:
-        rows, _ = _match_rows_scaled(params, e)
-        return _normalized_det(rows)
-
-    return value
-
-
-def _channel_function(params: DotParameters, order: int) -> Callable[[float], float]:
-    """Normalized 2x2 channel determinant at beta = 0.
-
-    ``order`` is m for the (c1, c2) block and m+1 for the (d1, d2)
-    block; the d-block couples with a +f2 column, the c-block with -f2.
-    """
-    exterior_sign = 1.0 if order == params.m + 1 else -1.0
-
-    def value(e: float) -> float:
-        b1m, b1m1 = interior_pair(params.m, e, params.beta, 1.0)
-        b2m, b2m1, _ = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
-        b1 = b1m if order == params.m else b1m1
-        b2 = b2m if order == params.m else b2m1
-        rows = [[b1.f, exterior_sign * b2.f], [b1.df, exterior_sign * b2.df]]
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        norm = math.hypot(*rows[0]) * math.hypot(*rows[1])
-        return det / norm if norm else 0.0
-
-    return value
+def _channel_minor(rows: list[list[float]], k: int) -> float:
+    """Normalized diagonal 2x2 minor on rows and columns k, k+1: at
+    beta = 0 the determinant of the (c1, c2) channel for k = 0 and of the
+    (d1, d2) channel for k = 2."""
+    (a, b), (c, d) = rows[k][k : k + 2], rows[k + 1][k : k + 2]
+    det = a * d - b * c
+    norm = math.hypot(a, b) * math.hypot(c, d)
+    return det / norm if norm else 0.0
 
 
-def _scan_one(
-    func: Callable[[float], float], a: float, b: float, scan: ScanSpec
-) -> tuple[list[float], list[float], float]:
-    """Scan ``func`` on a uniform grid; return (roots, suspects, max|f|)."""
-    n = scan.grid_points
-    step = (b - a) / (n - 1)
-    grid = [a + i * step for i in range(n)]
-    grid[-1] = b
-    values = [func(e) for e in grid]
+def _scan_values(rows: list[list[float]], coupled: bool) -> tuple[float, ...]:
+    """Scale-free values of the scaled rows, safe for arbitrarily deep
+    wells: the normalized determinant, or at beta = 0 (not ``coupled``)
+    the two channel minors."""
+    if coupled:
+        return (_normalized_det(rows),)
+    return _channel_minor(rows, 0), _channel_minor(rows, 2)
+
+
+def _scan_roots(
+    func: Callable[[float], float], grid: list[float], values: list[float], scan: ScanSpec
+) -> tuple[list[float], list[float]]:
+    """Roots and suspects of ``func`` from its ``values`` on ``grid``."""
+    n = len(grid)
     max_abs = max(abs(v) for v in values)
     if max_abs == 0.0:
         # identically-zero scan carries no sign information
-        return [], list(grid[:: max(1, n // 8)]), 0.0
+        return [], list(grid[:: max(1, n // 8)])
 
     roots = []
     for i in range(n - 1):
@@ -236,7 +228,7 @@ def _scan_one(
         if abs(v_here) <= abs(v_prev) and abs(v_here) <= abs(v_next):
             if v_prev * v_here > 0.0 and v_here * v_next > 0.0 and abs(v_here) < threshold:
                 suspects.append(grid[i])
-    return roots, suspects, max_abs
+    return roots, suspects
 
 
 def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
@@ -267,22 +259,30 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     if not a < b:
         return EnergySpectrum(params=params, levels=(), window=window)
 
-    if params.beta == 0.0:
-        functions = [
-            _channel_function(params, params.m),
-            _channel_function(params, params.m + 1),
-        ]
-    else:
-        functions = [_scan_function(params)]
+    coupled = params.beta != 0.0
+
+    def values_at(e: float) -> tuple[float, ...]:
+        return _scan_values(_match_rows_scaled(params, e)[0], coupled)
+
+    n = scan.grid_points
+    step = (b - a) / (n - 1)
+    grid = [a + i * step for i in range(n)]
+    grid[-1] = b
+    scanned = [values_at(e) for e in grid]
 
     roots: list[float] = []
     suspects: list[float] = []
-    for func in functions:
-        got_roots, got_suspects, _ = _scan_one(func, a, b, scan)
+    for channel in range(len(scanned[0])):
+        got_roots, got_suspects = _scan_roots(
+            lambda e: values_at(e)[channel],
+            grid,
+            [point[channel] for point in scanned],
+            scan,
+        )
         roots.extend(got_roots)
         suspects.extend(got_suspects)
 
-    if params.beta != 0.0 and params.m not in (0, -1):
+    if coupled and params.m not in (0, -1):
         # at e = 0 the lower interior wave number vanishes and the (c1, d1)
         # columns become proportional: det has a structural zero of order
         # q = min(|m|, |m+1|) there whose kernel is the identically-zero

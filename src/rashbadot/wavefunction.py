@@ -30,8 +30,6 @@ from .errors import (
     DegenerateState,
     InvalidInput,
     NotNormalized,
-    NotSingular,
-    RankDeficiency2,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -41,15 +39,11 @@ from .numerics import (
     integrate_tail,
     nullspace_4x4,
 )
-from .radial_basis import (
-    DotParameters,
-    exterior_pair,
-    exterior_wave_numbers,
-    interior_pair,
-    interior_wave_numbers,
-)
-from .special_functions import bessel_j_many, bessel_k_many
-from .spectral_solver import _channel_function, _match_rows_scaled
+from .radial_basis import DotParameters, exterior_pair, exterior_wave_numbers, interior_pair
+from .spectral_solver import match_matrix
+
+# not called here; bench/tracer.py patches these two names on this module
+from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
 
 DEFAULT_SING_TOL = 1e-8
 
@@ -80,14 +74,6 @@ class SpinorSample:
     w: float
 
 
-def _channel_kernel(rows: list[list[float]]) -> tuple[float, float]:
-    """Kernel direction of a singular 2x2, taken from its larger row."""
-    (a, b), (c, d) = rows
-    if math.hypot(a, b) >= math.hypot(c, d):
-        return (-b, a)
-    return (-d, c)
-
-
 def solve_coefficients(
     params: DotParameters, e: float, sing_tol: float = DEFAULT_SING_TOL
 ) -> BoundState:
@@ -97,13 +83,18 @@ def solve_coefficients(
     Raises :class:`NotSingular` when e is not actually an eigenvalue and
     :class:`RankDeficiency2` for degenerate levels.
     """
-    if params.beta == 0.0:
-        return _solve_coefficients_channels(params, e, sing_tol)
-    # solve the kernel on the exterior-column-equilibrated matrix (the
-    # K columns are exponentially small, which would smear the kernel
+    # solve the kernel on the exterior-column-scaled matrix (at true scale
+    # the K columns are exponentially small, which would smear the kernel
     # direction by ~1e-6), then map back and renormalize
-    rows, exponent = _match_rows_scaled(params, e)
-    vec = nullspace_4x4(rows, sing_tol)
+    vec = nullspace_4x4(match_matrix(params, e, scaled=True).entries, sing_tol)
+    if params.beta == 0.0:
+        # the matrix is exactly block diagonal, so the kernel lies in one
+        # spin channel: keep exact zeros in the other
+        if math.hypot(vec[0], vec[1]) >= math.hypot(vec[2], vec[3]):
+            vec[2:] = 0.0
+        else:
+            vec[:2] = 0.0
+    exponent = exterior_wave_numbers(e, params.v, params.beta).k_plus.real
     if exponent > 700.0:
         # true exterior coefficients would be ~e^{+exponent}
         raise ArgumentOutOfRange(
@@ -116,72 +107,40 @@ def solve_coefficients(
     return BoundState(params=params, e=e, c1=c1, c2=c2, d1=d1, d2=d2)
 
 
-def _solve_coefficients_channels(
-    params: DotParameters, e: float, sing_tol: float
-) -> BoundState:
-    """beta = 0: the two spin channels decouple exactly, so solve the
-    singular 2x2 block and keep exact zeros in the other block."""
-    residual_m = abs(_channel_function(params, params.m)(e))
-    residual_m1 = abs(_channel_function(params, params.m + 1)(e))
-    singular_m = residual_m <= 10.0 * sing_tol
-    singular_m1 = residual_m1 <= 10.0 * sing_tol
-    if singular_m and singular_m1:
-        raise RankDeficiency2(
-            f"both spin channels singular at e = {e}", kernel_dim=2
-        )
-    if not (singular_m or singular_m1):
-        raise NotSingular(f"neither spin channel is singular at e = {e}")
+def _basis_at(state: BoundState, r: float, second: bool = False):
+    """The basis pair at r > 0 with the coefficients and the exterior sign
+    of its region; r = 1 belongs to the exterior."""
+    p = state.params
+    if r < 1.0:
+        return interior_pair(p.m, state.e, p.beta, r, second), state.c1, state.d1, 1.0
+    return exterior_pair(p.m, state.e, p.v, p.beta, r, second), state.c2, state.d2, -1.0
 
-    b1m, b1m1 = interior_pair(params.m, e, params.beta, 1.0)
-    b2m, b2m1 = exterior_pair(params.m, e, params.v, params.beta, 1.0)
-    if singular_m:
-        pair = _channel_kernel([[b1m.f, -b2m.f], [b1m.df, -b2m.df]])
-        vec = [pair[0], pair[1], 0.0, 0.0]
-    else:
-        pair = _channel_kernel([[b1m1.f, b2m1.f], [b1m1.df, b2m1.df]])
-        vec = [0.0, 0.0, pair[0], pair[1]]
-    norm = math.hypot(*vec)
-    unit = fix_sign(np.array(vec) / norm)
-    c1, c2, d1, d2 = (float(x) for x in unit)
-    return BoundState(params=params, e=e, c1=c1, c2=c2, d1=d1, d2=d2)
+
+def _combine(c, d, sign, f_low, g_low, f_high, g_high) -> tuple[float, float]:
+    """(u, w) = (c f(m) + d g(m), c g(m+1) + sign d f(m+1)) for one
+    derivative order; sign is +1 inside the well and -1 outside."""
+    return c * f_low + d * g_low, c * g_high + sign * d * f_high
 
 
 def radial_components(state: BoundState, r: float) -> tuple[float, float]:
     """(u(r), w(r)) with region dispatch at r = 1 (r = 1 uses the exterior)."""
-    params = state.params
-    m = params.m
+    m = state.params.m
     if r < 0.0:
         raise InvalidInput("r must be nonnegative")
     if r == 0.0:
         u = state.c1 if m == 0 else 0.0
         w = state.d1 if m + 1 == 0 else 0.0
         return u, w
-    if r < 1.0:
-        bm, bm1 = interior_pair(m, state.e, params.beta, r)
-        u = state.c1 * bm.f + state.d1 * bm.g
-        w = state.c1 * bm1.g + state.d1 * bm1.f
-    else:
-        bm, bm1 = exterior_pair(m, state.e, params.v, params.beta, r)
-        u = state.c2 * bm.f + state.d2 * bm.g
-        w = state.c2 * bm1.g - state.d2 * bm1.f
-    return u, w
+    (low, high), c, d, sign = _basis_at(state, r)
+    return _combine(c, d, sign, low.f, low.g, high.f, high.g)
 
 
 def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     """(u'(r), w'(r)), same region dispatch as :func:`radial_components`."""
-    params = state.params
-    m = params.m
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    if r < 1.0:
-        bm, bm1 = interior_pair(m, state.e, params.beta, r)
-        du = state.c1 * bm.df + state.d1 * bm.dg
-        dw = state.c1 * bm1.dg + state.d1 * bm1.df
-    else:
-        bm, bm1 = exterior_pair(m, state.e, params.v, params.beta, r)
-        du = state.c2 * bm.df + state.d2 * bm.dg
-        dw = state.c2 * bm1.dg - state.d2 * bm1.df
-    return du, dw
+    (low, high), c, d, sign = _basis_at(state, r)
+    return _combine(c, d, sign, low.df, low.dg, high.df, high.dg)
 
 
 def radial_density_integral(
@@ -242,48 +201,6 @@ def evaluate_spinor(state: BoundState, r: float, phi: float) -> tuple[complex, c
     )
 
 
-def _interior_tables(m: int, e: float, beta: float, r: float):
-    k = interior_wave_numbers(e, beta)
-    orders = range(m - 2, m + 4)
-    jm = bessel_j_many(orders, k.k_minus * r)
-    jp = bessel_j_many(orders, k.k_plus * r)
-
-    def value(n):
-        return 0.5 * (jm[n] + jp[n]), 0.5 * (jm[n] - jp[n])
-
-    def first(n):
-        dm = 0.5 * k.k_minus * (jm[n - 1] - jm[n + 1])
-        dp = 0.5 * k.k_plus * (jp[n - 1] - jp[n + 1])
-        return 0.5 * (dm + dp), 0.5 * (dm - dp)
-
-    def second(n):
-        sm = 0.25 * k.k_minus**2 * (jm[n - 2] - 2.0 * jm[n] + jm[n + 2])
-        sp = 0.25 * k.k_plus**2 * (jp[n - 2] - 2.0 * jp[n] + jp[n + 2])
-        return 0.5 * (sm + sp), 0.5 * (sm - sp)
-
-    return value, first, second
-
-
-def _exterior_tables(m: int, e: float, v: float, beta: float, r: float):
-    k = exterior_wave_numbers(e, v, beta)
-    z = k.k_plus * r
-    table = bessel_k_many(range(m - 2, m + 4), z)
-
-    def value(n):
-        kn = table[n]
-        return kn.real, kn.imag
-
-    def first(n):
-        deriv = -0.5 * k.k_plus * (table[n - 1] + table[n + 1])
-        return deriv.real, deriv.imag
-
-    def second(n):
-        curve = 0.25 * k.k_plus**2 * (table[n - 2] + 2.0 * table[n] + table[n + 2])
-        return curve.real, curve.imag
-
-    return value, first, second
-
-
 def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     """Residuals of the two coupled radial equations at radius r,
     scaled by the largest term magnitude of each equation.
@@ -299,41 +216,13 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     params = state.params
     m = params.m
     beta = params.beta
-    interior = r < 1.0
-    if interior:
-        value, first, second = _interior_tables(m, state.e, beta, r)
-        c_hi, c_lo = state.c1, state.d1
-        # u = c1 f1(m) + d1 g1(m);  w = c1 g1(m+1) + d1 f1(m+1)
-        fm, gm = value(m)
-        dfm, dgm = first(m)
-        sfm, sgm = second(m)
-        u = c_hi * fm + c_lo * gm
-        du = c_hi * dfm + c_lo * dgm
-        ddu = c_hi * sfm + c_lo * sgm
-        fm1, gm1 = value(m + 1)
-        dfm1, dgm1 = first(m + 1)
-        sfm1, sgm1 = second(m + 1)
-        w = c_hi * gm1 + c_lo * fm1
-        dw = c_hi * dgm1 + c_lo * dfm1
-        ddw = c_hi * sgm1 + c_lo * sfm1
-        radial_u = state.e * r * r - m * m
-        radial_w = state.e * r * r - (m + 1) * (m + 1)
-    else:
-        value, first, second = _exterior_tables(m, state.e, params.v, beta, r)
-        fm, gm = value(m)
-        dfm, dgm = first(m)
-        sfm, sgm = second(m)
-        u = state.c2 * fm + state.d2 * gm
-        du = state.c2 * dfm + state.d2 * dgm
-        ddu = state.c2 * sfm + state.d2 * sgm
-        fm1, gm1 = value(m + 1)
-        dfm1, dgm1 = first(m + 1)
-        sfm1, sgm1 = second(m + 1)
-        w = state.c2 * gm1 - state.d2 * fm1
-        dw = state.c2 * dgm1 - state.d2 * dfm1
-        ddw = state.c2 * sgm1 - state.d2 * sfm1
-        radial_u = -((params.v - state.e) * r * r + m * m)
-        radial_w = -((params.v - state.e) * r * r + (m + 1) * (m + 1))
+    (low, high, low2, high2), c, d, sign = _basis_at(state, r, second=True)
+    u, w = _combine(c, d, sign, low.f, low.g, high.f, high.g)
+    du, dw = _combine(c, d, sign, low.df, low.dg, high.df, high.dg)
+    ddu, ddw = _combine(c, d, sign, *low2, *high2)
+    kinetic = (state.e - (0.0 if r < 1.0 else params.v)) * r * r
+    radial_u = kinetic - m * m
+    radial_w = kinetic - (m + 1) * (m + 1)
 
     r2 = r * r
     coupling_u = beta * r2 * (dw + (m + 1) * w / r)

@@ -3,26 +3,37 @@ computed once per session."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
-from rashbadot.reference_levels import (
-    KNOWN_MISSING_LEVELS,
-    KNOWN_VALUE_DEFECTS,
-    REFERENCE_ROWS,
-)
-from rashbadot.spectral_solver import find_spectrum
+from rashbadot.radial_basis import DotParameters
+from rashbadot.reference_levels import REFERENCE_ROWS
+from rashbadot.spectral_solver import find_spectrum, match_matrix
 from rashbadot.wavefunction import normalize, solve_coefficients
 
 
 @pytest.fixture(scope="session")
-def table_spectra():
-    """{(m, v, beta_factor): EnergySpectrum} over the whole reference grid."""
-    out = {}
+def timed_table():
+    """Solve the whole reference grid once: ({(m, v, beta_factor):
+    EnergySpectrum}, {(m, v, beta_factor): CPU seconds of that solve}).
+
+    CPU time of this process, so load from other processes on a shared
+    machine does not count against the criterion 1 budgets.
+    """
+    spectra, seconds = {}, {}
     for row in REFERENCE_ROWS:
-        params = DotParameters(v=row.v, beta=row.beta, m=row.m)
-        out[(row.m, row.v, row.beta_factor)] = find_spectrum(params)
-    return out
+        key = (row.m, row.v, row.beta_factor)
+        start = time.process_time()
+        spectra[key] = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
+        seconds[key] = time.process_time() - start
+    return spectra, seconds
+
+
+@pytest.fixture(scope="session")
+def table_spectra(timed_table):
+    """{(m, v, beta_factor): EnergySpectrum} over the whole reference grid."""
+    return timed_table[0]
 
 
 @pytest.fixture(scope="session")
@@ -37,28 +48,16 @@ def table_states(table_spectra):
     return out
 
 
-def corrected_levels(row) -> tuple[float, ...]:
-    """The printed levels of a reference row with its certified errata:
-    ``KNOWN_VALUE_DEFECTS`` substituted, ``KNOWN_MISSING_LEVELS`` merged in
-    ascending order."""
-    key = (row.m, row.v, row.beta_factor)
-    levels = [
-        KNOWN_VALUE_DEFECTS.get(key + (index,), printed)
-        for index, printed in enumerate(row.levels)
-    ]
-    return tuple(sorted(levels + list(KNOWN_MISSING_LEVELS.get(key, ()))))
-
-
 def matching_residuals(state) -> list[float]:
-    """The four continuity mismatches at r = 1, scaled by local magnitude."""
-    p = state.params
-    m = p.m
-    bi, bi1 = interior_pair(m, state.e, p.beta, 1.0)
-    be, be1 = exterior_pair(m, state.e, p.v, p.beta, 1.0)
-    pairs = (
-        (state.c1 * bi.f + state.d1 * bi.g, state.c2 * be.f + state.d2 * be.g),
-        (state.c1 * bi.df + state.d1 * bi.dg, state.c2 * be.df + state.d2 * be.dg),
-        (state.c1 * bi1.g + state.d1 * bi1.f, state.c2 * be1.g - state.d2 * be1.f),
-        (state.c1 * bi1.dg + state.d1 * bi1.df, state.c2 * be1.dg - state.d2 * be1.df),
-    )
-    return [abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in pairs]
+    """The four continuity mismatches at r = 1, scaled by local magnitude.
+
+    Each row of the true-scale matching matrix, applied to the state's
+    coefficients, is an interior value (columns c1, d1) minus the
+    exterior one (columns c2, d2).
+    """
+    out = []
+    for row in match_matrix(state.params, state.e).entries:
+        inside = row[0] * state.c1 + row[2] * state.d1
+        outside = -(row[1] * state.c2 + row[3] * state.d2)
+        out.append(abs(inside - outside) / max(abs(inside), abs(outside), 1.0))
+    return out

@@ -14,19 +14,19 @@ test checks the printed cells outside the errata on their own.
 import dataclasses
 import io
 import math
-import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import corrected_levels, matching_residuals
+from conftest import matching_residuals
 from rashbadot.cli import main
 from rashbadot.numerics import DEFAULT_QUADRATURE, integrate_panel, integrate_tail
-from rashbadot.radial_basis import DotParameters, exterior_basis, interior_basis
+from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
 from rashbadot.reference_levels import (
     KNOWN_MISSING_LEVELS,
     KNOWN_VALUE_DEFECTS,
     REFERENCE_ROWS,
+    corrected_levels,
 )
 from rashbadot.spectral_solver import ScanSpec, find_spectrum, spectral_determinant
 from rashbadot.wavefunction import (
@@ -63,20 +63,14 @@ def compare_row(row, levels):
 
 
 class TestCriterion1TableReproduction:
-    def test_full_reproduction_as_stated(self):
-        # CPU time of this process, so load from other processes on a
-        # shared machine does not count against the budgets
-        start = time.process_time()
-        per_spectrum = []
-        spectra = {}
-        for row in REFERENCE_ROWS:
-            t0 = time.process_time()
-            spectra[row] = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
-            per_spectrum.append(time.process_time() - t0)
-        total = time.process_time() - start
+    def test_full_reproduction_as_stated(self, timed_table):
+        spectra, seconds = timed_table
+        total = sum(seconds.values())
+        worst = max(seconds.values())
 
         failures = []
-        for row, spectrum in spectra.items():
+        for row in REFERENCE_ROWS:
+            spectrum = spectra[(row.m, row.v, row.beta_factor)]
             expected = dataclasses.replace(row, levels=corrected_levels(row))
             mismatches, count_ok = compare_row(expected, spectrum.levels)
             if mismatches or not count_ok:
@@ -85,13 +79,13 @@ class TestCriterion1TableReproduction:
                     f"computed {[round(e, 2) for e in spectrum.levels]} "
                     f"vs expected {list(expected.levels)}"
                 )
-        passed = not failures and total < 30.0 and max(per_spectrum) < 1.0
+        passed = not failures and total < 30.0 and worst < 1.0
         report(
             1,
             passed,
             f"table reproduction with certified errata |de| <= {TABLE_TOLERANCE} "
             f"with exact counts; CPU time {total:.1f} s total, "
-            f"{max(per_spectrum) * 1000:.0f} ms worst ({len(failures)} row(s) disagree)",
+            f"{worst * 1000:.0f} ms worst ({len(failures)} row(s) disagree)",
         )
         if failures:
             details = "\n  ".join(failures)
@@ -100,7 +94,7 @@ class TestCriterion1TableReproduction:
                 "(KNOWN_VALUE_DEFECTS, KNOWN_MISSING_LEVELS):\n  " + details
             )
         assert total < 30.0
-        assert max(per_spectrum) < 1.0
+        assert worst < 1.0
 
     def test_reproduction_outside_known_defects(self, table_spectra):
         checked = 0
@@ -352,8 +346,9 @@ def _overlap(state_a, state_b):
     )
 
 
-def _channel_det(params, order, e):
-    b1 = interior_basis(order, e, params.beta, 1.0)
-    b2 = exterior_basis(order, e, params.v, params.beta, 1.0)
-    sign = 1.0 if order == params.m + 1 else -1.0
+def _channel_det(params, channel, e):
+    """True-scale 2x2 determinant of spin channel 0 (order m) or 1 (m+1)."""
+    b1 = interior_pair(params.m, e, params.beta, 1.0)[channel]
+    b2 = exterior_pair(params.m, e, params.v, params.beta, 1.0)[channel]
+    sign = 1.0 if channel == 1 else -1.0
     return b1.f * sign * b2.df - sign * b2.f * b1.df

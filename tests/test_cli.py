@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rashbadot.cli import (
     EXIT_LEVEL_INDEX,
+    EXIT_OK,
     EXIT_TABLE_MISMATCH,
     HBAR2_OVER_2ME,
     PhysicalInputs,
@@ -16,11 +18,7 @@ from rashbadot.cli import (
     to_dimensionless,
 )
 from rashbadot.errors import InvalidInput
-from rashbadot.reference_levels import (
-    KNOWN_MISSING_LEVELS,
-    KNOWN_VALUE_DEFECTS,
-    REFERENCE_ROWS,
-)
+from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
 
 
 def run_cli(capsys, *argv):
@@ -217,34 +215,22 @@ def table_run():
 
 
 class TestTableCommand:
-    def test_exit_code_flags_known_defects(self, table_run):
+    def test_exit_ok_against_certified_table(self, table_run):
         code, _ = table_run
-        assert code == EXIT_TABLE_MISMATCH
+        assert code == EXIT_OK
 
-    def test_only_known_defect_cells_fail(self, table_run):
+    def test_no_failing_cells(self, table_run):
         _, out = table_run
         lines = out.strip().splitlines()
         assert lines[0] == "m,v,beta,level_index,e,e_ref,delta,status"
-        failing = set()
-        passing = 0
-        for line in lines[1:]:
-            m, v, beta, index, e, e_ref, delta, status = line.split(",")
-            if status == "fail":
-                failing.add((int(m), float(v), round(float(beta), 6), int(index)))
-            else:
-                passing += 1
-        expected_fail = set()
-        for (m, v, factor, index) in KNOWN_VALUE_DEFECTS:
-            expected_fail.add((m, v, round(factor * math.sqrt(v), 6), index))
-        for (m, v, factor), extras in KNOWN_MISSING_LEVELS.items():
-            row = next(
-                r for r in REFERENCE_ROWS if (r.m, r.v, r.beta_factor) == (m, v, factor)
-            )
-            for k in range(len(extras)):
-                expected_fail.add((m, v, round(factor * math.sqrt(v), 6), len(row.levels) + k))
-        assert failing == expected_fail
-        total_reference_cells = sum(len(r.levels) for r in REFERENCE_ROWS)
-        assert passing == total_reference_cells - len(KNOWN_VALUE_DEFECTS)
+        statuses = [line.split(",")[-1] for line in lines[1:]]
+        assert statuses.count("fail") == 0
+        assert len(statuses) == sum(len(corrected_levels(row)) for row in REFERENCE_ROWS)
+
+    def test_tight_tolerance_flags_mismatch(self):
+        # the certified values carry two decimals, so no cell meets 1e-9
+        code = main(["table", "--grid", "900", "--compare-tol", "1e-9", "--out", os.devnull])
+        assert code == EXIT_TABLE_MISMATCH
 
 
 class TestSweepCommand:

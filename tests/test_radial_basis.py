@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 from rashbadot.errors import AboveWindow, BelowWindow, InvalidInput
 from rashbadot.radial_basis import (
     DotParameters,
-    exterior_basis,
-    exterior_basis_scaled,
     exterior_pair,
+    exterior_pair_scaled,
     exterior_wave_numbers,
-    interior_basis,
     interior_pair,
     interior_wave_numbers,
     tail_envelope,
@@ -37,6 +36,13 @@ class TestDotParameters:
             DotParameters(v=0.0, beta=1.0, m=0)
         with pytest.raises(InvalidInput):
             DotParameters(v=25.0, beta=math.inf, m=0)
+        with pytest.raises(InvalidInput):
+            DotParameters(v=25.0, beta=1.0, m=1.5)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        p = DotParameters(v=np.float64(25.0), beta=np.float64(10.0), m=np.int64(-3))
+        assert (type(p.v), type(p.beta), type(p.m)) == (float, float, int)
+        assert p == DotParameters(v=25.0, beta=10.0, m=-3)
 
 
 class TestInteriorWaveNumbers:
@@ -97,57 +103,56 @@ class TestExteriorWaveNumbers:
 class TestInteriorBasis:
     def test_uncoupled_reduces_to_plain_bessel(self):
         e, r = 7.3, 0.63
-        b = interior_basis(2, e, 0.0, r)
+        b = interior_pair(2, e, 0.0, r)[0]
         assert b.g == 0.0
         assert b.dg == 0.0
         assert b.f == pytest.approx(bessel_j(2, math.sqrt(e) * r), rel=1e-14)
 
     def test_origin_limit_m0(self):
-        b = interior_basis(0, 5.0, 1.0, 1e-9)
+        b = interior_pair(0, 5.0, 1.0, 1e-9)[0]
         assert b.f == pytest.approx(1.0, abs=1e-12)
         assert abs(b.g) < 1e-12
 
     def test_frozen_series_oracle(self):
-        b = interior_basis(1, 37.0825, 2.0, 0.5)
+        b = interior_pair(1, 37.0825, 2.0, 0.5)[0]
         assert b.f == pytest.approx(INTERIOR_ORACLE["f"], rel=1e-11)
         assert b.g == pytest.approx(INTERIOR_ORACLE["g"], rel=1e-11)
         assert b.df == pytest.approx(INTERIOR_ORACLE["df"], rel=1e-11)
         assert b.dg == pytest.approx(INTERIOR_ORACLE["dg"], rel=1e-11)
 
     def test_pair_matches_single(self):
-        low, high = interior_pair(1, 37.0825, 2.0, 0.5)
-        assert low == interior_basis(1, 37.0825, 2.0, 0.5)
-        assert high == interior_basis(2, 37.0825, 2.0, 0.5)
+        # the upper member of the pair at m is the lower member at m + 1
+        assert interior_pair(1, 37.0825, 2.0, 0.5)[1] == interior_pair(2, 37.0825, 2.0, 0.5)[0]
 
     def test_small_beta_continuity(self):
         for m in (0, 1, -2):
-            a = interior_basis(m, 5.0, 1e-8, 0.7)
-            b = interior_basis(m, 5.0, 0.0, 0.7)
+            a = interior_pair(m, 5.0, 1e-8, 0.7)[0]
+            b = interior_pair(m, 5.0, 0.0, 0.7)[0]
             for field in ("f", "g", "df", "dg"):
                 assert abs(getattr(a, field) - getattr(b, field)) < 1e-6
 
     def test_origin_regularity_m1(self):
         # f ~ C r for m = 1
-        f_small = interior_basis(1, 5.0, 1.0, 1e-6).f
-        f_large = interior_basis(1, 5.0, 1.0, 1e-3).f
+        f_small = interior_pair(1, 5.0, 1.0, 1e-6)[0].f
+        f_large = interior_pair(1, 5.0, 1.0, 1e-3)[0].f
         assert f_small / f_large == pytest.approx(1e-3, rel=0.1)
 
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInput):
-            interior_basis(0, 5.0, 1.0, 0.0)
+            interior_pair(0, 5.0, 1.0, 0.0)
 
 
 class TestExteriorBasis:
     def test_uncoupled_reduces_to_plain_k(self):
         e, v, r = 4.0, 25.0, 1.7
-        b = exterior_basis(0, e, v, 0.0, r)
+        b = exterior_pair(0, e, v, 0.0, r)[0]
         assert b.g == 0.0
         assert b.dg == 0.0
         expected = bessel_k_complex(0, complex(math.sqrt(v - e) * r, 0.0)).real
         assert b.f == pytest.approx(expected, rel=1e-13)
 
     def test_real_by_construction(self):
-        b = exterior_basis(1, 3.0, 25.0, 2.0, 1.4)
+        b = exterior_pair(1, 3.0, 25.0, 2.0, 1.4)[0]
         for field in ("f", "g", "df", "dg"):
             assert isinstance(getattr(b, field), float)
 
@@ -156,14 +161,14 @@ class TestExteriorBasis:
         m, e, v, beta, r = 1, 3.0, 25.0, 2.0, 1.3
         k = exterior_wave_numbers(e, v, beta)
         value = bessel_k_complex(m, k.k_plus * r)
-        b = exterior_basis(m, e, v, beta, r)
+        b = exterior_pair(m, e, v, beta, r)[0]
         assert b.f == pytest.approx(value.real, rel=1e-12)
         assert b.g == pytest.approx(value.imag, rel=1e-12)
 
     def test_scaled_and_plain_agree(self):
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
-        scaled, exponent = exterior_basis_scaled(m, e, v, beta, r)
-        plain = exterior_basis(m, e, v, beta, r)
+        scaled, _, exponent = exterior_pair_scaled(m, e, v, beta, r)
+        plain = exterior_pair(m, e, v, beta, r)[0]
         damp = math.exp(-exponent)
         assert plain.f == pytest.approx(scaled.f * damp, rel=1e-13)
         assert plain.dg == pytest.approx(scaled.dg * damp, rel=1e-13)
@@ -172,7 +177,7 @@ class TestExteriorBasis:
         # 5% agreement with the asymptotic form already at r = 2
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
         env = tail_envelope(e, v, beta)
-        b = exterior_basis(m, e, v, beta, r)
+        b = exterior_pair(m, e, v, beta, r)[0]
         predicted = (
             env.amplitude
             * math.exp(-env.decay_rate * r)
@@ -183,19 +188,16 @@ class TestExteriorBasis:
 
     def test_decay_bound(self):
         m, e, v, beta = 0, 3.49, 25.0, 1.0
-        near = exterior_basis(m, e, v, beta, 2.0)
-        far = exterior_basis(m, e, v, beta, 20.0)
+        near = exterior_pair(m, e, v, beta, 2.0)[0]
+        far = exterior_pair(m, e, v, beta, 20.0)[0]
         rate = tail_envelope(e, v, beta).decay_rate
         bound = 10.0 * math.exp(-18.0 * rate)
         assert abs(far.f) <= abs(near.f) * bound
         assert abs(far.g) <= max(abs(near.g), abs(near.f)) * bound
 
     def test_pair_matches_single(self):
-        low, high = exterior_pair(1, 3.0, 25.0, 2.0, 1.6)
-        single_low = exterior_basis(1, 3.0, 25.0, 2.0, 1.6)
-        single_high = exterior_basis(2, 3.0, 25.0, 2.0, 1.6)
-        assert low.f == pytest.approx(single_low.f, rel=1e-13)
-        assert high.dg == pytest.approx(single_high.dg, rel=1e-13)
+        # the upper member of the pair at m is the lower member at m + 1
+        assert exterior_pair(1, 3.0, 25.0, 2.0, 1.6)[1] == exterior_pair(2, 3.0, 25.0, 2.0, 1.6)[0]
 
 
 class TestTailEnvelope:
@@ -221,7 +223,7 @@ class TestTailEnvelope:
         m, e, v, beta = 0, 2.97, 100.0, 2.0
         env = tail_envelope(e, v, beta)
         r = 30.0
-        scaled, exponent = exterior_basis_scaled(m, e, v, beta, r)
+        scaled, _, exponent = exterior_pair_scaled(m, e, v, beta, r)
         assert exponent == pytest.approx(env.decay_rate * r, rel=1e-14)
         # compare in scaled space (the raw values are ~1e-120)
         envelope_scaled = env.amplitude / math.sqrt(r)

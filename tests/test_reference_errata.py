@@ -12,12 +12,12 @@ import pytest
 
 pytest.importorskip("scipy")
 
-from conftest import corrected_levels
 from oracle_fd import bound_levels
 from rashbadot.reference_levels import (
     KNOWN_MISSING_LEVELS,
     KNOWN_VALUE_DEFECTS,
     REFERENCE_ROWS,
+    corrected_levels,
 )
 
 TOLERANCE = 0.01

@@ -1,18 +1,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
+from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
     bessel_j,
     bessel_j_many,
-    bessel_j_radial_derivative,
     bessel_k_complex,
     bessel_k_many,
-    bessel_k_radial_derivative,
     bessel_k_scaled_many,
 )
 
@@ -74,6 +74,14 @@ class TestBesselJ:
         assert bessel_j(-3, 4.2) == -bessel_j(3, 4.2)
         assert bessel_j(-3, -4.2) == bessel_j(3, 4.2)
 
+    def test_numpy_scalars_match_python_scalars(self):
+        # numpy bools add as a logical or, which once lost the sign of
+        # J_n(-x) for odd negative n
+        assert bessel_j(np.int64(-3), -2.5) == bessel_j(-3, -2.5) > 0.0
+        for n in range(-5, 6):
+            for x in (-7.3, -2.5, -0.4, 0.4, 2.5, 7.3):
+                assert bessel_j(np.int64(n), np.float64(x)) == bessel_j(n, x)
+
     def test_order_cap(self):
         with pytest.raises(OrderCapExceeded):
             bessel_j(65, 1.0)
@@ -112,33 +120,55 @@ class TestBesselJ:
         assert abs(lhs - rhs) < 1e-10
 
 
+def check_ladder_derivatives(pair, r, abs_tol, h=1e-6):
+    """First derivatives of a basis pair against central differences of
+    its values, and second derivatives against central differences of
+    the first.  ``pair(r, second)`` evaluates the pair at radius r."""
+    low, high, low2, high2 = pair(r, True)
+    below, above = pair(r - h, False), pair(r + h, False)
+
+    def central(field):
+        return [(getattr(b, field) - getattr(a, field)) / (2.0 * h) for a, b in zip(below, above)]
+
+    for i, (b, (f2, g2)) in enumerate(zip((low, high), (low2, high2))):
+        assert abs(b.df - central("f")[i]) < abs_tol
+        assert abs(b.dg - central("g")[i]) < abs_tol
+        assert abs(f2 - central("df")[i]) < abs_tol
+        assert abs(g2 - central("dg")[i]) < abs_tol
+
+
 class TestBesselJDerivative:
+    """Ladder-identity derivatives of J, as the interior basis pairs of
+    ``radial_basis`` carry them."""
+
     def test_j0_derivative_identity(self):
+        # beta = 0, e = 1: f = J_0(r), so f' = -J_1(r)
         for r in (0.3, 1.0, 2.7):
-            assert bessel_j_radial_derivative(0, 1.0, r) == pytest.approx(
+            assert interior_pair(0, 1.0, 0.0, r)[0].df == pytest.approx(
                 -bessel_j(1, r), abs=1e-14
             )
 
     def test_matches_finite_difference(self):
-        n, k, r = 1, 2.0, 0.7
-        h = 1e-6
-        fd = (bessel_j(n, k * (r + h)) - bessel_j(n, k * (r - h))) / (2.0 * h)
-        assert bessel_j_radial_derivative(n, k, r) == pytest.approx(fd, abs=1e-8)
+        check_ladder_derivatives(lambda r, second: interior_pair(1, 6.0, 2.0, r, second), 0.7, 1e-8)
 
     def test_zero_wave_number(self):
-        for n in (0, 1, 5, -2):
-            assert bessel_j_radial_derivative(n, 0.0, 1.3) == 0.0
+        # at e = 0 the lower wave number is 0, so J_n(k_- r) adds no slope
+        # and f' = -g' exactly
+        for m in (0, 1, 5, -2):
+            for b in interior_pair(m, 0.0, 2.0, 1.3):
+                assert b.df == -b.dg
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.integers(min_value=-5, max_value=5),
-        k=st.floats(min_value=-8.0, max_value=8.0),
-        r=st.floats(min_value=0.05, max_value=5.0),
+        m=st.integers(min_value=-5, max_value=5),
+        e=st.floats(min_value=-3.0, max_value=30.0),
+        beta=st.floats(min_value=-4.0, max_value=4.0),
+        r=st.floats(min_value=0.05, max_value=1.5),
     )
-    def test_finite_difference_property(self, n, k, r):
-        h = 1e-6
-        fd = (bessel_j(n, k * (r + h)) - bessel_j(n, k * (r - h))) / (2.0 * h)
-        assert abs(bessel_j_radial_derivative(n, k, r) - fd) < 1e-7
+    def test_finite_difference_property(self, m, e, beta, r):
+        if e <= -0.25 * beta * beta + 1e-6:
+            return
+        check_ladder_derivatives(lambda x, second: interior_pair(m, e, beta, x, second), r, 1e-7)
 
 
 class TestBesselK:
@@ -227,23 +257,32 @@ class TestBesselK:
 
 
 class TestBesselKDerivative:
+    """Ladder-identity derivatives of K, as the exterior basis pairs of
+    ``radial_basis`` carry them."""
+
     def test_k0_derivative_identity(self):
-        k = complex(2.0, 0.0)
+        # beta = 0: f = K_0(k r) with k = sqrt(v - e) = 2, so f' = -2 K_1(2 r)
         for r in (0.4, 1.1, 3.0):
-            expected = -k * bessel_k_complex(1, k * r)
-            assert bessel_k_radial_derivative(0, k, r) == pytest.approx(expected, rel=1e-12)
+            expected = -2.0 * bessel_k_complex(1, complex(2.0 * r, 0.0)).real
+            assert exterior_pair(0, 21.0, 25.0, 0.0, r)[0].df == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_matches_finite_difference(self):
-        n, k, r = 1, complex(3.0, 1.0), 1.2
-        h = 1e-6
-        fd = (bessel_k_complex(n, k * (r + h)) - bessel_k_complex(n, k * (r - h))) / (2.0 * h)
-        assert abs(bessel_k_radial_derivative(n, k, r) - fd) < 1e-7
+        # k_plus = 3 + i: complex argument, so f and g are both nonzero
+        check_ladder_derivatives(
+            lambda r, second: exterior_pair(1, 12.0, 25.0, 2.0, r, second), 1.2, 1e-7
+        )
 
     def test_conjugate_wave_number(self):
-        n, k, r = 2, complex(1.5, 0.9), 0.8
-        a = bessel_k_radial_derivative(n, k.conjugate(), r)
-        b = bessel_k_radial_derivative(n, k, r).conjugate()
-        assert a == b
+        # beta -> -beta conjugates k_plus: g and its derivatives flip sign,
+        # f and its derivatives keep their values, bit for bit
+        plus = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, True)
+        minus = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, True)
+        for a, b in zip(plus[:2], minus[:2]):
+            assert (b.f, b.g, b.df, b.dg) == (a.f, -a.g, a.df, -a.dg)
+        for (f_a, g_a), (f_b, g_b) in zip(plus[2:], minus[2:]):
+            assert (f_b, g_b) == (f_a, -g_a)
 
 
 @pytest.mark.slow

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from rashbadot.errors import InvalidInput, WindowViolation
-from rashbadot.radial_basis import DotParameters, exterior_basis, interior_basis
+from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
 from rashbadot.spectral_solver import (
     ScanSpec,
     find_spectrum,
@@ -14,11 +15,12 @@ from rashbadot.spectral_solver import (
 FIRST_J0_ZERO_SQUARED = 5.7831859629467845
 
 
-def channel_determinant(params, order, e):
-    """2x2 spin-channel determinant built directly from the basis."""
-    b1 = interior_basis(order, e, params.beta, 1.0)
-    b2 = exterior_basis(order, e, params.v, params.beta, 1.0)
-    sign = 1.0 if order == params.m + 1 else -1.0
+def channel_determinant(params, channel, e):
+    """2x2 determinant of spin channel 0 (order m) or 1 (order m+1), built
+    directly from the basis."""
+    b1 = interior_pair(params.m, e, params.beta, 1.0)[channel]
+    b2 = exterior_pair(params.m, e, params.v, params.beta, 1.0)[channel]
+    sign = 1.0 if channel == 1 else -1.0
     return b1.f * sign * b2.df - sign * b2.f * b1.df
 
 
@@ -27,10 +29,8 @@ class TestMatchMatrix:
         params = DotParameters(v=100.0, beta=2.0, m=1)
         e = 30.0
         matrix = match_matrix(params, e).entries
-        b1 = interior_basis(1, e, 2.0, 1.0)
-        b12 = interior_basis(2, e, 2.0, 1.0)
-        b2 = exterior_basis(1, e, 100.0, 2.0, 1.0)
-        b22 = exterior_basis(2, e, 100.0, 2.0, 1.0)
+        b1, b12 = interior_pair(1, e, 2.0, 1.0)
+        b2, b22 = exterior_pair(1, e, 100.0, 2.0, 1.0)
         assert matrix[0] == pytest.approx((b1.f, -b2.f, b1.g, -b2.g), rel=1e-12)
         assert matrix[1] == pytest.approx((b1.df, -b2.df, b1.dg, -b2.dg), rel=1e-12)
         assert matrix[2] == pytest.approx((b12.g, -b22.g, b12.f, b22.f), rel=1e-12)
@@ -192,6 +192,14 @@ class TestFindSpectrum:
         params = DotParameters(v=25.0, beta=0.0, m=0)
         clamped = find_spectrum(params, ScanSpec(e_min=5.0, e_max=15.0))
         assert [round(e, 2) for e in clamped.levels] == [9.94]
+
+    def test_numpy_scalar_inputs(self):
+        plain = find_spectrum(DotParameters(v=25.0, beta=10.0, m=0))
+        numpy_typed = find_spectrum(
+            DotParameters(v=np.float64(25), beta=np.float64(10), m=np.int64(0))
+        )
+        assert numpy_typed.levels == plain.levels
+        assert numpy_typed.diagnostics == plain.diagnostics
 
     def test_deterministic_repeat(self):
         params = DotParameters(v=49.0, beta=7.0, m=2)
