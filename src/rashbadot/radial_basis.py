@@ -1,13 +1,12 @@
 """Radial basis functions of the two matching regions.
 
-Inside the well (r < 1) the coupled radial equations are solved by real
-combinations of Bessel functions evaluated at the two wave numbers
+Inside the well (r < 1) the coupled radial equations are solved by the
+two Bessel waves J_n(k1m r) and J_n(k1p r) at the wave numbers
 
     k1_pm(e, beta) = sqrt(e + beta^2/4) +/- beta/2,
 
-    f1(n, r) = (J_n(k1m r) + J_n(k1p r)) / 2,
-    g1(n, r) = (J_n(k1m r) - J_n(k1p r)) / 2.
-
+at the orders n = m (component u) and n = m + 1 (w); the paper's
+f1, g1 = (J_n(k1m r) +/- J_n(k1p r)) / 2 are a constant change of basis.
 Outside (r > 1) the wave numbers form the conjugate pair
 
     k2_pm(e, v, beta) = sqrt(v - e - beta^2/4) +/- i beta/2,
@@ -20,12 +19,11 @@ combinations collapse to one complex evaluation:
 
 This module is the one place where Bessel tables become basis values.
 Both bases are returned with their first radial derivatives and, on
-request, their second ones, by the ladder identities
+request, their second ones, by recurrence identities applied once or
+twice, never by numerical differentiation:
 
-    d/dr J_n(kr) =  k (J_{n-1}(kr) - J_{n+1}(kr)) / 2,
-    d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2,
-
-applied once or twice, never by numerical differentiation.
+    d/dr J_n(kr) = (n/r) J_n(kr) - k J_{n+1}(kr),     n >= 0 (no lower order),
+    d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2.
 
 Bound states live in the open energy window  -beta^2/4 < e < v - beta^2/4,
 where the exterior functions decay like
@@ -42,7 +40,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import AboveWindow, BelowWindow, InvalidInput, OrderCapExceeded
-from .special_functions import ORDER_CAP, bessel_j_many, bessel_k_scaled_many
+from .special_functions import ORDER_CAP, bessel_j_over_power, bessel_k_scaled_many
+
+# not called here; bench/tracer.py patches this name on this module
+from .special_functions import bessel_j_many  # noqa: F401
 
 WINDOW_MARGIN = 1e-9
 
@@ -96,8 +97,20 @@ class ExteriorWaveNumbers:
 
 
 @dataclass(frozen=True)
+class InteriorWave:
+    """One interior Bessel wave J_n(k r) / divisor at the orders n = m and
+    m + 1, with its first radial derivatives and, on request, its second
+    ones (``curvature``, otherwise ``None``)."""
+
+    value: tuple[float, float]
+    slope: tuple[float, float]
+    divisor: float
+    curvature: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
 class RadialBasisEval:
-    """Values and radial derivatives of one (f, g) basis pair at a radius."""
+    """Values and radial derivatives of one exterior (f, g) pair at a radius."""
 
     f: float
     g: float
@@ -135,44 +148,50 @@ def exterior_wave_numbers(e: float, v: float, beta: float) -> ExteriorWaveNumber
     )
 
 
-def _interior_from_tables(m: int, k: InteriorWaveNumbers, jm: dict, jp: dict) -> RadialBasisEval:
-    f = 0.5 * (jm[m] + jp[m])
-    g = 0.5 * (jm[m] - jp[m])
-    deriv_minus = 0.5 * k.k_minus * (jm[m - 1] - jm[m + 1])
-    deriv_plus = 0.5 * k.k_plus * (jp[m - 1] - jp[m + 1])
-    return RadialBasisEval(
-        f=f,
-        g=g,
-        df=0.5 * (deriv_minus + deriv_plus),
-        dg=0.5 * (deriv_minus - deriv_plus),
-    )
+def _wave(m: int, k: float, r: float, second: bool) -> InteriorWave:
+    """J_n(k r) / k^q at n = m, m + 1 from the orders q .. q + 3 of J
+    (J_n = (-1)^n J_|n|, |n| >= q); the second derivative is
+
+        d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
+    """
+    q = min(abs(m), abs(m + 1))
+    # J_j(kr) / k^q = r^q J_j(x) / x^q
+    table = bessel_j_over_power(range(q, q + (4 if second else 3)), k * r, q)
+    lift = r**q
+    value, slope, curvature = [], [], []
+    for n in (m, m + 1):
+        j = abs(n)
+        sign = -lift if n < 0 and j % 2 else lift
+        t0, t1 = table[j], table[j + 1]
+        value.append(sign * t0)
+        slope.append(sign * (j / r * t0 - k * t1))
+        if second:
+            t2 = table[j + 2]
+            curvature.append(
+                sign * (j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2)
+            )
+    return InteriorWave(tuple(value), tuple(slope), k**q, tuple(curvature) if second else None)
 
 
-def _interior_second(m: int, k: InteriorWaveNumbers, jm: dict, jp: dict) -> tuple[float, float]:
-    second_minus = 0.25 * k.k_minus**2 * (jm[m - 2] - 2.0 * jm[m] + jm[m + 2])
-    second_plus = 0.25 * k.k_plus**2 * (jp[m - 2] - 2.0 * jp[m] + jp[m + 2])
-    return 0.5 * (second_minus + second_plus), 0.5 * (second_minus - second_plus)
+def interior_pair(
+    m: int, e: float, beta: float, r: float, second: bool = False
+) -> tuple[InteriorWave, InteriorWave]:
+    """The two interior waves J(k_- r) and J(k_+ r) at orders m and m+1,
+    each divided by the signed power k^q of its wave number,
+    q = min(|m|, |m+1|), which ``divisor`` records.
 
+    J_n(k r) ~ k^|n| with |n| >= q, so the divided waves stay O(1) for
+    small |k| instead of underflowing, and the one whose number vanishes
+    at e = 0 (k_- for beta > 0, k_+ for beta < 0) takes its finite limit
+    there.
 
-def interior_pair(m: int, e: float, beta: float, r: float, second: bool = False) -> tuple:
-    """Interior basis at orders m and m+1 from one recurrence pass per
-    wave number (the matching matrix needs both).
-
-    With ``second`` the result also holds the second radial derivatives
-    ``(f'', g'')`` at both orders: ``(low, high, low_second, high_second)``.
-    They need two more orders of J, so only callers that use them ask.
+    With ``second`` the waves also carry their second radial derivatives;
+    they need one more order of J, so only callers that use them ask.
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
     k = interior_wave_numbers(e, beta)
-    reach = 2 if second else 1
-    orders = range(m - reach, m + 2 + reach)
-    jm = bessel_j_many(orders, k.k_minus * r)
-    jp = bessel_j_many(orders, k.k_plus * r)
-    pair = (_interior_from_tables(m, k, jm, jp), _interior_from_tables(m + 1, k, jm, jp))
-    if not second:
-        return pair
-    return pair + (_interior_second(m, k, jm, jp), _interior_second(m + 1, k, jm, jp))
+    return _wave(m, k.k_minus, r, second), _wave(m, k.k_plus, r, second)
 
 
 def _exterior_scaled_tables(

@@ -10,6 +10,10 @@ onto the positive quadrant through the parity reflections
 
     J_n(-x) = (-1)^n J_n(x),        J_{-n}(x) = (-1)^n J_n(x).
 
+The quotient J_n(x) / x^p, 0 <= p <= n, is finite down to x = 0; the
+series regime leaves the p factors of x out of its leading term instead
+of dividing two numbers that may have underflowed.
+
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
 stable for K.  The seeds come from three regimes (boundaries validated
@@ -58,11 +62,16 @@ def _check_order(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _j_series(n: int, x: float) -> float:
-    """Ascending series for J_n(x), 0 <= x <= 2."""
+def _j_series(n: int, x: float, power: int) -> float:
+    """Ascending series for J_n(x) / x^power, 0 <= x <= 2, 0 <= power <= n.
+
+    The leading term (x/2)^n / n! is a running product; its first
+    ``power`` factors of x are left out, so the quotient neither
+    underflows for tiny x nor is 0/0 at x = 0.
+    """
     term = 1.0
     for k in range(1, n + 1):
-        term *= x / (2.0 * k)
+        term *= (x if k > power else 1.0) / (2.0 * k)
         if term == 0.0:
             return 0.0
     total = term
@@ -75,12 +84,10 @@ def _j_series(n: int, x: float) -> float:
     return total
 
 
-def _j_sequence(n_max: int, x: float) -> list[float]:
-    """[J_0(x), ..., J_n_max(x)] for x >= 0."""
-    if x == 0.0:
-        return [1.0] + [0.0] * n_max
+def _j_sequence(n_max: int, x: float, power: int) -> list[float]:
+    """[J_n(x) / x^power for n = power, ..., n_max], x >= 0."""
     if x <= 2.0:
-        return [_j_series(n, x) for n in range(n_max + 1)]
+        return [_j_series(n, x, power) for n in range(power, n_max + 1)]
 
     start = int(x + 9.0 * x ** (1.0 / 3.0) + 24.0)
     start = max(start, n_max + 12)
@@ -106,28 +113,35 @@ def _j_sequence(n_max: int, x: float) -> list[float]:
             for i in range(n_max + 1):
                 out[i] *= 1e-250
     norm += j_here  # j_here now holds the J_0 trial value
-    return [v / norm for v in out]
+    scale = x**-power
+    return [v / norm * scale for v in out[power:]]
 
 
 def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
     """J_n(x) for every order in ``orders`` from one recurrence pass."""
     orders = list(orders)
-    for n in orders:
-        _check_order(n)
+    table = bessel_j_over_power({abs(n) for n in orders}, x, 0)
+    # J_{-n}(x) = (-1)^n J_n(x)
+    return {n: -table[-n] if n < 0 and n % 2 else table[abs(n)] for n in orders}
+
+
+def bessel_j_over_power(orders: Iterable[int], x: float, power: int) -> dict[int, float]:
+    """J_n(x) / x^power for every order n >= power >= 0 in ``orders``, from
+    one recurrence pass; x may be negative (the power is signed) or 0
+    (the finite limit)."""
+    orders = list(orders)
+    if not orders:
+        return {}
+    n_max = max(orders)
+    _check_order(n_max)
+    if not 0 <= power <= min(orders):
+        raise DomainError(f"power {power} outside 0 .. lowest order {min(orders)}")
     if not abs(x) <= J_ARGUMENT_CAP:
         raise ArgumentOutOfRange(f"|x| = {abs(x)!r} beyond validated domain {J_ARGUMENT_CAP}")
-    n_abs_max = max((abs(n) for n in orders), default=0)
-    seq = _j_sequence(n_abs_max, abs(x))
-    # int, not bool: two numpy bools add as a logical or
-    negative_x = int(x < 0.0)
-    out = {}
-    for n in orders:
-        value = seq[abs(n)]
-        flips = int(n < 0) + negative_x
-        if abs(n) % 2 == 1 and flips % 2 == 1:
-            value = -value
-        out[n] = value
-    return out
+    seq = _j_sequence(n_max, abs(x), power)
+    # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power
+    flip = x < 0.0
+    return {n: -seq[n - power] if flip and (n + power) % 2 else seq[n - power] for n in orders}
 
 
 def bessel_j(n: int, x: float) -> float:

@@ -13,18 +13,32 @@ ordered (c1, c2, d1, d2) and rows
 det M inside the open window -beta^2/4 < e < v - beta^2/4; the number
 of zeros is finite.
 
-Root scanning uses a scale-free variant of the determinant: the
-exterior columns are multiplied by exp(+decay_rate) (removing the
-overall e^{-k} smallness of the K functions, which otherwise underflows
-for deep wells) and the determinant is divided by the product of row
-norms.  Both operations rescale by strictly positive factors, so the
-zero set is untouched.
+The solver works on the same system in the basis of the two interior
+Bessel waves, a = (c1 + d1)/2 times J(k_- r) and b = (c1 - d1)/2 times
+J(k_+ r) (see ``radial_basis``), with columns (a, c2, b, d2).  One
+function, :func:`equilibrated_matrix`, builds it for the scan, the
+refinement, the beta = 0 channel minors and the kernel solve, and
+rescales its columns:
 
-At beta = 0 the system is block diagonal in the two spin channels and
-the determinant factorizes into the two diagonal 2x2 minors of the same
-scaled rows; each channel minor is then scanned separately so that
-degenerate channel roots are found rather than lost to an even-order
-touch of the product.
+* each wave is divided by the signed power k^q of its wave number,
+  q = min(|m|, |m+1|).  Undivided, the wave whose number vanishes at
+  e = 0 (k_- for beta > 0, k_+ for beta < 0) gives det M a zero of order
+  q there whose kernel is the null function, not a bound state; divided,
+  its column is O(1), with a finite limit at e = 0;
+* the exterior columns are multiplied by exp(+decay_rate), so deep wells
+  do not underflow;
+* every column is scaled to unit norm, so columns whose J_n ~ k^|n| and
+  K_n ~ z^-|n| entries lie orders of magnitude apart keep their full
+  precision in the determinant.
+
+Apart from the structural zero, these factors are nonzero and continuous
+in e, so the scan reads the zeros of det M from the sign of
+``np.linalg.det`` of the equilibrated matrix.  At beta = 0 the system
+splits into the two spin channels, the 2x2 minors on rows 0-1 of the
+(a, c2) columns (u) and on rows 2-3 of the (a, d2) columns (w), each
+normalized by its own column norms and scanned separately, so that
+degenerate channel roots are not lost to an even-order touch of the
+product.
 """
 
 from __future__ import annotations
@@ -33,17 +47,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidInput, WindowViolation
 from .numerics import Bracket, refine_root
-from .radial_basis import (
-    WINDOW_MARGIN,
-    DotParameters,
-    RadialBasisEval,
-    exterior_pair_scaled,
-    interior_pair,
-)
-
-SPURIOUS_ZERO_TOL = 1e-9
+from .radial_basis import WINDOW_MARGIN, DotParameters, exterior_pair_scaled, interior_pair
 
 
 @dataclass(frozen=True)
@@ -100,100 +108,48 @@ def _check_window(params: DotParameters, e: float) -> None:
         raise WindowViolation(f"e = {e} outside open window ({lo}, {hi})")
 
 
-def _rows_from_basis(
-    b1m: RadialBasisEval,
-    b1m1: RadialBasisEval,
-    b2m: RadialBasisEval,
-    b2m1: RadialBasisEval,
-) -> list[list[float]]:
-    return [
-        [b1m.f, -b2m.f, b1m.g, -b2m.g],
-        [b1m.df, -b2m.df, b1m.dg, -b2m.dg],
-        [b1m1.g, -b2m1.g, b1m1.f, b2m1.f],
-        [b1m1.dg, -b2m1.dg, b1m1.df, b2m1.df],
-    ]
-
-
-def _match_rows_scaled(params: DotParameters, e: float) -> tuple[list[list[float]], float]:
-    """Matrix rows with the exterior columns scaled by exp(+exponent)."""
-    b1m, b1m1 = interior_pair(params.m, e, params.beta, 1.0)
-    b2m, b2m1, exponent = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
-    return _rows_from_basis(b1m, b1m1, b2m, b2m1), exponent
-
-
-def match_matrix(params: DotParameters, e: float, scaled: bool = False) -> MatchMatrix:
-    """Continuity matrix at energy e, strictly inside the window.
-
-    With ``scaled`` the exterior columns (c2, d2) are multiplied by
-    exp(+decay_rate), which keeps them representable in deep wells where
-    the true-scale K columns underflow; this is the form the scan and the
-    kernel solve work on.
-    """
+def equilibrated_matrix(params: DotParameters, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """The matching matrix in the (a, c2, b, d2) columns, equilibrated,
+    and the scale that takes column j back to true scale:
+    true column = matrix[:, j] * scale[j]."""
     _check_window(params, e)
-    rows, exponent = _match_rows_scaled(params, e)
-    if not scaled:
-        damp = math.exp(-exponent)
-        for row in rows:
-            row[1] *= damp
-            row[3] *= damp
-    return MatchMatrix(entries=tuple(tuple(row) for row in rows), params=params, e=e)
+    minus, plus = interior_pair(params.m, e, params.beta, 1.0)
+    low, high, exponent = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
+    columns = (
+        (minus.value[0], minus.slope[0], minus.value[1], minus.slope[1]),
+        (-low.f, -low.df, -high.g, -high.dg),
+        (plus.value[0], plus.slope[0], -plus.value[1], -plus.slope[1]),
+        (-low.g, -low.dg, high.f, high.df),
+    )
+    # hypot: the K columns near the window top square past the float range
+    norms = [math.hypot(*column) for column in columns]
+    damp = math.exp(-exponent)
+    scale = np.multiply(norms, (minus.divisor, damp, plus.divisor, damp))
+    return np.array(columns).T / norms, scale
 
 
-def _det4(rows: list[list[float]]) -> float:
-    """Determinant of a 4x4 by elimination with partial pivoting."""
-    m = [list(row) for row in rows]
-    det = 1.0
-    for k in range(4):
-        pivot_row = max(range(k, 4), key=lambda i: abs(m[i][k]))
-        if m[pivot_row][k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, 4):
-            factor = m[i][k] / pivot
-            if factor != 0.0:
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, 4):
-                    row_i[j] -= factor * row_k[j]
-    return det
+def match_matrix(params: DotParameters, e: float) -> MatchMatrix:
+    """Continuity matrix at energy e in the paper's (c1, c2, d1, d2)
+    columns, true scale, strictly inside the window."""
+    matrix, scale = equilibrated_matrix(params, e)
+    minus, c2, plus, d2 = (matrix * scale).T
+    # a = (c1 + d1)/2 and b = (c1 - d1)/2 multiply the two waves
+    rows = np.column_stack((0.5 * (minus + plus), c2, 0.5 * (minus - plus), d2))
+    return MatchMatrix(entries=tuple(map(tuple, rows.tolist())), params=params, e=e)
 
 
 def spectral_determinant(params: DotParameters, e: float) -> float:
     """det M(m, e, v, beta) at true scale."""
-    return _det4([list(row) for row in match_matrix(params, e).entries])
+    return float(np.linalg.det(match_matrix(params, e).entries))
 
 
-def _normalized_det(rows: list[list[float]]) -> float:
-    det = _det4(rows)
-    norm = 1.0
-    for row in rows:
-        norm *= math.sqrt(row[0] ** 2 + row[1] ** 2 + row[2] ** 2 + row[3] ** 2)
-    if norm == 0.0:
-        return 0.0
-    return det / norm
-
-
-def _channel_minor(rows: list[list[float]], k: int) -> float:
-    """Normalized diagonal 2x2 minor on rows and columns k, k+1: at
-    beta = 0 the determinant of the (c1, c2) channel for k = 0 and of the
-    (d1, d2) channel for k = 2."""
-    (a, b), (c, d) = rows[k][k : k + 2], rows[k + 1][k : k + 2]
-    det = a * d - b * c
-    norm = math.hypot(a, b) * math.hypot(c, d)
-    return det / norm if norm else 0.0
-
-
-def _scan_values(rows: list[list[float]], coupled: bool) -> tuple[float, ...]:
-    """Scale-free values of the scaled rows, safe for arbitrarily deep
-    wells: the normalized determinant, or at beta = 0 (not ``coupled``)
-    the two channel minors."""
-    if coupled:
-        return (_normalized_det(rows),)
-    return _channel_minor(rows, 0), _channel_minor(rows, 2)
+def _channel_minor(matrix: np.ndarray, row: int, column: int) -> float:
+    """2x2 minor on rows (row, row + 1) and columns (0, column), each column
+    part scaled to unit norm: at beta = 0 the (c1, c2) channel for
+    (0, 1) and the (d1, d2) channel for (2, 3)."""
+    a, b = matrix[row, 0], matrix[row, column]
+    c, d = matrix[row + 1, 0], matrix[row + 1, column]
+    return float((a * d - b * c) / (math.hypot(a, c) * math.hypot(b, d)))
 
 
 def _scan_roots(
@@ -213,13 +169,11 @@ def _scan_roots(
             roots.append(grid[i])
             continue
         if hi == 0.0:
-            continue  # owned by the next interval's left endpoint
+            continue  # owned by the next interval's left endpoint, if any
         if lo * hi < 0.0:
             roots.append(
                 refine_root(func, Bracket(grid[i], grid[i + 1], lo, hi), scan.refine_tol)
             )
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
 
     threshold = scan.suspect_threshold * max_abs
     suspects = []
@@ -262,7 +216,10 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     coupled = params.beta != 0.0
 
     def values_at(e: float) -> tuple[float, ...]:
-        return _scan_values(_match_rows_scaled(params, e)[0], coupled)
+        matrix = equilibrated_matrix(params, e)[0]
+        if coupled:
+            return (float(np.linalg.det(matrix)),)
+        return _channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)
 
     n = scan.grid_points
     step = (b - a) / (n - 1)
@@ -281,23 +238,6 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
         )
         roots.extend(got_roots)
         suspects.extend(got_suspects)
-
-    if coupled and params.m not in (0, -1):
-        # at e = 0 the lower interior wave number vanishes and the (c1, d1)
-        # columns become proportional: det has a structural zero of order
-        # q = min(|m|, |m+1|) there whose kernel is the identically-zero
-        # function, not a bound state.  Within |e| <~ beta * eps^(1/q) the
-        # degeneracy sits below rounding and the determinant is noise, so
-        # any crossing there is unverifiable; surface it as a diagnostic.
-        order = abs(params.m) if params.m > 0 else abs(params.m) - 1
-        cut = max(SPURIOUS_ZERO_TOL, abs(params.beta) * 1e-12 ** (1.0 / order))
-        genuine = []
-        for root in roots:
-            if abs(root) <= cut:
-                suspects.append(root)
-            else:
-                genuine.append(root)
-        roots = genuine
 
     tol = max(10.0 * scan.refine_tol, 1e-11)
     levels = _dedupe(sorted(roots), tol)

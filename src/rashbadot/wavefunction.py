@@ -8,7 +8,10 @@ the coefficient vector (c1, c2, d1, d2) of the radial pair
     r >= 1:  u = c2 f2(m)   + d2 g2(m)
              w = c2 g2(m+1) - d2 f2(m+1)
 
-(note the minus sign on d2 in the exterior w).  The state is then
+(note the minus sign on d2 in the exterior w).  Inside the well the pair
+is evaluated on the two Bessel waves of ``radial_basis``:
+u = a J_m(k_- r) + b J_m(k_+ r), w = a J_{m+1}(k_- r) - b J_{m+1}(k_+ r)
+with a = (c1 + d1)/2, b = (c1 - d1)/2.  The state is then
 rescaled so that  integral_0^inf (u^2 + w^2) r dr = 1,  computed as an
 adaptive panel on [0, 1] plus an exponential-tail quadrature with
 density decay rate 2 sqrt(v - e - beta^2/4).  The full spinor is
@@ -40,7 +43,7 @@ from .numerics import (
     nullspace_4x4,
 )
 from .radial_basis import DotParameters, exterior_pair, exterior_wave_numbers, interior_pair
-from .spectral_solver import match_matrix
+from .spectral_solver import equilibrated_matrix
 
 # not called here; bench/tracer.py patches these two names on this module
 from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
@@ -83,43 +86,54 @@ def solve_coefficients(
     Raises :class:`NotSingular` when e is not actually an eigenvalue and
     :class:`RankDeficiency2` for degenerate levels.
     """
-    # solve the kernel on the exterior-column-scaled matrix (at true scale
-    # the K columns are exponentially small, which would smear the kernel
-    # direction by ~1e-6), then map back and renormalize
-    vec = nullspace_4x4(match_matrix(params, e, scaled=True).entries, sing_tol)
-    if params.beta == 0.0:
-        # the matrix is exactly block diagonal, so the kernel lies in one
-        # spin channel: keep exact zeros in the other
-        if math.hypot(vec[0], vec[1]) >= math.hypot(vec[2], vec[3]):
-            vec[2:] = 0.0
-        else:
-            vec[:2] = 0.0
+    # the kernel of the equilibrated matrix, mapped back to true scale and
+    # to the paper's (c1, d1): at true scale the columns lie orders of
+    # magnitude apart, which would smear the kernel direction
+    matrix, scale = equilibrated_matrix(params, e)
+    vec = nullspace_4x4(matrix, sing_tol)
     exponent = exterior_wave_numbers(e, params.v, params.beta).k_plus.real
     if exponent > 700.0:
         # true exterior coefficients would be ~e^{+exponent}
         raise ArgumentOutOfRange(
             f"exterior coefficients overflow double precision (decay exponent {exponent:.0f})"
         )
-    grow = math.exp(exponent)
-    vec = np.array([vec[0], vec[1] * grow, vec[2], vec[3] * grow])
+    a, c2, b, d2 = vec / scale
+    vec = np.array([a + b, c2, a - b, d2])
+    if params.beta == 0.0:
+        # the channels decouple, so the kernel lies in one of them: keep
+        # exact zeros in the other
+        if math.hypot(vec[0], vec[1]) >= math.hypot(vec[2], vec[3]):
+            vec[2:] = 0.0
+        else:
+            vec[:2] = 0.0
     vec = fix_sign(vec / math.sqrt(float(vec @ vec)))
     c1, c2, d1, d2 = (float(x) for x in vec)
     return BoundState(params=params, e=e, c1=c1, c2=c2, d1=d1, d2=d2)
 
 
-def _basis_at(state: BoundState, r: float, second: bool = False):
-    """The basis pair at r > 0 with the coefficients and the exterior sign
-    of its region; r = 1 belongs to the exterior."""
+def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[float, float]]:
+    """(u, w), (u', w') and, with ``second``, (u'', w'') at r > 0; r = 1
+    belongs to the exterior.  In both regions u = a x(m) + b y(m) and
+    w = a x(m+1) - b y(m+1): inside, a and b multiply the waves
+    x = J(k_- r), y = J(k_+ r); outside, c2 and d2 multiply
+    x = (Re K_m, Im K_{m+1}) and y = (Im K_m, Re K_{m+1})."""
     p = state.params
     if r < 1.0:
-        return interior_pair(p.m, state.e, p.beta, r, second), state.c1, state.d1, 1.0
-    return exterior_pair(p.m, state.e, p.v, p.beta, r, second), state.c2, state.d2, -1.0
-
-
-def _combine(c, d, sign, f_low, g_low, f_high, g_high) -> tuple[float, float]:
-    """(u, w) = (c f(m) + d g(m), c g(m+1) + sign d f(m+1)) for one
-    derivative order; sign is +1 inside the well and -1 outside."""
-    return c * f_low + d * g_low, c * g_high + sign * d * f_high
+        minus, plus = interior_pair(p.m, state.e, p.beta, r, second)
+        # the waves carry J / divisor
+        a = 0.5 * (state.c1 + state.d1) * minus.divisor
+        b = 0.5 * (state.c1 - state.d1) * plus.divisor
+        waves = [(minus.value, plus.value), (minus.slope, plus.slope)]
+        if second:
+            waves.append((minus.curvature, plus.curvature))
+    else:
+        low, high, *curves = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
+        a, b = state.c2, state.d2
+        waves = [((low.f, high.g), (low.g, high.f)), ((low.df, high.dg), (low.dg, high.df))]
+        if second:
+            (f_low, g_low), (f_high, g_high) = curves
+            waves.append(((f_low, g_high), (g_low, f_high)))
+    return [(a * x[0] + b * y[0], a * x[1] - b * y[1]) for x, y in waves]
 
 
 def radial_components(state: BoundState, r: float) -> tuple[float, float]:
@@ -131,16 +145,14 @@ def radial_components(state: BoundState, r: float) -> tuple[float, float]:
         u = state.c1 if m == 0 else 0.0
         w = state.d1 if m + 1 == 0 else 0.0
         return u, w
-    (low, high), c, d, sign = _basis_at(state, r)
-    return _combine(c, d, sign, low.f, low.g, high.f, high.g)
+    return _terms(state, r)[0]
 
 
 def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     """(u'(r), w'(r)), same region dispatch as :func:`radial_components`."""
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    (low, high), c, d, sign = _basis_at(state, r)
-    return _combine(c, d, sign, low.df, low.dg, high.df, high.dg)
+    return _terms(state, r)[1]
 
 
 def radial_density_integral(
@@ -216,10 +228,7 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     params = state.params
     m = params.m
     beta = params.beta
-    (low, high, low2, high2), c, d, sign = _basis_at(state, r, second=True)
-    u, w = _combine(c, d, sign, low.f, low.g, high.f, high.g)
-    du, dw = _combine(c, d, sign, low.df, low.dg, high.df, high.dg)
-    ddu, ddw = _combine(c, d, sign, *low2, *high2)
+    (u, w), (du, dw), (ddu, ddw) = _terms(state, r, second=True)
     kinetic = (state.e - (0.0 if r < 1.0 else params.v)) * r * r
     radial_u = kinetic - m * m
     radial_w = kinetic - (m + 1) * (m + 1)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from rashbadot.radial_basis import DotParameters
+from rashbadot.radial_basis import DotParameters, interior_pair
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum, match_matrix
 from rashbadot.wavefunction import normalize, solve_coefficients
@@ -60,4 +60,17 @@ def matching_residuals(state) -> list[float]:
         inside = row[0] * state.c1 + row[2] * state.d1
         outside = -(row[1] * state.c2 + row[3] * state.d2)
         out.append(abs(inside - outside) / max(abs(inside), abs(outside), 1.0))
+    return out
+
+
+def paper_basis(m, e, beta, r):
+    """The paper's interior pair [(f1, g1, f1', g1') at order m, at m + 1],
+    f1, g1 = (J(k_- r) +/- J(k_+ r)) / 2, from the two divided waves of
+    ``interior_pair``."""
+    minus, plus = interior_pair(m, e, beta, r)
+    out = []
+    for n in (0, 1):
+        jm, jp = minus.value[n] * minus.divisor, plus.value[n] * plus.divisor
+        dm, dp = minus.slope[n] * minus.divisor, plus.slope[n] * plus.divisor
+        out.append((0.5 * (jm + jp), 0.5 * (jm - jp), 0.5 * (dm + dp), 0.5 * (dm - dp)))
     return out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import paper_basis
 from rashbadot.errors import AboveWindow, BelowWindow, InvalidInput
 from rashbadot.radial_basis import (
     DotParameters,
@@ -103,43 +104,68 @@ class TestExteriorWaveNumbers:
 class TestInteriorBasis:
     def test_uncoupled_reduces_to_plain_bessel(self):
         e, r = 7.3, 0.63
-        b = interior_pair(2, e, 0.0, r)[0]
-        assert b.g == 0.0
-        assert b.dg == 0.0
-        assert b.f == pytest.approx(bessel_j(2, math.sqrt(e) * r), rel=1e-14)
+        minus, plus = interior_pair(2, e, 0.0, r)
+        assert minus == plus
+        assert minus.divisor == pytest.approx(e, rel=1e-15)  # k^q = sqrt(e)^2
+        assert minus.value[0] * minus.divisor == pytest.approx(
+            bessel_j(2, math.sqrt(e) * r), rel=1e-14
+        )
 
     def test_origin_limit_m0(self):
-        b = interior_pair(0, 5.0, 1.0, 1e-9)[0]
-        assert b.f == pytest.approx(1.0, abs=1e-12)
-        assert abs(b.g) < 1e-12
+        for wave in interior_pair(0, 5.0, 1.0, 1e-9):
+            assert wave.divisor == 1.0
+            assert wave.value[0] == pytest.approx(1.0, abs=1e-12)
+            assert abs(wave.value[1]) < 1e-8
 
     def test_frozen_series_oracle(self):
-        b = interior_pair(1, 37.0825, 2.0, 0.5)[0]
-        assert b.f == pytest.approx(INTERIOR_ORACLE["f"], rel=1e-11)
-        assert b.g == pytest.approx(INTERIOR_ORACLE["g"], rel=1e-11)
-        assert b.df == pytest.approx(INTERIOR_ORACLE["df"], rel=1e-11)
-        assert b.dg == pytest.approx(INTERIOR_ORACLE["dg"], rel=1e-11)
+        f, g, df, dg = paper_basis(1, 37.0825, 2.0, 0.5)[0]
+        assert f == pytest.approx(INTERIOR_ORACLE["f"], rel=1e-11)
+        assert g == pytest.approx(INTERIOR_ORACLE["g"], rel=1e-11)
+        assert df == pytest.approx(INTERIOR_ORACLE["df"], rel=1e-11)
+        assert dg == pytest.approx(INTERIOR_ORACLE["dg"], rel=1e-11)
 
     def test_pair_matches_single(self):
         # the upper member of the pair at m is the lower member at m + 1
-        assert interior_pair(1, 37.0825, 2.0, 0.5)[1] == interior_pair(2, 37.0825, 2.0, 0.5)[0]
+        upper = paper_basis(1, 37.0825, 2.0, 0.5)[1]
+        lower = paper_basis(2, 37.0825, 2.0, 0.5)[0]
+        assert upper == pytest.approx(lower, rel=1e-13)
 
     def test_small_beta_continuity(self):
         for m in (0, 1, -2):
-            a = interior_pair(m, 5.0, 1e-8, 0.7)[0]
-            b = interior_pair(m, 5.0, 0.0, 0.7)[0]
-            for field in ("f", "g", "df", "dg"):
-                assert abs(getattr(a, field) - getattr(b, field)) < 1e-6
+            a = interior_pair(m, 5.0, 1e-8, 0.7)
+            b = interior_pair(m, 5.0, 0.0, 0.7)
+            for wave_a, wave_b in zip(a, b):
+                assert wave_a.divisor == pytest.approx(wave_b.divisor, rel=1e-6)
+                for field in ("value", "slope"):
+                    for x, y in zip(getattr(wave_a, field), getattr(wave_b, field)):
+                        assert abs(x - y) < 1e-6
 
     def test_origin_regularity_m1(self):
-        # f ~ C r for m = 1
-        f_small = interior_pair(1, 5.0, 1.0, 1e-6)[0].f
-        f_large = interior_pair(1, 5.0, 1.0, 1e-3)[0].f
+        # J_1(k r) ~ C r for m = 1
+        f_small = interior_pair(1, 5.0, 1.0, 1e-6)[0].value[0]
+        f_large = interior_pair(1, 5.0, 1.0, 1e-3)[0].value[0]
         assert f_small / f_large == pytest.approx(1e-3, rel=0.1)
 
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInput):
             interior_pair(0, 5.0, 1.0, 0.0)
+
+    def test_divided_wave_does_not_underflow(self):
+        # at m = 60, J_60(k) ~ (k/2)^60 / 60! underflows for |k| < ~1e-4;
+        # divided by k^60 it stays near its e = 0 limit 1 / (2^60 60!)
+        limit = 1.0 / (2.0**60 * math.factorial(60))
+        for e in (1e-6, 1e-12, 0.0, -1e-12, -1e-6):
+            minus = interior_pair(60, e, 1.0, 1.0)[0]
+            assert minus.value[0] == pytest.approx(limit, rel=1e-5)
+            assert minus.slope[0] == pytest.approx(60.0 * limit, rel=1e-5)
+
+    def test_signed_divisor(self):
+        # below e = 0 the lower wave number is negative, and so is k^q for
+        # odd q: the divided wave keeps its sign through e = 0
+        below = interior_pair(1, -0.01, 2.0, 1.0)[0]
+        above = interior_pair(1, 0.01, 2.0, 1.0)[0]
+        assert below.divisor < 0.0 < above.divisor
+        assert below.value[0] > 0.0 and above.value[0] > 0.0
 
 
 class TestExteriorBasis:

@@ -11,6 +11,7 @@ from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
     bessel_j,
     bessel_j_many,
+    bessel_j_over_power,
     bessel_k_complex,
     bessel_k_many,
     bessel_k_scaled_many,
@@ -92,6 +93,21 @@ class TestBesselJ:
         with pytest.raises(ArgumentOutOfRange):
             bessel_j(0, math.nan)
 
+    def test_over_power(self):
+        # J_n(x) / x^p: the plain quotient where nothing underflows, the
+        # series' leading term (x/2)^(n-p) / (2^p n!) where J_n(x) would
+        for n, x, p in ((3, 1.7, 2), (30, 33.0, 30), (5, -4.2, 3), (4, -0.9, 4)):
+            got = bessel_j_over_power((n,), x, p)[n]
+            assert got == pytest.approx(bessel_j(n, x) / x**p, rel=1e-14)
+        leading = 1.0 / (2.0**61 * math.factorial(61))
+        assert bessel_j_over_power((61,), 1e-200, 61)[61] == pytest.approx(leading, rel=1e-15)
+        assert bessel_j_over_power((61,), -1e-200, 61)[61] == pytest.approx(leading, rel=1e-15)
+        at_zero = bessel_j_over_power((61, 62), 0.0, 61)
+        assert at_zero[61] == pytest.approx(leading, rel=1e-15)
+        assert at_zero[62] == 0.0
+        with pytest.raises(DomainError):
+            bessel_j_over_power((2,), 1.0, 3)
+
     def test_many_matches_scalar(self):
         table = bessel_j_many(range(-3, 4), 7.3)
         for n in range(-3, 4):
@@ -120,43 +136,74 @@ class TestBesselJ:
         assert abs(lhs - rhs) < 1e-10
 
 
-def check_ladder_derivatives(pair, r, abs_tol, h=1e-6):
-    """First derivatives of a basis pair against central differences of
-    its values, and second derivatives against central differences of
-    the first.  ``pair(r, second)`` evaluates the pair at radius r."""
-    low, high, low2, high2 = pair(r, True)
-    below, above = pair(r - h, False), pair(r + h, False)
+def check_ladder_derivatives(derivatives, r, abs_tol, h=1e-6):
+    """First derivatives against central differences of the values, and
+    second derivatives against central differences of the first.
+    ``derivatives(r)`` gives (values, first, second) as equal-length lists."""
+    values, first, second = derivatives(r)
+    below, above = derivatives(r - h), derivatives(r + h)
 
-    def central(field):
-        return [(getattr(b, field) - getattr(a, field)) / (2.0 * h) for a, b in zip(below, above)]
+    def central(order):
+        return [(b - a) / (2.0 * h) for a, b in zip(below[order], above[order])]
 
-    for i, (b, (f2, g2)) in enumerate(zip((low, high), (low2, high2))):
-        assert abs(b.df - central("f")[i]) < abs_tol
-        assert abs(b.dg - central("g")[i]) < abs_tol
-        assert abs(f2 - central("df")[i]) < abs_tol
-        assert abs(g2 - central("dg")[i]) < abs_tol
+    for got, want in zip(first + second, central(0) + central(1)):
+        assert abs(got - want) < abs_tol
+
+
+def interior_derivatives(m, e, beta):
+    """``check_ladder_derivatives`` view of the two interior waves."""
+
+    def derivatives(r):
+        waves = interior_pair(m, e, beta, r, second=True)
+        fields = ("value", "slope", "curvature")
+        return [[x for wave in waves for x in getattr(wave, field)] for field in fields]
+
+    return derivatives
+
+
+def exterior_derivatives(m, e, v, beta):
+    """``check_ladder_derivatives`` view of the exterior pair."""
+
+    def derivatives(r):
+        low, high, low2, high2 = exterior_pair(m, e, v, beta, r, second=True)
+        return (
+            [low.f, low.g, high.f, high.g],
+            [low.df, low.dg, high.df, high.dg],
+            [*low2, *high2],
+        )
+
+    return derivatives
 
 
 class TestBesselJDerivative:
-    """Ladder-identity derivatives of J, as the interior basis pairs of
-    ``radial_basis`` carry them."""
+    """Derivatives of J, as the interior waves of ``radial_basis`` carry
+    them."""
 
     def test_j0_derivative_identity(self):
-        # beta = 0, e = 1: f = J_0(r), so f' = -J_1(r)
+        # beta = 0, e = 1: the wave is J_0(r), so its slope is -J_1(r)
         for r in (0.3, 1.0, 2.7):
-            assert interior_pair(0, 1.0, 0.0, r)[0].df == pytest.approx(
+            assert interior_pair(0, 1.0, 0.0, r)[0].slope[0] == pytest.approx(
                 -bessel_j(1, r), abs=1e-14
             )
 
     def test_matches_finite_difference(self):
-        check_ladder_derivatives(lambda r, second: interior_pair(1, 6.0, 2.0, r, second), 0.7, 1e-8)
+        check_ladder_derivatives(interior_derivatives(1, 6.0, 2.0), 0.7, 1e-8)
 
     def test_zero_wave_number(self):
-        # at e = 0 the lower wave number is 0, so J_n(k_- r) adds no slope
-        # and f' = -g' exactly
-        for m in (0, 1, 5, -2):
-            for b in interior_pair(m, 0.0, 2.0, 1.3):
-                assert b.df == -b.dg
+        # at e = 0 the lower wave number is 0: J_n(k r) / k^q takes its
+        # limit r^q / (2^q q!) at |n| = q and 0 at |n| = q + 1
+        r = 1.3
+        for m in (0, 1, 5, -2, -6):
+            q = min(abs(m), abs(m + 1))
+            c = 1.0 / (2.0**q * math.factorial(q))
+            sign = (-1.0) ** q if m < 0 else 1.0
+            limit = (r**q, q * r ** (q - 1), q * (q - 1) * r ** (q - 2))
+            wave = interior_pair(m, 0.0, 2.0, r, second=True)[0]
+            at = 1 if m < 0 else 0  # the order with |n| = q
+            for field, want in zip(("value", "slope", "curvature"), limit):
+                got = getattr(wave, field)
+                assert got[at] == pytest.approx(sign * c * want, rel=1e-14)
+                assert got[1 - at] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -168,7 +215,7 @@ class TestBesselJDerivative:
     def test_finite_difference_property(self, m, e, beta, r):
         if e <= -0.25 * beta * beta + 1e-6:
             return
-        check_ladder_derivatives(lambda x, second: interior_pair(m, e, beta, x, second), r, 1e-7)
+        check_ladder_derivatives(interior_derivatives(m, e, beta), r, 1e-7)
 
 
 class TestBesselK:
@@ -270,9 +317,7 @@ class TestBesselKDerivative:
 
     def test_matches_finite_difference(self):
         # k_plus = 3 + i: complex argument, so f and g are both nonzero
-        check_ladder_derivatives(
-            lambda r, second: exterior_pair(1, 12.0, 25.0, 2.0, r, second), 1.2, 1e-7
-        )
+        check_ladder_derivatives(exterior_derivatives(1, 12.0, 25.0, 2.0), 1.2, 1e-7)
 
     def test_conjugate_wave_number(self):
         # beta -> -beta conjugates k_plus: g and its derivatives flip sign,

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import paper_basis
 from rashbadot.errors import InvalidInput, WindowViolation
-from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
+from rashbadot.radial_basis import DotParameters, exterior_pair
 from rashbadot.spectral_solver import (
     ScanSpec,
+    equilibrated_matrix,
     find_spectrum,
     match_matrix,
     spectral_determinant,
@@ -18,10 +20,15 @@ FIRST_J0_ZERO_SQUARED = 5.7831859629467845
 def channel_determinant(params, channel, e):
     """2x2 determinant of spin channel 0 (order m) or 1 (order m+1), built
     directly from the basis."""
-    b1 = interior_pair(params.m, e, params.beta, 1.0)[channel]
+    f1, _, df1, _ = paper_basis(params.m, e, params.beta, 1.0)[channel]
     b2 = exterior_pair(params.m, e, params.v, params.beta, 1.0)[channel]
     sign = 1.0 if channel == 1 else -1.0
-    return b1.f * sign * b2.df - sign * b2.f * b1.df
+    return f1 * sign * b2.df - sign * b2.f * df1
+
+
+def scan_value(params, e):
+    """The value whose sign the scan reads at beta != 0."""
+    return np.linalg.det(equilibrated_matrix(params, e)[0])
 
 
 class TestMatchMatrix:
@@ -29,12 +36,23 @@ class TestMatchMatrix:
         params = DotParameters(v=100.0, beta=2.0, m=1)
         e = 30.0
         matrix = match_matrix(params, e).entries
-        b1, b12 = interior_pair(1, e, 2.0, 1.0)
+        (f, g, df, dg), (f1, g1, df1, dg1) = paper_basis(1, e, 2.0, 1.0)
         b2, b22 = exterior_pair(1, e, 100.0, 2.0, 1.0)
-        assert matrix[0] == pytest.approx((b1.f, -b2.f, b1.g, -b2.g), rel=1e-12)
-        assert matrix[1] == pytest.approx((b1.df, -b2.df, b1.dg, -b2.dg), rel=1e-12)
-        assert matrix[2] == pytest.approx((b12.g, -b22.g, b12.f, b22.f), rel=1e-12)
-        assert matrix[3] == pytest.approx((b12.dg, -b22.dg, b12.df, b22.df), rel=1e-12)
+        assert matrix[0] == pytest.approx((f, -b2.f, g, -b2.g), rel=1e-12)
+        assert matrix[1] == pytest.approx((df, -b2.df, dg, -b2.dg), rel=1e-12)
+        assert matrix[2] == pytest.approx((g1, -b22.g, f1, b22.f), rel=1e-12)
+        assert matrix[3] == pytest.approx((dg1, -b22.dg, df1, b22.df), rel=1e-12)
+
+    def test_equilibrated_columns(self):
+        # unit columns, and scale takes them back to the true-scale waves
+        params = DotParameters(v=100.0, beta=2.0, m=1)
+        matrix, scale = equilibrated_matrix(params, 30.0)
+        assert np.linalg.norm(matrix, axis=0) == pytest.approx(np.ones(4), rel=1e-15)
+        true = matrix * scale
+        paper = np.array(match_matrix(params, 30.0).entries)
+        a_column, b_column = true[:, 0], true[:, 2]
+        assert paper[:, 0] == pytest.approx(0.5 * (a_column + b_column), rel=1e-13)
+        assert paper[:, 1] == pytest.approx(true[:, 1], rel=1e-13)
 
     def test_block_diagonal_without_coupling(self):
         matrix = match_matrix(DotParameters(v=25.0, beta=0.0, m=0), 5.0).entries
@@ -167,10 +185,67 @@ class TestFindSpectrum:
 
     def test_structural_zero_not_reported(self):
         # e = 0 makes the lower interior wave number vanish for m not in
-        # {0, -1}; the determinant crosses there without a bound state
-        spectrum = find_spectrum(DotParameters(v=100.0, beta=2.0, m=1))
-        assert all(abs(e) > 1e-9 for e in spectrum.levels)
-        assert any(abs(e) < 1e-6 for e in spectrum.diagnostics)
+        # {0, -1}; dividing its wave by k^q removes the zero of order q
+        # that the true-scale determinant has there
+        params = DotParameters(v=100.0, beta=2.0, m=1)
+        spectrum = find_spectrum(params)
+        assert all(abs(e) >= 1e-3 for e in spectrum.levels)
+        assert all(abs(e) >= 1e-3 for e in spectrum.diagnostics)
+        at_zero = scan_value(params, 0.0)
+        assert math.isfinite(at_zero) and at_zero != 0.0
+        for e in (-1e-12, 1e-12):
+            assert abs(scan_value(params, e) - at_zero) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "v,beta,m", [(100.0, 2.0, 20), (25.0, 1.0, 60), (100.0, 0.0, 30)], ids=str
+    )
+    def test_no_levels_at_large_m(self, v, beta, m):
+        # the row-scaled determinant was rounding noise here: it reported
+        # 5 levels, 558 levels and a pseudo-level at the window top
+        assert find_spectrum(DotParameters(v=v, beta=beta, m=m)).levels == ()
+
+    def test_no_levels_near_structural_zero(self):
+        # 8 levels once, four of them (+-0.35, +-0.46, +-0.55) spurious,
+        # in the region around e = 0 where the determinant was noise
+        levels = find_spectrum(DotParameters(v=400.0, beta=5.0, m=10)).levels
+        partner = find_spectrum(DotParameters(v=400.0, beta=-5.0, m=-11)).levels
+        assert len(levels) == len(partner) == 4
+        assert all(abs(e) > 100.0 for e in levels)
+        for a, b in zip(levels, partner):
+            assert abs(a - b) < 1e-9
+
+    def test_uncoupled_count_falls_with_m(self):
+        # the 2D finite-well threshold: no level in the u channel once
+        # sqrt(v) is below the first zero of J_{|m|-1}, j_{7,1} = 11.09 > 10
+        ms = (0, 2, 4, 6, 8, 12, 20, 26, 30, 40)
+        counts = [len(find_spectrum(DotParameters(v=100.0, beta=0.0, m=m)).levels) for m in ms]
+        assert counts == sorted(counts, reverse=True)
+        assert all(count == 0 for m, count in zip(ms, counts) if m >= 8)
+
+    @pytest.mark.parametrize(
+        "v,beta,m",
+        [
+            (400.0, 5.0, 10),
+            (400.0, -5.0, -11),
+            (1000.0, 20.0, 12),
+            (900.0, 30.0, 8),
+            (400.0, 20.0, -5),
+            (2500.0, 30.0, 6),
+        ],
+        ids=str,
+    )
+    def test_level_count_matches_fd_oracle(self, v, beta, m):
+        # the finite-difference eigensolver shares no code with the
+        # matching determinant; at beta >= 20 its step is too coarse to
+        # compare values, so only the weakly coupled cases check them
+        pytest.importorskip("scipy")
+        from oracle_fd import bound_levels
+
+        levels = find_spectrum(DotParameters(v=v, beta=beta, m=m)).levels
+        reference = bound_levels(m, v, beta)
+        assert len(levels) == len(reference)
+        if abs(beta) < 20.0:
+            assert max(abs(a - b) for a, b in zip(levels, reference)) < 5e-3
 
     def test_hard_wall_limit(self):
         # at huge depth the lowest uncoupled level approaches the square
