@@ -16,7 +16,7 @@ Quick start::
 """
 
 from . import errors
-from .radial_basis import DotParameters, RadialBasisEval, TailEnvelope
+from .radial_basis import DotParameters, TailEnvelope
 from .spectral_solver import (
     EnergySpectrum,
     MatchMatrix,
@@ -40,7 +40,6 @@ __all__ = [
     "DotParameters",
     "EnergySpectrum",
     "MatchMatrix",
-    "RadialBasisEval",
     "ScanSpec",
     "SpinorSample",
     "TailEnvelope",

@@ -62,11 +62,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _cell(value) -> str:
+    """One CSV cell: empty for None, 6 significant digits for a float."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _write(args, payload: dict, header: str, rows) -> None:
+    """Write ``payload`` as JSON or ``rows`` as CSV under ``header``, to
+    ``args.out`` or stdout, as ``args.format`` asks."""
+    if args.format == "json":
+        lines = [json.dumps(payload, indent=2)]
+    else:
+        lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
@@ -171,27 +185,18 @@ def _run_spectrum(args, parser) -> int:
         DotParameters(v=v, beta=beta, m=args.m),
         ScanSpec(grid_points=args.grid, refine_tol=args.tol),
     )
-    if args.format == "json":
-        payload = {
-            "params": {"v": v, "beta": beta, "m": args.m},
-            "window": list(spectrum.window),
-            "levels": list(spectrum.levels),
-            "diagnostics": list(spectrum.diagnostics),
-        }
-        if energy_scale is not None:
-            payload["energy_scale_mev"] = energy_scale
-            payload["levels_mev"] = [e * energy_scale for e in spectrum.levels]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-    if energy_scale is None:
-        lines = ["index,e"]
-        lines += [f"{i},{_fmt(e)}" for i, e in enumerate(spectrum.levels)]
-    else:
-        lines = ["index,e,E_meV"]
-        lines += [
-            f"{i},{_fmt(e)},{_fmt(e * energy_scale)}" for i, e in enumerate(spectrum.levels)
-        ]
-    _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "params": {"v": v, "beta": beta, "m": args.m},
+        "window": list(spectrum.window),
+        "levels": list(spectrum.levels),
+        "diagnostics": list(spectrum.diagnostics),
+    }
+    header, rows = "index,e", list(enumerate(spectrum.levels))
+    if energy_scale is not None:
+        payload["energy_scale_mev"] = energy_scale
+        payload["levels_mev"] = [e * energy_scale for e in spectrum.levels]
+        header, rows = "index,e,E_meV", [(i, e, e * energy_scale) for i, e in rows]
+    _write(args, payload, header, rows)
     return EXIT_OK
 
 
@@ -232,22 +237,19 @@ def _run_wavefunction(args, parser) -> int:
     for i in range(args.samples):
         r = args.rmax if i == args.samples - 1 else i * step
         samples.append(evaluate_radial(state, r))
-    if args.format == "json":
-        payload = {
-            "params": {"v": args.v, "beta": args.beta, "m": args.m},
-            "e": state.e,
-            "coefficients": {
-                "c1": state.c1,
-                "c2": state.c2,
-                "d1": state.d1,
-                "d2": state.d2,
-            },
-            "samples": [[s.r, s.u, s.w] for s in samples],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = ["r,u,w"] + [f"{_fmt(s.r)},{_fmt(s.u)},{_fmt(s.w)}" for s in samples]
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(s.r, s.u, s.w) for s in samples]
+    payload = {
+        "params": {"v": args.v, "beta": args.beta, "m": args.m},
+        "e": state.e,
+        "coefficients": {
+            "c1": state.c1,
+            "c2": state.c2,
+            "d1": state.d1,
+            "d2": state.d2,
+        },
+        "samples": rows,
+    }
+    _write(args, payload, "r,u,w", rows)
     return EXIT_OK
 
 
@@ -275,43 +277,13 @@ def _run_table(args, parser) -> int:
                 all_pass = False
             rows_out.append((row.m, row.v, row.beta, index, computed, reference, delta, status))
 
-    if args.format == "json":
-        payload = {
-            "compare_tol": args.compare_tol,
-            "passed": all_pass,
-            "cells": [
-                {
-                    "m": m,
-                    "v": v,
-                    "beta": beta,
-                    "level_index": index,
-                    "e": computed,
-                    "e_ref": reference,
-                    "delta": delta,
-                    "status": status,
-                }
-                for (m, v, beta, index, computed, reference, delta, status) in rows_out
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["m,v,beta,level_index,e,e_ref,delta,status"]
-        for m, v, beta, index, computed, reference, delta, status in rows_out:
-            lines.append(
-                ",".join(
-                    (
-                        str(m),
-                        _fmt(v),
-                        _fmt(beta),
-                        str(index),
-                        "" if computed is None else _fmt(computed),
-                        "" if reference is None else _fmt(reference),
-                        "" if delta is None else _fmt(delta),
-                        status,
-                    )
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    header = "m,v,beta,level_index,e,e_ref,delta,status"
+    payload = {
+        "compare_tol": args.compare_tol,
+        "passed": all_pass,
+        "cells": [dict(zip(header.split(","), row)) for row in rows_out],
+    }
+    _write(args, payload, header, rows_out)
     return EXIT_OK if all_pass else EXIT_TABLE_MISMATCH
 
 
@@ -351,16 +323,7 @@ def _run_sweep(args, parser) -> int:
             records.append((beta, m, index, e))
     records.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
 
-    if args.format == "json":
-        payload = {
-            "v": args.v,
-            "rows": [[beta, m, index, e] for beta, m, index, e in records],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = ["beta,m,level_index,e"]
-    lines += [f"{_fmt(beta)},{m},{index},{_fmt(e)}" for beta, m, index, e in records]
-    _emit("\n".join(lines) + "\n", args.out)
+    _write(args, {"v": args.v, "rows": records}, "beta,m,level_index,e", records)
     return EXIT_OK
 
 

@@ -32,6 +32,12 @@ _EPS = sys.float_info.epsilon
 ROOT_ITERATION_CAP = 200
 SUBDIVISION_CAP = 40
 TAIL_PANEL_CAP = 50
+# a singular value counts as zero at or below this fraction of the largest
+SING_TOL = 1e-8
+# Gauss-Legendre panel order and the quadrature convergence tolerances
+PANEL_ORDER = 16
+QUAD_REL_TOL = 1e-12
+QUAD_ABS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -44,30 +50,7 @@ class Bracket:
     f_hi: float
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre panel order and convergence tolerances."""
-
-    panel_order: int = 16
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.panel_order < 2:
-            raise InvalidInput("panel_order must be >= 2")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise InvalidInput("tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def refine_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float,
-    max_iter: int = ROOT_ITERATION_CAP,
-) -> float:
+def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
     """Refine a bracketed root of ``f`` to an interval of width <= ``tol``.
 
     Uses Brent's method: the sign change is never lost, and secant /
@@ -83,7 +66,7 @@ def refine_root(
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(ROOT_ITERATION_CAP):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -121,14 +104,14 @@ def refine_root(
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
-    raise NoConvergence(f"root refinement exceeded {max_iter} iterations")
+    raise NoConvergence(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
 
 
-def nullspace_4x4(matrix, sing_tol: float = 1e-8) -> np.ndarray:
+def nullspace_4x4(matrix) -> np.ndarray:
     """Unit-norm kernel vector of a numerically singular 4x4 matrix.
 
     Singular value decomposition; singular value k counts as zero when
-    sigma_k / sigma_1 <= ``sing_tol``, and the kernel is the right
+    sigma_k / sigma_1 <= ``SING_TOL``, and the kernel is the right
     singular vector of the smallest one.
     Sign convention: the first component of largest magnitude is positive.
 
@@ -141,9 +124,9 @@ def nullspace_4x4(matrix, sing_tol: float = 1e-8) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix entries must be finite")
     _, sigma, vt = np.linalg.svd(a)
-    rank = int(np.count_nonzero(sigma > sing_tol * sigma[0]))
+    rank = int(np.count_nonzero(sigma > SING_TOL * sigma[0]))
     if rank == 4:
-        raise NotSingular(f"no singular value below {sing_tol:g} relative; not an eigenvalue")
+        raise NotSingular(f"no singular value below {SING_TOL:g} relative; not an eigenvalue")
     if rank <= 2:
         raise RankDeficiency2(
             f"kernel dimension {4 - rank} >= 2 (degenerate level)",
@@ -164,21 +147,16 @@ def _gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
-def integrate_panel(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Gauss-Legendre integral of ``f`` over [a, b].
 
     A panel is accepted when its two-half refinement agrees with the
-    single-panel estimate to max(rel_tol * |I|, abs_tol); the absolute
-    budget is halved on each subdivision.
+    single-panel estimate to max(QUAD_REL_TOL * |I|, abs_tol), with
+    abs_tol = QUAD_ABS_TOL halved on each subdivision.
     """
     if not a < b:
         raise InvalidInput("require a < b")
-    nodes, weights = _gauss_rule(spec.panel_order)
+    nodes, weights = _gauss_rule(PANEL_ORDER)
 
     def one(lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
@@ -193,7 +171,7 @@ def integrate_panel(
         left = one(lo, mid)
         right = one(mid, hi)
         total = left + right
-        if abs(total - whole) <= max(spec.rel_tol * abs(total), abs_tol):
+        if abs(total - whole) <= max(QUAD_REL_TOL * abs(total), abs_tol):
             return total
         if depth >= SUBDIVISION_CAP:
             raise NoConvergence(f"quadrature depth {SUBDIVISION_CAP} exceeded on [{lo}, {hi}]")
@@ -202,20 +180,15 @@ def integrate_panel(
             mid, hi, right, half_tol, depth + 1
         )
 
-    return recurse(a, b, one(a, b), spec.abs_tol, 0)
+    return recurse(a, b, one(a, b), QUAD_ABS_TOL, 0)
 
 
-def integrate_tail(
-    f: Callable[[float], float],
-    a: float,
-    decay_rate: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_tail(f: Callable[[float], float], a: float, decay_rate: float) -> float:
     """Integral of an exponentially decaying ``f`` over [a, infinity).
 
     Marches panels of width 5/decay_rate (about five e-foldings each),
     integrating each adaptively, and stops once a panel contributes less
-    than ``spec.abs_tol`` in magnitude.
+    than ``QUAD_ABS_TOL`` in magnitude.
     """
     if not decay_rate > 0.0:
         raise InvalidInput("decay_rate must be positive")
@@ -225,11 +198,11 @@ def integrate_tail(
     lo = a
     for _ in range(TAIL_PANEL_CAP):
         hi = lo + width
-        contribution = integrate_panel(f, lo, hi, spec)
+        contribution = integrate_panel(f, lo, hi)
         total += contribution
-        if abs(contribution) < spec.abs_tol:
+        if abs(contribution) < QUAD_ABS_TOL:
             return total
         lo = hi
     raise DecayViolation(
-        f"tail integral not below {spec.abs_tol:g} after {TAIL_PANEL_CAP} panels"
+        f"tail integral not below {QUAD_ABS_TOL:g} after {TAIL_PANEL_CAP} panels"
     )

@@ -15,12 +15,18 @@ and because K_n(conj z) = conj(K_n(z)) the two modified-Bessel
 combinations collapse to one complex evaluation:
 
     f2(n, r) = Re K_n(k2p r),
-    g2(n, r) = Im K_n(k2p r).
+    g2(n, r) = Im K_n(k2p r),
+
+which give the two real exterior waves x = (f2(m), g2(m+1)) and
+y = (g2(m), f2(m+1)).
 
 This module is the one place where Bessel tables become basis values.
-Both bases are returned with their first radial derivatives and, on
-request, their second ones, by recurrence identities applied once or
-twice, never by numerical differentiation:
+Both regions return two waves of one type, :class:`RadialWave`, stored
+divided by a ``divisor`` (true value = value * divisor): the signed
+power k^q of the wave number inside, exp(-Re(k2p) r) outside.  The
+waves carry their first radial derivatives and, on request, their
+second ones, by recurrence identities applied once or twice, never by
+numerical differentiation:
 
     d/dr J_n(kr) = (n/r) J_n(kr) - k J_{n+1}(kr),     n >= 0 (no lower order),
     d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2.
@@ -97,25 +103,16 @@ class ExteriorWaveNumbers:
 
 
 @dataclass(frozen=True)
-class InteriorWave:
-    """One interior Bessel wave J_n(k r) / divisor at the orders n = m and
-    m + 1, with its first radial derivatives and, on request, its second
-    ones (``curvature``, otherwise ``None``)."""
+class RadialWave:
+    """One basis wave at the orders n = m and m + 1, stored divided by
+    ``divisor`` (true value = value * divisor), with its first radial
+    derivatives and, on request, its second ones (``curvature``,
+    otherwise ``None``)."""
 
     value: tuple[float, float]
     slope: tuple[float, float]
     divisor: float
     curvature: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class RadialBasisEval:
-    """Values and radial derivatives of one exterior (f, g) pair at a radius."""
-
-    f: float
-    g: float
-    df: float
-    dg: float
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def exterior_wave_numbers(e: float, v: float, beta: float) -> ExteriorWaveNumber
     )
 
 
-def _wave(m: int, k: float, r: float, second: bool) -> InteriorWave:
+def _wave(m: int, k: float, r: float, second: bool) -> RadialWave:
     """J_n(k r) / k^q at n = m, m + 1 from the orders q .. q + 3 of J
     (J_n = (-1)^n J_|n|, |n| >= q); the second derivative is
 
@@ -170,12 +167,12 @@ def _wave(m: int, k: float, r: float, second: bool) -> InteriorWave:
             curvature.append(
                 sign * (j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2)
             )
-    return InteriorWave(tuple(value), tuple(slope), k**q, tuple(curvature) if second else None)
+    return RadialWave(tuple(value), tuple(slope), k**q, tuple(curvature) if second else None)
 
 
 def interior_pair(
     m: int, e: float, beta: float, r: float, second: bool = False
-) -> tuple[InteriorWave, InteriorWave]:
+) -> tuple[RadialWave, RadialWave]:
     """The two interior waves J(k_- r) and J(k_+ r) at orders m and m+1,
     each divided by the signed power k^q of its wave number,
     q = min(|m|, |m+1|), which ``divisor`` records.
@@ -194,71 +191,38 @@ def interior_pair(
     return _wave(m, k.k_minus, r, second), _wave(m, k.k_plus, r, second)
 
 
-def _exterior_scaled_tables(
-    m: int, e: float, v: float, beta: float, r: float, reach: int
-) -> tuple[dict[int, complex], complex, float]:
-    """Scaled phase-adjusted table S_n, n = m - reach .. m + 1 + reach, with
-    K_n(k_plus r) = S_n e^{-s}; returns (table, k_plus, s = Re(k_plus) r)."""
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
-    k_plus = exterior_wave_numbers(e, v, beta).k_plus
-    z = k_plus * r
-    scaled = bessel_k_scaled_many(range(m - reach, m + 2 + reach), z)
-    phase = cmath.exp(complex(0.0, -z.imag))
-    return {n: value * phase for n, value in scaled.items()}, k_plus, z.real
-
-
-def _exterior_from_tables(
-    m: int, k_plus: complex, table: dict, damp: float = 1.0
-) -> RadialBasisEval:
-    value = table[m]
-    deriv = -0.5 * k_plus * (table[m - 1] + table[m + 1])
-    return RadialBasisEval(
-        f=value.real * damp, g=value.imag * damp, df=deriv.real * damp, dg=deriv.imag * damp
-    )
-
-
-def _exterior_second(m: int, k_plus: complex, table: dict, damp: float) -> tuple[float, float]:
-    curve = 0.25 * k_plus**2 * (table[m - 2] + 2.0 * table[m] + table[m + 2])
-    return curve.real * damp, curve.imag * damp
-
-
-def exterior_pair_scaled(
-    m: int, e: float, v: float, beta: float, r: float
-) -> tuple[RadialBasisEval, RadialBasisEval, float]:
-    """Exterior basis at orders m and m+1 scaled by exp(+decay_rate * r),
-    plus that scale exponent.
-
-    The scaled form stays finite for arbitrarily deep wells, where the
-    true basis underflows; true values are scaled * exp(-exponent).
-    """
-    table, k_plus, exponent = _exterior_scaled_tables(m, e, v, beta, r, 1)
-    return (
-        _exterior_from_tables(m, k_plus, table),
-        _exterior_from_tables(m + 1, k_plus, table),
-        exponent,
-    )
-
-
 def exterior_pair(
     m: int, e: float, v: float, beta: float, r: float, second: bool = False
-) -> tuple:
-    """Exterior basis at orders m and m+1 (true scale).
+) -> tuple[RadialWave, RadialWave]:
+    """The two real exterior waves x = (Re K_m, Im K_{m+1}) and
+    y = (Im K_m, Re K_{m+1}) of K_n(k_+ r), each multiplied by
+    exp(+Re(k_+) r), whose inverse ``divisor`` records.
 
-    With ``second`` the result also holds the second radial derivatives
-    ``(f'', g'')`` at both orders, as :func:`interior_pair` does.
+    The scaled waves stay finite for arbitrarily deep wells, where the
+    true ones underflow.  With ``second`` they also carry their second
+    radial derivatives, as in :func:`interior_pair`.
     """
-    table, k_plus, exponent = _exterior_scaled_tables(m, e, v, beta, r, 2 if second else 1)
-    damp = math.exp(-exponent)
-    pair = (
-        _exterior_from_tables(m, k_plus, table, damp),
-        _exterior_from_tables(m + 1, k_plus, table, damp),
-    )
-    if not second:
-        return pair
-    return pair + (
-        _exterior_second(m, k_plus, table, damp),
-        _exterior_second(m + 1, k_plus, table, damp),
+    if not r > 0.0:
+        raise InvalidInput("r must be positive")
+    k = exterior_wave_numbers(e, v, beta).k_plus
+    z = k * r
+    reach = 2 if second else 1
+    scaled = bessel_k_scaled_many(range(m - reach, m + 2 + reach), z)
+    # e^z K_n(z) times e^{-i Im z} is e^{Re z} K_n(z)
+    phase = cmath.exp(complex(0.0, -z.imag))
+    t = {n: value * phase for n, value in scaled.items()}
+    low, high = t[m], t[m + 1]
+    slope_low = -0.5 * k * (t[m - 1] + high)
+    slope_high = -0.5 * k * (low + t[m + 2])
+    x_curve = y_curve = None
+    if second:
+        curve_low = 0.25 * k**2 * (t[m - 2] + 2.0 * low + t[m + 2])
+        curve_high = 0.25 * k**2 * (t[m - 1] + 2.0 * high + t[m + 3])
+        x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
+    divisor = math.exp(-z.real)
+    return (
+        RadialWave((low.real, high.imag), (slope_low.real, slope_high.imag), divisor, x_curve),
+        RadialWave((low.imag, high.real), (slope_low.imag, slope_high.real), divisor, y_curve),
     )
 
 

@@ -283,14 +283,10 @@ def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
     z = complex(z)
     if not abs(z) <= K_ARGUMENT_CAP:
         raise ArgumentOutOfRange(f"|z| = {abs(z)!r} beyond validated domain {K_ARGUMENT_CAP}")
-    if z.imag < 0.0:
-        # single evaluation in the upper half-plane keeps K_n(conj z) ==
-        # conj(K_n(z)) bit-exact
-        upper = bessel_k_many(orders, z.conjugate())
-        return {n: value.conjugate() for n, value in upper.items()}
-    scaled = bessel_k_scaled_many(orders, z)
+    # bessel_k_scaled_many evaluates in the upper half-plane, which keeps
+    # K_n(conj z) == conj(K_n(z)) bit-exact
     damp = cmath.exp(-z)
-    return {n: value * damp for n, value in scaled.items()}
+    return {n: value * damp for n, value in bessel_k_scaled_many(orders, z).items()}
 
 
 def bessel_k_complex(n: int, z: complex) -> complex:

@@ -13,20 +13,21 @@ ordered (c1, c2, d1, d2) and rows
 det M inside the open window -beta^2/4 < e < v - beta^2/4; the number
 of zeros is finite.
 
-The solver works on the same system in the basis of the two interior
-Bessel waves, a = (c1 + d1)/2 times J(k_- r) and b = (c1 - d1)/2 times
-J(k_+ r) (see ``radial_basis``), with columns (a, c2, b, d2).  One
-function, :func:`equilibrated_matrix`, builds it for the scan, the
-refinement, the beta = 0 channel minors and the kernel solve, and
-rescales its columns:
+The solver works on the same system in the basis of the four waves of
+``radial_basis``: a = (c1 + d1)/2 times J(k_- r), b = (c1 - d1)/2 times
+J(k_+ r), c2 times x = (f2(m), g2(m+1)) and d2 times y = (g2(m), f2(m+1)),
+with columns (a, c2, b, d2).  One function, :func:`equilibrated_matrix`,
+builds it for the scan, the refinement, the beta = 0 channel minors and
+the kernel solve.  Each column is one wave as ``radial_basis`` stores
+it, divided by its ``divisor``, and then scaled to unit norm:
 
-* each wave is divided by the signed power k^q of its wave number,
-  q = min(|m|, |m+1|).  Undivided, the wave whose number vanishes at
-  e = 0 (k_- for beta > 0, k_+ for beta < 0) gives det M a zero of order
-  q there whose kernel is the null function, not a bound state; divided,
-  its column is O(1), with a finite limit at e = 0;
-* the exterior columns are multiplied by exp(+decay_rate), so deep wells
-  do not underflow;
+* an interior wave is divided by the signed power k^q of its wave
+  number, q = min(|m|, |m+1|).  Undivided, the wave whose number
+  vanishes at e = 0 (k_- for beta > 0, k_+ for beta < 0) gives det M a
+  zero of order q there whose kernel is the null function, not a bound
+  state; divided, its column is O(1), with a finite limit at e = 0;
+* an exterior wave is divided by exp(-decay_rate), so deep wells do not
+  underflow;
 * every column is scaled to unit norm, so columns whose J_n ~ k^|n| and
   K_n ~ z^-|n| entries lie orders of magnitude apart keep their full
   precision in the determinant.
@@ -51,7 +52,14 @@ import numpy as np
 
 from .errors import InvalidInput, WindowViolation
 from .numerics import Bracket, refine_root
-from .radial_basis import WINDOW_MARGIN, DotParameters, exterior_pair_scaled, interior_pair
+from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
+
+# the one exterior function, under the name bench/tracer.py patches here
+from .radial_basis import exterior_pair as exterior_pair_scaled
+
+# |det| dips below this fraction of the scan's largest value without a
+# sign change are reported as possible even-multiplicity roots
+SUSPECT_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,6 @@ class ScanSpec:
 
     grid_points: int = 2000
     refine_tol: float = 1e-12
-    suspect_threshold: float = 1e-6
     e_min: float | None = None
     e_max: float | None = None
 
@@ -74,8 +81,6 @@ class ScanSpec:
             raise InvalidInput("grid_points must be >= 100")
         if not self.refine_tol > 0.0:
             raise InvalidInput("refine_tol must be positive")
-        if not self.suspect_threshold > 0.0:
-            raise InvalidInput("suspect_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,17 +119,16 @@ def equilibrated_matrix(params: DotParameters, e: float) -> tuple[np.ndarray, np
     true column = matrix[:, j] * scale[j]."""
     _check_window(params, e)
     minus, plus = interior_pair(params.m, e, params.beta, 1.0)
-    low, high, exponent = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
+    x, y = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
     columns = (
         (minus.value[0], minus.slope[0], minus.value[1], minus.slope[1]),
-        (-low.f, -low.df, -high.g, -high.dg),
+        (-x.value[0], -x.slope[0], -x.value[1], -x.slope[1]),
         (plus.value[0], plus.slope[0], -plus.value[1], -plus.slope[1]),
-        (-low.g, -low.dg, high.f, high.df),
+        (-y.value[0], -y.slope[0], y.value[1], y.slope[1]),
     )
     # hypot: the K columns near the window top square past the float range
     norms = [math.hypot(*column) for column in columns]
-    damp = math.exp(-exponent)
-    scale = np.multiply(norms, (minus.divisor, damp, plus.divisor, damp))
+    scale = np.multiply(norms, (minus.divisor, x.divisor, plus.divisor, y.divisor))
     return np.array(columns).T / norms, scale
 
 
@@ -175,7 +179,7 @@ def _scan_roots(
                 refine_root(func, Bracket(grid[i], grid[i + 1], lo, hi), scan.refine_tol)
             )
 
-    threshold = scan.suspect_threshold * max_abs
+    threshold = SUSPECT_THRESHOLD * max_abs
     suspects = []
     for i in range(1, n - 1):
         v_prev, v_here, v_next = values[i - 1], values[i], values[i + 1]

@@ -8,13 +8,15 @@ the coefficient vector (c1, c2, d1, d2) of the radial pair
     r >= 1:  u = c2 f2(m)   + d2 g2(m)
              w = c2 g2(m+1) - d2 f2(m+1)
 
-(note the minus sign on d2 in the exterior w).  Inside the well the pair
-is evaluated on the two Bessel waves of ``radial_basis``:
-u = a J_m(k_- r) + b J_m(k_+ r), w = a J_{m+1}(k_- r) - b J_{m+1}(k_+ r)
-with a = (c1 + d1)/2, b = (c1 - d1)/2.  The state is then
-rescaled so that  integral_0^inf (u^2 + w^2) r dr = 1,  computed as an
-adaptive panel on [0, 1] plus an exponential-tail quadrature with
-density decay rate 2 sqrt(v - e - beta^2/4).  The full spinor is
+(note the minus sign on d2 in the exterior w).  In both regions the pair
+is evaluated on the two waves x, y of ``radial_basis`` as
+u = a x(m) + b y(m), w = a x(m+1) - b y(m+1): inside with the Bessel
+waves J(k_- r), J(k_+ r) and a = (c1 + d1)/2, b = (c1 - d1)/2, outside
+with x = (f2(m), g2(m+1)), y = (g2(m), f2(m+1)) and a = c2, b = d2.
+The state is then rescaled so that  integral_0^inf (u^2 + w^2) r dr = 1,
+computed as an adaptive panel on [0, 1] plus an exponential-tail
+quadrature with density decay rate 2 sqrt(v - e - beta^2/4).  The full
+spinor is
 
     Psi_m(r, phi) = ( u(r) e^{i m phi},  w(r) e^{i (m+1) phi} ).
 """
@@ -34,21 +36,12 @@ from .errors import (
     InvalidInput,
     NotNormalized,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    fix_sign,
-    integrate_panel,
-    integrate_tail,
-    nullspace_4x4,
-)
+from .numerics import fix_sign, integrate_panel, integrate_tail, nullspace_4x4
 from .radial_basis import DotParameters, exterior_pair, exterior_wave_numbers, interior_pair
 from .spectral_solver import equilibrated_matrix
 
 # not called here; bench/tracer.py patches these two names on this module
 from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
-
-DEFAULT_SING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,7 @@ class SpinorSample:
     w: float
 
 
-def solve_coefficients(
-    params: DotParameters, e: float, sing_tol: float = DEFAULT_SING_TOL
-) -> BoundState:
+def solve_coefficients(params: DotParameters, e: float) -> BoundState:
     """Unit-norm coefficient vector at a spectrum energy (unnormalized state).
 
     Sign convention: the first largest-magnitude coefficient is positive.
@@ -90,7 +81,7 @@ def solve_coefficients(
     # to the paper's (c1, d1): at true scale the columns lie orders of
     # magnitude apart, which would smear the kernel direction
     matrix, scale = equilibrated_matrix(params, e)
-    vec = nullspace_4x4(matrix, sing_tol)
+    vec = nullspace_4x4(matrix)
     exponent = exterior_wave_numbers(e, params.v, params.beta).k_plus.real
     if exponent > 700.0:
         # true exterior coefficients would be ~e^{+exponent}
@@ -113,27 +104,23 @@ def solve_coefficients(
 
 def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[float, float]]:
     """(u, w), (u', w') and, with ``second``, (u'', w'') at r > 0; r = 1
-    belongs to the exterior.  In both regions u = a x(m) + b y(m) and
-    w = a x(m+1) - b y(m+1): inside, a and b multiply the waves
-    x = J(k_- r), y = J(k_+ r); outside, c2 and d2 multiply
-    x = (Re K_m, Im K_{m+1}) and y = (Im K_m, Re K_{m+1})."""
+    belongs to the exterior.  One formula for both regions,
+    u = a x(m) + b y(m) and w = a x(m+1) - b y(m+1) (module docstring);
+    only the two waves x, y and the coefficient pair (a, b) differ."""
     p = state.params
     if r < 1.0:
-        minus, plus = interior_pair(p.m, state.e, p.beta, r, second)
-        # the waves carry J / divisor
-        a = 0.5 * (state.c1 + state.d1) * minus.divisor
-        b = 0.5 * (state.c1 - state.d1) * plus.divisor
-        waves = [(minus.value, plus.value), (minus.slope, plus.slope)]
-        if second:
-            waves.append((minus.curvature, plus.curvature))
+        x, y = interior_pair(p.m, state.e, p.beta, r, second)
+        a, b = 0.5 * (state.c1 + state.d1), 0.5 * (state.c1 - state.d1)
     else:
-        low, high, *curves = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
+        x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
         a, b = state.c2, state.d2
-        waves = [((low.f, high.g), (low.g, high.f)), ((low.df, high.dg), (low.dg, high.df))]
-        if second:
-            (f_low, g_low), (f_high, g_high) = curves
-            waves.append(((f_low, g_high), (g_low, f_high)))
-    return [(a * x[0] + b * y[0], a * x[1] - b * y[1]) for x, y in waves]
+    # the waves carry true value / divisor
+    a *= x.divisor
+    b *= y.divisor
+    waves = [(x.value, y.value), (x.slope, y.slope)]
+    if second:
+        waves.append((x.curvature, y.curvature))
+    return [(a * wx[0] + b * wy[0], a * wx[1] - b * wy[1]) for wx, wy in waves]
 
 
 def radial_components(state: BoundState, r: float) -> tuple[float, float]:
@@ -155,9 +142,7 @@ def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     return _terms(state, r)[1]
 
 
-def radial_density_integral(
-    state: BoundState, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def radial_density_integral(state: BoundState) -> float:
     """integral_0^inf (u^2 + w^2) r dr for the state's coefficients."""
     params = state.params
 
@@ -168,15 +153,15 @@ def radial_density_integral(
     decay = 2.0 * math.sqrt(params.v - state.e - 0.25 * params.beta * params.beta)
     # the beta-oscillations inside each tail panel are resolved by the
     # adaptive subdivision of integrate_panel
-    inside = integrate_panel(density, 0.0, 1.0, spec)
-    outside = integrate_tail(density, 1.0, decay, spec)
+    inside = integrate_panel(density, 0.0, 1.0)
+    outside = integrate_tail(density, 1.0, decay)
     return inside + outside
 
 
-def normalize(state: BoundState, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BoundState:
+def normalize(state: BoundState) -> BoundState:
     """Rescale the coefficients by one positive factor so the radial
     density integrates to 1."""
-    total = radial_density_integral(state, spec)
+    total = radial_density_integral(state)
     if not total > 1e-300:
         raise DegenerateState(f"normalization integral {total!r} vanished")
     factor = 1.0 / math.sqrt(total)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from rashbadot.radial_basis import DotParameters, interior_pair
+from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum, match_matrix
 from rashbadot.wavefunction import normalize, solve_coefficients
@@ -74,3 +74,24 @@ def paper_basis(m, e, beta, r):
         dm, dp = minus.slope[n] * minus.divisor, plus.slope[n] * plus.divisor
         out.append((0.5 * (jm + jp), 0.5 * (jm - jp), 0.5 * (dm + dp), 0.5 * (dm - dp)))
     return out
+
+
+def paper_exterior(m, e, v, beta, r):
+    """The paper's exterior pair [(f2, g2, f2', g2') at order m, at m + 1],
+    f2, g2 = Re, Im K_n(k_+ r) at true scale, from the two waves
+    x = (f2(m), g2(m+1)) and y = (g2(m), f2(m+1)) of ``exterior_pair``."""
+    x, y = exterior_pair(m, e, v, beta, r)
+    d = x.divisor
+    return [
+        (x.value[0] * d, y.value[0] * d, x.slope[0] * d, y.slope[0] * d),
+        (y.value[1] * d, x.value[1] * d, y.slope[1] * d, x.slope[1] * d),
+    ]
+
+
+def channel_determinant(params, channel, e):
+    """True-scale 2x2 determinant of spin channel 0 (order m) or 1 (m+1),
+    built directly from the basis."""
+    f1, _, df1, _ = paper_basis(params.m, e, params.beta, 1.0)[channel]
+    f2, _, df2, _ = paper_exterior(params.m, e, params.v, params.beta, 1.0)[channel]
+    sign = 1.0 if channel == 1 else -1.0
+    return f1 * sign * df2 - sign * f2 * df1

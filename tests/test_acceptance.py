@@ -18,10 +18,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import matching_residuals, paper_basis
+from conftest import channel_determinant, matching_residuals
 from rashbadot.cli import main
-from rashbadot.numerics import DEFAULT_QUADRATURE, integrate_panel, integrate_tail
-from rashbadot.radial_basis import DotParameters, exterior_pair
+from rashbadot.numerics import integrate_panel, integrate_tail
+from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import (
     KNOWN_MISSING_LEVELS,
     KNOWN_VALUE_DEFECTS,
@@ -246,7 +246,7 @@ class TestCriterion5PropertySuite:
             for depth_fraction in (0.1, 0.35, 0.6, 0.85):
                 e = depth_fraction * v
                 det = spectral_determinant(params, e)
-                product = _channel_det(params, 0, e) * _channel_det(params, 1, e)
+                product = channel_determinant(params, 0, e) * channel_determinant(params, 1, e)
                 worst = max(worst, abs(det - product) / max(abs(det), 1e-300))
         assert worst < 1e-12
         m0 = [round(e, 2) for e in table_spectra[(0, 25.0, 0.0)].levels]
@@ -340,14 +340,4 @@ def _overlap(state_a, state_b):
     decay = math.sqrt(params.v - state_a.e - 0.25 * params.beta**2) + math.sqrt(
         params.v - state_b.e - 0.25 * params.beta**2
     )
-    return integrate_panel(product, 0.0, 1.0, DEFAULT_QUADRATURE) + integrate_tail(
-        product, 1.0, decay, DEFAULT_QUADRATURE
-    )
-
-
-def _channel_det(params, channel, e):
-    """True-scale 2x2 determinant of spin channel 0 (order m) or 1 (m+1)."""
-    f1, _, df1, _ = paper_basis(params.m, e, params.beta, 1.0)[channel]
-    b2 = exterior_pair(params.m, e, params.v, params.beta, 1.0)[channel]
-    sign = 1.0 if channel == 1 else -1.0
-    return f1 * sign * b2.df - sign * b2.f * df1
+    return integrate_panel(product, 0.0, 1.0) + integrate_tail(product, 1.0, decay)

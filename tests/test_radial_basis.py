@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_basis
+from conftest import paper_basis, paper_exterior
 from rashbadot.errors import AboveWindow, BelowWindow, InvalidInput
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
-    exterior_pair_scaled,
     exterior_wave_numbers,
     interior_pair,
     interior_wave_numbers,
@@ -171,59 +170,65 @@ class TestInteriorBasis:
 class TestExteriorBasis:
     def test_uncoupled_reduces_to_plain_k(self):
         e, v, r = 4.0, 25.0, 1.7
-        b = exterior_pair(0, e, v, 0.0, r)[0]
-        assert b.g == 0.0
-        assert b.dg == 0.0
+        f, g, _, dg = paper_exterior(0, e, v, 0.0, r)[0]
+        assert g == 0.0
+        assert dg == 0.0
         expected = bessel_k_complex(0, complex(math.sqrt(v - e) * r, 0.0)).real
-        assert b.f == pytest.approx(expected, rel=1e-13)
+        assert f == pytest.approx(expected, rel=1e-13)
 
     def test_real_by_construction(self):
-        b = exterior_pair(1, 3.0, 25.0, 2.0, 1.4)[0]
-        for field in ("f", "g", "df", "dg"):
-            assert isinstance(getattr(b, field), float)
+        for wave in exterior_pair(1, 3.0, 25.0, 2.0, 1.4, second=True):
+            assert isinstance(wave.divisor, float)
+            for field in ("value", "slope", "curvature"):
+                assert all(isinstance(x, float) for x in getattr(wave, field))
 
     def test_matches_explicit_combination(self):
         # f2 = Re K_m(k+ r), g2 = Im K_m(k+ r)
         m, e, v, beta, r = 1, 3.0, 25.0, 2.0, 1.3
         k = exterior_wave_numbers(e, v, beta)
         value = bessel_k_complex(m, k.k_plus * r)
-        b = exterior_pair(m, e, v, beta, r)[0]
-        assert b.f == pytest.approx(value.real, rel=1e-12)
-        assert b.g == pytest.approx(value.imag, rel=1e-12)
+        f, g, _, _ = paper_exterior(m, e, v, beta, r)[0]
+        assert f == pytest.approx(value.real, rel=1e-12)
+        assert g == pytest.approx(value.imag, rel=1e-12)
 
     def test_scaled_and_plain_agree(self):
+        # the waves carry K * exp(+Re(k_+) r); value * divisor is true scale
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
-        scaled, _, exponent = exterior_pair_scaled(m, e, v, beta, r)
-        plain = exterior_pair(m, e, v, beta, r)[0]
-        damp = math.exp(-exponent)
-        assert plain.f == pytest.approx(scaled.f * damp, rel=1e-13)
-        assert plain.dg == pytest.approx(scaled.dg * damp, rel=1e-13)
+        k_plus = exterior_wave_numbers(e, v, beta).k_plus
+        x, y = exterior_pair(m, e, v, beta, r)
+        assert x.divisor == y.divisor == math.exp(-k_plus.real * r)
+        for n in (m, m + 1):
+            true = bessel_k_complex(n, k_plus * r)
+            # x = (Re K_m, Im K_{m+1}), y = (Im K_m, Re K_{m+1})
+            want_x, want_y = (true.real, true.imag) if n == m else (true.imag, true.real)
+            assert x.value[n - m] * x.divisor == pytest.approx(want_x, rel=1e-13)
+            assert y.value[n - m] * y.divisor == pytest.approx(want_y, rel=1e-13)
 
     def test_envelope_at_moderate_radius(self):
         # 5% agreement with the asymptotic form already at r = 2
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
         env = tail_envelope(e, v, beta)
-        b = exterior_pair(m, e, v, beta, r)[0]
+        f = paper_exterior(m, e, v, beta, r)[0][0]
         predicted = (
             env.amplitude
             * math.exp(-env.decay_rate * r)
             / math.sqrt(r)
             * math.cos(0.5 * (beta * r + env.gamma))
         )
-        assert b.f == pytest.approx(predicted, rel=0.05)
+        assert f == pytest.approx(predicted, rel=0.05)
 
     def test_decay_bound(self):
         m, e, v, beta = 0, 3.49, 25.0, 1.0
-        near = exterior_pair(m, e, v, beta, 2.0)[0]
-        far = exterior_pair(m, e, v, beta, 20.0)[0]
+        near_f, near_g, _, _ = paper_exterior(m, e, v, beta, 2.0)[0]
+        far_f, far_g, _, _ = paper_exterior(m, e, v, beta, 20.0)[0]
         rate = tail_envelope(e, v, beta).decay_rate
         bound = 10.0 * math.exp(-18.0 * rate)
-        assert abs(far.f) <= abs(near.f) * bound
-        assert abs(far.g) <= max(abs(near.g), abs(near.f)) * bound
+        assert abs(far_f) <= abs(near_f) * bound
+        assert abs(far_g) <= max(abs(near_g), abs(near_f)) * bound
 
     def test_pair_matches_single(self):
         # the upper member of the pair at m is the lower member at m + 1
-        assert exterior_pair(1, 3.0, 25.0, 2.0, 1.6)[1] == exterior_pair(2, 3.0, 25.0, 2.0, 1.6)[0]
+        assert paper_exterior(1, 3.0, 25.0, 2.0, 1.6)[1] == paper_exterior(2, 3.0, 25.0, 2.0, 1.6)[0]
 
 
 class TestTailEnvelope:
@@ -249,13 +254,14 @@ class TestTailEnvelope:
         m, e, v, beta = 0, 2.97, 100.0, 2.0
         env = tail_envelope(e, v, beta)
         r = 30.0
-        scaled, _, exponent = exterior_pair_scaled(m, e, v, beta, r)
+        x, y = exterior_pair(m, e, v, beta, r)
+        exponent = -math.log(x.divisor)
         assert exponent == pytest.approx(env.decay_rate * r, rel=1e-14)
         # compare in scaled space (the raw values are ~1e-120)
         envelope_scaled = env.amplitude / math.sqrt(r)
         phase = 0.5 * (beta * r + env.gamma)
-        assert scaled.f / (envelope_scaled * math.cos(phase)) == pytest.approx(1.0, abs=1e-3)
-        assert scaled.g / (-envelope_scaled * math.sin(phase)) == pytest.approx(1.0, abs=1e-3)
+        assert x.value[0] / (envelope_scaled * math.cos(phase)) == pytest.approx(1.0, abs=1e-3)
+        assert y.value[0] / (-envelope_scaled * math.sin(phase)) == pytest.approx(1.0, abs=1e-3)
 
     def test_window_guard(self):
         with pytest.raises(AboveWindow):

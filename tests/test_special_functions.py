@@ -162,15 +162,16 @@ def interior_derivatives(m, e, beta):
 
 
 def exterior_derivatives(m, e, v, beta):
-    """``check_ladder_derivatives`` view of the exterior pair."""
+    """``check_ladder_derivatives`` view of the two exterior waves, at true
+    scale, since their divisor depends on r."""
 
     def derivatives(r):
-        low, high, low2, high2 = exterior_pair(m, e, v, beta, r, second=True)
-        return (
-            [low.f, low.g, high.f, high.g],
-            [low.df, low.dg, high.df, high.dg],
-            [*low2, *high2],
-        )
+        waves = exterior_pair(m, e, v, beta, r, second=True)
+        fields = ("value", "slope", "curvature")
+        return [
+            [x * wave.divisor for wave in waves for x in getattr(wave, field)]
+            for field in fields
+        ]
 
     return derivatives
 
@@ -311,23 +312,25 @@ class TestBesselKDerivative:
         # beta = 0: f = K_0(k r) with k = sqrt(v - e) = 2, so f' = -2 K_1(2 r)
         for r in (0.4, 1.1, 3.0):
             expected = -2.0 * bessel_k_complex(1, complex(2.0 * r, 0.0)).real
-            assert exterior_pair(0, 21.0, 25.0, 0.0, r)[0].df == pytest.approx(
-                expected, rel=1e-12
-            )
+            x = exterior_pair(0, 21.0, 25.0, 0.0, r)[0]
+            assert x.slope[0] * x.divisor == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_difference(self):
         # k_plus = 3 + i: complex argument, so f and g are both nonzero
         check_ladder_derivatives(exterior_derivatives(1, 12.0, 25.0, 2.0), 1.2, 1e-7)
 
     def test_conjugate_wave_number(self):
-        # beta -> -beta conjugates k_plus: g and its derivatives flip sign,
-        # f and its derivatives keep their values, bit for bit
-        plus = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, True)
-        minus = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, True)
-        for a, b in zip(plus[:2], minus[:2]):
-            assert (b.f, b.g, b.df, b.dg) == (a.f, -a.g, a.df, -a.dg)
-        for (f_a, g_a), (f_b, g_b) in zip(plus[2:], minus[2:]):
+        # beta -> -beta conjugates k_plus: g = Im K and its derivatives flip
+        # sign, f = Re K and its derivatives keep their values, bit for bit;
+        # x = (f(m), g(m+1)) and y = (g(m), f(m+1))
+        x_a, y_a = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, True)
+        x_b, y_b = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, True)
+        assert x_b.divisor == x_a.divisor
+        for field in ("value", "slope", "curvature"):
+            (f_a, g_a), (f_b, g_b) = getattr(x_a, field), getattr(x_b, field)
             assert (f_b, g_b) == (f_a, -g_a)
+            (g_a, f_a), (g_b, f_b) = getattr(y_a, field), getattr(y_b, field)
+            assert (g_b, f_b) == (-g_a, f_a)
 
 
 @pytest.mark.slow

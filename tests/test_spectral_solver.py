@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import paper_basis
+from conftest import channel_determinant, paper_basis, paper_exterior
 from rashbadot.errors import InvalidInput, WindowViolation
-from rashbadot.radial_basis import DotParameters, exterior_pair
+from rashbadot.radial_basis import DotParameters
 from rashbadot.spectral_solver import (
     ScanSpec,
     equilibrated_matrix,
@@ -15,15 +15,6 @@ from rashbadot.spectral_solver import (
 )
 
 FIRST_J0_ZERO_SQUARED = 5.7831859629467845
-
-
-def channel_determinant(params, channel, e):
-    """2x2 determinant of spin channel 0 (order m) or 1 (order m+1), built
-    directly from the basis."""
-    f1, _, df1, _ = paper_basis(params.m, e, params.beta, 1.0)[channel]
-    b2 = exterior_pair(params.m, e, params.v, params.beta, 1.0)[channel]
-    sign = 1.0 if channel == 1 else -1.0
-    return f1 * sign * b2.df - sign * b2.f * df1
 
 
 def scan_value(params, e):
@@ -37,11 +28,11 @@ class TestMatchMatrix:
         e = 30.0
         matrix = match_matrix(params, e).entries
         (f, g, df, dg), (f1, g1, df1, dg1) = paper_basis(1, e, 2.0, 1.0)
-        b2, b22 = exterior_pair(1, e, 100.0, 2.0, 1.0)
-        assert matrix[0] == pytest.approx((f, -b2.f, g, -b2.g), rel=1e-12)
-        assert matrix[1] == pytest.approx((df, -b2.df, dg, -b2.dg), rel=1e-12)
-        assert matrix[2] == pytest.approx((g1, -b22.g, f1, b22.f), rel=1e-12)
-        assert matrix[3] == pytest.approx((dg1, -b22.dg, df1, b22.df), rel=1e-12)
+        (f2, g2, df2, dg2), (f21, g21, df21, dg21) = paper_exterior(1, e, 100.0, 2.0, 1.0)
+        assert matrix[0] == pytest.approx((f, -f2, g, -g2), rel=1e-12)
+        assert matrix[1] == pytest.approx((df, -df2, dg, -dg2), rel=1e-12)
+        assert matrix[2] == pytest.approx((g1, -g21, f1, f21), rel=1e-12)
+        assert matrix[3] == pytest.approx((dg1, -dg21, df1, df21), rel=1e-12)
 
     def test_equilibrated_columns(self):
         # unit columns, and scale takes them back to the true-scale waves

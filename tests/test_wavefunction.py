@@ -10,7 +10,7 @@ from rashbadot.errors import (
     NotNormalized,
     NotSingular,
 )
-from rashbadot.numerics import DEFAULT_QUADRATURE, integrate_panel, integrate_tail
+from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import DotParameters, tail_envelope
 from rashbadot.spectral_solver import find_spectrum
 from rashbadot.wavefunction import (
@@ -120,7 +120,7 @@ class TestNormalize:
         decay = 2.0 * math.sqrt(
             state.params.v - state.e - 0.25 * state.params.beta**2
         )
-        tail = integrate_tail(density, 1.0, decay, DEFAULT_QUADRATURE)
+        tail = integrate_tail(density, 1.0, decay)
         assert tail < 0.5
 
     def test_tail_against_fixed_grid_oracle(self, shallow_state):
@@ -131,9 +131,9 @@ class TestNormalize:
         decay = 2.0 * math.sqrt(
             state.params.v - state.e - 0.25 * state.params.beta**2
         )
-        adaptive = integrate_tail(density, 1.0, decay, DEFAULT_QUADRATURE)
+        adaptive = integrate_tail(density, 1.0, decay)
         fixed = sum(
-            integrate_panel(density, 1.0 + i * 0.5, 1.0 + (i + 1) * 0.5, DEFAULT_QUADRATURE)
+            integrate_panel(density, 1.0 + i * 0.5, 1.0 + (i + 1) * 0.5)
             for i in range(118)
         )
         assert adaptive == pytest.approx(fixed, abs=1e-9)
@@ -314,6 +314,4 @@ def _overlap(state_a, state_b):
     decay = math.sqrt(params.v - state_a.e - 0.25 * params.beta**2) + math.sqrt(
         params.v - state_b.e - 0.25 * params.beta**2
     )
-    return integrate_panel(product, 0.0, 1.0, DEFAULT_QUADRATURE) + integrate_tail(
-        product, 1.0, decay, DEFAULT_QUADRATURE
-    )
+    return integrate_panel(product, 0.0, 1.0) + integrate_tail(product, 1.0, decay)
