@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInput, RashbaDotError
@@ -84,20 +83,12 @@ def _write(args, payload: dict, header: str, rows) -> None:
             handle.write(text)
 
 
-def _spectrum_task(item: tuple[float, float, int, int, float]) -> tuple[float, ...]:
-    v, beta, m, grid, tol = item
+def _levels(v: float, beta: float, m: int, args) -> tuple[float, ...]:
     spectrum = find_spectrum(
         DotParameters(v=v, beta=beta, m=m),
-        ScanSpec(grid_points=grid, refine_tol=tol),
+        ScanSpec(grid_points=args.grid, refine_tol=args.tol),
     )
     return spectrum.levels
-
-
-def _map_tasks(items, jobs: int):
-    if jobs <= 1:
-        return [_spectrum_task(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_spectrum_task, items))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -105,7 +96,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument("--grid", type=int, default=2000, help="scan grid points")
     parser.add_argument("--tol", type=float, default=1e-12, help="root refinement tolerance")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel spectra")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,14 +244,10 @@ def _run_wavefunction(args, parser) -> int:
 
 
 def _run_table(args, parser) -> int:
-    items = [
-        (row.v, row.beta, row.m, args.grid, args.tol) for row in REFERENCE_ROWS
-    ]
-    results = _map_tasks(items, args.jobs)
-
     rows_out = []
     all_pass = True
-    for row, levels in zip(REFERENCE_ROWS, results):
+    for row in REFERENCE_ROWS:
+        levels = _levels(row.v, row.beta, row.m, args)
         expected = corrected_levels(row)
         count = max(len(levels), len(expected))
         for index in range(count):
@@ -310,17 +296,11 @@ def _run_sweep(args, parser) -> int:
     if not m_values:
         parser.error("--m-list is empty")
 
-    work = [
-        (args.v, beta, m, args.grid, args.tol)
-        for beta in betas
-        for m in sorted(set(m_values))
-    ]
-    results = _map_tasks(work, args.jobs)
-
     records = []
-    for (v, beta, m, _, _), levels in zip(work, results):
-        for index, e in enumerate(levels):
-            records.append((beta, m, index, e))
+    for beta in betas:
+        for m in sorted(set(m_values)):
+            for index, e in enumerate(_levels(args.v, beta, m, args)):
+                records.append((beta, m, index, e))
     records.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
 
     _write(args, {"v": args.v, "rows": records}, "beta,m,level_index,e", records)

@@ -20,7 +20,10 @@ combinations collapse to one complex evaluation:
 which give the two real exterior waves x = (f2(m), g2(m+1)) and
 y = (g2(m), f2(m+1)).
 
-This module is the one place where Bessel tables become basis values.
+This module is the one place where Bessel tables become basis values,
+for one energy or for an array of energies (the scan's energy axis):
+the formulas below are written once, and the type of the energy picks
+the scalar or the lane kernels of ``special_functions``.
 Both regions return two waves of one type, :class:`RadialWave`, stored
 divided by a ``divisor`` (true value = value * divisor): the signed
 power k^q of the wave number inside, exp(-Re(k2p) r) outside.  The
@@ -45,8 +48,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AboveWindow, BelowWindow, InvalidInput, OrderCapExceeded
-from .special_functions import ORDER_CAP, bessel_j_over_power, bessel_k_scaled_many
+from .special_functions import (
+    ORDER_CAP,
+    bessel_j_over_power,
+    bessel_j_over_power_lanes,
+    bessel_k_scaled_lanes,
+    bessel_k_scaled_many,
+)
 
 # not called here; bench/tracer.py patches this name on this module
 from .special_functions import bessel_j_many  # noqa: F401
@@ -107,7 +118,8 @@ class RadialWave:
     """One basis wave at the orders n = m and m + 1, stored divided by
     ``divisor`` (true value = value * divisor), with its first radial
     derivatives and, on request, its second ones (``curvature``,
-    otherwise ``None``)."""
+    otherwise ``None``).  Every field is a float, or a 1-D array with one
+    lane per energy when the wave was evaluated on an array of energies."""
 
     value: tuple[float, float]
     slope: tuple[float, float]
@@ -125,27 +137,34 @@ class TailEnvelope:
     gamma: float
 
 
-def interior_wave_numbers(e: float, beta: float) -> InteriorWaveNumbers:
-    """Interior pair sqrt(e + beta^2/4) +/- beta/2; requires e > -beta^2/4."""
+def interior_wave_numbers(e: float | np.ndarray, beta: float) -> InteriorWaveNumbers:
+    """Interior pair sqrt(e + beta^2/4) +/- beta/2; requires e > -beta^2/4.
+    ``e`` is a float or a 1-D array of energies, and so are the fields."""
     shifted = e + 0.25 * beta * beta
-    if not shifted > 0.0:
-        raise BelowWindow(f"e = {e} at or below window bottom {-0.25 * beta * beta}")
-    root = math.sqrt(shifted)
+    lanes = isinstance(shifted, np.ndarray)
+    if not (shifted.min() if lanes else shifted) > 0.0:
+        raise BelowWindow(f"e = {np.min(e)} at or below window bottom {-0.25 * beta * beta}")
+    root = np.sqrt(shifted) if lanes else math.sqrt(shifted)
     return InteriorWaveNumbers(k_plus=root + 0.5 * beta, k_minus=root - 0.5 * beta)
 
 
-def exterior_wave_numbers(e: float, v: float, beta: float) -> ExteriorWaveNumbers:
-    """Exterior conjugate pair sqrt(v - e - beta^2/4) +/- i beta/2."""
+def exterior_wave_numbers(e: float | np.ndarray, v: float, beta: float) -> ExteriorWaveNumbers:
+    """Exterior conjugate pair sqrt(v - e - beta^2/4) +/- i beta/2, for a
+    float or a 1-D array of energies ``e``."""
     remaining = v - e - 0.25 * beta * beta
-    if not remaining > 0.0:
-        raise AboveWindow(f"e = {e} at or above window top {v - 0.25 * beta * beta}")
+    lanes = isinstance(remaining, np.ndarray)
+    if not (remaining.min() if lanes else remaining) > 0.0:
+        raise AboveWindow(f"e = {np.max(e)} at or above window top {v - 0.25 * beta * beta}")
+    if lanes:
+        root = np.sqrt(remaining)
+        return ExteriorWaveNumbers(k_plus=root + 0.5j * beta, k_minus=root - 0.5j * beta)
     root = math.sqrt(remaining)
     return ExteriorWaveNumbers(
         k_plus=complex(root, 0.5 * beta), k_minus=complex(root, -0.5 * beta)
     )
 
 
-def _wave(m: int, k: float, r: float, second: bool) -> RadialWave:
+def _wave(m: int, k: float | np.ndarray, r: float, second: bool) -> RadialWave:
     """J_n(k r) / k^q at n = m, m + 1 from the orders q .. q + 3 of J
     (J_n = (-1)^n J_|n|, |n| >= q); the second derivative is
 
@@ -153,7 +172,8 @@ def _wave(m: int, k: float, r: float, second: bool) -> RadialWave:
     """
     q = min(abs(m), abs(m + 1))
     # J_j(kr) / k^q = r^q J_j(x) / x^q
-    table = bessel_j_over_power(range(q, q + (4 if second else 3)), k * r, q)
+    j_over_power = bessel_j_over_power_lanes if isinstance(k, np.ndarray) else bessel_j_over_power
+    table = j_over_power(range(q, q + (4 if second else 3)), k * r, q)
     lift = r**q
     value, slope, curvature = [], [], []
     for n in (m, m + 1):
@@ -171,7 +191,7 @@ def _wave(m: int, k: float, r: float, second: bool) -> RadialWave:
 
 
 def interior_pair(
-    m: int, e: float, beta: float, r: float, second: bool = False
+    m: int, e: float | np.ndarray, beta: float, r: float, second: bool = False
 ) -> tuple[RadialWave, RadialWave]:
     """The two interior waves J(k_- r) and J(k_+ r) at orders m and m+1,
     each divided by the signed power k^q of its wave number,
@@ -184,6 +204,9 @@ def interior_pair(
 
     With ``second`` the waves also carry their second radial derivatives;
     they need one more order of J, so only callers that use them ask.
+
+    ``e`` is a float, or a 1-D array of energies that the lane kernel of
+    J evaluates at once.
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
@@ -192,7 +215,7 @@ def interior_pair(
 
 
 def exterior_pair(
-    m: int, e: float, v: float, beta: float, r: float, second: bool = False
+    m: int, e: float | np.ndarray, v: float, beta: float, r: float, second: bool = False
 ) -> tuple[RadialWave, RadialWave]:
     """The two real exterior waves x = (Re K_m, Im K_{m+1}) and
     y = (Im K_m, Re K_{m+1}) of K_n(k_+ r), each multiplied by
@@ -200,16 +223,24 @@ def exterior_pair(
 
     The scaled waves stay finite for arbitrarily deep wells, where the
     true ones underflow.  With ``second`` they also carry their second
-    radial derivatives, as in :func:`interior_pair`.
+    radial derivatives, and ``e`` may be an array, as in
+    :func:`interior_pair`.
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
     k = exterior_wave_numbers(e, v, beta).k_plus
     z = k * r
     reach = 2 if second else 1
-    scaled = bessel_k_scaled_many(range(m - reach, m + 2 + reach), z)
+    orders = range(m - reach, m + 2 + reach)
     # e^z K_n(z) times e^{-i Im z} is e^{Re z} K_n(z)
-    phase = cmath.exp(complex(0.0, -z.imag))
+    if isinstance(z, np.ndarray):
+        scaled = bessel_k_scaled_lanes(orders, z)
+        phase = np.exp(-1j * z.imag)
+        divisor = np.exp(-z.real)
+    else:
+        scaled = bessel_k_scaled_many(orders, z)
+        phase = cmath.exp(complex(0.0, -z.imag))
+        divisor = math.exp(-z.real)
     t = {n: value * phase for n, value in scaled.items()}
     low, high = t[m], t[m + 1]
     slope_low = -0.5 * k * (t[m - 1] + high)
@@ -219,7 +250,6 @@ def exterior_pair(
         curve_low = 0.25 * k**2 * (t[m - 2] + 2.0 * low + t[m + 2])
         curve_high = 0.25 * k**2 * (t[m - 1] + 2.0 * high + t[m + 3])
         x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
-    divisor = math.exp(-z.real)
     return (
         RadialWave((low.real, high.imag), (slope_low.real, slope_high.imag), divisor, x_curve),
         RadialWave((low.imag, high.real), (slope_low.imag, slope_high.real), divisor, y_curve),

@@ -40,26 +40,43 @@ splits into the two spin channels, the 2x2 minors on rows 0-1 of the
 normalized by its own column norms and scanned separately, so that
 degenerate channel roots are not lost to an even-order touch of the
 product.
+
+The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
+takes a float or a 1-D array of energies, and the grid goes through it
+in chunks of ``SCAN_CHUNK`` points (one chunk at the default grid; the
+chunks keep memory flat for larger ones), as one ``np.linalg.det`` of
+the (N, 4, 4) stack or the two channel minors per chunk.  Sign changes
+and suspects are read from the value arrays.  Every bracket of a
+spectrum, of both channels at beta = 0, is then refined in lockstep
+(``numerics.refine_roots``): one batched evaluation per Brent step
+instead of one per step and bracket.  Each energy is an independent
+lane of the special-function kernels, so the levels do not depend on
+the chunking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInput, WindowViolation
-from .numerics import Bracket, refine_root
+from .numerics import Bracket, refine_roots
 from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
 
+# not called here; bench/tracer.py patches this name on this module
+from .numerics import refine_root  # noqa: F401
+
 # |det| dips below this fraction of the scan's largest value without a
 # sign change are reported as possible even-multiplicity roots
 SUSPECT_THRESHOLD = 1e-6
+# grid points evaluated in one batch: the default grid in one, and
+# memory that stays flat for larger grids
+SCAN_CHUNK = 2000
 
 
 @dataclass(frozen=True)
@@ -107,16 +124,26 @@ class EnergySpectrum:
     diagnostics: tuple[float, ...] = field(default=())
 
 
-def _check_window(params: DotParameters, e: float) -> None:
+def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
     lo, hi = params.window
-    if not (lo < e < hi):
+    if not np.all((lo < e) & (e < hi)):
         raise WindowViolation(f"e = {e} outside open window ({lo}, {hi})")
 
 
-def equilibrated_matrix(params: DotParameters, e: float) -> tuple[np.ndarray, np.ndarray]:
+def _hypot_lanes(a, b, c, d):
+    """math.hypot(a, b, c, d) lane by lane."""
+    return np.hypot(np.hypot(a, b), np.hypot(c, d))
+
+
+def equilibrated_matrix(
+    params: DotParameters, e: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The matching matrix in the (a, c2, b, d2) columns, equilibrated,
     and the scale that takes column j back to true scale:
-    true column = matrix[:, j] * scale[j]."""
+    true column = matrix[..., j] * scale[..., j].
+
+    ``e`` is a float, giving a (4, 4) matrix and (4,) scales, or a 1-D
+    array of N energies, giving an (N, 4, 4) stack and (N, 4) scales."""
     _check_window(params, e)
     minus, plus = interior_pair(params.m, e, params.beta, 1.0)
     x, y = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
@@ -127,9 +154,10 @@ def equilibrated_matrix(params: DotParameters, e: float) -> tuple[np.ndarray, np
         (-y.value[0], -y.slope[0], y.value[1], y.slope[1]),
     )
     # hypot: the K columns near the window top square past the float range
-    norms = [math.hypot(*column) for column in columns]
-    scale = np.multiply(norms, (minus.divisor, x.divisor, plus.divisor, y.divisor))
-    return np.array(columns).T / norms, scale
+    hypot = _hypot_lanes if isinstance(e, np.ndarray) else math.hypot
+    norms = np.array([hypot(*column) for column in columns]).T
+    scale = norms * np.array((minus.divisor, x.divisor, plus.divisor, y.divisor)).T
+    return np.array(columns).T / norms[..., None, :], scale
 
 
 def match_matrix(params: DotParameters, e: float) -> MatchMatrix:
@@ -147,46 +175,44 @@ def spectral_determinant(params: DotParameters, e: float) -> float:
     return float(np.linalg.det(match_matrix(params, e).entries))
 
 
-def _channel_minor(matrix: np.ndarray, row: int, column: int) -> float:
-    """2x2 minor on rows (row, row + 1) and columns (0, column), each column
-    part scaled to unit norm: at beta = 0 the (c1, c2) channel for
-    (0, 1) and the (d1, d2) channel for (2, 3)."""
-    a, b = matrix[row, 0], matrix[row, column]
-    c, d = matrix[row + 1, 0], matrix[row + 1, column]
-    return float((a * d - b * c) / (math.hypot(a, c) * math.hypot(b, d)))
+def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:
+    """2x2 minors of a matrix stack on rows (row, row + 1) and columns
+    (0, column), each column part scaled to unit norm: at beta = 0 the
+    (c1, c2) channel for (0, 1) and the (d1, d2) channel for (2, 3)."""
+    a, b = matrix[:, row, 0], matrix[:, row, column]
+    c, d = matrix[:, row + 1, 0], matrix[:, row + 1, column]
+    return (a * d - b * c) / (np.hypot(a, c) * np.hypot(b, d))
 
 
 def _scan_roots(
-    func: Callable[[float], float], grid: list[float], values: list[float], scan: ScanSpec
-) -> tuple[list[float], list[float]]:
-    """Roots and suspects of ``func`` from its ``values`` on ``grid``."""
+    grid: np.ndarray, values: np.ndarray
+) -> tuple[list[float], list[Bracket], list[float]]:
+    """Grid-point roots, sign-change brackets and suspects of one
+    channel's ``values`` on ``grid``."""
     n = len(grid)
-    max_abs = max(abs(v) for v in values)
+    size = np.abs(values)
+    max_abs = size.max()
     if max_abs == 0.0:
         # identically-zero scan carries no sign information
-        return [], list(grid[:: max(1, n // 8)])
+        return [], [], grid[:: max(1, n // 8)].tolist()
 
-    roots = []
-    for i in range(n - 1):
-        lo, hi = values[i], values[i + 1]
-        if lo == 0.0:
-            roots.append(grid[i])
-            continue
-        if hi == 0.0:
-            continue  # owned by the next interval's left endpoint, if any
-        if lo * hi < 0.0:
-            roots.append(
-                refine_root(func, Bracket(grid[i], grid[i + 1], lo, hi), scan.refine_tol)
-            )
+    lo, hi = values[:-1], values[1:]
+    # a zero at the right end belongs to the next interval's left end
+    at_node = grid[:-1][lo == 0.0].tolist()
+    brackets = [
+        Bracket(float(grid[i]), float(grid[i + 1]), float(values[i]), float(values[i + 1]))
+        for i in np.flatnonzero(lo * hi < 0.0).tolist()
+    ]
 
-    threshold = SUSPECT_THRESHOLD * max_abs
-    suspects = []
-    for i in range(1, n - 1):
-        v_prev, v_here, v_next = values[i - 1], values[i], values[i + 1]
-        if abs(v_here) <= abs(v_prev) and abs(v_here) <= abs(v_next):
-            if v_prev * v_here > 0.0 and v_here * v_next > 0.0 and abs(v_here) < threshold:
-                suspects.append(grid[i])
-    return roots, suspects
+    here = size[1:-1]
+    dips = (
+        (here <= size[:-2])
+        & (here <= size[2:])
+        & (values[:-2] * values[1:-1] > 0.0)
+        & (values[1:-1] * values[2:] > 0.0)
+        & (here < SUSPECT_THRESHOLD * max_abs)
+    )
+    return at_node, brackets, grid[1:-1][dips].tolist()
 
 
 def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
@@ -219,29 +245,37 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     coupled = params.beta != 0.0
 
-    def values_at(e: float) -> tuple[float, ...]:
+    def values_at(e: np.ndarray) -> np.ndarray:
+        """(channels, len(e)) scan values at the energies e."""
         matrix = equilibrated_matrix(params, e)[0]
         if coupled:
-            return (float(np.linalg.det(matrix)),)
-        return _channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)
+            return np.linalg.det(matrix)[None]
+        return np.stack((_channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)))
 
     n = scan.grid_points
-    step = (b - a) / (n - 1)
-    grid = [a + i * step for i in range(n)]
+    grid = a + np.arange(n) * ((b - a) / (n - 1))
     grid[-1] = b
-    scanned = [values_at(e) for e in grid]
+    scanned = np.concatenate(
+        [values_at(grid[i : i + SCAN_CHUNK]) for i in range(0, n, SCAN_CHUNK)], axis=1
+    )
 
     roots: list[float] = []
     suspects: list[float] = []
-    for channel in range(len(scanned[0])):
-        got_roots, got_suspects = _scan_roots(
-            lambda e: values_at(e)[channel],
-            grid,
-            [point[channel] for point in scanned],
-            scan,
-        )
-        roots.extend(got_roots)
-        suspects.extend(got_suspects)
+    brackets: list[Bracket] = []
+    channels: list[int] = []
+    for channel, values in enumerate(scanned):
+        at_node, found, dips = _scan_roots(grid, values)
+        roots.extend(at_node)
+        brackets.extend(found)
+        channels.extend([channel] * len(found))
+        suspects.extend(dips)
+
+    channel_of = np.array(channels, dtype=np.intp)
+
+    def refine_values(e: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return values_at(e)[channel_of[which], np.arange(len(e))]
+
+    roots.extend(refine_roots(refine_values, brackets, scan.refine_tol))
 
     tol = max(10.0 * scan.refine_tol, 1e-11)
     levels = _dedupe(sorted(roots), tol)

@@ -19,6 +19,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from conftest import channel_determinant, matching_residuals
+from rashbadot import spectral_solver
 from rashbadot.cli import main
 from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import DotParameters
@@ -310,23 +311,26 @@ class TestCriterion8Determinism:
             code = main(argv)
         return code, buffer.getvalue()
 
-    def test_table_and_sweep_byte_identical(self):
+    def test_table_and_sweep_byte_identical(self, monkeypatch):
         table_args = ["table", "--grid", "1200"]
-        code_a, run_a = self._capture(table_args + ["--jobs", "1"])
-        code_c, run_c = self._capture(table_args + ["--jobs", "4"])
-        assert run_a == run_c
-        assert code_a == code_c
+        code_a, run_a = self._capture(table_args)
+        code_b, run_b = self._capture(table_args)
+        assert run_a == run_b
+        assert code_a == code_b
 
         sweep_args = ["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"]
-        _, sweep_a = self._capture(sweep_args + ["--jobs", "1"])
-        _, sweep_b = self._capture(sweep_args + ["--jobs", "1"])
-        _, sweep_c = self._capture(sweep_args + ["--jobs", "5"])
+        _, sweep_a = self._capture(sweep_args)
+        _, sweep_b = self._capture(sweep_args)
+        # each grid energy is an independent lane: chunks of 7 give the
+        # bytes of the one-batch scan
+        monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", 7)
+        _, sweep_c = self._capture(sweep_args)
         assert sweep_a == sweep_b == sweep_c
         report(
             8,
             True,
             f"table ({len(run_a)} bytes) and sweep ({len(sweep_a)} bytes) identical "
-            f"across repeated runs and --jobs settings",
+            f"across repeated runs and scan chunk sizes",
         )
 
 

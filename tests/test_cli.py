@@ -17,6 +17,7 @@ from rashbadot.cli import (
     main,
     to_dimensionless,
 )
+from rashbadot import spectral_solver
 from rashbadot.errors import InvalidInput
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
 
@@ -272,11 +273,14 @@ class TestSweepCommand:
             main(["sweep", "--v", "25", "--beta-range", "0-10-5", "--m-list", "0"])
         assert info.value.code == 2
 
-    def test_jobs_do_not_change_bytes(self, capsys):
+    def test_repeated_runs_same_bytes(self, capsys, monkeypatch):
+        # the grid evaluated point by point gives the batched bytes
         args = ["sweep", "--v", "25", "--beta-range", "0:10:5", "--m-list", "0,1"]
-        _, serial, _ = run_cli(capsys, *args, "--jobs", "1")
-        _, parallel, _ = run_cli(capsys, *args, "--jobs", "4")
-        assert serial == parallel
+        _, first, _ = run_cli(capsys, *args, "--grid", "400")
+        _, second, _ = run_cli(capsys, *args, "--grid", "400")
+        monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", 1)
+        _, pointwise, _ = run_cli(capsys, *args, "--grid", "400")
+        assert first == second == pointwise
 
 
 class TestConsoleScript:

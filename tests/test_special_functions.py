@@ -12,8 +12,10 @@ from rashbadot.special_functions import (
     bessel_j,
     bessel_j_many,
     bessel_j_over_power,
+    bessel_j_over_power_lanes,
     bessel_k_complex,
     bessel_k_many,
+    bessel_k_scaled_lanes,
     bessel_k_scaled_many,
 )
 
@@ -112,6 +114,33 @@ class TestBesselJ:
         table = bessel_j_many(range(-3, 4), 7.3)
         for n in range(-3, 4):
             assert table[n] == bessel_j(n, 7.3)
+
+    @pytest.mark.parametrize(
+        "orders,power,xs",
+        [
+            # series: the origin, an underflowing leading term, x <= 2
+            (range(0, 4), 0, (0.0, 1e-200, 0.3, 1.999, 2.0)),
+            (range(61, 63), 61, (0.0, 1e-200, -1e-200, 1.5)),
+            # Miller recurrence, 2 < x <= 200, beside series lanes
+            (range(2, 6), 2, (2.0000001, 7.3, 33.0, 150.0, 200.0, 0.7)),
+            # negative x with a signed power, in both regimes
+            (range(3, 7), 3, (-0.9, -4.2, -60.0, -199.5, 4.2)),
+        ],
+    )
+    def test_lanes_match_scalar(self, orders, power, xs):
+        lanes = bessel_j_over_power_lanes(orders, np.array(xs), power)
+        for i, x in enumerate(xs):
+            scalar = bessel_j_over_power(orders, x, power)
+            for n in orders:
+                assert lanes[n][i] == pytest.approx(scalar[n], rel=1e-14, abs=0.0)
+
+    def test_lanes_raise_as_scalar(self):
+        with pytest.raises(ArgumentOutOfRange):
+            bessel_j_over_power_lanes((0, 1), np.array([1.0, 200.5]), 0)
+        with pytest.raises(OrderCapExceeded):
+            bessel_j_over_power_lanes((65,), np.array([1.0]), 0)
+        with pytest.raises(DomainError):
+            bessel_j_over_power_lanes((2,), np.array([1.0]), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -272,6 +301,43 @@ class TestBesselK:
         plain = bessel_k_many((0, 1, 2), z)
         for n in (0, 1, 2):
             assert scaled[n] == pytest.approx(plain[n] * cmath.exp(z), rel=1e-13)
+
+    # one point per seed regime and beside each boundary: the log series
+    # (|z| <= 2, and Re z < 1 below 12.5), Steed's continued fraction, the
+    # asymptotic expansion, and the lower half-plane
+    LANE_POINTS = (
+        1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j,
+        0.5 + 3j, 0.3 + 7.9j, 0.5 + 12j, 0.99 + 12.4j,
+        2.0000001 + 0j, 1.0 + 1.7320509j, 3 + 2j, 6 + 6j, 1 + 12.4j, 12.4999 + 0j,
+        12.5 + 0j, 30 + 40j, 140 + 139j, 1000 + 5j,
+        1.5 - 0.7j, 0.3 - 7.9j, 3 - 2j, 30 - 40j,
+    )
+
+    def test_lanes_match_scalar(self):
+        orders = range(-2, 6)
+        lanes = bessel_k_scaled_lanes(orders, np.array(self.LANE_POINTS))
+        for i, z in enumerate(self.LANE_POINTS):
+            scalar = bessel_k_scaled_many(orders, z)
+            tol = 1e-14
+            if abs(z) < 12.5 and (abs(z) <= 2.0 or z.real < 1.0):
+                # the log series sums terms up to ~e^|z| to a result ~e^-Re z,
+                # so it magnifies the one-ulp difference between numpy's and
+                # the interpreter's complex rounding by that ratio
+                tol = max(tol, 2.0**-52 * math.exp(abs(z) + z.real))
+            for n in orders:
+                assert abs(lanes[n][i] - scalar[n]) <= tol * abs(scalar[n])
+
+    def test_lanes_raise_as_scalar(self):
+        with pytest.raises(DomainError):
+            bessel_k_scaled_lanes((0,), np.array([1.0 + 0j, -1.0 + 1j]))
+        with pytest.raises(OrderCapExceeded):
+            bessel_k_scaled_lanes((65,), np.array([1.0 + 0j]))
+        # K_50 near the origin overflows the forward recurrence
+        z = np.array([5.0 + 0j, 1e-5 + 0j])
+        with pytest.raises(ArgumentOutOfRange):
+            bessel_k_scaled_many((50,), complex(z[1]))
+        with pytest.raises(ArgumentOutOfRange):
+            bessel_k_scaled_lanes((50,), z)
 
     def test_scaled_survives_deep_well_arguments(self):
         # unscaled K underflows near Re z ~ 750; the scaled value stays O(1)

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import channel_determinant, paper_basis, paper_exterior
-from rashbadot.errors import InvalidInput, WindowViolation
+from rashbadot import spectral_solver
+from rashbadot.errors import ArgumentOutOfRange, InvalidInput, WindowViolation
 from rashbadot.radial_basis import DotParameters
+from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
     ScanSpec,
     equilibrated_matrix,
@@ -44,6 +47,26 @@ class TestMatchMatrix:
         a_column, b_column = true[:, 0], true[:, 2]
         assert paper[:, 0] == pytest.approx(0.5 * (a_column + b_column), rel=1e-13)
         assert paper[:, 1] == pytest.approx(true[:, 1], rel=1e-13)
+
+    def test_lanes_independent_of_batch(self):
+        # a lane's matrix is the same alone, in a chunk and in the full
+        # 2000-point batch, and it is the scalar's within rounding
+        params = DotParameters(v=100.0, beta=2.0, m=1)
+        lo, hi = params.window
+        grid = np.linspace(lo + 1e-9, hi - 1e-9, 2000)
+        full, full_scale = equilibrated_matrix(params, grid)
+        assert full.shape == (2000, 4, 4) and full_scale.shape == (2000, 4)
+        for start in (0, 993, 1993):
+            chunk, chunk_scale = equilibrated_matrix(params, grid[start : start + 7])
+            assert np.array_equal(chunk, full[start : start + 7])
+            assert np.array_equal(chunk_scale, full_scale[start : start + 7])
+        for i in (0, 1000, 1999):
+            alone, alone_scale = equilibrated_matrix(params, grid[i : i + 1])
+            assert np.array_equal(alone[0], full[i])
+            assert np.array_equal(alone_scale[0], full_scale[i])
+            scalar, scalar_scale = equilibrated_matrix(params, float(grid[i]))
+            assert np.abs(full[i] - scalar).max() < 1e-14
+            assert full_scale[i] == pytest.approx(scalar_scale, rel=1e-14)
 
     def test_block_diagonal_without_coupling(self):
         matrix = match_matrix(DotParameters(v=25.0, beta=0.0, m=0), 5.0).entries
@@ -270,3 +293,41 @@ class TestFindSpectrum:
     def test_deterministic_repeat(self):
         params = DotParameters(v=49.0, beta=7.0, m=2)
         assert find_spectrum(params).levels == find_spectrum(params).levels
+
+    @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
+    def test_chunking_does_not_change_levels(self, monkeypatch, v, beta, m):
+        # every energy is one independent lane, so the grid evaluated in
+        # one batch, in chunks of 7 and point by point gives equal spectra
+        params = DotParameters(v=v, beta=beta, m=m)
+        scan = ScanSpec(grid_points=500)
+        whole = find_spectrum(params, scan)
+        assert whole.levels
+        for chunk in (7, 1):
+            monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", chunk)
+            split = find_spectrum(params, scan)
+            assert split.levels == whole.levels
+            assert split.diagnostics == whole.diagnostics
+
+    @pytest.mark.parametrize(
+        "v,beta,m,e",
+        [
+            (100.0, 0.0, 50, 100.0 - 1e-9),  # K_49 overflows at the window top
+            (1e5, 1.0, 0, 5e4),  # k r beyond the validated J domain
+        ],
+    )
+    def test_out_of_domain_lane_raises_as_scalar(self, v, beta, m, e):
+        params = DotParameters(v=v, beta=beta, m=m)
+        with pytest.raises(ArgumentOutOfRange):
+            equilibrated_matrix(params, e)
+        with pytest.raises(ArgumentOutOfRange):
+            equilibrated_matrix(params, np.array([1.0, e]))
+        with pytest.raises(ArgumentOutOfRange):
+            find_spectrum(params)
+
+    def test_reference_rows_emit_no_warnings(self):
+        # frozen lanes keep iterating on discarded values; none of that
+        # may surface as a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in REFERENCE_ROWS:
+                find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
