@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
 from .reference_levels import REFERENCE_ROWS, corrected_levels
-from .spectral_solver import ScanSpec, find_spectrum
+from .spectral_solver import EnergySpectrum, ScanSpec, find_spectrum
 from .wavefunction import evaluate_radial, normalize, solve_coefficients
 
 # hbar^2 / (2 m_e) for the free-electron mass, in meV nm^2
@@ -83,12 +83,9 @@ def _write(args, payload: dict, header: str, rows) -> None:
             handle.write(text)
 
 
-def _levels(v: float, beta: float, m: int, args) -> tuple[float, ...]:
-    spectrum = find_spectrum(
-        DotParameters(v=v, beta=beta, m=m),
-        ScanSpec(grid_points=args.grid, refine_tol=args.tol),
-    )
-    return spectrum.levels
+def _spectrum(params: DotParameters, args) -> EnergySpectrum:
+    """The spectrum of ``params`` on the scan set by ``--grid`` and ``--tol``."""
+    return find_spectrum(params, ScanSpec(grid_points=args.grid, refine_tol=args.tol))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -171,10 +168,7 @@ def _run_spectrum(args, parser) -> int:
             parser.error("need --v and --beta (or --physical)")
         v, beta = args.v, args.beta
 
-    spectrum = find_spectrum(
-        DotParameters(v=v, beta=beta, m=args.m),
-        ScanSpec(grid_points=args.grid, refine_tol=args.tol),
-    )
+    spectrum = _spectrum(DotParameters(v=v, beta=beta, m=args.m), args)
     payload = {
         "params": {"v": v, "beta": beta, "m": args.m},
         "window": list(spectrum.window),
@@ -199,7 +193,7 @@ def _run_wavefunction(args, parser) -> int:
         parser.error("--rmax must be positive")
 
     params = DotParameters(v=args.v, beta=args.beta, m=args.m)
-    spectrum = find_spectrum(params, ScanSpec(grid_points=args.grid, refine_tol=args.tol))
+    spectrum = _spectrum(params, args)
     if args.level is not None:
         if not 0 <= args.level < len(spectrum.levels):
             sys.stderr.write(
@@ -247,7 +241,7 @@ def _run_table(args, parser) -> int:
     rows_out = []
     all_pass = True
     for row in REFERENCE_ROWS:
-        levels = _levels(row.v, row.beta, row.m, args)
+        levels = _spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m), args).levels
         expected = corrected_levels(row)
         count = max(len(levels), len(expected))
         for index in range(count):
@@ -299,7 +293,8 @@ def _run_sweep(args, parser) -> int:
     records = []
     for beta in betas:
         for m in sorted(set(m_values)):
-            for index, e in enumerate(_levels(args.v, beta, m, args)):
+            levels = _spectrum(DotParameters(v=args.v, beta=beta, m=m), args).levels
+            for index, e in enumerate(levels):
                 records.append((beta, m, index, e))
     records.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
 

@@ -1,10 +1,9 @@
 """Problem-agnostic numerical kernels.
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style) of one bracket, or of many in lockstep with
-one batched evaluation per step; the kernel of 4x4 systems by singular
-value decomposition; and adaptive Gauss-Legendre quadrature over finite
-panels plus exponentially decaying tails.
+acceleration, Brent style), the kernel of 4x4 systems by singular value
+decomposition, and adaptive Gauss-Legendre quadrature over finite panels
+plus exponentially decaying tails.
 
 All functions are pure and thread-safe.
 """
@@ -15,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,14 +50,12 @@ class Bracket:
     f_hi: float
 
 
-def _brent_steps(bracket: Bracket, tol: float) -> Generator[float, float, float]:
-    """Brent's method on one bracket as a step generator: it yields each
-    abscissa at which it needs f, is sent f there, and returns the root
-    (an interval of width <= ``tol``) as its value.
+def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
+    """Refine a bracketed root of ``f`` to an interval of width <= ``tol``.
 
-    The sign change is never lost, and secant / inverse-quadratic steps
-    accelerate convergence when they behave.  Deterministic for
-    identical inputs.
+    Uses Brent's method: the sign change is never lost, and secant /
+    inverse-quadratic steps accelerate convergence when they behave.
+    Deterministic for identical inputs.
     """
     if tol <= 0.0:
         raise InvalidInput("tol must be positive")
@@ -106,48 +103,8 @@ def _brent_steps(bracket: Bracket, tol: float) -> Generator[float, float, float]
             e = d
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = yield b
+        fb = f(b)
     raise NoConvergence(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
-
-
-def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
-    """Refine a bracketed root of ``f`` to an interval of width <= ``tol``
-    by Brent's method."""
-    steps = _brent_steps(bracket, tol)
-    value = None  # sending None starts the generator
-    while True:
-        try:
-            x = steps.send(value)
-        except StopIteration as done:
-            return done.value
-        value = f(x)
-
-
-def refine_roots(
-    f_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    brackets: Sequence[Bracket],
-    tol: float,
-) -> list[float]:
-    """:func:`refine_root` on every bracket, in lockstep: each step makes
-    one call ``f_batch(x, which)`` that returns f of bracket ``which[i]``
-    at ``x[i]`` for every bracket still refining.  Each root is the one
-    :func:`refine_root` finds on its bracket alone."""
-    steps = [_brent_steps(bracket, tol) for bracket in brackets]
-    roots = [0.0] * len(steps)
-    # bracket index -> the value to send its generator next
-    sends: dict[int, float | None] = dict.fromkeys(range(len(steps)))
-    while True:
-        wanted = {}
-        for index, value in sends.items():
-            try:
-                wanted[index] = steps[index].send(value)
-            except StopIteration as done:
-                roots[index] = done.value
-        if not wanted:
-            return roots
-        which = list(wanted)
-        values = f_batch(np.array(list(wanted.values())), np.array(which, dtype=np.intp))
-        sends = dict(zip(which, values.tolist()))
 
 
 def nullspace_4x4(matrix) -> np.ndarray:

@@ -46,12 +46,13 @@ takes a float or a 1-D array of energies, and the grid goes through it
 in chunks of ``SCAN_CHUNK`` points (one chunk at the default grid; the
 chunks keep memory flat for larger ones), as one ``np.linalg.det`` of
 the (N, 4, 4) stack or the two channel minors per chunk.  Sign changes
-and suspects are read from the value arrays.  Every bracket of a
-spectrum, of both channels at beta = 0, is then refined in lockstep
-(``numerics.refine_roots``): one batched evaluation per Brent step
-instead of one per step and bracket.  Each energy is an independent
-lane of the special-function kernels, so the levels do not depend on
-the chunking.
+and suspects are read from the value arrays; each energy is an
+independent lane of the special-function kernels, so they do not depend
+on the chunking.  Each bracket, of either channel at beta = 0, is then
+refined by Brent's method (``numerics.refine_root``) on the same values
+at one float energy at a time, which runs the scalar kernels: a
+refinement step needs one point, where a lane call would pay the lane
+kernels' per-step loop overhead.
 """
 
 from __future__ import annotations
@@ -62,14 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, WindowViolation
-from .numerics import Bracket, refine_roots
+from .numerics import Bracket, refine_root
 from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
-
-# not called here; bench/tracer.py patches this name on this module
-from .numerics import refine_root  # noqa: F401
 
 # |det| dips below this fraction of the scan's largest value without a
 # sign change are reported as possible even-multiplicity roots
@@ -176,11 +174,12 @@ def spectral_determinant(params: DotParameters, e: float) -> float:
 
 
 def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:
-    """2x2 minors of a matrix stack on rows (row, row + 1) and columns
-    (0, column), each column part scaled to unit norm: at beta = 0 the
-    (c1, c2) channel for (0, 1) and the (d1, d2) channel for (2, 3)."""
-    a, b = matrix[:, row, 0], matrix[:, row, column]
-    c, d = matrix[:, row + 1, 0], matrix[:, row + 1, column]
+    """2x2 minors of a matrix or a matrix stack on rows (row, row + 1)
+    and columns (0, column), each column part scaled to unit norm: at
+    beta = 0 the (c1, c2) channel for (0, 1) and the (d1, d2) channel
+    for (2, 3)."""
+    a, b = matrix[..., row, 0], matrix[..., row, column]
+    c, d = matrix[..., row + 1, 0], matrix[..., row + 1, column]
     return (a * d - b * c) / (np.hypot(a, c) * np.hypot(b, d))
 
 
@@ -245,8 +244,9 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     coupled = params.beta != 0.0
 
-    def values_at(e: np.ndarray) -> np.ndarray:
-        """(channels, len(e)) scan values at the energies e."""
+    def values_at(e: float | np.ndarray) -> np.ndarray:
+        """Scan values at the energies e: (channels,) at a float,
+        (channels, len(e)) at an array."""
         matrix = equilibrated_matrix(params, e)[0]
         if coupled:
             return np.linalg.det(matrix)[None]
@@ -261,21 +261,16 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     roots: list[float] = []
     suspects: list[float] = []
-    brackets: list[Bracket] = []
-    channels: list[int] = []
     for channel, values in enumerate(scanned):
-        at_node, found, dips = _scan_roots(grid, values)
+        at_node, brackets, dips = _scan_roots(grid, values)
         roots.extend(at_node)
-        brackets.extend(found)
-        channels.extend([channel] * len(found))
         suspects.extend(dips)
 
-    channel_of = np.array(channels, dtype=np.intp)
+        # channel bound as a default: a wrapper of refine_root may keep f
+        def channel_value(e: float, channel: int = channel) -> float:
+            return float(values_at(e)[channel])
 
-    def refine_values(e: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return values_at(e)[channel_of[which], np.arange(len(e))]
-
-    roots.extend(refine_roots(refine_values, brackets, scan.refine_tol))
+        roots.extend(refine_root(channel_value, bracket, scan.refine_tol) for bracket in brackets)
 
     tol = max(10.0 * scan.refine_tol, 1e-11)
     levels = _dedupe(sorted(roots), tol)

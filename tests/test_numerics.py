@@ -19,7 +19,6 @@ from rashbadot.numerics import (
     integrate_tail,
     nullspace_4x4,
     refine_root,
-    refine_roots,
 )
 from rashbadot.special_functions import bessel_j
 
@@ -60,6 +59,15 @@ class TestRefineRoot:
         with pytest.raises(BracketInvalid):
             refine_root(f, Bracket(2.0, -1.0, 2.0, -1.0), 1e-12)
 
+    def test_stalled_step_does_not_converge(self):
+        f_step = lambda x: -1.0 if x < 1e-300 else 1.0
+        with pytest.raises(NoConvergence):
+            refine_root(f_step, bracket_of(f_step, -1.0, 1.0), 1e-300)
+
+    def test_nonpositive_tol(self):
+        with pytest.raises(InvalidInput):
+            refine_root(math.cos, bracket_of(math.cos, 1.0, 2.0), 0.0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         lo=st.floats(min_value=0.2, max_value=1.4),
@@ -71,83 +79,6 @@ class TestRefineRoot:
         b = Bracket(lo, hi, f(lo), f(hi))
         root = refine_root(f, b, 1e-12)
         assert abs(root - math.pi / 2.0) < 1e-11
-
-
-class TestRefineRoots:
-    """Lockstep refinement is the one Brent of ``refine_root``, driven by
-    batched evaluations."""
-
-    # one cubic a x^3 + b x^2 + c x + d per bracket, by Horner's rule:
-    # numpy does each lane's arithmetic as the interpreter does a float's
-    COEFFICIENTS = np.array(
-        [
-            [0.0, 1.0, 0.0, -2.0],
-            [0.0, 1.0, 0.0, -3.0],
-            [0.0, 1.0, 0.0, -5.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [1.0, 1.0, 0.0, -7.0],
-        ]
-    )
-
-    def f_batch(self, x, which):
-        a, b, c, d = self.COEFFICIENTS[which].T
-        return ((a * x + b) * x + c) * x + d
-
-    def f_one(self, index):
-        def f(x):
-            return float(self.f_batch(np.array([x]), np.array([index]))[0])
-
-        return f
-
-    def brackets(self):
-        spans = ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5), (-1.0, 2.0), (1.5, 2.0))
-        return [bracket_of(self.f_one(i), lo, hi) for i, (lo, hi) in enumerate(spans)]
-
-    def test_matches_refine_root(self):
-        brackets = self.brackets()
-        alone = [refine_root(self.f_one(i), b, 1e-12) for i, b in enumerate(brackets)]
-        assert refine_roots(self.f_batch, brackets, 1e-12) == alone
-        assert refine_roots(self.f_batch, [], 1e-12) == []
-
-    def test_one_batched_call_per_step(self):
-        calls = []
-
-        def f_batch(x, which):
-            calls.append(len(x))
-            return self.f_batch(x, which)
-
-        brackets = self.brackets()
-        refine_roots(f_batch, brackets, 1e-12)
-        steps = []
-        for i, b in enumerate(brackets):
-            count = [0]
-
-            def f(x, f_alone=self.f_one(i)):
-                count[0] += 1
-                return f_alone(x)
-
-            refine_root(f, b, 1e-12)
-            steps.append(count[0])
-        assert len(calls) == max(steps)
-        assert sum(calls) == sum(steps)
-
-    def test_raises_where_refine_root_raises(self):
-        good = self.brackets()[0]
-        f_step = lambda x: -1.0 if x < 1e-300 else 1.0  # noqa: E731
-        stalled = bracket_of(f_step, -1.0, 1.0)
-        with pytest.raises(NoConvergence):
-            refine_root(f_step, stalled, 1e-300)
-        with pytest.raises(NoConvergence):
-            refine_roots(lambda x, which: np.where(x < 1e-300, -1.0, 1.0), [good, stalled], 1e-300)
-        no_change = Bracket(-1.0, 1.0, 2.0, 2.0)
-        with pytest.raises(BracketInvalid):
-            refine_root(math.cos, no_change, 1e-12)
-        with pytest.raises(BracketInvalid):
-            refine_roots(self.f_batch, [good, no_change], 1e-12)
-        with pytest.raises(InvalidInput):
-            refine_root(math.cos, good, 0.0)
-        with pytest.raises(InvalidInput):
-            refine_roots(self.f_batch, [good], 0.0)
 
 
 class TestNullspace:

@@ -7,7 +7,7 @@ import pytest
 from conftest import channel_determinant, paper_basis, paper_exterior
 from rashbadot import spectral_solver
 from rashbadot.errors import ArgumentOutOfRange, InvalidInput, WindowViolation
-from rashbadot.radial_basis import DotParameters
+from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
     ScanSpec,
@@ -307,6 +307,47 @@ class TestFindSpectrum:
             split = find_spectrum(params, scan)
             assert split.levels == whole.levels
             assert split.diagnostics == whole.diagnostics
+
+    @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
+    def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):
+        # every sign-change bracket of the scan, of both channels at
+        # beta = 0, is refined by one call of the module-level name, so a
+        # wrapper over that name sees every refinement
+        params = DotParameters(v=v, beta=beta, m=m)
+        plain = find_spectrum(params)
+        refine_root = spectral_solver.refine_root
+        calls = []
+
+        def counted(f, bracket, tol):
+            calls.append((f, bracket))
+            return refine_root(f, bracket, tol)
+
+        monkeypatch.setattr(spectral_solver, "refine_root", counted)
+        patched = find_spectrum(params)
+        assert patched.levels == plain.levels
+        assert patched.diagnostics == plain.diagnostics
+
+        lo, hi = params.window
+        a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
+        n = ScanSpec().grid_points
+        grid = a + np.arange(n) * ((b - a) / (n - 1))
+        grid[-1] = b
+        matrix = equilibrated_matrix(params, grid)[0]
+        if beta != 0.0:
+            channels = [np.linalg.det(matrix)]
+        else:
+            # the matrix is block diagonal: u on rows 0-1, w on rows 2-3
+            channels = [
+                np.linalg.det(matrix[:, 0:2][:, :, [0, 1]]),
+                np.linalg.det(matrix[:, 2:4][:, :, [0, 3]]),
+            ]
+        changes = [int(np.count_nonzero(c[:-1] * c[1:] < 0.0)) for c in channels]
+        assert all(count > 0 for count in changes)
+        assert len(calls) == sum(changes)
+        for f, bracket in calls:
+            assert bracket.lo in grid and bracket.hi in grid
+            assert f(bracket.lo) * bracket.f_lo > 0.0
+            assert f(bracket.hi) * bracket.f_hi > 0.0
 
     @pytest.mark.parametrize(
         "v,beta,m,e",
