@@ -46,7 +46,7 @@ by an ulp, which the log series magnifies by its cancellation where
 Re z < 1 and |z| nears 12.5).
 
 The scalar form stays for single points: the steps of root refinement,
-the kernel solve, the quadrature nodes and the wave-function samples
+the kernel solve, the normalization and the wave-function samples
 evaluate one energy at one radius at a time.  Measured on the matching
 matrix of three wells (2-core x86-64 machine), one point costs 1.7-3.5
 ms through the lanes against 100-160 us through the scalar kernels,

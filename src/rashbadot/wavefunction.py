@@ -13,12 +13,46 @@ is evaluated on the two waves x, y of ``radial_basis`` as
 u = a x(m) + b y(m), w = a x(m+1) - b y(m+1): inside with the Bessel
 waves J(k_- r), J(k_+ r) and a = (c1 + d1)/2, b = (c1 - d1)/2, outside
 with x = (f2(m), g2(m+1)), y = (g2(m), f2(m+1)) and a = c2, b = d2.
-The state is then rescaled so that  integral_0^inf (u^2 + w^2) r dr = 1,
-computed as an adaptive panel on [0, 1] plus an exponential-tail
-quadrature with density decay rate 2 sqrt(v - e - beta^2/4).  The full
-spinor is
+The full spinor is
 
     Psi_m(r, phi) = ( u(r) e^{i m phi},  w(r) e^{i (m+1) phi} ).
+
+Normalization needs N = integral_0^inf (u^2 + w^2) r dr, which has a
+closed form at the well edge (Green's identity; the Lommel integrals of
+DLMF 10.22(iii) are its beta = 0 case).  Divided by r, the radial
+equations that :func:`ode_residual` checks read
+
+    (r u')' + (e r - m^2/r) u       = beta (r w' + (m+1) w),
+    (r w')' + (e r - (m+1)^2/r) w   = -beta (r u' - m u),
+
+with e - v in place of e outside.  For two solutions Psi_1, Psi_2 of one
+region at energies e_1, e_2, set
+
+    B(1, 2) = u1 u2' - u2 u1' + w1 w2' - w2 w1' + beta (u2 w1 - u1 w2);
+
+the beta terms of the two equations combine into a total derivative, so
+
+    d/dr [r B(1, 2)] = (e_1 - e_2) r (u1 u2 + w1 w2).
+
+Take Psi_2 = Psi(e) and Psi_1 = Psi(e_1) with the same coefficients,
+divide by e_1 - e_2 and let e_1 -> e: the integrand becomes the density
+and r B becomes r B(dPsi/de, Psi).  r B vanishes at r = 0 (the waves
+are regular) and at infinity (they decay), so
+
+    integral_0^1   = B(dPsi_in/de,  Psi_in)(1),
+    integral_1^inf = -B(dPsi_out/de, Psi_out)(1).
+
+Each part is its own region's integral exactly, whether or not the
+coefficients match at r = 1.  The energy derivatives come by the chain
+rule from the waves' slopes and curvatures at r = 1: d/de J_n(k r) =
+r J_n'(k r) dk/de with dk_pm/de = 1/(k_+ + k_-) inside, and d/de
+K_n(kappa r) = r K_n'(kappa r) dkappa/de with dkappa/de = -1/(2 Re kappa)
+outside.  The interior waves are stored divided by k^q, so their
+derivatives carry k^(q-1), which stays finite as a wave number vanishes
+for q >= 1; for q = 0 (m = 0 or -1) r J_n'(k r) is taken at its limit
+r J_n'(0) where k is exactly 0.  The exterior waves stay exp-scaled, so
+deep wells do not underflow.  One normalization
+thus costs one interior and one exterior basis evaluation.
 """
 
 from __future__ import annotations
@@ -36,11 +70,19 @@ from .errors import (
     InvalidInput,
     NotNormalized,
 )
-from .numerics import fix_sign, integrate_panel, integrate_tail, nullspace_4x4
-from .radial_basis import DotParameters, exterior_pair, exterior_wave_numbers, interior_pair
+from .numerics import fix_sign, nullspace_4x4
+from .radial_basis import (
+    DotParameters,
+    RadialWave,
+    exterior_pair,
+    exterior_wave_numbers,
+    interior_pair,
+    interior_wave_numbers,
+)
 from .spectral_solver import equilibrated_matrix
 
-# not called here; bench/tracer.py patches these two names on this module
+# not called here; bench/tracer.py patches these names on this module
+from .numerics import integrate_panel, integrate_tail  # noqa: F401
 from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
 
 
@@ -102,11 +144,16 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
     return BoundState(params=params, e=e, c1=c1, c2=c2, d1=d1, d2=d2)
 
 
+def _combine(a: float, b: float, waves) -> list[tuple[float, float]]:
+    """(u, w) = (a x(m) + b y(m), a x(m+1) - b y(m+1)) for each (x, y)
+    pair of ``waves`` (module docstring)."""
+    return [(a * wx[0] + b * wy[0], a * wx[1] - b * wy[1]) for wx, wy in waves]
+
+
 def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[float, float]]:
     """(u, w), (u', w') and, with ``second``, (u'', w'') at r > 0; r = 1
-    belongs to the exterior.  One formula for both regions,
-    u = a x(m) + b y(m) and w = a x(m+1) - b y(m+1) (module docstring);
-    only the two waves x, y and the coefficient pair (a, b) differ."""
+    belongs to the exterior.  One formula for both regions; only the two
+    waves x, y and the coefficient pair (a, b) differ."""
     p = state.params
     if r < 1.0:
         x, y = interior_pair(p.m, state.e, p.beta, r, second)
@@ -114,13 +161,11 @@ def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[floa
     else:
         x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
         a, b = state.c2, state.d2
-    # the waves carry true value / divisor
-    a *= x.divisor
-    b *= y.divisor
     waves = [(x.value, y.value), (x.slope, y.slope)]
     if second:
         waves.append((x.curvature, y.curvature))
-    return [(a * wx[0] + b * wy[0], a * wx[1] - b * wy[1]) for wx, wy in waves]
+    # the waves carry true value / divisor
+    return _combine(a * x.divisor, b * y.divisor, waves)
 
 
 def radial_components(state: BoundState, r: float) -> tuple[float, float]:
@@ -142,19 +187,77 @@ def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     return _terms(state, r)[1]
 
 
+def _r_slope(wave: RadialWave, scale: float = 1.0) -> tuple[tuple, tuple]:
+    """Value and slope at r = 1 of ``scale`` times r d/dr of a wave: its
+    slope, and its slope + curvature."""
+    bent = (s + c for s, c in zip(wave.slope, wave.curvature))
+    return tuple(scale * s for s in wave.slope), tuple(scale * s for s in bent)
+
+
+def _interior_energy_wave(wave: RadialWave, k: float, m: int, q: int) -> tuple[tuple, tuple]:
+    """Value and slope at r = 1 of d/de of a stored interior wave, over
+    dk/de.  With J_n(k r) = k^q * stored wave, d/de J_n(k r) = r J_n'(k r)
+    dk/de = k^(q-1) dk/de * r * stored slope."""
+    if q == 0 and k == 0.0:
+        # the 0/0 limit: at q = 0 the stored waves are J_n(k r) itself and
+        # r J_n'(k r) -> r J_n'(0), which is +1/2 at n = 1, -1/2 at n = -1
+        # and 0 at n = 0, with the same slope at r = 1
+        limit = tuple(0.5 * n if abs(n) == 1 else 0.0 for n in (m, m + 1))
+        return limit, limit
+    return _r_slope(wave, k ** (q - 1))
+
+
+def _edge_form(ab, waves, dab, energy_waves, beta: float) -> float:
+    """B(dPsi/de, Psi) at r = 1 for one region (module docstring), with
+    Psi = a x + b y and dPsi/de = a' x_e + b' y_e: ``waves`` holds the
+    value and slope of x and y, ``energy_waves`` those of x_e and y_e, and
+    (a', b') = ``dab`` carry the chain-rule factors that x_e and y_e
+    leave out."""
+    (u2, w2), (du2, dw2) = _combine(*ab, waves)
+    (u1, w1), (du1, dw1) = _combine(*dab, energy_waves)
+    return u1 * du2 - u2 * du1 + w1 * dw2 - w2 * dw1 + beta * (u2 * w1 - u1 * w2)
+
+
+def region_density_integrals(state: BoundState) -> tuple[float, float]:
+    """(integral_0^1, integral_1^inf) of (u^2 + w^2) r dr for the state's
+    coefficients, each in closed form as a boundary form at r = 1
+    (module docstring)."""
+    p = state.params
+    m, e, beta = p.m, state.e, p.beta
+    x, y = interior_pair(m, e, beta, 1.0, second=True)
+    k = interior_wave_numbers(e, beta)
+    q = min(abs(m), abs(m + 1))
+    rate = 1.0 / (k.k_plus + k.k_minus)
+    a, b = 0.5 * (state.c1 + state.d1), 0.5 * (state.c1 - state.d1)
+    x_e = _interior_energy_wave(x, k.k_minus, m, q)
+    y_e = _interior_energy_wave(y, k.k_plus, m, q)
+    inside = _edge_form(
+        (a * x.divisor, b * y.divisor),
+        [(x.value, y.value), (x.slope, y.slope)],
+        (a * rate, b * rate),
+        list(zip(x_e, y_e)),
+        beta,
+    )
+    # outside, on the exp-scaled waves: d/de K_n(kappa r) = s r d/dr K_n(kappa r)
+    # with the complex s = (dkappa/de) / kappa, and (a' - i b') = (a - i b) s
+    # recombines the real and imaginary parts that x and y hold
+    x, y = exterior_pair(m, e, p.v, beta, 1.0, second=True)
+    kappa = exterior_wave_numbers(e, p.v, beta).k_plus
+    a, b = state.c2 * x.divisor, state.d2 * y.divisor
+    derivative = complex(a, -b) * (-0.5 / kappa.real / kappa)
+    outside = -_edge_form(
+        (a, b),
+        [(x.value, y.value), (x.slope, y.slope)],
+        (derivative.real, -derivative.imag),
+        list(zip(_r_slope(x), _r_slope(y))),
+        beta,
+    )
+    return inside, outside
+
+
 def radial_density_integral(state: BoundState) -> float:
     """integral_0^inf (u^2 + w^2) r dr for the state's coefficients."""
-    params = state.params
-
-    def density(r: float) -> float:
-        u, w = radial_components(state, r)
-        return (u * u + w * w) * r
-
-    decay = 2.0 * math.sqrt(params.v - state.e - 0.25 * params.beta * params.beta)
-    # the beta-oscillations inside each tail panel are resolved by the
-    # adaptive subdivision of integrate_panel
-    inside = integrate_panel(density, 0.0, 1.0)
-    outside = integrate_tail(density, 1.0, decay)
+    inside, outside = region_density_integrals(state)
     return inside + outside
 
 

@@ -3,14 +3,16 @@ computed once per session."""
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 
+from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum, match_matrix
-from rashbadot.wavefunction import normalize, solve_coefficients
+from rashbadot.wavefunction import normalize, radial_components, solve_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +48,25 @@ def table_states(table_spectra):
             states.append(normalize(solve_coefficients(spectrum.params, e)))
         out[key] = states
     return out
+
+
+def overlap_parts(state_a, state_b) -> tuple[float, float]:
+    """(integral_0^1, integral_1^inf) of (u_a u_b + w_a w_b) r dr by the
+    adaptive quadrature of ``numerics``, sampling the two states point by
+    point.  With state_b = state_a it is the density integral, an oracle
+    for the closed-form norm of ``wavefunction`` that shares only the
+    basis with it."""
+
+    def product(r):
+        ua, wa = radial_components(state_a, r)
+        ub, wb = radial_components(state_b, r)
+        return (ua * ub + wa * wb) * r
+
+    params = state_a.params
+    decay = math.sqrt(params.v - state_a.e - 0.25 * params.beta**2) + math.sqrt(
+        params.v - state_b.e - 0.25 * params.beta**2
+    )
+    return integrate_panel(product, 0.0, 1.0), integrate_tail(product, 1.0, decay)
 
 
 def matching_residuals(state) -> list[float]:

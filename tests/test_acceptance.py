@@ -13,15 +13,13 @@ test checks the printed cells outside the errata on their own.
 
 import dataclasses
 import io
-import math
 from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import channel_determinant, matching_residuals
+from conftest import channel_determinant, matching_residuals, overlap_parts
 from rashbadot import spectral_solver
 from rashbadot.cli import main
-from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import (
     KNOWN_MISSING_LEVELS,
@@ -33,8 +31,6 @@ from rashbadot.spectral_solver import ScanSpec, find_spectrum, spectral_determin
 from rashbadot.wavefunction import (
     normalize,
     ode_residual,
-    radial_components,
-    radial_density_integral,
     solve_coefficients,
 )
 from test_special_functions import J_ORACLE, K_ORACLE
@@ -187,7 +183,7 @@ class TestCriterion5PropertySuite:
             for state in states:
                 n_states += 1
                 worst_matching = max(worst_matching, max(matching_residuals(state)))
-                worst_norm = max(worst_norm, abs(radial_density_integral(state) - 1.0))
+                worst_norm = max(worst_norm, abs(sum(overlap_parts(state, state)) - 1.0))
                 for _ in range(20):
                     r_in = rng.uniform(0.01, 0.99)
                     worst_residual = max(
@@ -212,14 +208,14 @@ class TestCriterion5PropertySuite:
         pairs = 0
         for states in table_states.values():
             for a, b in zip(states, states[1:]):
-                worst = max(worst, abs(_overlap(a, b)))
+                worst = max(worst, abs(sum(overlap_parts(a, b))))
                 pairs += 1
         # all-pairs check on the shallow-well rows
         for key in ((0, 25.0, 0.2), (1, 25.0, 2.0), (0, 25.0, 2.0)):
             states = table_states[key]
             for i in range(len(states)):
                 for j in range(i + 1, len(states)):
-                    worst = max(worst, abs(_overlap(states[i], states[j])))
+                    worst = max(worst, abs(sum(overlap_parts(states[i], states[j]))))
                     pairs += 1
         assert worst < 1e-6
         report(5, True, f"orthogonality over {pairs} level pairs: worst {worst:.1e} < 1e-6")
@@ -332,16 +328,3 @@ class TestCriterion8Determinism:
             f"table ({len(run_a)} bytes) and sweep ({len(sweep_a)} bytes) identical "
             f"across repeated runs and scan chunk sizes",
         )
-
-
-def _overlap(state_a, state_b):
-    def product(r):
-        ua, wa = radial_components(state_a, r)
-        ub, wb = radial_components(state_b, r)
-        return (ua * ub + wa * wb) * r
-
-    params = state_a.params
-    decay = math.sqrt(params.v - state_a.e - 0.25 * params.beta**2) + math.sqrt(
-        params.v - state_b.e - 0.25 * params.beta**2
-    )
-    return integrate_panel(product, 0.0, 1.0) + integrate_tail(product, 1.0, decay)
