@@ -19,7 +19,6 @@ from . import errors
 from .radial_basis import DotParameters, TailEnvelope
 from .spectral_solver import (
     EnergySpectrum,
-    MatchMatrix,
     ScanSpec,
     find_spectrum,
     match_matrix,
@@ -39,7 +38,6 @@ __all__ = [
     "BoundState",
     "DotParameters",
     "EnergySpectrum",
-    "MatchMatrix",
     "ScanSpec",
     "SpinorSample",
     "TailEnvelope",

@@ -211,9 +211,10 @@ def _run_wavefunction(args, parser) -> int:
         e = min(candidates, key=lambda x: abs(x - args.energy))
 
     state = normalize(solve_coefficients(params, e))
+    coefficients = dict(zip(("c1", "c2", "d1", "d2"), state.coefficients))
     sys.stderr.write(
-        "# e = {}\n# c1 = {}, c2 = {}, d1 = {}, d2 = {}\n# v = {}, beta = {}, m = {}\n".format(
-            state.e, state.c1, state.c2, state.d1, state.d2, args.v, args.beta, args.m
+        "# e = {}\n# c1 = {c1}, c2 = {c2}, d1 = {d1}, d2 = {d2}\n# v = {}, beta = {}, m = {}\n".format(
+            state.e, args.v, args.beta, args.m, **coefficients
         )
     )
     step = args.rmax / (args.samples - 1)
@@ -225,12 +226,7 @@ def _run_wavefunction(args, parser) -> int:
     payload = {
         "params": {"v": args.v, "beta": args.beta, "m": args.m},
         "e": state.e,
-        "coefficients": {
-            "c1": state.c1,
-            "c2": state.c2,
-            "d1": state.d1,
-            "d2": state.d2,
-        },
+        "coefficients": coefficients,
         "samples": rows,
     }
     _write(args, payload, "r,u,w", rows)
@@ -313,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return runners[args.command](args, parser)
+    except InvalidInput as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
     except RashbaDotError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

@@ -262,10 +262,7 @@ def tail_envelope(e: float, v: float, beta: float) -> TailEnvelope:
     f2 ~  amplitude * exp(-decay_rate r) / sqrt(r) * cos((beta r + gamma)/2)
     g2 ~ -amplitude * exp(-decay_rate r) / sqrt(r) * sin((beta r + gamma)/2)
     """
-    remaining = v - e - 0.25 * beta * beta
-    if not remaining > 0.0:
-        raise AboveWindow(f"e = {e} at or above window top {v - 0.25 * beta * beta}")
-    decay = math.sqrt(remaining)
+    decay = exterior_wave_numbers(e, v, beta).k_plus.real
     amplitude = math.sqrt(0.5 * math.pi) * (v - e) ** -0.25
     return TailEnvelope(
         amplitude=amplitude,

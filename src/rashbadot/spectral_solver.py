@@ -92,19 +92,17 @@ class ScanSpec:
     e_max: float | None = None
 
     def __post_init__(self):
+        try:
+            grid_points = int(self.grid_points)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("grid_points must be an integer") from None
+        if grid_points != self.grid_points:
+            raise InvalidInput(f"grid_points = {self.grid_points!r} must be an integer")
+        object.__setattr__(self, "grid_points", grid_points)
         if self.grid_points < 100:
             raise InvalidInput("grid_points must be >= 100")
         if not self.refine_tol > 0.0:
             raise InvalidInput("refine_tol must be positive")
-
-
-@dataclass(frozen=True)
-class MatchMatrix:
-    """The 4x4 continuity system at the well edge, true scale."""
-
-    entries: tuple[tuple[float, float, float, float], ...]
-    params: DotParameters
-    e: float
 
 
 @dataclass(frozen=True)
@@ -158,19 +156,18 @@ def equilibrated_matrix(
     return np.array(columns).T / norms[..., None, :], scale
 
 
-def match_matrix(params: DotParameters, e: float) -> MatchMatrix:
-    """Continuity matrix at energy e in the paper's (c1, c2, d1, d2)
+def match_matrix(params: DotParameters, e: float) -> np.ndarray:
+    """The 4x4 continuity matrix at energy e in the paper's (c1, c2, d1, d2)
     columns, true scale, strictly inside the window."""
     matrix, scale = equilibrated_matrix(params, e)
     minus, c2, plus, d2 = (matrix * scale).T
     # a = (c1 + d1)/2 and b = (c1 - d1)/2 multiply the two waves
-    rows = np.column_stack((0.5 * (minus + plus), c2, 0.5 * (minus - plus), d2))
-    return MatchMatrix(entries=tuple(map(tuple, rows.tolist())), params=params, e=e)
+    return np.column_stack((0.5 * (minus + plus), c2, 0.5 * (minus - plus), d2))
 
 
 def spectral_determinant(params: DotParameters, e: float) -> float:
     """det M(m, e, v, beta) at true scale."""
-    return float(np.linalg.det(match_matrix(params, e).entries))
+    return float(np.linalg.det(match_matrix(params, e)))
 
 
 def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:

@@ -1,19 +1,24 @@
 """Bound-state coefficients, normalization and spinor evaluation.
 
 For an energy on the spectrum, the kernel of the matching matrix gives
-the coefficient vector (c1, c2, d1, d2) of the radial pair
+the coefficient vector (a, c2, b, d2) of the radial pair
+
+    u = a x(m) + b y(m),    w = a x(m+1) - b y(m+1)
+
+on the two waves x, y of ``radial_basis``: inside the Bessel waves
+J(k_- r), J(k_+ r) with (a, b), outside x = (f2(m), g2(m+1)) and
+y = (g2(m), f2(m+1)) with (c2, d2) in place of (a, b).
+:class:`BoundState` stores this vector, in the column order of
+``equilibrated_matrix``; its ``coefficients`` are the paper's
 
     r < 1:   u = c1 f1(m)   + d1 g1(m)
              w = c1 g1(m+1) + d1 f1(m+1)
     r >= 1:  u = c2 f2(m)   + d2 g2(m)
              w = c2 g2(m+1) - d2 f2(m+1)
 
-(note the minus sign on d2 in the exterior w).  In both regions the pair
-is evaluated on the two waves x, y of ``radial_basis`` as
-u = a x(m) + b y(m), w = a x(m+1) - b y(m+1): inside with the Bessel
-waves J(k_- r), J(k_+ r) and a = (c1 + d1)/2, b = (c1 - d1)/2, outside
-with x = (f2(m), g2(m+1)), y = (g2(m), f2(m+1)) and a = c2, b = d2.
-The full spinor is
+(note the minus sign on d2 in the exterior w) with c1 = a + b and
+d1 = a - b.  Nothing reads b back as (c1 - d1)/2, which loses it where
+c1 and d1 nearly cancel.  The full spinor is
 
     Psi_m(r, phi) = ( u(r) e^{i m phi},  w(r) e^{i (m+1) phi} ).
 
@@ -70,7 +75,7 @@ from .errors import (
     InvalidInput,
     NotNormalized,
 )
-from .numerics import fix_sign, nullspace_4x4
+from .numerics import nullspace_4x4
 from .radial_basis import (
     DotParameters,
     RadialWave,
@@ -88,19 +93,21 @@ from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound state: energy, matching coefficients, normalization flag."""
+    """One bound state: energy, the wave coefficients (a, c2, b, d2) of
+    the module docstring, normalization flag."""
 
     params: DotParameters
     e: float
-    c1: float
+    a: float
     c2: float
-    d1: float
+    b: float
     d2: float
     normalized: bool = False
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.c1, self.c2, self.d1, self.d2)
+        """The paper's (c1, c2, d1, d2) = (a + b, c2, a - b, d2)."""
+        return (self.a + self.b, self.c2, self.a - self.b, self.d2)
 
 
 @dataclass(frozen=True)
@@ -112,16 +119,23 @@ class SpinorSample:
     w: float
 
 
+def _scaled(state: BoundState, factor: float, normalized: bool = False) -> BoundState:
+    """The state with its four coefficients multiplied by ``factor``."""
+    a, c2, b, d2 = (factor * x for x in (state.a, state.c2, state.b, state.d2))
+    return replace(state, a=a, c2=c2, b=b, d2=d2, normalized=normalized)
+
+
 def solve_coefficients(params: DotParameters, e: float) -> BoundState:
-    """Unit-norm coefficient vector at a spectrum energy (unnormalized state).
+    """The state at a spectrum energy whose ``coefficients`` have unit
+    norm (unnormalized state).
 
     Sign convention: the first largest-magnitude coefficient is positive.
     Raises :class:`NotSingular` when e is not actually an eigenvalue and
     :class:`RankDeficiency2` for degenerate levels.
     """
-    # the kernel of the equilibrated matrix, mapped back to true scale and
-    # to the paper's (c1, d1): at true scale the columns lie orders of
-    # magnitude apart, which would smear the kernel direction
+    # the kernel of the equilibrated matrix, taken back to true scale: at
+    # true scale the columns lie orders of magnitude apart, which would
+    # smear the kernel direction
     matrix, scale = equilibrated_matrix(params, e)
     vec = nullspace_4x4(matrix)
     exponent = exterior_wave_numbers(e, params.v, params.beta).k_plus.real
@@ -130,18 +144,21 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
         raise ArgumentOutOfRange(
             f"exterior coefficients overflow double precision (decay exponent {exponent:.0f})"
         )
-    a, c2, b, d2 = vec / scale
-    vec = np.array([a + b, c2, a - b, d2])
+    a, c2, b, d2 = (float(x) for x in vec / scale)
     if params.beta == 0.0:
         # the channels decouple, so the kernel lies in one of them: keep
-        # exact zeros in the other
-        if math.hypot(vec[0], vec[1]) >= math.hypot(vec[2], vec[3]):
-            vec[2:] = 0.0
+        # exact zeros in the other, d1 = a - b = 0 or c1 = a + b = 0
+        if math.hypot(a + b, c2) >= math.hypot(a - b, d2):
+            a = b = 0.5 * (a + b)
+            d2 = 0.0
         else:
-            vec[:2] = 0.0
-    vec = fix_sign(vec / math.sqrt(float(vec @ vec)))
-    c1, c2, d1, d2 = (float(x) for x in vec)
-    return BoundState(params=params, e=e, c1=c1, c2=c2, d1=d1, d2=d2)
+            a = 0.5 * (a - b)
+            b, c2 = -a, 0.0
+    state = BoundState(params=params, e=e, a=a, c2=c2, b=b, d2=d2)
+    # unit norm, with the first largest paper coefficient positive
+    paper = np.array(state.coefficients)
+    sign = math.copysign(1.0, paper[np.abs(paper).argmax()])
+    return _scaled(state, sign / math.sqrt(float(paper @ paper)))
 
 
 def _combine(a: float, b: float, waves) -> list[tuple[float, float]]:
@@ -157,7 +174,7 @@ def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[floa
     p = state.params
     if r < 1.0:
         x, y = interior_pair(p.m, state.e, p.beta, r, second)
-        a, b = 0.5 * (state.c1 + state.d1), 0.5 * (state.c1 - state.d1)
+        a, b = state.a, state.b
     else:
         x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
         a, b = state.c2, state.d2
@@ -174,8 +191,9 @@ def radial_components(state: BoundState, r: float) -> tuple[float, float]:
     if r < 0.0:
         raise InvalidInput("r must be nonnegative")
     if r == 0.0:
-        u = state.c1 if m == 0 else 0.0
-        w = state.d1 if m + 1 == 0 else 0.0
+        # both interior waves are 1 at the origin in order 0
+        u = state.a + state.b if m == 0 else 0.0
+        w = state.a - state.b if m + 1 == 0 else 0.0
         return u, w
     return _terms(state, r)[0]
 
@@ -228,13 +246,12 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     k = interior_wave_numbers(e, beta)
     q = min(abs(m), abs(m + 1))
     rate = 1.0 / (k.k_plus + k.k_minus)
-    a, b = 0.5 * (state.c1 + state.d1), 0.5 * (state.c1 - state.d1)
     x_e = _interior_energy_wave(x, k.k_minus, m, q)
     y_e = _interior_energy_wave(y, k.k_plus, m, q)
     inside = _edge_form(
-        (a * x.divisor, b * y.divisor),
+        (state.a * x.divisor, state.b * y.divisor),
         [(x.value, y.value), (x.slope, y.slope)],
-        (a * rate, b * rate),
+        (state.a * rate, state.b * rate),
         list(zip(x_e, y_e)),
         beta,
     )
@@ -267,15 +284,7 @@ def normalize(state: BoundState) -> BoundState:
     total = radial_density_integral(state)
     if not total > 1e-300:
         raise DegenerateState(f"normalization integral {total!r} vanished")
-    factor = 1.0 / math.sqrt(total)
-    return replace(
-        state,
-        c1=state.c1 * factor,
-        c2=state.c2 * factor,
-        d1=state.d1 * factor,
-        d2=state.d2 * factor,
-        normalized=True,
-    )
+    return _scaled(state, 1.0 / math.sqrt(total), normalized=True)
 
 
 def _require_normalized(state: BoundState) -> None:

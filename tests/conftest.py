@@ -11,7 +11,7 @@ import pytest
 from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
 from rashbadot.reference_levels import REFERENCE_ROWS
-from rashbadot.spectral_solver import find_spectrum, match_matrix
+from rashbadot.spectral_solver import equilibrated_matrix, find_spectrum
 from rashbadot.wavefunction import normalize, radial_components, solve_coefficients
 
 
@@ -72,13 +72,14 @@ def overlap_parts(state_a, state_b) -> tuple[float, float]:
 def matching_residuals(state) -> list[float]:
     """The four continuity mismatches at r = 1, scaled by local magnitude.
 
-    Each row of the true-scale matching matrix, applied to the state's
-    coefficients, is an interior value (columns c1, d1) minus the
-    exterior one (columns c2, d2).
+    Each row of the true-scale matching matrix in the wave basis, applied
+    to the state's stored (a, c2, b, d2), is an interior value (columns
+    a, b) minus the exterior one (columns c2, d2).
     """
+    matrix, scale = equilibrated_matrix(state.params, state.e)
     out = []
-    for row in match_matrix(state.params, state.e).entries:
-        inside = row[0] * state.c1 + row[2] * state.d1
+    for row in matrix * scale:
+        inside = row[0] * state.a + row[2] * state.b
         outside = -(row[1] * state.c2 + row[3] * state.d2)
         out.append(abs(inside - outside) / max(abs(inside), abs(outside), 1.0))
     return out

@@ -127,7 +127,7 @@ class TestCriterion2Coefficients:
         state = solve_coefficients(params, e)
         worst = 0.0
         for got, want in zip(state.coefficients, FIG1_COEFFICIENTS):
-            ratio = (got / state.c1) / (want / FIG1_COEFFICIENTS[0])
+            ratio = (got / state.coefficients[0]) / (want / FIG1_COEFFICIENTS[0])
             worst = max(worst, abs(ratio - 1.0))
         assert worst < 1e-3
 
@@ -138,7 +138,7 @@ class TestCriterion2Coefficients:
         state2 = solve_coefficients(partner, e2)
         worst2 = 0.0
         for got, want in zip(state2.coefficients, FIG2_COEFFICIENTS):
-            ratio = (got / state2.c1) / (want / FIG2_COEFFICIENTS[0])
+            ratio = (got / state2.coefficients[0]) / (want / FIG2_COEFFICIENTS[0])
             worst2 = max(worst2, abs(ratio - 1.0))
         assert worst2 < 1e-3
         report(

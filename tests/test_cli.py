@@ -125,6 +125,16 @@ class TestSpectrumCommand:
             main(["spectrum", "--m", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--v", "-1"), ("--grid", "50"), ("--tol", "-1"), ("--beta", "nan")]
+    )
+    def test_invalid_input_is_a_usage_error(self, capsys, flag, value):
+        args = {"--v": "25", "--beta": "0", "--m": "0", flag: value}
+        code, out, err = run_cli(capsys, "spectrum", *(x for item in args.items() for x in item))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_numerical_failure_exit_code(self, capsys):
         # angular number beyond the Bessel order cap
         code, _, err = run_cli(capsys, "spectrum", "--v", "25", "--beta", "0", "--m", "99")

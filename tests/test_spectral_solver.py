@@ -29,7 +29,7 @@ class TestMatchMatrix:
     def test_rows_follow_basis(self):
         params = DotParameters(v=100.0, beta=2.0, m=1)
         e = 30.0
-        matrix = match_matrix(params, e).entries
+        matrix = match_matrix(params, e)
         (f, g, df, dg), (f1, g1, df1, dg1) = paper_basis(1, e, 2.0, 1.0)
         (f2, g2, df2, dg2), (f21, g21, df21, dg21) = paper_exterior(1, e, 100.0, 2.0, 1.0)
         assert matrix[0] == pytest.approx((f, -f2, g, -g2), rel=1e-12)
@@ -43,7 +43,7 @@ class TestMatchMatrix:
         matrix, scale = equilibrated_matrix(params, 30.0)
         assert np.linalg.norm(matrix, axis=0) == pytest.approx(np.ones(4), rel=1e-15)
         true = matrix * scale
-        paper = np.array(match_matrix(params, 30.0).entries)
+        paper = match_matrix(params, 30.0)
         a_column, b_column = true[:, 0], true[:, 2]
         assert paper[:, 0] == pytest.approx(0.5 * (a_column + b_column), rel=1e-13)
         assert paper[:, 1] == pytest.approx(true[:, 1], rel=1e-13)
@@ -69,7 +69,7 @@ class TestMatchMatrix:
             assert full_scale[i] == pytest.approx(scalar_scale, rel=1e-14)
 
     def test_block_diagonal_without_coupling(self):
-        matrix = match_matrix(DotParameters(v=25.0, beta=0.0, m=0), 5.0).entries
+        matrix = match_matrix(DotParameters(v=25.0, beta=0.0, m=0), 5.0)
         for i in (0, 1):
             assert matrix[i][2] == 0.0 and matrix[i][3] == 0.0
         for i in (2, 3):
@@ -85,7 +85,7 @@ class TestMatchMatrix:
     def test_annihilates_reference_coefficients(self):
         # coefficient vector of the e = 37.0825 level
         params = DotParameters(v=100.0, beta=2.0, m=1)
-        matrix = match_matrix(params, 37.0825).entries
+        matrix = match_matrix(params, 37.0825)
         vec = (4.22035, -4067.87, -0.7139284, 880.843)
         norm_vec = math.sqrt(sum(x * x for x in vec))
         for row in matrix:
@@ -276,6 +276,17 @@ class TestFindSpectrum:
             ScanSpec(grid_points=50)
         with pytest.raises(InvalidInput):
             ScanSpec(refine_tol=0.0)
+        for points in (150.5, "2000", None, math.inf, math.nan):
+            with pytest.raises(InvalidInput):
+                ScanSpec(grid_points=points)
+
+    @pytest.mark.parametrize("points", [2000.0, np.int64(2000)])
+    def test_scan_spec_integral_grid_points(self, points):
+        spec = ScanSpec(grid_points=points)
+        assert spec.grid_points == 2000 and type(spec.grid_points) is int
+        # the float spec scans the int spec's grid
+        params = DotParameters(v=25.0, beta=0.0, m=0)
+        assert find_spectrum(params, spec) == find_spectrum(params, ScanSpec())
 
     def test_scan_clamps(self):
         params = DotParameters(v=25.0, beta=0.0, m=0)

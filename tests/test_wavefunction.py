@@ -68,11 +68,11 @@ class TestSolveCoefficients:
     def test_uncoupled_kernel_has_exact_zeros(self):
         params = DotParameters(v=25.0, beta=0.0, m=0)
         levels = find_spectrum(params).levels
-        low = solve_coefficients(params, levels[0])  # J0-channel level
-        assert low.d1 == 0.0 and low.d2 == 0.0
-        assert math.hypot(low.c1, low.c2) == pytest.approx(1.0, abs=1e-15)
-        middle = solve_coefficients(params, levels[1])  # J1-channel level
-        assert middle.c1 == 0.0 and middle.c2 == 0.0
+        c1, c2, d1, d2 = solve_coefficients(params, levels[0]).coefficients  # J0 channel
+        assert d1 == 0.0 and d2 == 0.0
+        assert math.hypot(c1, c2) == pytest.approx(1.0, abs=1e-15)
+        c1, c2, _, _ = solve_coefficients(params, levels[1]).coefficients  # J1 channel
+        assert c1 == 0.0 and c2 == 0.0
 
     def test_not_singular_off_level(self):
         with pytest.raises(NotSingular):
@@ -94,8 +94,7 @@ class TestSolveCoefficients:
         from rashbadot.spectral_solver import match_matrix
 
         params = DotParameters(v=100.0, beta=2.0, m=1)
-        entries = [list(row) for row in match_matrix(params, fig1_state.e).entries]
-        vec = nullspace_4x4(entries)
+        vec = nullspace_4x4(match_matrix(params, fig1_state.e))
         ref_norm = math.sqrt(sum(x * x for x in FIG1_COEFFICIENTS))
         cosine = abs(sum(a * b for a, b in zip(vec, FIG1_COEFFICIENTS))) / ref_norm
         assert cosine == pytest.approx(1.0, abs=1e-6)
@@ -109,7 +108,7 @@ class TestNormalize:
     def test_rescaling_invariance(self, shallow_state):
         params = shallow_state.params
         raw = solve_coefficients(params, shallow_state.e)
-        doubled = replace(raw, c1=2 * raw.c1, c2=2 * raw.c2, d1=2 * raw.d1, d2=2 * raw.d2)
+        doubled = replace(raw, a=2 * raw.a, c2=2 * raw.c2, b=2 * raw.b, d2=2 * raw.d2)
         renormed = normalize(doubled)
         for a, b in zip(renormed.coefficients, normalize(raw).coefficients):
             assert abs(abs(a) - abs(b)) <= 1e-10 * max(1.0, abs(b))
@@ -200,15 +199,15 @@ class TestClosedFormNorm:
         # spectrum too, and at e = 0 where one wave number is exactly 0
         # (for m = 0 and -1 the order-0 derivative is a 0/0 limit there)
         state = BoundState(
-            params=DotParameters(v=v, beta=beta, m=m), e=e, c1=0.37, c2=-1.4, d1=2.15, d2=0.66
+            params=DotParameters(v=v, beta=beta, m=m), e=e, a=1.26, c2=-1.4, b=-0.89, d2=0.66
         )
         _assert_closed_form_matches_quadrature(state, tol=1e-14)
 
     def test_homogeneous_of_degree_two(self, fig1_state):
         total = radial_density_integral(fig1_state)
         for factor in (1e-3, -2.5, 7.0, 1e40):
-            c1, c2, d1, d2 = (factor * x for x in fig1_state.coefficients)
-            scaled = replace(fig1_state, c1=c1, c2=c2, d1=d1, d2=d2)
+            s = fig1_state
+            scaled = replace(s, a=factor * s.a, c2=factor * s.c2, b=factor * s.b, d2=factor * s.d2)
             assert radial_density_integral(scaled) == pytest.approx(factor**2 * total, rel=1e-13)
 
 
@@ -222,30 +221,30 @@ def test_deep_well_states_integrate_to_one(v, beta, m):
     assert levels
     for e in levels:
         state = normalize(solve_coefficients(params, e))
-        assert sum(overlap_parts(state, state)) == pytest.approx(1.0, abs=1e-10)
+        assert sum(overlap_parts(state, state)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
 def cancelling_state():
     """The level e = -62.5778 of (2500, 100, -12), inside the deep_sweep
-    box, whose interior coefficients c1 and d1 nearly cancel."""
+    box, whose paper coefficients c1 and d1 nearly cancel."""
     params = DotParameters(v=2500.0, beta=100.0, m=-12)
     e = min(find_spectrum(params).levels, key=lambda x: abs(x + 62.5778))
     assert e == pytest.approx(-62.5778, abs=1e-4)
     state = solve_coefficients(params, e)
-    # b = (c1 - d1)/2 is 1e-12 of c1: the stored (c1, d1) keep about
-    # four digits of it
-    assert abs(state.c1 - state.d1) < 1e-11 * abs(state.c1)
+    # b = (c1 - d1)/2 is 1e-12 of a = (c1 + d1)/2: stored as (c1, d1),
+    # it would keep about four digits
+    assert abs(state.b) < 1e-11 * abs(state.a)
     return state
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="(c1, d1) storage loses the b = (c1 - d1)/2 wave to cancellation; "
-    "the edge mismatch is about 7e-5",
-)
 def test_cancelling_state_edge_continuity(cancelling_state):
     assert max(matching_residuals(normalize(cancelling_state))) < 1e-8
+
+
+def test_cancelling_state_integrates_to_one(cancelling_state):
+    state = normalize(cancelling_state)
+    assert sum(overlap_parts(state, state)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvaluateRadial:
@@ -269,7 +268,7 @@ class TestEvaluateRadial:
 
     def test_origin_values(self, shallow_state):
         sample = evaluate_radial(shallow_state, 0.0)
-        assert sample.u == shallow_state.c1  # m = 0 keeps u finite
+        assert sample.u == shallow_state.coefficients[0]  # m = 0 keeps u finite
         assert sample.w == 0.0
 
     def test_far_tail_bounded_by_envelope(self, fig1_state):
@@ -335,10 +334,10 @@ class TestOdeResidual:
                 assert max(abs(x) for x in ode_residual(state, rng.uniform(1.01, 10.0))) < 1e-8
 
     def test_detects_corruption(self, fig1_state):
-        # scaling c1 alone still yields an exact solution of the coupled
+        # scaling a alone still yields an exact solution of the coupled
         # equations (any coefficient pair does), so the corruption shows
         # up in the r = 1 matching, not in the interior residual
-        corrupted = replace(fig1_state, c1=fig1_state.c1 * 1.01)
+        corrupted = replace(fig1_state, a=fig1_state.a * 1.01)
         assert max(abs(x) for x in ode_residual(corrupted, 0.5)) < 1e-8
         assert max(matching_residuals(corrupted)) > 1e-4
 
@@ -370,11 +369,11 @@ class TestOdeResidual:
             ode_residual(fig1_state, 0.0)
 
     def test_arbitrary_coefficients_still_solve_odes(self):
-        # any (c1, d1) interior / (c2, d2) exterior combination solves the
+        # any (a, b) interior / (c2, d2) exterior combination solves the
         # coupled equations; residuals stay at rounding level
         params = DotParameters(v=49.0, beta=7.0, m=1)
         state = BoundState(
-            params=params, e=5.0, c1=0.37, c2=-1.4, d1=2.15, d2=0.66, normalized=True
+            params=params, e=5.0, a=1.26, c2=-1.4, b=-0.89, d2=0.66, normalized=True
         )
         rng = random.Random(3)
         for _ in range(20):
