@@ -271,6 +271,8 @@ def _parse_beta_range(text: str, parser) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         parser.error("--beta-range values must be numeric")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        parser.error("--beta-range LO and HI must be finite")
     if not (step > 0.0 and hi >= lo):
         parser.error("--beta-range requires STEP > 0 and HI >= LO")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1

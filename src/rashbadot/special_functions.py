@@ -16,14 +16,17 @@ of dividing two numbers that may have underflowed.
 
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
-stable for K.  The seeds come from three regimes (boundaries validated
-to keep the worst relative error near 1e-11 over 1e-6 <= |z| <= 200):
+stable for K.  The seeds come from two regimes, split at |z| = 3
+(validated against mpmath to keep the worst relative error near 1e-13
+over 1e-6 <= |z| <= 200, Re z > 0):
 
-* ascending log series for |z| <= 2, and also for Re z < 1 with
-  |z| < 12.5 where the continued fraction stalls near the imaginary
-  axis but the series suffers little cancellation;
-* Steed's continued fraction for Re z >= 1, 2 < |z| < 12.5;
-* the large-argument asymptotic expansion for |z| >= 12.5.
+* the ascending log series for |z| <= 3, which sums terms of size up to
+  ~e^|z| to a result of size ~e^-Re z and so loses at most e^6 ulps;
+* Steed's continued fraction (Numerical Recipes, section 6.7; Thompson
+  and Barnett, J. Comput. Phys. 64, 490 (1986), for complex argument)
+  for every other z.  It converges for all Re z > 0, right up to the
+  imaginary axis, in fewer iterations the larger |z| is: at most about
+  100 just outside |z| = 3, under 30 beyond |z| = 12.5.
 
 All K evaluation is done internally on the exponentially scaled function
 e^z K_n(z), which stays representable for Re z far beyond the point
@@ -35,15 +38,15 @@ the basis built from these functions live in ``radial_basis``.
 Each function comes in two evaluation forms.  The scalar kernels take
 one argument.  The lane kernels (``bessel_j_over_power_lanes``,
 ``bessel_k_scaled_lanes``) take a 1-D array and run the same regimes on
-every lane: masks pick the J series and the three K seed regimes, each
+every lane: masks pick the J series and the two K seed regimes, each
 lane's Miller recurrence starts at its own index and rescales on its
 own, and a lane that has converged is frozen by ``np.where`` while its
 batch-mates iterate.  A lane therefore does the same arithmetic whatever
 its batch-mates are, and its value is bit-identical alone, in a chunk or
 in a full scan grid.  It agrees with the scalar kernel to rounding
 (numpy's complex arithmetic rounds differently from the interpreter's
-by an ulp, which the log series magnifies by its cancellation where
-Re z < 1 and |z| nears 12.5).
+by an ulp, which the log series magnifies by its cancellation, at most
+e^6 at |z| = 3).
 
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
@@ -70,8 +73,7 @@ K_ARGUMENT_CAP = 200.0
 
 EULER_GAMMA = 0.5772156649015328606
 
-_SERIES_ASYMPTOTIC_SPLIT = 12.5
-_CF_REAL_FLOOR = 1.0
+_K_SERIES_RADIUS = 3.0
 _CF_MAX_ITER = 20000
 
 
@@ -242,32 +244,8 @@ def _k01_cf2_scaled(z: complex) -> tuple[complex, complex]:
     return k0, k1
 
 
-def _k01_asymptotic_scaled(z: complex) -> tuple[complex, complex]:
-    """(e^z K_0, e^z K_1) by the large-|z| expansion, |z| >= 12.5."""
-    prefactor = cmath.sqrt(math.pi / (2.0 * z))
-    seeds = []
-    for n in (0, 1):
-        four_n2 = 4.0 * n * n
-        term = 1.0 + 0.0j
-        total = term
-        previous = abs(term)
-        for k in range(1, 60):
-            term *= (four_n2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-            if abs(term) >= previous:
-                break  # divergent tail of the asymptotic series
-            total += term
-            previous = abs(term)
-            if abs(term) < 1e-18 * abs(total):
-                break
-        seeds.append(prefactor * total)
-    return seeds[0], seeds[1]
-
-
 def _k01_scaled(z: complex) -> tuple[complex, complex]:
-    modulus = abs(z)
-    if modulus >= _SERIES_ASYMPTOTIC_SPLIT:
-        return _k01_asymptotic_scaled(z)
-    if modulus <= 2.0 or z.real < _CF_REAL_FLOOR:
+    if abs(z) <= _K_SERIES_RADIUS:
         return _k01_series_scaled(z)
     return _k01_cf2_scaled(z)
 
@@ -482,29 +460,6 @@ def _k01_cf2_lanes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _k01_asymptotic_lanes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_k01_asymptotic_scaled` over lanes; stopped lanes are frozen."""
-    prefactor = np.sqrt(math.pi / (2.0 * z))
-    seeds = []
-    for n in (0, 1):
-        four_n2 = 4.0 * n * n
-        term = np.ones_like(z)
-        total = term
-        previous = np.abs(term)
-        live = np.ones(len(z), dtype=bool)
-        for k in range(1, 60):
-            term = term * ((four_n2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * z))
-            size = np.abs(term)
-            live &= size < previous  # the divergent tail stops a lane
-            total = np.where(live, total + term, total)
-            previous = size
-            live &= ~(size < 1e-18 * np.abs(total))
-            if not live.any():
-                break
-        seeds.append(prefactor * total)
-    return seeds[0], seeds[1]
-
-
 def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.ndarray]:
     """:func:`bessel_k_scaled_many` over a 1-D array of arguments: each
     lane takes the seed regime and the arithmetic the scalar would."""
@@ -517,19 +472,13 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     conjugated = z.imag < 0.0
     z = np.where(conjugated, z.conj(), z)
     n_abs_max = max((abs(n) for n in orders), default=0)
-    modulus = np.abs(z)
-    far = modulus >= _SERIES_ASYMPTOTIC_SPLIT
-    series = ~far & ((modulus <= 2.0) | (z.real < _CF_REAL_FLOOR))
+    series = np.abs(z) <= _K_SERIES_RADIUS
     k0 = np.empty_like(z)
     k1 = np.empty_like(z)
     # lanes frozen after convergence keep iterating; what they compute
     # is discarded, so its overflow is too
     with np.errstate(all="ignore"):
-        for lanes, seeds in (
-            (far, _k01_asymptotic_lanes),
-            (series, _k01_series_lanes),
-            (~far & ~series, _k01_cf2_lanes),
-        ):
+        for lanes, seeds in ((series, _k01_series_lanes), (~series, _k01_cf2_lanes)):
             if lanes.any():
                 k0[lanes], k1[lanes] = seeds(z[lanes])
         seq = [k0, k1]

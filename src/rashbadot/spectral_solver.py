@@ -101,6 +101,17 @@ class ScanSpec:
         object.__setattr__(self, "grid_points", grid_points)
         if self.grid_points < 100:
             raise InvalidInput("grid_points must be >= 100")
+        for name in ("refine_tol", "e_min", "e_max"):
+            value = getattr(self, name)
+            if value is None and name != "refine_tol":
+                continue
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidInput(f"{name} must be a real number") from None
+            if not math.isfinite(value):
+                raise InvalidInput(f"{name} = {value!r} must be finite")
+            object.__setattr__(self, name, value)
         if not self.refine_tol > 0.0:
             raise InvalidInput("refine_tol must be positive")
 

@@ -283,6 +283,13 @@ class TestSweepCommand:
             main(["sweep", "--v", "25", "--beta-range", "0-10-5", "--m-list", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1"])
+    def test_infinite_range_is_a_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--v", "25", f"--beta-range={text}", "--m-list", "0"])
+        assert info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_repeated_runs_same_bytes(self, capsys, monkeypatch):
         # the grid evaluated point by point gives the batched bytes
         args = ["sweep", "--v", "25", "--beta-range", "0:10:5", "--m-list", "0,1"]

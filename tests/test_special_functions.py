@@ -302,14 +302,15 @@ class TestBesselK:
         for n in (0, 1, 2):
             assert scaled[n] == pytest.approx(plain[n] * cmath.exp(z), rel=1e-13)
 
-    # one point per seed regime and beside each boundary: the log series
-    # (|z| <= 2, and Re z < 1 below 12.5), Steed's continued fraction, the
-    # asymptotic expansion, and the lower half-plane
+    # points in both seed regimes and beside their boundary |z| = 3: the
+    # log series (|z| <= 3), Steed's continued fraction (|z| > 3, from
+    # near the imaginary axis to |z| = 1000), and the lower half-plane
     LANE_POINTS = (
-        1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j,
-        0.5 + 3j, 0.3 + 7.9j, 0.5 + 12j, 0.99 + 12.4j,
-        2.0000001 + 0j, 1.0 + 1.7320509j, 3 + 2j, 6 + 6j, 1 + 12.4j, 12.4999 + 0j,
-        12.5 + 0j, 30 + 40j, 140 + 139j, 1000 + 5j,
+        1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j, 2.0000001 + 0j,
+        1.0 + 1.7320509j, 3.0 + 0j,
+        3.0000001 + 0j, 0.1 + 3.01j, 0.5 + 3j, 3 + 2j, 6 + 6j, 0.3 + 7.9j,
+        0.5 + 12j, 0.99 + 12.4j, 1 + 12.4j, 12.4999 + 0j, 12.5 + 0j,
+        30 + 40j, 140 + 139j, 1000 + 5j,
         1.5 - 0.7j, 0.3 - 7.9j, 3 - 2j, 30 - 40j,
     )
 
@@ -319,7 +320,7 @@ class TestBesselK:
         for i, z in enumerate(self.LANE_POINTS):
             scalar = bessel_k_scaled_many(orders, z)
             tol = 1e-14
-            if abs(z) < 12.5 and (abs(z) <= 2.0 or z.real < 1.0):
+            if abs(z) <= 3.0:
                 # the log series sums terms up to ~e^|z| to a result ~e^-Re z,
                 # so it magnifies the one-ulp difference between numpy's and
                 # the interpreter's complex rounding by that ratio
@@ -416,7 +417,10 @@ class TestLiveHighPrecisionOracle:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         for n in (0, 2, 6):
-            for re, im in ((0.4, 0.1), (1.9, 6.5), (8.0, 1.0), (16.0, 55.0), (0.3, 11.4)):
+            for re, im in (
+                (0.4, 0.1), (1.9, 6.5), (8.0, 1.0), (16.0, 55.0), (0.3, 11.4),
+                (0.99, 12.4), (1e-6, 12.6), (0.5, 3.0), (3.0, 0.0),
+            ):
                 got = bessel_k_complex(n, complex(re, im))
                 ref = complex(mp.besselk(n, mp.mpc(re, im)))
-                assert abs(got - ref) <= 1e-10 * abs(ref)
+                assert abs(got - ref) <= 1e-13 * abs(ref)

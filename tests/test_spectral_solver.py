@@ -288,6 +288,34 @@ class TestFindSpectrum:
         params = DotParameters(v=25.0, beta=0.0, m=0)
         assert find_spectrum(params, spec) == find_spectrum(params, ScanSpec())
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("refine_tol", "tight"),
+            ("refine_tol", None),
+            ("refine_tol", math.inf),
+            ("refine_tol", math.nan),
+            ("e_min", math.nan),
+            ("e_min", "low"),
+            ("e_min", 1j),
+            ("e_min", -math.inf),
+            ("e_max", math.nan),
+            ("e_max", math.inf),
+            pytest.param("e_max", 10**400, id="e_max-int-beyond-float"),
+        ],
+    )
+    def test_scan_spec_rejects_bad_real(self, field, value):
+        with pytest.raises(InvalidInput):
+            ScanSpec(**{field: value})
+
+    def test_scan_spec_reals_are_floats(self):
+        spec = ScanSpec(refine_tol="1e-12", e_min=5, e_max=np.int64(15))
+        assert (spec.refine_tol, spec.e_min, spec.e_max) == (1e-12, 5.0, 15.0)
+        assert all(type(x) is float for x in (spec.refine_tol, spec.e_min, spec.e_max))
+        # an inverted clamp is a valid, empty spectrum
+        params = DotParameters(v=25.0, beta=0.0, m=0)
+        assert find_spectrum(params, ScanSpec(e_min=15.0, e_max=5.0)).levels == ()
+
     def test_scan_clamps(self):
         params = DotParameters(v=25.0, beta=0.0, m=0)
         clamped = find_spectrum(params, ScanSpec(e_min=5.0, e_max=15.0))
