@@ -16,7 +16,7 @@ Quick start::
 """
 
 from . import errors
-from .radial_basis import DotParameters, TailEnvelope
+from .radial_basis import DotParameters
 from .spectral_solver import (
     EnergySpectrum,
     ScanSpec,
@@ -40,7 +40,6 @@ __all__ = [
     "EnergySpectrum",
     "ScanSpec",
     "SpinorSample",
-    "TailEnvelope",
     "errors",
     "evaluate_radial",
     "evaluate_spinor",

@@ -28,6 +28,11 @@ EXIT_NUMERICAL = 3
 EXIT_LEVEL_INDEX = 4
 EXIT_TABLE_MISMATCH = 5
 
+# the largest counts the command line turns into work, checked before
+# any of it is allocated (--grid is bounded by ScanSpec)
+BETA_COUNT_CAP = 10_000
+SAMPLES_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class PhysicalInputs:
@@ -173,7 +178,6 @@ def _run_spectrum(args, parser) -> int:
         "params": {"v": v, "beta": beta, "m": args.m},
         "window": list(spectrum.window),
         "levels": list(spectrum.levels),
-        "diagnostics": list(spectrum.diagnostics),
     }
     header, rows = "index,e", list(enumerate(spectrum.levels))
     if energy_scale is not None:
@@ -187,8 +191,8 @@ def _run_spectrum(args, parser) -> int:
 def _run_wavefunction(args, parser) -> int:
     if (args.level is None) == (args.energy is None):
         parser.error("need exactly one of --level or --energy")
-    if args.samples < 2:
-        parser.error("--samples must be >= 2")
+    if not 2 <= args.samples <= SAMPLES_CAP:
+        parser.error(f"--samples must lie in 2 .. {SAMPLES_CAP}")
     if not args.rmax > 0.0:
         parser.error("--rmax must be positive")
 
@@ -275,7 +279,10 @@ def _parse_beta_range(text: str, parser) -> list[float]:
         parser.error("--beta-range LO and HI must be finite")
     if not (step > 0.0 and hi >= lo):
         parser.error("--beta-range requires STEP > 0 and HI >= LO")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if not span < BETA_COUNT_CAP:
+        parser.error(f"--beta-range gives more than {BETA_COUNT_CAP} betas")
+    count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]
 
 

@@ -112,8 +112,8 @@ def nullspace_4x4(matrix) -> np.ndarray:
 
     Singular value decomposition; singular value k counts as zero when
     sigma_k / sigma_1 <= ``SING_TOL``, and the kernel is the right
-    singular vector of the smallest one.
-    Sign convention: the first component of largest magnitude is positive.
+    singular vector of the smallest one, with the sign the decomposition
+    gives it.
 
     Raises :class:`NotSingular` when the rank test finds full rank and
     :class:`RankDeficiency2` when two or more singular values vanish.
@@ -132,13 +132,7 @@ def nullspace_4x4(matrix) -> np.ndarray:
             f"kernel dimension {4 - rank} >= 2 (degenerate level)",
             kernel_dim=4 - rank,
         )
-    return fix_sign(vt[3])
-
-
-def fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip ``vec`` so its first largest-magnitude component is positive."""
-    i = int(np.abs(vec).argmax())
-    return -vec if vec[i] < 0.0 else vec
+    return vt[3]
 
 
 @lru_cache(maxsize=8)

@@ -108,12 +108,6 @@ class InteriorWaveNumbers:
 
 
 @dataclass(frozen=True)
-class ExteriorWaveNumbers:
-    k_plus: complex
-    k_minus: complex
-
-
-@dataclass(frozen=True)
 class RadialWave:
     """One basis wave at the orders n = m and m + 1, stored divided by
     ``divisor`` (true value = value * divisor), with its first radial
@@ -127,16 +121,6 @@ class RadialWave:
     curvature: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class TailEnvelope:
-    """Large-r amplitude, decay and phase of the exterior basis."""
-
-    amplitude: float
-    decay_rate: float
-    phase_rate: float
-    gamma: float
-
-
 def interior_wave_numbers(e: float | np.ndarray, beta: float) -> InteriorWaveNumbers:
     """Interior pair sqrt(e + beta^2/4) +/- beta/2; requires e > -beta^2/4.
     ``e`` is a float or a 1-D array of energies, and so are the fields."""
@@ -148,20 +132,19 @@ def interior_wave_numbers(e: float | np.ndarray, beta: float) -> InteriorWaveNum
     return InteriorWaveNumbers(k_plus=root + 0.5 * beta, k_minus=root - 0.5 * beta)
 
 
-def exterior_wave_numbers(e: float | np.ndarray, v: float, beta: float) -> ExteriorWaveNumbers:
-    """Exterior conjugate pair sqrt(v - e - beta^2/4) +/- i beta/2, for a
-    float or a 1-D array of energies ``e``."""
+def exterior_wave_numbers(
+    e: float | np.ndarray, v: float, beta: float
+) -> complex | np.ndarray:
+    """The exterior wave number kappa = k2p = sqrt(v - e - beta^2/4) + i beta/2,
+    for a float or a 1-D array of energies ``e``; its partner k2m is
+    conj(kappa), which the waves never need (module docstring)."""
     remaining = v - e - 0.25 * beta * beta
     lanes = isinstance(remaining, np.ndarray)
     if not (remaining.min() if lanes else remaining) > 0.0:
         raise AboveWindow(f"e = {np.max(e)} at or above window top {v - 0.25 * beta * beta}")
     if lanes:
-        root = np.sqrt(remaining)
-        return ExteriorWaveNumbers(k_plus=root + 0.5j * beta, k_minus=root - 0.5j * beta)
-    root = math.sqrt(remaining)
-    return ExteriorWaveNumbers(
-        k_plus=complex(root, 0.5 * beta), k_minus=complex(root, -0.5 * beta)
-    )
+        return np.sqrt(remaining) + 0.5j * beta
+    return complex(math.sqrt(remaining), 0.5 * beta)
 
 
 def _wave(m: int, k: float | np.ndarray, r: float, second: bool) -> RadialWave:
@@ -228,7 +211,7 @@ def exterior_pair(
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    k = exterior_wave_numbers(e, v, beta).k_plus
+    k = exterior_wave_numbers(e, v, beta)
     z = k * r
     reach = 2 if second else 1
     orders = range(m - reach, m + 2 + reach)
@@ -253,20 +236,4 @@ def exterior_pair(
     return (
         RadialWave((low.real, high.imag), (slope_low.real, slope_high.imag), divisor, x_curve),
         RadialWave((low.imag, high.real), (slope_low.imag, slope_high.real), divisor, y_curve),
-    )
-
-
-def tail_envelope(e: float, v: float, beta: float) -> TailEnvelope:
-    """Asymptotic envelope of the exterior basis:
-
-    f2 ~  amplitude * exp(-decay_rate r) / sqrt(r) * cos((beta r + gamma)/2)
-    g2 ~ -amplitude * exp(-decay_rate r) / sqrt(r) * sin((beta r + gamma)/2)
-    """
-    decay = exterior_wave_numbers(e, v, beta).k_plus.real
-    amplitude = math.sqrt(0.5 * math.pi) * (v - e) ** -0.25
-    return TailEnvelope(
-        amplitude=amplitude,
-        decay_rate=decay,
-        phase_rate=0.5 * beta,
-        gamma=math.atan2(0.5 * beta, decay),
     )

@@ -169,11 +169,6 @@ def bessel_j_over_power(orders: Iterable[int], x: float, power: int) -> dict[int
     return {n: -seq[n - power] if flip and (n + power) % 2 else seq[n - power] for n in orders}
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order, real argument."""
-    return bessel_j_many((n,), x)[n]
-
-
 # ---------------------------------------------------------------------------
 # Modified Bessel K, complex argument (Re z > 0)
 # ---------------------------------------------------------------------------
@@ -288,11 +283,6 @@ def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
     # K_n(conj z) == conj(K_n(z)) bit-exact
     damp = cmath.exp(-z)
     return {n: value * damp for n, value in bessel_k_scaled_many(orders, z).items()}
-
-
-def bessel_k_complex(n: int, z: complex) -> complex:
-    """Modified Bessel function of the second kind, integer order."""
-    return bessel_k_many((n,), z)[n]
 
 
 # ---------------------------------------------------------------------------

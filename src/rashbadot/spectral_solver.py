@@ -44,10 +44,10 @@ product.
 The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
 takes a float or a 1-D array of energies, and the grid goes through it
 in chunks of ``SCAN_CHUNK`` points (one chunk at the default grid; the
-chunks keep memory flat for larger ones), as one ``np.linalg.det`` of
-the (N, 4, 4) stack or the two channel minors per chunk.  Sign changes
-and suspects are read from the value arrays; each energy is an
-independent lane of the special-function kernels, so they do not depend
+chunks keep memory flat for larger ones, up to ``GRID_POINTS_CAP``), as
+one ``np.linalg.det`` of the (N, 4, 4) stack or the two channel minors
+per chunk.  Sign changes are read from the value arrays; each energy is
+an independent lane of the special-function kernels, so they do not depend
 on the chunking.  Each bracket, of either channel at beta = 0, is then
 refined by Brent's method (``numerics.refine_root``) on the same values
 at one float energy at a time, which runs the scalar kernels: a
@@ -58,23 +58,23 @@ kernels' per-step loop overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, WindowViolation
+from .errors import BracketInvalid, InvalidInput, WindowViolation
 from .numerics import Bracket, refine_root
 from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
 
-# |det| dips below this fraction of the scan's largest value without a
-# sign change are reported as possible even-multiplicity roots
-SUSPECT_THRESHOLD = 1e-6
 # grid points evaluated in one batch: the default grid in one, and
 # memory that stays flat for larger grids
 SCAN_CHUNK = 2000
+# the largest scan grid: a scan of about 4 s at under 70 MB peak
+# (2-core x86-64 machine)
+GRID_POINTS_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class ScanSpec:
         if grid_points != self.grid_points:
             raise InvalidInput(f"grid_points = {self.grid_points!r} must be an integer")
         object.__setattr__(self, "grid_points", grid_points)
-        if self.grid_points < 100:
-            raise InvalidInput("grid_points must be >= 100")
+        if not 100 <= self.grid_points <= GRID_POINTS_CAP:
+            raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
         for name in ("refine_tol", "e_min", "e_max"):
             value = getattr(self, name)
             if value is None and name != "refine_tol":
@@ -118,17 +118,12 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """All bound-state energies of one (v, beta, m), sorted ascending.
-
-    ``diagnostics`` lists grid energies where |det| dips below the
-    suspect threshold without a sign change (possible even-multiplicity
-    roots); an empty ``levels`` list is a valid result.
-    """
+    """All bound-state energies of one (v, beta, m), sorted ascending;
+    an empty ``levels`` list is a valid result."""
 
     params: DotParameters
     levels: tuple[float, ...]
     window: tuple[float, float]
-    diagnostics: tuple[float, ...] = field(default=())
 
 
 def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
@@ -191,17 +186,11 @@ def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:
     return (a * d - b * c) / (np.hypot(a, c) * np.hypot(b, d))
 
 
-def _scan_roots(
-    grid: np.ndarray, values: np.ndarray
-) -> tuple[list[float], list[Bracket], list[float]]:
-    """Grid-point roots, sign-change brackets and suspects of one
-    channel's ``values`` on ``grid``."""
-    n = len(grid)
-    size = np.abs(values)
-    max_abs = size.max()
-    if max_abs == 0.0:
-        # identically-zero scan carries no sign information
-        return [], [], grid[:: max(1, n // 8)].tolist()
+def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list[Bracket]]:
+    """Grid-point roots and sign-change brackets of one channel's
+    ``values`` on ``grid``."""
+    if not values.any():
+        raise BracketInvalid("scan values vanish on the whole grid: no sign information")
 
     lo, hi = values[:-1], values[1:]
     # a zero at the right end belongs to the next interval's left end
@@ -210,16 +199,7 @@ def _scan_roots(
         Bracket(float(grid[i]), float(grid[i + 1]), float(values[i]), float(values[i + 1]))
         for i in np.flatnonzero(lo * hi < 0.0).tolist()
     ]
-
-    here = size[1:-1]
-    dips = (
-        (here <= size[:-2])
-        & (here <= size[2:])
-        & (values[:-2] * values[1:-1] > 0.0)
-        & (values[1:-1] * values[2:] > 0.0)
-        & (here < SUSPECT_THRESHOLD * max_abs)
-    )
-    return at_node, brackets, grid[1:-1][dips].tolist()
+    return at_node, brackets
 
 
 def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
@@ -234,9 +214,10 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     """Enumerate all bound-state energies inside the window.
 
     Sign-change brackets of the scale-free determinant on a uniform grid
-    are refined to ``scan.refine_tol``; |det| dips below the suspect
-    threshold with no sign change are reported in ``diagnostics``.  An
-    empty spectrum is a valid result.
+    are refined to ``scan.refine_tol``.  A root that the grid does not
+    resolve (two close levels within one grid step, or an even-order
+    touch) gives no sign change and is not reported.  An empty spectrum
+    is a valid result.
     """
     if scan is None:
         scan = ScanSpec()
@@ -268,11 +249,9 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     )
 
     roots: list[float] = []
-    suspects: list[float] = []
     for channel, values in enumerate(scanned):
-        at_node, brackets, dips = _scan_roots(grid, values)
+        at_node, brackets = _scan_roots(grid, values)
         roots.extend(at_node)
-        suspects.extend(dips)
 
         # channel bound as a default: a wrapper of refine_root may keep f
         def channel_value(e: float, channel: int = channel) -> float:
@@ -280,12 +259,5 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
         roots.extend(refine_root(channel_value, bracket, scan.refine_tol) for bracket in brackets)
 
-    tol = max(10.0 * scan.refine_tol, 1e-11)
-    levels = _dedupe(sorted(roots), tol)
-    diagnostics = _dedupe(sorted(suspects), tol)
-    return EnergySpectrum(
-        params=params,
-        levels=tuple(levels),
-        window=window,
-        diagnostics=tuple(diagnostics),
-    )
+    levels = _dedupe(sorted(roots), max(10.0 * scan.refine_tol, 1e-11))
+    return EnergySpectrum(params=params, levels=tuple(levels), window=window)

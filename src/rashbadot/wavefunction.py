@@ -138,7 +138,7 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
     # smear the kernel direction
     matrix, scale = equilibrated_matrix(params, e)
     vec = nullspace_4x4(matrix)
-    exponent = exterior_wave_numbers(e, params.v, params.beta).k_plus.real
+    exponent = exterior_wave_numbers(e, params.v, params.beta).real
     if exponent > 700.0:
         # true exterior coefficients would be ~e^{+exponent}
         raise ArgumentOutOfRange(
@@ -259,7 +259,7 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     # with the complex s = (dkappa/de) / kappa, and (a' - i b') = (a - i b) s
     # recombines the real and imaginary parts that x and y hold
     x, y = exterior_pair(m, e, p.v, beta, 1.0, second=True)
-    kappa = exterior_wave_numbers(e, p.v, beta).k_plus
+    kappa = exterior_wave_numbers(e, p.v, beta)
     a, b = state.c2 * x.divisor, state.d2 * y.divisor
     derivative = complex(a, -b) * (-0.5 / kappa.real / kappa)
     outside = -_edge_form(

@@ -3,14 +3,21 @@ computed once per session."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 
 import pytest
 
 from rashbadot.numerics import integrate_panel, integrate_tail
-from rashbadot.radial_basis import DotParameters, exterior_pair, interior_pair
+from rashbadot.radial_basis import (
+    DotParameters,
+    exterior_pair,
+    exterior_wave_numbers,
+    interior_pair,
+)
 from rashbadot.reference_levels import REFERENCE_ROWS
+from rashbadot.special_functions import bessel_j_over_power, bessel_k_scaled_many
 from rashbadot.spectral_solver import equilibrated_matrix, find_spectrum
 from rashbadot.wavefunction import normalize, radial_components, solve_coefficients
 
@@ -117,3 +124,27 @@ def channel_determinant(params, channel, e):
     f2, _, df2, _ = paper_exterior(params.m, e, params.v, params.beta, 1.0)[channel]
     sign = 1.0 if channel == 1 else -1.0
     return f1 * sign * df2 - sign * f2 * df1
+
+
+def j_kernel(n, x):
+    """J_n(x), n >= 0, from the J kernel the solver runs."""
+    return bessel_j_over_power((n,), x, 0)[n]
+
+
+def k_kernel(n, z):
+    """K_n(z) from the scaled K kernel the solver runs, times e^-z."""
+    return bessel_k_scaled_many((n,), z)[n] * cmath.exp(-z)
+
+
+def tail_form(e, v, beta):
+    """(amplitude, decay_rate, gamma) of the leading large-r form of the
+    exterior functions, K_n(z) ~ sqrt(pi / (2 z)) e^-z (DLMF 10.40.2) at
+    z = kappa r:
+
+        f2 ~  amplitude exp(-decay_rate r) / sqrt(r) cos((beta r + gamma) / 2),
+        g2 ~ -amplitude exp(-decay_rate r) / sqrt(r) sin((beta r + gamma) / 2),
+
+    with amplitude = sqrt(pi / (2 |kappa|)), decay_rate = Re kappa and
+    gamma = arg kappa."""
+    kappa = exterior_wave_numbers(e, v, beta)
+    return math.sqrt(0.5 * math.pi / abs(kappa)), kappa.real, cmath.phase(kappa)

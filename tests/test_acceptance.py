@@ -17,7 +17,13 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import channel_determinant, matching_residuals, overlap_parts
+from conftest import (
+    channel_determinant,
+    j_kernel,
+    k_kernel,
+    matching_residuals,
+    overlap_parts,
+)
 from rashbadot import spectral_solver
 from rashbadot.cli import main
 from rashbadot.radial_basis import DotParameters
@@ -33,8 +39,8 @@ from rashbadot.wavefunction import (
     ode_residual,
     solve_coefficients,
 )
-from test_special_functions import J_ORACLE, K_ORACLE
-from rashbadot.special_functions import bessel_j, bessel_j_many, bessel_k_complex
+from test_special_functions import J_ORACLE, K_ORACLE, k_one
+from rashbadot.special_functions import bessel_j_many
 
 TABLE_TOLERANCE = 0.01
 FIG1_ENERGY = 37.0825
@@ -260,10 +266,10 @@ class TestCriterion6SpecialFunctions:
     def test_frozen_oracles_and_identities(self):
         worst_j = 0.0
         for n, x, expected in J_ORACLE:
-            worst_j = max(worst_j, abs(bessel_j(n, x) - expected) / abs(expected))
+            worst_j = max(worst_j, abs(j_kernel(n, x) - expected) / abs(expected))
         worst_k = 0.0
         for n, re, im, kre, kim in K_ORACLE:
-            got = bessel_k_complex(n, complex(re, im))
+            got = k_kernel(n, complex(re, im))
             worst_k = max(worst_k, abs(got - complex(kre, kim)) / abs(complex(kre, kim)))
         assert worst_j < 1e-10
         assert worst_k < 1e-10
@@ -275,7 +281,7 @@ class TestCriterion6SpecialFunctions:
                 rhs = 2.0 * n / x * table[n]
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 0.1)
         z = complex(1.5, 0.7)
-        assert bessel_k_complex(2, z.conjugate()) == bessel_k_complex(2, z).conjugate()
+        assert k_one(2, z.conjugate()) == k_one(2, z).conjugate()
         report(
             6,
             True,

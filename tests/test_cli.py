@@ -3,16 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rashbadot.cli import (
+    BETA_COUNT_CAP,
     EXIT_LEVEL_INDEX,
     EXIT_OK,
     EXIT_TABLE_MISMATCH,
+    EXIT_USAGE,
     HBAR2_OVER_2ME,
+    SAMPLES_CAP,
     PhysicalInputs,
     main,
     to_dimensionless,
@@ -20,6 +25,8 @@ from rashbadot.cli import (
 from rashbadot import spectral_solver
 from rashbadot.errors import InvalidInput
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +106,7 @@ class TestSpectrumCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"params", "window", "levels", "diagnostics"}
+        assert set(payload) == {"params", "window", "levels"}
         assert payload["params"] == {"v": 25.0, "beta": 5.0, "m": 0}
         assert payload["window"] == [-6.25, 18.75]
         assert [round(e, 2) for e in payload["levels"]] == [-4.40, 2.83, 13.40]
@@ -298,6 +305,62 @@ class TestSweepCommand:
         monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", 1)
         _, pointwise, _ = run_cli(capsys, *args, "--grid", "400")
         assert first == second == pointwise
+
+
+class TestCountCaps:
+    # one above each cap: without the cap each still finishes in bounded
+    # time and memory, so a regression fails the time bound instead of
+    # exhausting the machine
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "sweep", "--v", "25", "--beta-range", f"0:{BETA_COUNT_CAP}:1", "--m-list", "0",
+                "--grid", "100",
+            ],
+            [
+                "spectrum", "--v", "25", "--beta", "1", "--m", "0",
+                "--grid", str(spectral_solver.GRID_POINTS_CAP + 1),
+            ],
+            [
+                "wavefunction", "--v", "25", "--beta", "1", "--m", "0", "--level", "0",
+                "--samples", str(SAMPLES_CAP + 1),
+            ],
+        ],
+        ids=["beta-range", "grid", "samples"],
+    )
+    def test_count_above_cap_is_a_usage_error(self, capsys, argv):
+        # rejected before the count is allocated or looped over
+        start = time.process_time()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert time.process_time() - start < 1.0
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
+
+class TestGoldenBytes:
+    """The CSV bytes of the README commands, pinned in ``tests/golden``.
+
+    A change that means to alter them regenerates the files with the
+    same commands, e.g. ``rashbadot table > tests/golden/table.csv``."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["table"], "table.csv"),
+            (["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"], "sweep.csv"),
+        ],
+        ids=["table", "sweep"],
+    )
+    def test_csv_bytes(self, capsys, argv, name):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestConsoleScript:

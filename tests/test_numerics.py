@@ -20,7 +20,7 @@ from rashbadot.numerics import (
     nullspace_4x4,
     refine_root,
 )
-from rashbadot.special_functions import bessel_j
+from rashbadot.special_functions import bessel_j_over_power
 
 
 def bracket_of(f, lo, hi):
@@ -110,8 +110,6 @@ class TestNullspace:
                 break
         vec = nullspace_4x4(a)
         assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-14
-        # largest-magnitude component positive
-        assert vec[int(np.argmax(np.abs(vec)))] > 0.0
         norm_m = float(np.linalg.norm(a))
         assert float(np.linalg.norm(a @ vec)) <= 10.0 * 1e-8 * norm_m
         cosine = abs(float(vec @ kernel)) / float(np.linalg.norm(kernel))
@@ -138,7 +136,9 @@ class TestPanelQuadrature:
     def test_bessel_density_against_trapezoid_oracle(self):
         # frozen oracle: trapezoid rule with 10^6 points on J0(5r)^2 r
         oracle = 0.06942435228309353
-        value = integrate_panel(lambda r: bessel_j(0, 5.0 * r) ** 2 * r, 0.0, 1.0)
+        value = integrate_panel(
+            lambda r: bessel_j_over_power((0,), 5.0 * r, 0)[0] ** 2 * r, 0.0, 1.0
+        )
         assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_interval(self):

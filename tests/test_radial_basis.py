@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import paper_basis, paper_exterior
+from conftest import j_kernel, k_kernel, paper_basis, paper_exterior, tail_form
 from rashbadot.errors import AboveWindow, BelowWindow, InvalidInput
 from rashbadot.radial_basis import (
     DotParameters,
@@ -13,9 +14,7 @@ from rashbadot.radial_basis import (
     exterior_wave_numbers,
     interior_pair,
     interior_wave_numbers,
-    tail_envelope,
 )
-from rashbadot.special_functions import bessel_j, bessel_k_complex
 
 # frozen 40-digit oracle: basis at m=1, e=37.0825, beta=2, r=0.5
 INTERIOR_ORACLE = {
@@ -78,22 +77,17 @@ class TestInteriorWaveNumbers:
 
 class TestExteriorWaveNumbers:
     def test_no_coupling(self):
-        k = exterior_wave_numbers(4.0, 25.0, 0.0)
-        assert k.k_plus == complex(math.sqrt(21.0), 0.0)
-        assert k.k_minus == k.k_plus.conjugate()
+        assert exterior_wave_numbers(4.0, 25.0, 0.0) == complex(math.sqrt(21.0), 0.0)
 
     def test_pythagorean_instance(self):
-        k = exterior_wave_numbers(0.0, 25.0, 6.0)
-        assert k.k_plus == complex(4.0, 3.0)
-        assert k.k_minus == complex(4.0, -3.0)
+        assert exterior_wave_numbers(0.0, 25.0, 6.0) == complex(4.0, 3.0)
 
     def test_window_containment(self):
         # all levels of the (v=25, beta=10) well live in (-25, 0)
         lo, hi = DotParameters(v=25.0, beta=10.0, m=0).window
         for e in (-23.25, -18.31, -9.67):
             assert lo < e < hi
-            k = exterior_wave_numbers(e, 25.0, 10.0)
-            assert k.k_plus.real > 0.0
+            assert exterior_wave_numbers(e, 25.0, 10.0).real > 0.0
 
     def test_above_window(self):
         with pytest.raises(AboveWindow):
@@ -107,7 +101,7 @@ class TestInteriorBasis:
         assert minus == plus
         assert minus.divisor == pytest.approx(e, rel=1e-15)  # k^q = sqrt(e)^2
         assert minus.value[0] * minus.divisor == pytest.approx(
-            bessel_j(2, math.sqrt(e) * r), rel=1e-14
+            j_kernel(2, math.sqrt(e) * r), rel=1e-14
         )
 
     def test_origin_limit_m0(self):
@@ -173,7 +167,7 @@ class TestExteriorBasis:
         f, g, _, dg = paper_exterior(0, e, v, 0.0, r)[0]
         assert g == 0.0
         assert dg == 0.0
-        expected = bessel_k_complex(0, complex(math.sqrt(v - e) * r, 0.0)).real
+        expected = k_kernel(0, complex(math.sqrt(v - e) * r, 0.0)).real
         assert f == pytest.approx(expected, rel=1e-13)
 
     def test_real_by_construction(self):
@@ -185,8 +179,7 @@ class TestExteriorBasis:
     def test_matches_explicit_combination(self):
         # f2 = Re K_m(k+ r), g2 = Im K_m(k+ r)
         m, e, v, beta, r = 1, 3.0, 25.0, 2.0, 1.3
-        k = exterior_wave_numbers(e, v, beta)
-        value = bessel_k_complex(m, k.k_plus * r)
+        value = k_kernel(m, exterior_wave_numbers(e, v, beta) * r)
         f, g, _, _ = paper_exterior(m, e, v, beta, r)[0]
         assert f == pytest.approx(value.real, rel=1e-12)
         assert g == pytest.approx(value.imag, rel=1e-12)
@@ -194,11 +187,11 @@ class TestExteriorBasis:
     def test_scaled_and_plain_agree(self):
         # the waves carry K * exp(+Re(k_+) r); value * divisor is true scale
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
-        k_plus = exterior_wave_numbers(e, v, beta).k_plus
+        k_plus = exterior_wave_numbers(e, v, beta)
         x, y = exterior_pair(m, e, v, beta, r)
         assert x.divisor == y.divisor == math.exp(-k_plus.real * r)
         for n in (m, m + 1):
-            true = bessel_k_complex(n, k_plus * r)
+            true = k_kernel(n, k_plus * r)
             # x = (Re K_m, Im K_{m+1}), y = (Im K_m, Re K_{m+1})
             want_x, want_y = (true.real, true.imag) if n == m else (true.imag, true.real)
             assert x.value[n - m] * x.divisor == pytest.approx(want_x, rel=1e-13)
@@ -207,13 +200,10 @@ class TestExteriorBasis:
     def test_envelope_at_moderate_radius(self):
         # 5% agreement with the asymptotic form already at r = 2
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
-        env = tail_envelope(e, v, beta)
+        amplitude, decay_rate, gamma = tail_form(e, v, beta)
         f = paper_exterior(m, e, v, beta, r)[0][0]
         predicted = (
-            env.amplitude
-            * math.exp(-env.decay_rate * r)
-            / math.sqrt(r)
-            * math.cos(0.5 * (beta * r + env.gamma))
+            amplitude * math.exp(-decay_rate * r) / math.sqrt(r) * math.cos(0.5 * (beta * r + gamma))
         )
         assert f == pytest.approx(predicted, rel=0.05)
 
@@ -221,7 +211,7 @@ class TestExteriorBasis:
         m, e, v, beta = 0, 3.49, 25.0, 1.0
         near_f, near_g, _, _ = paper_exterior(m, e, v, beta, 2.0)[0]
         far_f, far_g, _, _ = paper_exterior(m, e, v, beta, 20.0)[0]
-        rate = tail_envelope(e, v, beta).decay_rate
+        rate = exterior_wave_numbers(e, v, beta).real
         bound = 10.0 * math.exp(-18.0 * rate)
         assert abs(far_f) <= abs(near_f) * bound
         assert abs(far_g) <= max(abs(near_g), abs(near_f)) * bound
@@ -232,37 +222,48 @@ class TestExteriorBasis:
 
 
 class TestTailEnvelope:
+    """The exterior waves against their large-r form (``conftest.tail_form``)."""
+
     def test_uncoupled_phase_vanishes(self):
-        env = tail_envelope(4.0, 25.0, 0.0)
-        assert env.gamma == 0.0
-        assert env.phase_rate == 0.0
+        # at beta = 0 kappa is real, and so is K_n(kappa r) at every radius:
+        # the g2 parts, y at order m and x at m + 1, are exactly zero
+        assert exterior_wave_numbers(4.0, 25.0, 0.0).imag == 0.0
+        for r in (1.0, 5.0, 30.0):
+            x, y = exterior_pair(0, 4.0, 25.0, 0.0, r)
+            assert (y.value[0], x.value[1]) == (0.0, 0.0)
 
     def test_three_four_five_instance(self):
-        env = tail_envelope(0.0, 25.0, 6.0)
-        assert math.cos(env.gamma) == pytest.approx(0.8, rel=1e-14)
-        assert math.sin(env.gamma) == pytest.approx(0.6, rel=1e-14)
+        # kappa = 4 + 3i: e^(Re z) K_0(z) e^(i Im z) -> sqrt(pi / (2 kappa r)),
+        # so (2 r / pi) times its square tends to 1 / kappa = 0.16 - 0.12i,
+        # with relative error about 1 / (4 |kappa| r)
+        r = 100.0
+        x, y = exterior_pair(0, 0.0, 25.0, 6.0, r)
+        scaled = complex(x.value[0], y.value[0]) * cmath.exp(3j * r)
+        assert abs(2.0 * r / math.pi * scaled**2 - complex(0.16, -0.12)) < 1e-3 * 0.2
 
     def test_phase_identity(self):
+        # |kappa|^2 = v - e: the envelope's decay and phase rates lie on a circle
         for e, v, beta in ((2.0, 25.0, 3.0), (-5.0, 49.0, 9.0), (80.0, 100.0, 4.0)):
-            env = tail_envelope(e, v, beta)
-            c = env.decay_rate / math.sqrt(v - e)
+            kappa = exterior_wave_numbers(e, v, beta)
+            c = kappa.real / math.sqrt(v - e)
             s = 0.5 * beta / math.sqrt(v - e)
+            assert kappa.imag == 0.5 * beta
             assert c * c + s * s == pytest.approx(1.0, abs=1e-14)
 
     def test_far_field_ratio(self):
         # both components track the asymptotic form to 1e-3 by r = 30
         m, e, v, beta = 0, 2.97, 100.0, 2.0
-        env = tail_envelope(e, v, beta)
+        amplitude, decay_rate, gamma = tail_form(e, v, beta)
         r = 30.0
         x, y = exterior_pair(m, e, v, beta, r)
         exponent = -math.log(x.divisor)
-        assert exponent == pytest.approx(env.decay_rate * r, rel=1e-14)
+        assert exponent == pytest.approx(decay_rate * r, rel=1e-14)
         # compare in scaled space (the raw values are ~1e-120)
-        envelope_scaled = env.amplitude / math.sqrt(r)
-        phase = 0.5 * (beta * r + env.gamma)
+        envelope_scaled = amplitude / math.sqrt(r)
+        phase = 0.5 * (beta * r + gamma)
         assert x.value[0] / (envelope_scaled * math.cos(phase)) == pytest.approx(1.0, abs=1e-3)
         assert y.value[0] / (-envelope_scaled * math.sin(phase)) == pytest.approx(1.0, abs=1e-3)
 
     def test_window_guard(self):
         with pytest.raises(AboveWindow):
-            tail_envelope(25.0, 25.0, 0.0)
+            exterior_pair(0, 25.0, 25.0, 0.0, 2.0)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import channel_determinant, paper_basis, paper_exterior
 from rashbadot import spectral_solver
-from rashbadot.errors import ArgumentOutOfRange, InvalidInput, WindowViolation
+from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
@@ -204,7 +204,6 @@ class TestFindSpectrum:
         params = DotParameters(v=100.0, beta=2.0, m=1)
         spectrum = find_spectrum(params)
         assert all(abs(e) >= 1e-3 for e in spectrum.levels)
-        assert all(abs(e) >= 1e-3 for e in spectrum.diagnostics)
         at_zero = scan_value(params, 0.0)
         assert math.isfinite(at_zero) and at_zero != 0.0
         for e in (-1e-12, 1e-12):
@@ -276,9 +275,23 @@ class TestFindSpectrum:
             ScanSpec(grid_points=50)
         with pytest.raises(InvalidInput):
             ScanSpec(refine_tol=0.0)
-        for points in (150.5, "2000", None, math.inf, math.nan):
+        cap = spectral_solver.GRID_POINTS_CAP
+        assert ScanSpec(grid_points=cap).grid_points == cap
+        for points in (150.5, "2000", None, math.inf, math.nan, cap + 1):
             with pytest.raises(InvalidInput):
                 ScanSpec(grid_points=points)
+
+    @pytest.mark.parametrize("v,beta", [(25.0, 1.0), (25.0, 0.0)])
+    def test_vanishing_scan_raises(self, monkeypatch, v, beta):
+        # a scan that is zero at every grid point carries no sign
+        # information, so it fails instead of returning no levels; equal
+        # columns make the determinant and both channel minors vanish
+        def vanishing(params, e):
+            return np.ones(np.shape(e) + (4, 4)), np.ones(np.shape(e) + (4,))
+
+        monkeypatch.setattr(spectral_solver, "equilibrated_matrix", vanishing)
+        with pytest.raises(BracketInvalid):
+            find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
     @pytest.mark.parametrize("points", [2000.0, np.int64(2000)])
     def test_scan_spec_integral_grid_points(self, points):
@@ -327,7 +340,6 @@ class TestFindSpectrum:
             DotParameters(v=np.float64(25), beta=np.float64(10), m=np.int64(0))
         )
         assert numpy_typed.levels == plain.levels
-        assert numpy_typed.diagnostics == plain.diagnostics
 
     def test_deterministic_repeat(self):
         params = DotParameters(v=49.0, beta=7.0, m=2)
@@ -345,7 +357,6 @@ class TestFindSpectrum:
             monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", chunk)
             split = find_spectrum(params, scan)
             assert split.levels == whole.levels
-            assert split.diagnostics == whole.diagnostics
 
     @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
     def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):
@@ -364,7 +375,6 @@ class TestFindSpectrum:
         monkeypatch.setattr(spectral_solver, "refine_root", counted)
         patched = find_spectrum(params)
         assert patched.levels == plain.levels
-        assert patched.diagnostics == plain.diagnostics
 
         lo, hi = params.window
         a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN

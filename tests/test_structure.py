@@ -1,0 +1,59 @@
+"""Structural rules of the package: the benchmark tracer finds every name
+it wraps, and no module reaches into another module's private names."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+from rashbadot import numerics, radial_basis, spectral_solver, wavefunction
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rashbadot"
+
+
+def load_tracer():
+    """``bench/tracer.py`` as a module, without putting ``bench`` on the path."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_name():
+    # the tracer wraps module-level names of the package; a name it
+    # expects that is gone makes install fail, and uninstall must put
+    # back every original object
+    modules = (numerics, radial_basis, spectral_solver, wavefunction)
+    before = [dict(vars(module)) for module in modules]
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+        assert patched
+        for module, attr, original in patched:
+            assert module in modules
+            assert getattr(module, attr) is not original
+    finally:
+        tracer.uninstall()
+    for module, names in zip(modules, before):
+        after = vars(module)
+        assert after.keys() == names.keys()
+        assert all(after[name] is value for name, value in names.items())
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").startswith("rashbadot")
+            if not internal:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert offenders == []

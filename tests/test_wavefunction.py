@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import matching_residuals, overlap_parts
+from conftest import matching_residuals, overlap_parts, tail_form
 from rashbadot.errors import (
     BoundaryPoint,
     NotNormalized,
     NotSingular,
 )
 from rashbadot.numerics import integrate_panel, integrate_tail
-from rashbadot.radial_basis import DotParameters, interior_wave_numbers, tail_envelope
+from rashbadot.radial_basis import DotParameters, interior_wave_numbers
 from rashbadot.spectral_solver import find_spectrum
 from rashbadot.wavefunction import (
     BoundState,
@@ -273,14 +273,9 @@ class TestEvaluateRadial:
 
     def test_far_tail_bounded_by_envelope(self, fig1_state):
         state = fig1_state
-        env = tail_envelope(state.e, state.params.v, state.params.beta)
+        amplitude, decay_rate, _ = tail_form(state.e, state.params.v, state.params.beta)
         r = 10.0
-        bound = (
-            (abs(state.c2) + abs(state.d2))
-            * env.amplitude
-            * math.exp(-env.decay_rate * r)
-            / math.sqrt(r)
-        )
+        bound = (abs(state.c2) + abs(state.d2)) * amplitude * math.exp(-decay_rate * r) / math.sqrt(r)
         assert abs(evaluate_radial(state, r).u) <= 2.0 * bound
 
     def test_node_structure_inside_well(self, fig1_state):
