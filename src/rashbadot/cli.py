@@ -55,10 +55,16 @@ class PhysicalInputs:
 
 def to_dimensionless(p: PhysicalInputs) -> tuple[float, float, float]:
     """(v, beta, energy_scale): dimensionless well depth and Rashba
-    strength, plus the factor (meV) converting dimensionless e back to E."""
-    energy_scale = HBAR2_OVER_2ME / (p.effective_mass * p.dot_radius**2)
-    v = p.well_depth / energy_scale
+    strength, plus the factor (meV) converting dimensionless e back to E.
+    Inputs whose conversion leaves double range raise ``InvalidInput``."""
+    try:
+        energy_scale = HBAR2_OVER_2ME / (p.effective_mass * p.dot_radius**2)
+        v = p.well_depth / energy_scale
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInput("effective_mass * dot_radius**2 leaves double range") from None
     beta = p.rashba_coefficient * p.dot_radius * p.effective_mass / HBAR2_OVER_2ME
+    if not (0.0 < energy_scale < math.inf and 0.0 < v < math.inf and math.isfinite(beta)):
+        raise InvalidInput(f"out of range: scale {energy_scale!r} meV, v {v!r}, beta {beta!r}")
     return v, beta, energy_scale
 
 
@@ -193,8 +199,12 @@ def _run_wavefunction(args, parser) -> int:
         parser.error("need exactly one of --level or --energy")
     if not 2 <= args.samples <= SAMPLES_CAP:
         parser.error(f"--samples must lie in 2 .. {SAMPLES_CAP}")
-    if not args.rmax > 0.0:
-        parser.error("--rmax must be positive")
+    if not 0.0 < args.rmax < math.inf:
+        parser.error("--rmax must be positive and finite")
+    if args.energy is not None and not math.isfinite(args.energy):
+        parser.error("--energy must be finite")
+    if not args.energy_tol >= 0.0:
+        parser.error("--energy-tol must be a number >= 0")
 
     params = DotParameters(v=args.v, beta=args.beta, m=args.m)
     spectrum = _spectrum(params, args)
@@ -238,6 +248,8 @@ def _run_wavefunction(args, parser) -> int:
 
 
 def _run_table(args, parser) -> int:
+    if not args.compare_tol >= 0.0:
+        parser.error("--compare-tol must be a number >= 0")
     rows_out = []
     all_pass = True
     for row in REFERENCE_ROWS:

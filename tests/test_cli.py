@@ -79,6 +79,28 @@ class TestUnitConversion:
         with pytest.raises(InvalidInput):
             PhysicalInputs(0.0, 10.0, 50.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "mass, radius, rashba",
+        [(0.067, 1e200, 1.0), (1e300, 1e10, 1e300), (1e-300, 1e-10, 1.0), (1e10, 1.0, 1e300)],
+        ids=["radius-squared-overflows", "scale-underflows", "scale-overflows", "beta-overflows"],
+    )
+    def test_conversion_out_of_range_is_a_usage_error(self, capsys, mass, radius, rashba):
+        # each leaves double range: the radius squared, the energy scale
+        # (to 0 or to inf), or beta
+        with pytest.raises(InvalidInput):
+            to_dimensionless(PhysicalInputs(mass, radius, 10.0, rashba))
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--physical", "--m", "0",
+            "--effective-mass", str(mass),
+            "--dot-radius", str(radius),
+            "--well-depth", "10",
+            "--rashba-coefficient", str(rashba),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ")
+
 
 class TestSpectrumCommand:
     def test_reference_row(self, capsys):
@@ -220,6 +242,26 @@ class TestWavefunctionCommand:
         )
         assert code == EXIT_LEVEL_INDEX
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--energy", "7.0", "--energy-tol", "nan"),
+            ("--energy", "7.0", "--energy-tol", "-1"),
+            ("--energy", "inf"),
+            ("--level", "0", "--rmax", "inf"),
+        ],
+        ids=["energy-tol-nan", "energy-tol-negative", "energy-inf", "rmax-inf"],
+    )
+    def test_bad_selection_or_range_is_a_usage_error(self, capsys, flags):
+        # rejected before the spectrum is solved: no state reaches stderr
+        with pytest.raises(SystemExit) as info:
+            main(["wavefunction", "--v", "25", "--beta", "0", "--m", "0", *flags])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "# e =" not in captured.err
+        assert "error: " in captured.err
+
 
 @pytest.fixture(scope="module")
 def table_run():
@@ -249,6 +291,15 @@ class TestTableCommand:
         # the certified values carry two decimals, so no cell meets 1e-9
         code = main(["table", "--grid", "900", "--compare-tol", "1e-9", "--out", os.devnull])
         assert code == EXIT_TABLE_MISMATCH
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--compare-tol", tol])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--compare-tol" in captured.err
 
 
 class TestSweepCommand:

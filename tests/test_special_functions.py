@@ -10,6 +10,8 @@ from conftest import j_kernel, k_kernel
 from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
+    ORDER_CAP,
+    _j_miller,
     bessel_j_many,
     bessel_j_over_power,
     bessel_j_over_power_lanes,
@@ -142,6 +144,22 @@ class TestBesselJ:
             scalar = bessel_j_over_power(orders, x, power)
             for n in orders:
                 assert lanes[n][i] == pytest.approx(scalar[n], rel=1e-14, abs=0.0)
+
+    def test_miller_stays_finite_up_to_the_order_cap(self):
+        # the recurrence carries no rescale: below the cap its trial values
+        # peak near 1e81, just above x = 2
+        xs = np.concatenate([2.0 + np.logspace(-15, 0, 60), np.linspace(3.0, 200.0, 200)])
+        assert np.all(np.isfinite(_j_miller(ORDER_CAP, xs, 0)))
+        for x in xs[::13]:
+            assert all(math.isfinite(value) for value in _j_miller(ORDER_CAP, float(x), 0))
+
+    def test_miller_overflow_raises(self):
+        # far past the cap the trial values overflow; the normalization
+        # check turns that into an error instead of NaN
+        with pytest.raises(ArgumentOutOfRange):
+            _j_miller(300, 2.5, 0)
+        with pytest.raises(ArgumentOutOfRange), np.errstate(over="ignore", invalid="ignore"):
+            _j_miller(300, np.array([50.0, 2.5]), 0)
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(ArgumentOutOfRange):
@@ -348,6 +366,13 @@ class TestBesselK:
             bessel_k_scaled_many((50,), complex(z[1]))
         with pytest.raises(ArgumentOutOfRange):
             bessel_k_scaled_lanes((50,), z)
+
+    def test_zero_dimensional_argument_is_one_point(self):
+        # a 0-d array takes the scalar form in both regimes and half-planes,
+        # with the bits of the numpy scalar
+        for z in (0.5 + 0.2j, 1 + 1j, 5 + 1j, 5 - 1j, 40 - 3j):
+            scalar = bessel_k_scaled_many((0, 1, 2), np.complex128(z))
+            assert bessel_k_scaled_many((0, 1, 2), np.array(z)) == scalar
 
     def test_scaled_survives_deep_well_arguments(self):
         # unscaled K underflows near Re z ~ 750; the scaled value stays O(1)

@@ -415,7 +415,7 @@ class TestFindSpectrum:
             find_spectrum(params)
 
     def test_reference_rows_emit_no_warnings(self):
-        # frozen lanes keep iterating on discarded values; none of that
+        # converged lanes keep iterating on discarded values; none of that
         # may surface as a floating-point warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,6 @@
 """Structural rules of the package: the benchmark tracer finds every name
-it wraps, and no module reaches into another module's private names."""
+it wraps, no module reaches into another module's private names, and
+each Bessel regime is written once."""
 
 from __future__ import annotations
 
@@ -57,3 +58,15 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_") and not alias.name.startswith("__"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def test_special_functions_writes_each_regime_once():
+    # a regime body takes one argument or an array of lanes; the only lane
+    # functions are the two public entry points that validate and assemble
+    tree = ast.parse((PACKAGE / "special_functions.py").read_text())
+    lane_functions = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_lanes")
+    }
+    assert lane_functions == {"bessel_j_over_power_lanes", "bessel_k_scaled_lanes"}
