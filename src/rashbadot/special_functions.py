@@ -1,12 +1,27 @@
 """Bessel J_n for real argument and modified Bessel K_n for complex argument.
 
-J_n(x) is computed by the ascending power series for |x| <= 2 and by
-backward (Miller) recurrence with the normalization
+J_n(x), for the rows n = 0 .. n_max of one call, comes from three
+regimes, split in ``_j_split`` alone (after Numerical Recipes, section
+6.5, ``bessj``):
 
-    J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1
+* the ascending power series for |x| <= 2;
+* Hankel's asymptotic expansion of J_0 and J_1 (DLMF 10.17.3) and the
+  upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} for |x| >= 25 and
+  |x| > n_max + 2, where every row lies below x and the recurrence is
+  stable.  The expansion reaches 1e-18 within 22 terms at x = 25 and
+  11 at x = 100.  Against mpmath, on 252 x per n_max in that domain, the
+  rows lie within 6.7e-16 (n_max = 16) and 1.5e-15 (n_max = 64) of the
+  largest row, where Miller's reach 5.5e-15;
+* backward (Miller) recurrence with the normalization
 
-for 2 < |x| <= 200.  Negative arguments and negative orders are folded
-onto the positive quadrant through the parity reflections
+      J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1
+
+  for every other x, 2 < |x| <= 200.  It starts near
+  x + 9 x^(1/3) + 24 whatever n_max is, about 165 steps at x = 100,
+  which is why deep wells take the upward regime.
+
+Negative arguments and negative orders are folded onto the positive
+quadrant through the parity reflections
 
     J_n(-x) = (-1)^n J_n(x),        J_{-n}(x) = (-1)^n J_n(x).
 
@@ -17,6 +32,12 @@ recurrence needs no rescaling: for n <= ORDER_CAP and 2 < x <= 200 its
 trial values peak near 1.1e81 and their normalization sum near 1.9e81
 (x just above 2, n_max = 64, start index 76), far from overflow.  A sum
 that is not finite all the same raises ``ArgumentOutOfRange``.
+
+Hankel's regime would serve any x, but ``J_ARGUMENT_CAP`` stays at 200:
+beyond it lie wells whose levels the fixed 2000-point scan of
+``spectral_solver`` cannot all resolve, and the cap is what makes them
+fail loudly.  Widening it waits for a level count that does not depend
+on the scan grid.
 
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
@@ -56,10 +77,11 @@ magnifies by its cancellation, at most e^6 at |z| = 3).
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
 evaluate one energy at one radius at a time.  Measured on the matching
-matrix of three wells (2-core x86-64 machine), one point costs 1.7-3.5
-ms through the lanes against 100-160 us through the scalar kernels,
-while a 2000-point scan grid costs 11-20 ms through the lanes against
-290-330 ms point by point.
+matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and (6000, 100, 8)
+(2-core x86-64 machine), one point costs 0.5-1.0 ms through the lanes
+against 56-82 us through the scalar kernels, while a 2000-point scan
+grid costs 3.2-5.8 ms through the lanes against 114-156 ms point by
+point.
 """
 
 from __future__ import annotations
@@ -78,8 +100,20 @@ K_ARGUMENT_CAP = 200.0
 
 EULER_GAMMA = 0.5772156649015328606
 
+# the J regime split, read in _j_split alone
+_J_SERIES_RADIUS = 2.0
+_J_HANKEL_RADIUS = 25.0
 _K_SERIES_RADIUS = 3.0
 _CF_MAX_ITER = 20000
+
+# Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
+# of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
+# with the sum's sign (-1)^floor(m/2) folded into the even steps; the odd
+# terms sum to Q, the even ones to P.  x = 25 needs 22 of the 30 steps.
+_HANKEL_STEPS = tuple(
+    tuple((4 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m) * (1 if m % 2 else -1) for nu in (0, 1))
+    for m in range(1, 31)
+)
 
 
 def _check_order(n: int) -> None:
@@ -169,7 +203,8 @@ def _j_series(n_max: int, x, power: int) -> list:
 
 def _j_miller(n_max: int, x, power: int) -> list:
     """Rows n = power .. n_max of J_n(x) / x^power by backward recurrence,
-    2 < x <= 200; ``x`` is a float or a 1-D array of lanes.
+    2 < x <= 200 (it serves x < 25 or x <= n_max + 2); ``x`` is a float or
+    a 1-D array of lanes.
 
     Each lane starts at its own index; lanes that start below n hold
     their seeds, so a lane does the scalar's arithmetic step for step.
@@ -208,6 +243,52 @@ def _j_miller(n_max: int, x, power: int) -> list:
     return [value / norm * scale for value in out[power:]]
 
 
+def _j_hankel(n_max: int, x, power: int) -> list:
+    """Rows n = power .. n_max of J_n(x) / x^power from J_0 and J_1 by
+    Hankel's expansion and the upward recurrence
+    J_{n+1} = (2n/x) J_n - J_{n-1}, which is stable for n < x (Numerical
+    Recipes, section 6.5); x >= 25 and x > n_max + 2, and ``x`` is a float
+    or a 1-D array of lanes."""
+    lanes = _Lanes() if isinstance(x, np.ndarray) else None
+    lib = np if lanes else math
+    p0 = p1 = 1.0
+    q0 = q1 = 0.0
+    t0 = t1 = 1.0
+    for (q0_step, q1_step), (p0_step, p1_step) in zip(_HANKEL_STEPS[::2], _HANKEL_STEPS[1::2]):
+        t0 = t0 * (q0_step / x)
+        t1 = t1 * (q1_step / x)
+        q0 = q0 + t0
+        q1 = q1 + t1
+        t0 = t0 * (p0_step / x)
+        t1 = t1 * (p1_step / x)
+        p0 = p0 + t0
+        p1 = p1 + t1
+        passed = abs(t0) + abs(t1) < 1e-18
+        if lanes.settle(passed, p0, q0, p1, q1) if lanes else passed:
+            break
+    if lanes:
+        p0, q0, p1, q1 = lanes.values(p0, q0, p1, q1)
+    # J_nu = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
+    # where cos w and sin w are sums of sin x and cos x over sqrt(2)
+    sin, cos = lib.sin(x), lib.cos(x)
+    amplitude = lib.sqrt(1.0 / (math.pi * x))
+    out = [
+        amplitude * (p0 * (cos + sin) + q0 * (cos - sin)),
+        amplitude * (p1 * (sin - cos) + q1 * (sin + cos)),
+    ]
+    for n in range(1, n_max):
+        out.append((2.0 * n / x) * out[n] - out[n - 1])
+    scale = x**-power
+    return [value * scale for value in out[power : n_max + 1]]
+
+
+def _j_split(n_max: int, size):
+    """The J regime of the rows 0 .. n_max at |x| = ``size``, a float or a
+    1-D array of lanes, as the masks (series, hankel); Miller's recurrence
+    serves the rest."""
+    return size <= _J_SERIES_RADIUS, (size >= _J_HANKEL_RADIUS) & (size > n_max + 2)
+
+
 def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
     """J_n(x) for every order in ``orders`` from one recurrence pass."""
     orders = list(orders)
@@ -227,7 +308,10 @@ def bessel_j_over_power(orders: Iterable[int], x: float, power: int) -> dict[int
     size = abs(x)
     if not size <= J_ARGUMENT_CAP:
         raise ArgumentOutOfRange(f"|x| = {size!r} beyond validated domain {J_ARGUMENT_CAP}")
-    seq = (_j_series if size <= 2.0 else _j_miller)(max(orders), size, power)
+    n_max = max(orders)
+    series, hankel = _j_split(n_max, size)
+    regime = _j_series if series else _j_hankel if hankel else _j_miller
+    seq = regime(n_max, size, power)
     # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power
     flip = x < 0.0
     return {n: -seq[n - power] if flip and (n + power) % 2 else seq[n - power] for n in orders}
@@ -250,8 +334,9 @@ def bessel_j_over_power_lanes(
         )
     n_max = max(orders)
     seq = np.empty((n_max + 1 - power, len(x)))
-    small = size <= 2.0
-    for lanes, regime in ((small, _j_series), (~small, _j_miller)):
+    series, hankel = _j_split(n_max, size)
+    miller = ~(series | hankel)
+    for lanes, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
         if lanes.any():
             seq[:, lanes] = regime(n_max, size[lanes], power)
     # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power

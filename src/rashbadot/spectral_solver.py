@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketInvalid, InvalidInput, WindowViolation
+from .errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
 from .numerics import Bracket, refine_root
 from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 
@@ -128,8 +128,10 @@ class EnergySpectrum:
 
 def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
     lo, hi = params.window
-    if not np.all((lo < e) & (e < hi)):
-        raise WindowViolation(f"e = {e} outside open window ({lo}, {hi})")
+    inside = (lo < e) & (e < hi)
+    if not np.all(inside):
+        bad = float(e[~inside][0] if isinstance(e, np.ndarray) else e)
+        raise WindowViolation(f"e = {bad!r} outside open window ({lo!r}, {hi!r}) of {params}")
 
 
 def _hypot_lanes(a, b, c, d):
@@ -189,6 +191,12 @@ def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:
 def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list[Bracket]]:
     """Grid-point roots and sign-change brackets of one channel's
     ``values`` on ``grid``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise BracketInvalid(
+            f"scan value {values[~finite][0]} at e = {float(grid[~finite][0])!r}: "
+            "no sign information"
+        )
     if not values.any():
         raise BracketInvalid("scan values vanish on the whole grid: no sign information")
 
@@ -217,13 +225,20 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     are refined to ``scan.refine_tol``.  A root that the grid does not
     resolve (two close levels within one grid step, or an even-order
     touch) gives no sign change and is not reported.  An empty spectrum
-    is a valid result.
+    is a valid result.  A window that double precision cannot resolve
+    (beta^2 overflows, or the float spacing at its edges exceeds
+    ``WINDOW_MARGIN``) raises ``ArgumentOutOfRange``.
     """
     if scan is None:
         scan = ScanSpec()
     window = params.window
     a = window[0] + WINDOW_MARGIN
     b = window[1] - WINDOW_MARGIN
+    if not (window[0] < a and b < window[1]):
+        raise ArgumentOutOfRange(
+            f"window {window} of {params} does not resolve its margin {WINDOW_MARGIN} "
+            "in double precision"
+        )
     if scan.e_min is not None:
         a = max(a, scan.e_min)
     if scan.e_max is not None:

@@ -170,6 +170,16 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("beta", ["1e10", "1e200"])
+    def test_unresolved_window_is_a_numerical_failure(self, capsys, beta):
+        # beta^2 / 4 = 2.5e19 leaves a window of width 25 below the float
+        # spacing 4096 there; 1e200 overflows beta^2: neither is an empty
+        # spectrum
+        code, out, err = run_cli(capsys, "spectrum", "--v", "25", "--beta", beta, "--m", "0")
+        assert code == 3
+        assert out == ""
+        assert "window" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run_cli(

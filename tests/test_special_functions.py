@@ -136,6 +136,12 @@ class TestBesselJ:
             (range(2, 6), 2, (2.0000001, 7.3, 33.0, 150.0, 200.0, 0.7)),
             # negative x with a signed power, in both regimes
             (range(3, 7), 3, (-0.9, -4.2, -60.0, -199.5, 4.2)),
+            # Hankel's expansion, x >= 25 and x > n_max + 2, beside Miller
+            # lanes on the other side of each bound and a series lane
+            (range(0, 17), 0, (25.0, 30.0, 99.9, 150.0, 200.0, 24.9999999, 18.0, 1.0)),
+            (range(30, 33), 30, (34.0, 34.0000001, 60.0, 24.9999999, 25.0)),
+            # negative x with a signed power in Hankel lanes
+            (range(12, 15), 12, (-25.0, -33.3, -150.0, -199.5, 140.0, -20.0, -1.5)),
         ],
     )
     def test_lanes_match_scalar(self, orders, power, xs):
@@ -144,6 +150,18 @@ class TestBesselJ:
             scalar = bessel_j_over_power(orders, x, power)
             for n in orders:
                 assert lanes[n][i] == pytest.approx(scalar[n], rel=1e-14, abs=0.0)
+
+    def test_hankel_lane_is_the_same_alone_and_in_a_batch(self):
+        # a lane does its own arithmetic whatever its batch-mates are: the
+        # Hankel lanes of a 2000-lane grid over all three regimes equal the
+        # same lanes asked for alone, bit for bit
+        xs = np.random.default_rng(13).uniform(-200.0, 200.0, 2000)
+        orders = range(12, 15)
+        batch = bessel_j_over_power_lanes(orders, xs, 12)
+        deep = np.flatnonzero(np.abs(xs) >= 25.0)
+        for i in deep[::15]:
+            alone = bessel_j_over_power_lanes(orders, xs[i : i + 1], 12)
+            assert all(alone[n][0] == batch[n][i] for n in orders)
 
     def test_miller_stays_finite_up_to_the_order_cap(self):
         # the recurrence carries no rescale: below the cap its trial values
@@ -439,13 +457,20 @@ class TestLiveHighPrecisionOracle:
     """Spot comparison against an independent multiprecision library."""
 
     def test_j_sampled_grid(self):
+        # rows 0 .. n_max against the largest of them, in every regime and
+        # on both sides of the Hankel bounds x = 25 and x = n_max + 2
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        for n in (0, 1, 4, 13):
-            for x in (0.7, 5.1, 19.7, 87.3, 166.0):
-                got = j_kernel(n, x)
-                ref = float(mp.besselj(n, mp.mpf(x)))
-                assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-3)
+        for n_max in (0, 1, 4, 13, 23, 40, ORDER_CAP):
+            edge = n_max + 2.0
+            for x in (
+                0.7, 2.0, 2.5, 5.1, 19.7, 24.99, 25.0, 25.01,
+                edge - 0.01, edge, edge + 0.01, 87.3, 166.0, 199.9,
+            ):
+                got = bessel_j_over_power(range(n_max + 1), x, 0)
+                ref = [float(mp.besselj(n, mp.mpf(x))) for n in range(n_max + 1)]
+                error = max(abs(got[n] - ref[n]) for n in range(n_max + 1))
+                assert error <= 1e-13 * max(map(abs, ref)), (n_max, x)
 
     def test_k_sampled_grid(self):
         mp = pytest.importorskip("mpmath")

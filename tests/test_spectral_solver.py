@@ -82,6 +82,17 @@ class TestMatchMatrix:
         with pytest.raises(WindowViolation):
             match_matrix(params, 25.0)
 
+    def test_window_message_names_the_first_offending_energy(self):
+        # a violation on a scan grid names one energy, not the whole grid
+        params = DotParameters(v=25.0, beta=0.0, m=0)
+        grid = np.linspace(1.0, 30.0, 2000)
+        with pytest.raises(WindowViolation) as info:
+            equilibrated_matrix(params, grid)
+        message = str(info.value)
+        assert len(message) < 200
+        assert repr(float(grid[grid >= 25.0][0])) in message
+        assert "v=25.0, beta=0.0, m=0" in message
+
     def test_annihilates_reference_coefficients(self):
         # coefficient vector of the e = 37.0825 level
         params = DotParameters(v=100.0, beta=2.0, m=1)
@@ -291,6 +302,20 @@ class TestFindSpectrum:
 
         monkeypatch.setattr(spectral_solver, "equilibrated_matrix", vanishing)
         with pytest.raises(BracketInvalid):
+            find_spectrum(DotParameters(v=v, beta=beta, m=0))
+
+    @pytest.mark.parametrize("v,beta", [(25.0, 1.0), (25.0, 0.0)])
+    def test_non_finite_scan_raises(self, monkeypatch, v, beta):
+        # NaN compares false both ways, so it would read as "no sign
+        # change" and drop the levels beside it without an error
+        def poisoned(params, e):
+            matrix = np.broadcast_to(np.eye(4), np.shape(e) + (4, 4)).copy()
+            matrix[..., 0, 0] = np.where(np.asarray(e) > 10.0, np.nan, 1.0)
+            return matrix, np.ones(np.shape(e) + (4,))
+
+        monkeypatch.setattr(spectral_solver, "equilibrated_matrix", poisoned)
+        # numpy flags the NaN it is given; the scan must not pass it on
+        with pytest.raises(BracketInvalid, match="at e = 10.0"), np.errstate(invalid="ignore"):
             find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
     @pytest.mark.parametrize("points", [2000.0, np.int64(2000)])

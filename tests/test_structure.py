@@ -1,6 +1,6 @@
 """Structural rules of the package: the benchmark tracer finds every name
-it wraps, no module reaches into another module's private names, and
-each Bessel regime is written once."""
+it wraps, no module reaches into another module's private names, each
+Bessel regime is written once, and one function picks the J regime."""
 
 from __future__ import annotations
 
@@ -70,3 +70,18 @@ def test_special_functions_writes_each_regime_once():
         if isinstance(node, ast.FunctionDef) and node.name.endswith("_lanes")
     }
     assert lane_functions == {"bessel_j_over_power_lanes", "bessel_k_scaled_lanes"}
+
+
+def test_j_regime_split_is_read_in_one_function():
+    # the scalar and the lane entry points take their J regime from one
+    # place, so a lane and the scalar cannot disagree on it
+    tree = ast.parse((PACKAGE / "special_functions.py").read_text())
+    for constant in ("_J_SERIES_RADIUS", "_J_HANKEL_RADIUS"):
+        readers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == constant
+        }
+        assert readers == {"_j_split"}, constant
