@@ -47,11 +47,16 @@ over 1e-6 <= |z| <= 200, Re z > 0):
 
 * the ascending log series for |z| <= 3, which sums terms of size up to
   ~e^|z| to a result of size ~e^-Re z and so loses at most e^6 ulps;
-* Steed's continued fraction (Numerical Recipes, section 6.7; Thompson
-  and Barnett, J. Comput. Phys. 64, 490 (1986), for complex argument)
-  for every other z.  It converges for all Re z > 0, right up to the
-  imaginary axis, in fewer iterations the larger |z| is: at most about
-  100 just outside |z| = 3, under 30 beyond |z| = 12.5.
+* Gauss-Hermite quadrature for every other z.  DLMF 10.32.8 with t = s^2
+  writes e^z K_0 and e^z K_1 as integrals over the real line of e^(-s^2)
+  times functions analytic in a strip of half-width at least sqrt|z|,
+  so one fixed rule (21 nodes of the 56-point rule, ``_K_NODES``)
+  converges at every such z, and its terms (positive for real z) do not
+  cancel.  Against mpmath, on 594 points with 3 < |z| <= 1000 from the
+  real axis to 1e-9 off the imaginary one and in the lower half-plane,
+  the seeds lie within 8.3e-16.  Its cost does not depend on z: a
+  scalar call of the K entry point costs 15-17 us, and 2000 lanes cost
+  2.2-2.5 ms (shared 2-vCPU x86-64 machine).
 
 All K evaluation is done internally on the exponentially scaled function
 e^z K_n(z), which stays representable for Re z far beyond the point
@@ -61,8 +66,9 @@ conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
 the basis built from these functions live in ``radial_basis``.
 
 Each function comes in two evaluation forms, and each regime is written
-once for both.  Given one argument, a regime runs interpreter arithmetic
-and leaves its loop when its convergence test passes.  The lane kernels
+once for both.  Given one argument, a regime runs interpreter arithmetic;
+where it has a convergence test it leaves its loop when the test passes,
+and the K quadrature always sums its 21 nodes.  The lane kernels
 (``bessel_j_over_power_lanes``, ``bessel_k_scaled_lanes``) take a 1-D
 array, pick each lane's regime by mask, and run the same statements on
 arrays: a lane keeps its values from the step at which its own test
@@ -78,10 +84,10 @@ The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
 evaluate one energy at one radius at a time.  Measured on the matching
 matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and (6000, 100, 8)
-(2-core x86-64 machine), one point costs 0.5-1.0 ms through the lanes
-against 56-82 us through the scalar kernels, while a 2000-point scan
-grid costs 3.2-5.8 ms through the lanes against 114-156 ms point by
-point.
+(shared 2-vCPU x86-64 machine; the ranges span three repeated runs),
+one point costs 0.6-1.0 ms through the lanes against 67-108 us through
+the scalar kernels, while a 2000-point scan grid costs 4.2-8.1 ms
+through the lanes against 170-240 ms point by point.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DomainError, NoConvergence, OrderCapExceeded
+from .errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 
 ORDER_CAP = 64
 J_ARGUMENT_CAP = 200.0
@@ -104,7 +110,33 @@ EULER_GAMMA = 0.5772156649015328606
 _J_SERIES_RADIUS = 2.0
 _J_HANKEL_RADIUS = 25.0
 _K_SERIES_RADIUS = 3.0
-_CF_MAX_ITER = 20000
+
+# the 56-point Gauss-Hermite rule folded onto its 28 positive nodes s, as
+# (t, w) = (s^2, twice the weight of s), keeping the 21 with
+# w (1 + t) > 1e-18 w_0; the integrands of _k01_quadrature are even in s
+_K_NODES = (
+    (0.02183595942166429, 0.5783501686702966),
+    (0.19662501675605396, 0.4859785419854475),
+    (0.5467457595545774, 0.3429544952425431),
+    (1.073292764692549, 0.20303878543597345),
+    (1.7779315886935154, 0.10067679484963173),
+    (2.6629283184247887, 0.04171714828031564),
+    (3.7311909350139647, 0.014404104464082102),
+    (4.986324374557585, 0.004129495127206275),
+    (6.432701921917829, 0.0009787458713140975),
+    (8.075556568667016, 0.00019079198209554608),
+    (9.92109731942131, 3.040216298456891e-05),
+    (11.97665731809708, 3.9315068008019425e-06),
+    (14.250883359461472, 4.0908929072921536e-07),
+    (16.753980285337462, 3.3908648511983946e-08),
+    (19.49802964803646, 2.2124013953764334e-09),
+    (22.49741105007469, 1.1202795700936892e-10),
+    (25.769368816152557, 4.328385177002464e-12),
+    (29.334789869091175, 1.2500891259504768e-13),
+    (33.219297919270076, 2.6317122502794006e-15),
+    (37.45483826846007, 3.913852357129493e-17),
+    (42.08205580020674, 3.951333623078096e-19),
+)
 
 # Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
 # of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
@@ -387,47 +419,27 @@ def _k01_series(z) -> tuple:
     return scale * k0, scale * k1
 
 
-def _k01_cf2(z) -> tuple:
-    """(e^z K_0, e^z K_1) by Steed's continued fraction, Re z > 0; ``z``
-    is a complex or a 1-D array of lanes."""
-    lanes = _Lanes() if isinstance(z, np.ndarray) and z.ndim else None
-    lib = np if lanes else cmath
-    b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    h = d
-    delta_h = d
-    q_prev = 0.0 + 0.0j
-    q_here = 1.0 + 0.0j
-    a1 = 0.25
-    q = a1 + 0.0j
-    c = a1 + 0.0j
-    a = -a1
-    s = 1.0 + q * delta_h
-    for i in range(2, _CF_MAX_ITER):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        q_next = (q_prev - b * q_here) / a
-        q_prev = q_here
-        q_here = q_next
-        q = q + c * q_next
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delta_h = (b * d - 1.0) * delta_h
-        h = h + delta_h
-        delta_s = q * delta_h
-        s = s + delta_s
-        passed = abs(delta_s) < 1e-16 * abs(s)
-        if lanes.settle(passed, h, s) if lanes else passed:
-            break
-    else:
-        bad = z[lanes.live][0] if lanes else z
-        raise NoConvergence(f"K continued fraction stalled at z = {bad!r}")
-    if lanes:
-        h, s = lanes.values(h, s)
-    h = a1 * h
-    k0 = lib.sqrt(math.pi / (2.0 * z)) / s
-    k1 = k0 * (z + 0.5 - h) / z
-    return k0, k1
+def _k01_quadrature(z) -> tuple:
+    """(e^z K_0, e^z K_1) by Gauss-Hermite quadrature, Re z > 0; ``z`` is a
+    complex or a 1-D array of lanes.
+
+    DLMF 10.32.8 with t = s^2 gives, over the whole real line,
+
+        e^z K_0(z) = (2z)^(-1/2) int e^(-s^2) (1 + s^2/2z)^(-1/2) ds,
+        e^z K_1(z) = (2/z)^(1/2) int e^(-s^2) s^2 (1 + s^2/2z)^(1/2) ds.
+
+    The integrands are analytic in a strip of half-width at least sqrt|z|
+    about the real line, so the fixed rule of ``_K_NODES`` converges at
+    every |z| > 3: a loop over the nodes, with no convergence test.
+    """
+    lib = np if isinstance(z, np.ndarray) and z.ndim else cmath
+    u = 0.5 / z
+    s0 = s1 = 0.0
+    for t, w in _K_NODES:
+        root = lib.sqrt(1.0 + t * u)
+        s0 = s0 + w / root
+        s1 = s1 + (w * t) * root
+    return s0 / lib.sqrt(2.0 * z), s1 * lib.sqrt(2.0 / z)
 
 
 def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
@@ -445,7 +457,7 @@ def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex
     conjugated = z.imag < 0.0
     if conjugated:
         z = z.conjugate()
-    k0, k1 = (_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_cf2)(z)
+    k0, k1 = (_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_quadrature)(z)
     seq = [k0, k1]
     for n in range(1, n_abs_max):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
@@ -486,7 +498,7 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     # lanes that have converged keep iterating; what they compute is
     # discarded, so its overflow is too
     with np.errstate(all="ignore"):
-        for lanes, seeds in ((series, _k01_series), (~series, _k01_cf2)):
+        for lanes, seeds in ((series, _k01_series), (~series, _k01_quadrature)):
             if lanes.any():
                 k0[lanes], k1[lanes] = seeds(z[lanes])
         seq = [k0, k1]

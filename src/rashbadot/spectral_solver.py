@@ -218,6 +218,13 @@ def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
     return out
 
 
+def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
+    return ArgumentOutOfRange(
+        f"no level in the order-0 channel of {params}, which binds one in every well: "
+        f"its binding energy lies below WINDOW_MARGIN = {WINDOW_MARGIN}"
+    )
+
+
 def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> EnergySpectrum:
     """Enumerate all bound-state energies inside the window.
 
@@ -228,6 +235,11 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     is a valid result.  A window that double precision cannot resolve
     (beta^2 overflows, or the float spacing at its edges exceeds
     ``WINDOW_MARGIN``) raises ``ArgumentOutOfRange``.
+
+    At beta = 0 the channel of order 0 (u for m = 0, w for m = -1) binds
+    a level in every well.  A scan of the whole window that finds none
+    there raises ``ArgumentOutOfRange``: the level lies within
+    ``WINDOW_MARGIN`` of the window top, which the scan does not reach.
     """
     if scan is None:
         scan = ScanSpec()
@@ -239,14 +251,18 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             f"window {window} of {params} does not resolve its margin {WINDOW_MARGIN} "
             "in double precision"
         )
+    whole = (a, b)
     if scan.e_min is not None:
         a = max(a, scan.e_min)
     if scan.e_max is not None:
         b = min(b, scan.e_max)
-    if not a < b:
-        return EnergySpectrum(params=params, levels=(), window=window)
-
     coupled = params.beta != 0.0
+    # the scanned channel that must hold a level, if any
+    binding = None if coupled or (a, b) != whole else {0: 0, -1: 1}.get(params.m)
+    if not a < b:
+        if binding is not None:
+            raise _lost_binding_level(params)
+        return EnergySpectrum(params=params, levels=(), window=window)
 
     def values_at(e: float | np.ndarray) -> np.ndarray:
         """Scan values at the energies e: (channels,) at a float,
@@ -266,6 +282,8 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     roots: list[float] = []
     for channel, values in enumerate(scanned):
         at_node, brackets = _scan_roots(grid, values)
+        if channel == binding and not (at_node or brackets):
+            raise _lost_binding_level(params)
         roots.extend(at_node)
 
         # channel bound as a default: a wrapper of refine_root may keep f

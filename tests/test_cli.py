@@ -170,6 +170,14 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_shallow_well_is_a_numerical_failure(self, capsys):
+        # its binding level lies within WINDOW_MARGIN of the window top:
+        # not an empty spectrum
+        code, out, err = run_cli(capsys, "spectrum", "--v", "0.15", "--beta", "0", "--m", "0")
+        assert code == 3
+        assert out == ""
+        assert "WINDOW_MARGIN" in err
+
     @pytest.mark.parametrize("beta", ["1e10", "1e200"])
     def test_unresolved_window_is_a_numerical_failure(self, capsys, beta):
         # beta^2 / 4 = 2.5e19 leaves a window of width 25 below the float

@@ -11,6 +11,7 @@ from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
     ORDER_CAP,
+    _K_NODES,
     _j_miller,
     bessel_j_many,
     bessel_j_over_power,
@@ -348,7 +349,7 @@ class TestBesselK:
             assert scaled[n] == pytest.approx(plain[n] * cmath.exp(z), rel=1e-13)
 
     # points in both seed regimes and beside their boundary |z| = 3: the
-    # log series (|z| <= 3), Steed's continued fraction (|z| > 3, from
+    # log series (|z| <= 3), the Gauss-Hermite quadrature (|z| > 3, from
     # near the imaginary axis to |z| = 1000), and the lower half-plane
     LANE_POINTS = (
         1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j, 2.0000001 + 0j,
@@ -372,6 +373,29 @@ class TestBesselK:
                 tol = max(tol, 2.0**-52 * math.exp(abs(z) + z.real))
             for n in orders:
                 assert abs(lanes[n][i] - scalar[n]) <= tol * abs(scalar[n])
+
+    def test_quadrature_lane_is_the_same_alone_and_in_a_batch(self):
+        # a lane does its own arithmetic whatever its batch-mates are: the
+        # quadrature lanes of a 2000-lane grid over both seed regimes and
+        # both half-planes equal the same lanes asked for alone, bit for bit
+        rng = np.random.default_rng(17)
+        zs = rng.uniform(0.1, 40.0, 2000) * np.exp(1j * rng.uniform(-1.5, 1.5, 2000))
+        orders = range(0, 3)
+        batch = bessel_k_scaled_lanes(orders, zs)
+        far = np.flatnonzero(np.abs(zs) > 3.0)
+        for i in far[::15]:
+            alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
+            assert all(alone[n][0] == batch[n][i] for n in orders)
+
+    def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
+        # the 56-point rule folded onto its positive nodes as (s^2, 2 w),
+        # keeping the nodes with w (1 + t) > 1e-18 w_0
+        s, weights = np.polynomial.hermite.hermgauss(56)
+        positive = s > 0.0
+        t, w = s[positive] ** 2, 2.0 * weights[positive]
+        keep = w * (1.0 + t) > 1e-18 * w[0]
+        assert tuple(zip(t[keep].tolist(), w[keep].tolist())) == _K_NODES
+        assert len(_K_NODES) == 21
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(DomainError):
@@ -483,3 +507,21 @@ class TestLiveHighPrecisionOracle:
                 got = k_kernel(n, complex(re, im))
                 ref = complex(mp.besselk(n, mp.mpc(re, im)))
                 assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_k_seeds_beyond_the_series(self):
+        # e^z K_0 and e^z K_1 from the quadrature, 3 < |z| <= 1000, from the
+        # real axis to 1e-9 off the imaginary one and in the lower half-plane
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        half_pi = 0.5 * math.pi
+        for size in (3.0000001, 3.2, 4.5, 8.0, 12.5, 30.0, 100.0, 400.0, 1000.0):
+            for angle in (
+                0.0, 0.3, 0.8, 1.2, 1.5, half_pi - 1e-6, half_pi - 1e-9,
+                -0.7, -1.5, -(half_pi - 1e-9),
+            ):
+                z = cmath.rect(size, angle)
+                got = bessel_k_scaled_many((0, 1), z)
+                exact = mp.mpc(z.real, z.imag)
+                for n in (0, 1):
+                    ref = complex(mp.besselk(n, exact) * mp.exp(exact))
+                    assert abs(got[n] - ref) <= 2e-15 * abs(ref), (n, z)

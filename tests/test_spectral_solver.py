@@ -208,6 +208,20 @@ class TestFindSpectrum:
         spectrum = find_spectrum(DotParameters(v=25.0, beta=0.0, m=8))
         assert spectrum.levels == ()
 
+    @pytest.mark.parametrize("v,m", [(0.15, 0), (0.1, -1), (1e-9, 0)], ids=str)
+    def test_shallow_binding_channel_raises(self, v, m):
+        # at beta = 0 the order-0 channel binds in every well; below v of
+        # about 0.2 its level lies within WINDOW_MARGIN of the window top,
+        # and at v = 1e-9 the window is narrower than its two margins
+        with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
+            find_spectrum(DotParameters(v=v, beta=0.0, m=m))
+
+    def test_shallow_binding_level_found(self):
+        assert len(find_spectrum(DotParameters(v=0.3, beta=0.0, m=0)).levels) == 1
+        # a clamped scan need not reach the binding level
+        clamped = ScanSpec(e_max=0.1)
+        assert find_spectrum(DotParameters(v=0.15, beta=0.0, m=0), clamped).levels == ()
+
     def test_structural_zero_not_reported(self):
         # e = 0 makes the lower interior wave number vanish for m not in
         # {0, -1}; dividing its wave by k^q removes the zero of order q

@@ -1,13 +1,17 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
-Bessel regime is written once, and one function picks the J regime."""
+Bessel regime is written once, one function picks the J regime, and
+importing the package leaves ``numpy.polynomial`` unloaded."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
+import rashbadot
 from rashbadot import numerics, radial_basis, spectral_solver, wavefunction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +89,15 @@ def test_j_regime_split_is_read_in_one_function():
             if isinstance(node, ast.Name) and node.id == constant
         }
         assert readers == {"_j_split"}, constant
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the K quadrature nodes are literal constants: building them with
+    # numpy.polynomial at import would load it and raise peak memory
+    source = str(Path(rashbadot.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {source!r}); import rashbadot; "
+        "sys.exit(int('numpy.polynomial' in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
