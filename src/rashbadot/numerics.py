@@ -1,9 +1,12 @@
 """Problem-agnostic numerical kernels.
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style), the kernel of 4x4 systems by singular value
-decomposition, and adaptive Gauss-Legendre quadrature over finite panels
-plus exponentially decaying tails.
+acceleration, Brent style) from an optional first guess, the root of
+the polynomial interpolating a set of samples (a proxy that supplies
+such a guess from values already computed, in the spirit of Boyd's
+proxy root-finding, SIAM Review 55, 375 (2013)), the kernel of 4x4
+systems by singular value decomposition, and adaptive Gauss-Legendre
+quadrature over finite panels plus exponentially decaying tails.
 
 All functions are pure and thread-safe.
 """
@@ -14,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,12 +45,15 @@ QUAD_ABS_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Bracket:
-    """A sign-change interval: lo < hi and f_lo * f_hi < 0."""
+    """A sign-change interval: lo < hi and f_lo * f_hi < 0, with an
+    optional estimate ``guess`` of the root.  A guess that does not lie
+    strictly inside (lo, hi), NaN included, is ignored."""
 
     lo: float
     hi: float
     f_lo: float
     f_hi: float
+    guess: float = math.nan
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
@@ -55,7 +61,10 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
 
     Uses Brent's method: the sign change is never lost, and secant /
     inverse-quadratic steps accelerate convergence when they behave.
-    Deterministic for identical inputs.
+    When ``bracket.guess`` lies strictly inside the bracket, the first
+    evaluation is there; from then on it is the same iteration with the
+    same stopping rule, so a poor guess costs steps, never the sign
+    change.  Deterministic for identical inputs.
     """
     if tol <= 0.0:
         raise InvalidInput("tol must be positive")
@@ -66,6 +75,10 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
 
     c, fc = a, fa
     d = e = b - a
+    if a < bracket.guess < b:
+        # the guess is the first iterate; the contrapoint follows its sign
+        a, fa = b, fb
+        b, fb = bracket.guess, f(bracket.guess)
     for _ in range(ROOT_ITERATION_CAP):
         if fb * fc > 0.0:
             c, fc = a, fa
@@ -105,6 +118,44 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise NoConvergence(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
+
+
+def interpolant_root(
+    nodes: Sequence[float], values: Sequence[float], lo: float, hi: float
+) -> float:
+    """Root in [lo, hi] of the polynomial through (nodes, values), at
+    distinct nodes.
+
+    The interpolant is built in Newton form from divided differences
+    and refined by :func:`refine_root` to machine precision, so no call
+    of the sampled function is made.  Returns NaN when the interpolant
+    shows no sign change on [lo, hi].  The result is an estimate of the
+    sampled function's root, to pass on as ``Bracket.guess``: it is
+    certified by nothing.
+    """
+    coefficients = list(values)
+    if len(nodes) != len(coefficients) or not nodes:
+        raise InvalidInput("need equally many nodes and values, at least one")
+    count = len(nodes)
+    for order in range(1, count):
+        for i in range(count - 1, order - 1, -1):
+            coefficients[i] = (coefficients[i] - coefficients[i - 1]) / (
+                nodes[i] - nodes[i - order]
+            )
+    # nested form: c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...))
+    steps = list(zip(coefficients[-2::-1], nodes[-2::-1]))
+    top = coefficients[-1]
+
+    def interpolant(x: float) -> float:
+        acc = top
+        for coefficient, node in steps:
+            acc = acc * (x - node) + coefficient
+        return acc
+
+    f_lo, f_hi = interpolant(lo), interpolant(hi)
+    if not (lo < hi and f_lo * f_hi < 0.0):
+        return math.nan
+    return refine_root(interpolant, Bracket(lo, hi, f_lo, f_hi), math.ulp(hi - lo))
 
 
 def nullspace_4x4(matrix) -> np.ndarray:

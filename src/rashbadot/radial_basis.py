@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,14 +102,12 @@ class DotParameters:
         return (-quarter, self.v - quarter)
 
 
-@dataclass(frozen=True)
-class InteriorWaveNumbers:
+class InteriorWaveNumbers(NamedTuple):
     k_plus: float
     k_minus: float
 
 
-@dataclass(frozen=True)
-class RadialWave:
+class RadialWave(NamedTuple):
     """One basis wave at the orders n = m and m + 1, stored divided by
     ``divisor`` (true value = value * divisor), with its first radial
     derivatives and, on request, its second ones (``curvature``,

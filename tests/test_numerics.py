@@ -17,10 +17,13 @@ from rashbadot.numerics import (
     Bracket,
     integrate_panel,
     integrate_tail,
+    interpolant_root,
     nullspace_4x4,
     refine_root,
 )
 from rashbadot.special_functions import bessel_j_over_power
+
+EPS = np.finfo(float).eps
 
 
 def bracket_of(f, lo, hi):
@@ -79,6 +82,59 @@ class TestRefineRoot:
         b = Bracket(lo, hi, f(lo), f(hi))
         root = refine_root(f, b, 1e-12)
         assert abs(root - math.pi / 2.0) < 1e-11
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.floats(min_value=-0.999, max_value=0.999),
+        steep=st.floats(min_value=1e-3, max_value=1e3),
+        guess=st.one_of(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-1.0, 1.0, math.nan]),
+        ),
+        tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]),
+    )
+    def test_any_guess_keeps_the_sign_change(self, root, steep, guess, tol):
+        # inside, outside, at an end or NaN: the result is still within
+        # the stopping width of a sign change of a monotone f
+        def f(x):
+            t = steep * (x - root)
+            return t * (1.0 + t * t)
+
+        bracket = Bracket(-1.0, 1.0, f(-1.0), f(1.0), guess)
+        found = refine_root(f, bracket, tol)
+        assert -1.0 <= found <= 1.0
+        assert abs(found - root) <= tol + 4.0 * EPS * max(abs(found), abs(root))
+
+    def test_guess_inside_is_the_first_evaluation(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        assert refine_root(f, Bracket(-1.0, 2.0, -1.3, 1.7, 0.3), 1e-12) == 0.3
+        assert calls == [0.3]
+
+
+class TestInterpolantRoot:
+    def test_cubic_root_from_twelve_samples(self):
+        def cubic(x):
+            return (x - 1.2345678901234) * (x + 3.0) * (x - 7.5)
+
+        nodes = [0.1 * i + 0.7 for i in range(12)]
+        values = [cubic(x) for x in nodes]
+        assert abs(interpolant_root(nodes, values, 1.2, 1.3) - 1.2345678901234) < 1e-14
+
+    def test_no_sign_change_of_the_interpolant_gives_nan(self):
+        nodes = [0.0, 1.0, 2.0]
+        assert math.isnan(interpolant_root(nodes, [1.0, 2.0, 5.0], 0.0, 1.0))
+        # an empty or reversed interval holds no root either
+        assert math.isnan(interpolant_root(nodes, [-1.0, 2.0, 5.0], 1.0, 0.0))
+
+    def test_mismatched_samples(self):
+        with pytest.raises(InvalidInput):
+            interpolant_root([0.0, 1.0], [1.0], 0.0, 1.0)
 
 
 class TestNullspace:

@@ -82,6 +82,14 @@ class TestMatchMatrix:
         with pytest.raises(WindowViolation):
             match_matrix(params, 25.0)
 
+    def test_nan_energy_is_a_window_violation(self):
+        # NaN compares false with both window ends, at a float and in a
+        # lane; the window check itself rejects it, not a later wave number
+        params = DotParameters(v=25.0, beta=0.0, m=0)
+        for e in (math.nan, np.array([1.0, math.nan, 2.0])):
+            with pytest.raises(WindowViolation, match="e = nan outside open window"):
+                equilibrated_matrix(params, e)
+
     def test_window_message_names_the_first_offending_energy(self):
         # a violation on a scan grid names one energy, not the whole grid
         params = DotParameters(v=25.0, beta=0.0, m=0)
@@ -396,6 +404,30 @@ class TestFindSpectrum:
             monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", chunk)
             split = find_spectrum(params, scan)
             assert split.levels == whole.levels
+
+    def test_seeded_refinement_is_cheap_on_the_reference_rows(self, monkeypatch):
+        # each bracket carries the root of the polynomial through the scan
+        # samples around it, so Brent needs few determinant evaluations
+        # (3.96 a level when every refinement started from the bracket ends)
+        refine_root = spectral_solver.refine_root
+        evaluations, brackets = [0], [0]
+
+        def counted(f, bracket, tol):
+            brackets[0] += 1
+
+            def evaluated(e):
+                evaluations[0] += 1
+                return f(e)
+
+            return refine_root(evaluated, bracket, tol)
+
+        monkeypatch.setattr(spectral_solver, "refine_root", counted)
+        levels = sum(
+            len(find_spectrum(DotParameters(row.v, row.beta, row.m)).levels)
+            for row in REFERENCE_ROWS
+        )
+        assert brackets[0] == levels == 139
+        assert evaluations[0] <= 2.5 * levels
 
     @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
     def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):
