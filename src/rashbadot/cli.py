@@ -102,7 +102,12 @@ def _spectrum(params: DotParameters, args) -> EnergySpectrum:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument("--grid", type=int, default=2000, help="scan grid points")
+    parser.add_argument(
+        "--grid",
+        type=int,
+        default=ScanSpec().grid_points,
+        help="scan grid points, uniform in the interior wave number",
+    )
     parser.add_argument("--tol", type=float, default=1e-12, help="root refinement tolerance")
 
 

@@ -34,10 +34,11 @@ trial values peak near 1.1e81 and their normalization sum near 1.9e81
 that is not finite all the same raises ``ArgumentOutOfRange``.
 
 Hankel's regime would serve any x, but ``J_ARGUMENT_CAP`` stays at 200:
-beyond it lie wells whose levels the fixed 2000-point scan of
-``spectral_solver`` cannot all resolve, and the cap is what makes them
-fail loudly.  Widening it waits for a level count that does not depend
-on the scan grid.
+beyond it lie wells whose levels the default 1000-point scan of
+``spectral_solver`` has not been shown to resolve (its step in the
+interior wave number grows with the well's depth), and the cap is what
+makes them fail loudly.  Widening it waits for a level count that does
+not depend on the scan grid.
 
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is

@@ -41,6 +41,11 @@ normalized by its own column norms and scanned separately, so that
 degenerate channel roots are not lost to an even-order touch of the
 product.
 
+The scan grid (:func:`scan_grid`) is uniform in the interior wave
+number s = sqrt(e + beta^2/4), in which the levels, near zeros of
+J_n(k_+/- r), are spaced about evenly; on the reference rows and on
+deep wells its 1000 points put the closest adjacent levels 13 grid
+steps apart, where 2000 points uniform in e put them 1.5 steps apart.
 The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
 takes a float or a 1-D array of energies, and the grid goes through it
 in chunks of ``SCAN_CHUNK`` points (one chunk at the default grid; the
@@ -59,9 +64,10 @@ grid), which ``numerics.interpolant_root`` finds without evaluating
 the determinant.  The guess is not trusted: Brent keeps the sign change
 and its stopping rule, so each level is still certified to within
 ``refine_tol``, and a poor guess only costs steps.  Seeded, a level
-costs 2.12 determinant evaluations on the reference table and 2.70 on
-deep wells, against 3.96 and 4.61 from the bracket ends alone; the
-guess costs about a third of one evaluation.
+costs 2.20 determinant evaluations on the reference table and 2.57 on
+deep wells, against 4.12 and 4.78 from the bracket ends alone (12
+nodes gave 3.14 on deep wells, and nodes in s instead of e save
+nothing); the guess costs about a third of one evaluation.
 """
 
 from __future__ import annotations
@@ -86,19 +92,26 @@ SCAN_CHUNK = 2000
 GRID_POINTS_CAP = 1_000_000
 # scan samples per bracket whose interpolating polynomial seeds its
 # refinement; fewer than the smallest grid
-PROXY_NODES = 12
+PROXY_NODES = 16
 
 
 @dataclass(frozen=True)
 class ScanSpec:
     """Grid density and refinement tolerances for the spectrum search.
 
-    ``e_min``/``e_max`` optionally clamp the scan to a sub-range of the
-    window (useful for very deep wells, where resolving the full window
-    would need an enormous grid); they never widen it.
+    ``grid_points`` scan energies are spread uniformly in the interior
+    wave number (:func:`scan_grid`).  ``refine_tol`` is the width to which
+    Brent's method closes each sign-change bracket.  It bounds the error
+    of a level only as far as the determinant resolves its root: on deep
+    wells the determinant's rounding noise spans a few 1e-12 in e around
+    a level, and scans on 200 and 20000 grid points gave levels of the
+    same wells up to 3.6e-12 apart.  ``e_min``/``e_max`` optionally clamp
+    the scan to a sub-range of the window (useful for very deep wells,
+    where resolving the full window would need an enormous grid); they
+    never widen it.
     """
 
-    grid_points: int = 2000
+    grid_points: int = 1000
     refine_tol: float = 1e-12
     e_min: float | None = None
     e_max: float | None = None
@@ -233,6 +246,20 @@ def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list
     return at_node, brackets
 
 
+def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
+    """The scan energies: ``points`` of them from ``a`` to ``b``, both
+    exact, uniform in the interior wave number s = sqrt(e + beta^2/4).
+
+    The levels sit near zeros of J_n(k_+/- r), which McMahon's expansion
+    (DLMF 10.21(vi)) spaces about evenly in s; a grid uniform in e would
+    crowd the window top and starve the deep levels."""
+    quarter = 0.25 * beta * beta
+    s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
+    grid = s * s - quarter
+    grid[0], grid[-1] = a, b
+    return grid
+
+
 def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
     out: list[float] = []
     for value in sorted_values:
@@ -251,8 +278,10 @@ def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
 def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> EnergySpectrum:
     """Enumerate all bound-state energies inside the window.
 
-    Sign-change brackets of the scale-free determinant on a uniform grid
-    are refined to ``scan.refine_tol``.  A root that the grid does not
+    Sign-change brackets of the scale-free determinant on the grid of
+    :func:`scan_grid`, uniform in the interior wave number between the
+    margin-shrunk and clamped window ends, are refined to
+    ``scan.refine_tol``.  A root that the grid does not
     resolve (two close levels within one grid step, or an even-order
     touch) gives no sign change and is not reported.  An empty spectrum
     is a valid result.  A window that double precision cannot resolve
@@ -295,11 +324,10 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             return np.linalg.det(matrix)[None]
         return np.stack((_channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)))
 
-    n = scan.grid_points
-    grid = a + np.arange(n) * ((b - a) / (n - 1))
-    grid[-1] = b
+    grid = scan_grid(a, b, params.beta, scan.grid_points)
     scanned = np.concatenate(
-        [values_at(grid[i : i + SCAN_CHUNK]) for i in range(0, n, SCAN_CHUNK)], axis=1
+        [values_at(grid[i : i + SCAN_CHUNK]) for i in range(0, len(grid), SCAN_CHUNK)],
+        axis=1,
     )
 
     roots: list[float] = []

@@ -14,6 +14,7 @@ from rashbadot.spectral_solver import (
     equilibrated_matrix,
     find_spectrum,
     match_matrix,
+    scan_grid,
     spectral_determinant,
 )
 
@@ -346,7 +347,7 @@ class TestFindSpectrum:
         assert spec.grid_points == 2000 and type(spec.grid_points) is int
         # the float spec scans the int spec's grid
         params = DotParameters(v=25.0, beta=0.0, m=0)
-        assert find_spectrum(params, spec) == find_spectrum(params, ScanSpec())
+        assert find_spectrum(params, spec) == find_spectrum(params, ScanSpec(grid_points=2000))
 
     @pytest.mark.parametrize(
         "field,value",
@@ -449,9 +450,7 @@ class TestFindSpectrum:
 
         lo, hi = params.window
         a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
-        n = ScanSpec().grid_points
-        grid = a + np.arange(n) * ((b - a) / (n - 1))
-        grid[-1] = b
+        grid = scan_grid(a, b, beta, ScanSpec().grid_points)
         matrix = equilibrated_matrix(params, grid)[0]
         if beta != 0.0:
             channels = [np.linalg.det(matrix)]
@@ -492,3 +491,61 @@ class TestFindSpectrum:
             warnings.simplefilter("error")
             for row in REFERENCE_ROWS:
                 find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("v,beta,m", [(25.0, 0.0, 0), (100.0, 2.0, 1), (1.0, -300.0, 0)])
+    @pytest.mark.parametrize("clamp", [(None, None), (0.3, 0.7), (-1.0, 0.8)], ids=str)
+    def test_strictly_increasing_with_exact_ends(self, monkeypatch, v, beta, m, clamp):
+        # the grid find_spectrum scans runs from the margin-shrunk window
+        # ends, clamped by e_min / e_max (which never widen it), and pins
+        # both ends exactly; clamp gives them as fractions of the window
+        params = DotParameters(v=v, beta=beta, m=m)
+        lo, hi = params.window
+        e_min, e_max = (None if f is None else lo + f * (hi - lo) for f in clamp)
+        a = lo + WINDOW_MARGIN if e_min is None else max(lo + WINDOW_MARGIN, e_min)
+        b = hi - WINDOW_MARGIN if e_max is None else min(hi - WINDOW_MARGIN, e_max)
+        build = spectral_solver.scan_grid
+        grids = []
+
+        def recorded(*args):
+            grids.append(build(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
+        find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
+        (grid,) = grids
+        assert len(grid) == ScanSpec().grid_points
+        assert grid[0] == a and grid[-1] == b
+        assert np.all(np.diff(grid) > 0.0)
+
+    def test_uniform_in_interior_wave_number(self):
+        beta = 12.0
+        grid = scan_grid(-35.0, 60.0, beta, 400)
+        steps = np.diff(np.sqrt(grid + 0.25 * beta * beta))
+        assert steps == pytest.approx(np.full(399, steps.mean()), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "v,beta,m",
+        [
+            # the wells whose adjacent levels lay closest on a 2000-point
+            # grid uniform in e, 1.46 to 1.64 of its steps apart
+            (9961.549810803253, 125.77606606560674, -2),
+            (9627.09760307169, 143.12709916931476, 5),
+            (9512.792778045305, 27.52841271669822, 0),
+            (9008.743815143705, 155.5570240698456, -12),
+            (2500.0, 100.0, -12),
+            (2500.0, 40.0, 12),
+            (6000.0, 100.0, 8),
+            (4000.0, 0.0, 3),
+        ],
+        ids=str,
+    )
+    def test_coarse_grid_keeps_every_deep_level(self, v, beta, m):
+        # deep levels lie about evenly in the interior wave number, so 200
+        # points uniform in it resolve every one a 20000-point scan finds
+        params = DotParameters(v=v, beta=beta, m=m)
+        fine = find_spectrum(params, ScanSpec(grid_points=20000)).levels
+        coarse = find_spectrum(params, ScanSpec(grid_points=200)).levels
+        assert len(coarse) == len(fine)
+        assert max(abs(x - y) for x, y in zip(coarse, fine)) < 1e-11
