@@ -8,8 +8,8 @@ regimes, split in ``_j_split`` alone (after Numerical Recipes, section
 * Hankel's asymptotic expansion of J_0 and J_1 (DLMF 10.17.3) and the
   upward recurrence J_{n+1} = (2n/x) J_n - J_{n-1} for |x| >= 25 and
   |x| > n_max + 2, where every row lies below x and the recurrence is
-  stable.  The expansion reaches 1e-18 within 22 terms at x = 25 and
-  11 at x = 100.  Against mpmath, on 252 x per n_max in that domain, the
+  stable.  The expansion reaches 1e-18 within 24 terms at x = 25 and
+  12 at x = 100.  Against mpmath, on 252 x per n_max in that domain, the
   rows lie within 6.7e-16 (n_max = 16) and 1.5e-15 (n_max = 64) of the
   largest row, where Miller's reach 5.5e-15;
 * backward (Miller) recurrence with the normalization
@@ -67,19 +67,21 @@ conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
 the basis built from these functions live in ``radial_basis``.
 
 Each function comes in two evaluation forms, and each regime is written
-once for both.  Given one argument, a regime runs interpreter arithmetic;
-where it has a convergence test it leaves its loop when the test passes,
-and the K quadrature always sums its 21 nodes.  The lane kernels
-(``bessel_j_over_power_lanes``, ``bessel_k_scaled_lanes``) take a 1-D
-array, pick each lane's regime by mask, and run the same statements on
-arrays: a lane keeps its values from the step at which its own test
-first passes (``_Lanes``), the loop ends when no lane is live, and each
-lane's Miller recurrence starts at its own index.  A lane therefore does
-the same arithmetic whatever its batch-mates are, and its value is
-bit-identical alone, in a chunk or in a full scan grid.  It agrees with
-the scalar form to rounding (numpy's complex arithmetic rounds
-differently from the interpreter's by an ulp, which the log series
-magnifies by its cancellation, at most e^6 at |z| = 3).
+once for both.  Given one argument, a regime runs interpreter arithmetic,
+and each series leaves its loop when its stopping rule passes.  The lane
+kernels (``bessel_j_over_power_lanes``, ``bessel_k_scaled_lanes``) take
+a 1-D array, pick each lane's regime by mask, and run the same
+statements on arrays with no stopping rule: each series sums a fixed
+number of terms, the count its rule needs at the regime's worst
+argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
+``_K_SERIES_TERMS``), the K quadrature its 21 nodes, and each lane's
+Miller recurrence starts at its own index.  A lane therefore does the
+same arithmetic whatever its batch-mates are, and its value is
+bit-identical alone, in a chunk or in a full scan grid.  The terms it
+sums past the scalar's stopping point lie below the rule's 1e-18, so it
+agrees with the scalar form to rounding (numpy's complex arithmetic
+rounds differently from the interpreter's by an ulp, which the log
+series magnifies by its cancellation, at most e^6 at |z| = 3).
 
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
@@ -112,6 +114,15 @@ _J_SERIES_RADIUS = 2.0
 _J_HANKEL_RADIUS = 25.0
 _K_SERIES_RADIUS = 3.0
 
+# the terms each series sums on lanes, and the most it sums for one
+# argument before its stopping rule passes: the count that rule needs at
+# the regime's worst argument, the J series at x = 2 (n = 0), Hankel's
+# expansion at x = 25 (in pairs of a Q and a P term) and the K log series
+# on |z| = 3
+_J_SERIES_TERMS = 13
+_J_HANKEL_PAIRS = 12
+_K_SERIES_TERMS = 15
+
 # the 56-point Gauss-Hermite rule folded onto its 28 positive nodes s, as
 # (t, w) = (s^2, twice the weight of s), keeping the 21 with
 # w (1 + t) > 1e-18 w_0; the integrands of _k01_quadrature are even in s
@@ -142,10 +153,10 @@ _K_NODES = (
 # Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
 # of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
 # with the sum's sign (-1)^floor(m/2) folded into the even steps; the odd
-# terms sum to Q, the even ones to P.  x = 25 needs 22 of the 30 steps.
+# terms sum to Q, the even ones to P.  x = 25 needs all 24 steps.
 _HANKEL_STEPS = tuple(
     tuple((4 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m) * (1 if m % 2 else -1) for nu in (0, 1))
-    for m in range(1, 31)
+    for m in range(1, 2 * _J_HANKEL_PAIRS + 1)
 )
 
 
@@ -158,37 +169,6 @@ def _check_j_orders(orders: list[int], power: int) -> None:
     _check_order(max(orders))
     if not 0 <= power <= min(orders):
         raise DomainError(f"power {power} outside 0 .. lowest order {min(orders)}")
-
-
-class _Lanes:
-    """The exit of a regime's loop over an array of arguments: each lane
-    keeps its values from the step at which its own convergence test first
-    passed, so it does the scalar's arithmetic whatever its batch-mates
-    are.  Lanes that have passed keep iterating, and what they compute
-    afterwards is discarded."""
-
-    def __init__(self, live: np.ndarray | bool = True) -> None:
-        self.live = live
-        self.held = None
-
-    def settle(self, passed: np.ndarray, *values: np.ndarray) -> bool:
-        """Hold ``values`` on the lanes whose test passed for the first
-        time at this step; True once no lane is live."""
-        first = passed & self.live
-        if self.held is None:
-            self.held = [value.copy() for value in values]
-        elif first.any():
-            for held, value in zip(self.held, values):
-                held[first] = value[first]
-        self.live = self.live & ~first
-        return not self.live.any()
-
-    def values(self, *values: np.ndarray) -> list[np.ndarray]:
-        """The held values; lanes still live when the loop ran out of
-        steps take ``values``, their last ones."""
-        for held, value in zip(self.held, values):
-            held[self.live] = value[self.live]
-        return self.held
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +191,23 @@ def _j_series(n_max: int, x, power: int) -> list:
         lead = lead * ((x if k > power else 1.0) / (2.0 * k))
         if k >= power:
             leads.append(lead)
-    if isinstance(x, np.ndarray):
-        # every order at once, the order a column; a leading term that
-        # underflowed is final, and its test would never pass
-        leads = np.array(leads)
-        sums = [(leads, np.arange(power, n_max + 1.0)[:, None])]
-        lanes = _Lanes(live=leads != 0.0)
+    lanes = isinstance(x, np.ndarray)
+    if lanes:
+        # every order at once, the order a column
+        sums = [(np.array(leads), np.arange(power, n_max + 1.0)[:, None])]
     else:
         sums = zip(leads, range(power, n_max + 1))
-        lanes = None
     q = -0.25 * x * x
     rows = []
     for total, n in sums:
         term = total
-        for k in range(1, 40):
+        for k in range(1, _J_SERIES_TERMS + 1):
             term = term * (q / (k * (n + k)))
             total = total + term
-            passed = abs(term) < 1e-18 * abs(total)
-            if lanes.settle(passed, total) if lanes else passed:
+            if not lanes and abs(term) < 1e-18 * abs(total):
                 break
         rows.append(total)
-    return lanes.values(*rows)[0] if lanes else rows
+    return rows[0] if lanes else rows
 
 
 def _j_miller(n_max: int, x, power: int) -> list:
@@ -282,7 +258,7 @@ def _j_hankel(n_max: int, x, power: int) -> list:
     J_{n+1} = (2n/x) J_n - J_{n-1}, which is stable for n < x (Numerical
     Recipes, section 6.5); x >= 25 and x > n_max + 2, and ``x`` is a float
     or a 1-D array of lanes."""
-    lanes = _Lanes() if isinstance(x, np.ndarray) else None
+    lanes = isinstance(x, np.ndarray)
     lib = np if lanes else math
     p0 = p1 = 1.0
     q0 = q1 = 0.0
@@ -296,11 +272,8 @@ def _j_hankel(n_max: int, x, power: int) -> list:
         t1 = t1 * (p1_step / x)
         p0 = p0 + t0
         p1 = p1 + t1
-        passed = abs(t0) + abs(t1) < 1e-18
-        if lanes.settle(passed, p0, q0, p1, q1) if lanes else passed:
+        if not lanes and abs(t0) + abs(t1) < 1e-18:
             break
-    if lanes:
-        p0, q0, p1, q1 = lanes.values(p0, q0, p1, q1)
     # J_nu = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
     # where cos w and sin w are sums of sin x and cos x over sqrt(2)
     sin, cos = lib.sin(x), lib.cos(x)
@@ -388,7 +361,7 @@ def bessel_j_over_power_lanes(
 def _k01_series(z) -> tuple:
     """(e^z K_0, e^z K_1) by the ascending log series; ``z`` is a complex
     or a 1-D array of lanes."""
-    lanes = _Lanes() if isinstance(z, np.ndarray) and z.ndim else None
+    lanes = isinstance(z, np.ndarray) and z.ndim > 0
     lib = np if lanes else cmath
     h = 0.25 * z * z
     log_half_z = lib.log(0.5 * z)
@@ -399,7 +372,7 @@ def _k01_series(z) -> tuple:
     s0 = 0.0 + 0.0j
     s1 = (1.0 - 2.0 * EULER_GAMMA) * t1
     harmonic = 0.0
-    for k in range(1, 130):
+    for k in range(1, _K_SERIES_TERMS + 1):
         t0 = t0 * (h / (k * k))
         t1 = t1 * (h / (k * (k + 1)))
         harmonic += 1.0 / k
@@ -408,11 +381,8 @@ def _k01_series(z) -> tuple:
         i1_sum = i1_sum + t1
         s0 = s0 + t0 * harmonic
         s1 = s1 + t1 * (harmonic + harmonic_next - 2.0 * EULER_GAMMA)
-        passed = abs(t0) * (harmonic_next + 1.0) < 1e-18 * (abs(s0) + abs(i0))
-        if lanes.settle(passed, i0, i1_sum, s0, s1) if lanes else passed:
+        if not lanes and abs(t0) * (harmonic_next + 1.0) < 1e-18 * (abs(s0) + abs(i0)):
             break
-    if lanes:
-        i0, i1_sum, s0, s1 = lanes.values(i0, i1_sum, s0, s1)
     i1 = 0.5 * z * i1_sum
     k0 = -(log_half_z + EULER_GAMMA) * i0 + s0
     k1 = 1.0 / z + log_half_z * i1 - 0.25 * z * s1
@@ -496,13 +466,13 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     series = np.abs(z) <= _K_SERIES_RADIUS
     k0 = np.empty_like(z)
     k1 = np.empty_like(z)
-    # lanes that have converged keep iterating; what they compute is
-    # discarded, so its overflow is too
+    for lanes, seeds in ((series, _k01_series), (~series, _k01_quadrature)):
+        if lanes.any():
+            k0[lanes], k1[lanes] = seeds(z[lanes])
+    seq = [k0, k1]
+    # only the order recurrence can overflow, which the finiteness check
+    # below reports as the scalar does
     with np.errstate(all="ignore"):
-        for lanes, seeds in ((series, _k01_series), (~series, _k01_quadrature)):
-            if lanes.any():
-                k0[lanes], k1[lanes] = seeds(z[lanes])
-        seq = [k0, k1]
         for n in range(1, n_abs_max):
             seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
     out = {}

@@ -247,25 +247,20 @@ def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list
 
 
 def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
-    """The scan energies: ``points`` of them from ``a`` to ``b``, both
-    exact, uniform in the interior wave number s = sqrt(e + beta^2/4).
+    """The scan energies, strictly increasing from ``a`` to ``b``, both
+    exact: ``points`` of them uniform in the interior wave number
+    s = sqrt(e + beta^2/4), less the repeats where a step in s maps below
+    the float spacing of e.
 
     The levels sit near zeros of J_n(k_+/- r), which McMahon's expansion
     (DLMF 10.21(vi)) spaces about evenly in s; a grid uniform in e would
     crowd the window top and starve the deep levels."""
     quarter = 0.25 * beta * beta
     s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
-    grid = s * s - quarter
+    # rounding can carry a node next to an end beyond it
+    grid = np.clip(s * s - quarter, a, b)
     grid[0], grid[-1] = a, b
-    return grid
-
-
-def _dedupe(sorted_values: list[float], tol: float) -> list[float]:
-    out: list[float] = []
-    for value in sorted_values:
-        if not out or value - out[-1] > tol:
-            out.append(value)
-    return out
+    return grid[np.diff(grid, prepend=-math.inf) > 0.0]
 
 
 def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
@@ -343,5 +338,4 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
         roots.extend(refine_root(channel_value, bracket, scan.refine_tol) for bracket in brackets)
 
-    levels = _dedupe(sorted(roots), max(10.0 * scan.refine_tol, 1e-11))
-    return EnergySpectrum(params=params, levels=tuple(levels), window=window)
+    return EnergySpectrum(params=params, levels=tuple(sorted(roots)), window=window)

@@ -11,7 +11,13 @@ from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
     ORDER_CAP,
+    _J_HANKEL_PAIRS,
+    _J_HANKEL_RADIUS,
+    _J_SERIES_RADIUS,
+    _J_SERIES_TERMS,
     _K_NODES,
+    _K_SERIES_RADIUS,
+    _K_SERIES_TERMS,
     _j_miller,
     bessel_j_many,
     bessel_j_over_power,
@@ -154,15 +160,18 @@ class TestBesselJ:
 
     def test_hankel_lane_is_the_same_alone_and_in_a_batch(self):
         # a lane does its own arithmetic whatever its batch-mates are: the
-        # Hankel lanes of a 2000-lane grid over all three regimes equal the
-        # same lanes asked for alone, bit for bit
-        xs = np.random.default_rng(13).uniform(-200.0, 200.0, 2000)
+        # lanes of a 2100-lane grid over all three regimes (Hankel beside
+        # series and Miller lanes) equal the same lanes asked for alone,
+        # bit for bit
+        rng = np.random.default_rng(13)
+        xs = np.concatenate([rng.uniform(-200.0, 200.0, 2000), rng.uniform(-2.0, 2.0, 100)])
         orders = range(12, 15)
         batch = bessel_j_over_power_lanes(orders, xs, 12)
-        deep = np.flatnonzero(np.abs(xs) >= 25.0)
-        for i in deep[::15]:
-            alone = bessel_j_over_power_lanes(orders, xs[i : i + 1], 12)
-            assert all(alone[n][0] == batch[n][i] for n in orders)
+        size = np.abs(xs)
+        for regime in (size <= 2.0, (2.0 < size) & (size < 25.0), size >= 25.0):
+            for i in np.flatnonzero(regime)[::15]:
+                alone = bessel_j_over_power_lanes(orders, xs[i : i + 1], 12)
+                assert all(alone[n][0] == batch[n][i] for n in orders)
 
     def test_miller_stays_finite_up_to_the_order_cap(self):
         # the recurrence carries no rescale: below the cap its trial values
@@ -249,6 +258,88 @@ def exterior_derivatives(m, e, v, beta):
         ]
 
     return derivatives
+
+
+def j_series_stop(x):
+    """The term at which the J series leaves its loop at x, the most over
+    the rows n = 0 .. ORDER_CAP: the first whose size is below 1e-18 of
+    the sum."""
+    stops = []
+    for n in range(ORDER_CAP + 1):
+        total = term = (0.5 * x) ** n / math.factorial(n)
+        for k in range(1, 100):
+            term *= -0.25 * x * x / (k * (n + k))
+            total += term
+            if abs(term) < 1e-18 * abs(total):
+                break
+        stops.append(k)
+    return max(stops)
+
+
+def hankel_stop(x):
+    """The pair of terms (of Q, then of P) at which Hankel's expansion of
+    J_0 and J_1 leaves its loop at x: the first whose P terms of J_0 and
+    J_1 sum in size below 1e-18."""
+    t = [1.0, 1.0]
+    for pair in range(1, 100):
+        for m in (2 * pair - 1, 2 * pair):
+            t = [t[nu] * (4 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m * x) for nu in (0, 1)]
+        if abs(t[0]) + abs(t[1]) < 1e-18:
+            break
+    return pair
+
+
+def k_series_stop(z):
+    """The term at which the K log series leaves its loop at z: the first
+    h^k / (k!)^2, h = z^2/4, whose size times H_(k+1) + 1 is below 1e-18
+    of |sum_k h^k H_k / (k!)^2| + |I_0(z)|."""
+    h = 0.25 * z * z
+    t0, i0, s0, harmonic = 1.0, 1.0, 0.0, 0.0
+    for k in range(1, 100):
+        t0 *= h / (k * k)
+        harmonic += 1.0 / k
+        i0 += t0
+        s0 += t0 * harmonic
+        if abs(t0) * (harmonic + 1.0 / (k + 1) + 1.0) < 1e-18 * (abs(s0) + abs(i0)):
+            break
+    return k
+
+
+# |z| = 3 from the real axis to the imaginary one, Re z > 0, Im z >= 0
+K_SERIES_EDGE = _K_SERIES_RADIUS * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 91)[:-1])
+
+
+@pytest.mark.parametrize(
+    "stop,count,edge,regime",
+    [
+        (
+            j_series_stop,
+            _J_SERIES_TERMS,
+            [_J_SERIES_RADIUS],
+            np.linspace(0.05, _J_SERIES_RADIUS, 40),
+        ),
+        (
+            hankel_stop,
+            _J_HANKEL_PAIRS,
+            [_J_HANKEL_RADIUS],
+            np.linspace(_J_HANKEL_RADIUS, 200.0, 41),
+        ),
+        (
+            k_series_stop,
+            _K_SERIES_TERMS,
+            K_SERIES_EDGE,
+            np.outer(np.linspace(0.05, 1.0, 20), K_SERIES_EDGE).ravel(),
+        ),
+    ],
+    ids=["j_series", "hankel", "k_series"],
+)
+def test_fixed_series_length_is_what_the_stopping_rule_needs(stop, count, edge, regime):
+    # on lanes each series sums a fixed count of terms; at its regime's
+    # worst argument, on the edge the regime split sets, the last of them
+    # is the first that meets the scalar's stopping rule, and no argument
+    # inside the regime needs more
+    assert max(stop(a) for a in edge) == count
+    assert max(stop(a) for a in regime) <= count
 
 
 class TestBesselJDerivative:
@@ -376,16 +467,17 @@ class TestBesselK:
 
     def test_quadrature_lane_is_the_same_alone_and_in_a_batch(self):
         # a lane does its own arithmetic whatever its batch-mates are: the
-        # quadrature lanes of a 2000-lane grid over both seed regimes and
-        # both half-planes equal the same lanes asked for alone, bit for bit
+        # quadrature and log-series lanes of a 2000-lane grid over both
+        # half-planes equal the same lanes asked for alone, bit for bit
         rng = np.random.default_rng(17)
         zs = rng.uniform(0.1, 40.0, 2000) * np.exp(1j * rng.uniform(-1.5, 1.5, 2000))
         orders = range(0, 3)
         batch = bessel_k_scaled_lanes(orders, zs)
-        far = np.flatnonzero(np.abs(zs) > 3.0)
-        for i in far[::15]:
-            alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
-            assert all(alone[n][0] == batch[n][i] for n in orders)
+        near = np.abs(zs) <= 3.0
+        for regime in (near, ~near):
+            for i in np.flatnonzero(regime)[::15]:
+                alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
+                assert all(alone[n][0] == batch[n][i] for n in orders)
 
     def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
         # the 56-point rule folded onto its positive nodes as (s^2, 2 w),

@@ -485,8 +485,8 @@ class TestFindSpectrum:
             find_spectrum(params)
 
     def test_reference_rows_emit_no_warnings(self):
-        # converged lanes keep iterating on discarded values; none of that
-        # may surface as a floating-point warning
+        # the lane K order recurrence may overflow inside np.errstate, which
+        # its finiteness check reports; no floating-point warning may surface
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for row in REFERENCE_ROWS:
@@ -494,12 +494,16 @@ class TestFindSpectrum:
 
 
 class TestScanGrid:
-    @pytest.mark.parametrize("v,beta,m", [(25.0, 0.0, 0), (100.0, 2.0, 1), (1.0, -300.0, 0)])
+    @pytest.mark.parametrize(
+        "v,beta,m", [(25.0, 0.0, 0), (100.0, 2.0, 1), (1.0, -300.0, 0), (1e-8, 399.0, 0)]
+    )
     @pytest.mark.parametrize("clamp", [(None, None), (0.3, 0.7), (-1.0, 0.8)], ids=str)
     def test_strictly_increasing_with_exact_ends(self, monkeypatch, v, beta, m, clamp):
         # the grid find_spectrum scans runs from the margin-shrunk window
         # ends, clamped by e_min / e_max (which never widen it), and pins
-        # both ends exactly; clamp gives them as fractions of the window
+        # both ends exactly; clamp gives them as fractions of the window.
+        # In the shallow well at beta = 399 some steps in s map below the
+        # float spacing of e near -beta^2/4, and their repeats are dropped
         params = DotParameters(v=v, beta=beta, m=m)
         lo, hi = params.window
         e_min, e_max = (None if f is None else lo + f * (hi - lo) for f in clamp)
@@ -515,9 +519,16 @@ class TestScanGrid:
         monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
         find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
         (grid,) = grids
-        assert len(grid) == ScanSpec().grid_points
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
+        # between the ends, every distinct inner node uniform in s, and
+        # only those
+        points = ScanSpec().grid_points
+        quarter = 0.25 * beta * beta
+        s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
+        nodes = np.unique(s[1:-1] * s[1:-1] - quarter)
+        assert np.array_equal(grid[1:-1], nodes[(a < nodes) & (nodes < b)])
+        assert (len(grid) < points) == (v < 1e-6)
 
     def test_uniform_in_interior_wave_number(self):
         beta = 12.0
