@@ -1,7 +1,8 @@
 """Problem-agnostic numerical kernels.
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style) from an optional first guess, the root of
+acceleration, Brent style) from an optional first guess, the narrowing
+of a bracket by the values either side of its guess, the root of
 the polynomial interpolating a set of samples (a proxy that supplies
 such a guess from values already computed, in the spirit of Boyd's
 proxy root-finding, SIAM Review 55, 375 (2013)), the kernel of 4x4
@@ -118,6 +119,34 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise NoConvergence(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
+
+
+def narrow_bracket(
+    bracket: Bracket, half_width: float, f_below: float, f_above: float
+) -> float | Bracket:
+    """Narrow ``bracket`` by the values ``f_below`` and ``f_above`` of its
+    function at guess - half_width and guess + half_width.
+
+    Values of opposite signs give the bracket between the two points,
+    which :func:`refine_root` closes at once when ``half_width`` is half
+    its ``tol``; values of one sign give the half of the bracket that
+    still holds the sign change, without a guess.  A value of exactly 0.0
+    returns its point as the root.  When the two points do not both lie
+    strictly inside the bracket (a NaN guess included), the bracket is
+    returned unchanged and the values are not read.
+    """
+    below, above = bracket.guess - half_width, bracket.guess + half_width
+    if not (bracket.lo < below and above < bracket.hi):
+        return bracket
+    if f_below == 0.0:
+        return below
+    if f_above == 0.0:
+        return above
+    if f_below * f_above < 0.0:
+        return Bracket(below, above, f_below, f_above)
+    if f_below * bracket.f_lo > 0.0:
+        return Bracket(above, bracket.hi, f_above, bracket.f_hi)
+    return Bracket(bracket.lo, below, bracket.f_lo, f_below)
 
 
 def interpolant_root(

@@ -146,16 +146,15 @@ def exterior_wave_numbers(
     return complex(math.sqrt(remaining), 0.5 * beta)
 
 
-def _wave(m: int, k: float | np.ndarray, r: float, second: bool) -> RadialWave:
-    """J_n(k r) / k^q at n = m, m + 1 from the orders q .. q + 3 of J
+def _wave(m: int, k: float | np.ndarray, r: float, table: dict, second: bool) -> RadialWave:
+    """J_n(k r) / k^q at n = m, m + 1 from ``table``, the orders q .. q + 2
+    (q .. q + 3 with ``second``) of J(k r) / (k r)^q
     (J_n = (-1)^n J_|n|, |n| >= q); the second derivative is
 
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
     q = min(abs(m), abs(m + 1))
     # J_j(kr) / k^q = r^q J_j(x) / x^q
-    j_over_power = bessel_j_over_power_lanes if isinstance(k, np.ndarray) else bessel_j_over_power
-    table = j_over_power(range(q, q + (4 if second else 3)), k * r, q)
     lift = r**q
     value, slope, curvature = [], [], []
     for n in (m, m + 1):
@@ -187,13 +186,25 @@ def interior_pair(
     With ``second`` the waves also carry their second radial derivatives;
     they need one more order of J, so only callers that use them ask.
 
-    ``e`` is a float, or a 1-D array of energies that the lane kernel of
-    J evaluates at once.
+    ``e`` is a float, or a 1-D array of N energies.  On an array the lane
+    kernel of J takes the 2N arguments (k_- r, k_+ r) in one call, whose
+    fixed cost is then paid once for both waves; each lane gives what it
+    would give in a call of its own.
     """
     if not r > 0.0:
         raise InvalidInput("r must be positive")
     k = interior_wave_numbers(e, beta)
-    return _wave(m, k.k_minus, r, second), _wave(m, k.k_plus, r, second)
+    q = min(abs(m), abs(m + 1))
+    orders = range(q, q + (4 if second else 3))
+    if isinstance(e, np.ndarray):
+        both = bessel_j_over_power_lanes(orders, np.concatenate((k.k_minus, k.k_plus)) * r, q)
+        size = len(k.k_minus)
+        minus = {n: lanes[:size] for n, lanes in both.items()}
+        plus = {n: lanes[size:] for n, lanes in both.items()}
+    else:
+        minus = bessel_j_over_power(orders, k.k_minus * r, q)
+        plus = bessel_j_over_power(orders, k.k_plus * r, q)
+    return _wave(m, k.k_minus, r, minus, second), _wave(m, k.k_plus, r, plus, second)
 
 
 def exterior_pair(

@@ -53,21 +53,30 @@ chunks keep memory flat for larger ones, up to ``GRID_POINTS_CAP``), as
 one ``np.linalg.det`` of the (N, 4, 4) stack or the two channel minors
 per chunk.  Sign changes are read from the value arrays; each energy is
 an independent lane of the special-function kernels, so they do not depend
-on the chunking.  Each bracket, of either channel at beta = 0, is then
-refined by Brent's method (``numerics.refine_root``) on the same values
-at one float energy at a time, which runs the scalar kernels: a
-refinement step needs one point, where a lane call would pay the lane
-kernels' per-step loop overhead.  Brent's first step goes to the
-bracket's ``guess``, the root of the polynomial through the
-``PROXY_NODES`` scan values centred on the bracket (clamped to the
-grid), which ``numerics.interpolant_root`` finds without evaluating
-the determinant.  The guess is not trusted: Brent keeps the sign change
-and its stopping rule, so each level is still certified to within
-``refine_tol``, and a poor guess only costs steps.  Seeded, a level
-costs 2.20 determinant evaluations on the reference table and 2.57 on
-deep wells, against 4.12 and 4.78 from the bracket ends alone (12
-nodes gave 3.14 on deep wells, and nodes in s instead of e save
-nothing); the guess costs about a third of one evaluation.
+on the chunking.  Each bracket, of either channel at beta = 0, carries a
+``guess``, the root of the polynomial through the ``PROXY_NODES`` scan
+values centred on the bracket (clamped to the grid), which
+``numerics.interpolant_root`` finds without evaluating the determinant.
+The guess is not trusted but certified: the values at guess -/+ h,
+h = refine_tol / 2, of every bracket of the spectrum (of both channels at
+beta = 0) go through the scan's chunked lane call once, and
+``numerics.narrow_bracket`` keeps the part of each bracket that holds its
+sign change.  Values of opposite signs leave a bracket refine_tol wide,
+which Brent's method (``numerics.refine_root``) then closes without an
+evaluation; values of one sign leave the half beyond them, without a
+guess; an exact 0.0 is a root at that energy, as at a grid node.  Each
+bracket is then refined by Brent's method at one float energy at a time,
+which runs the scalar kernels.  Brent's steps are sequential, and a lane
+call has a fixed cost of about ten scalar points (0.9 to 1.3 ms at 8
+lanes and 1.1 to 1.7 ms at 80, against 0.1 ms for one scalar point, on
+a 2-core x86-64 machine), so the one call that certifies every guess of a
+spectrum pays, where a lane call per Brent step would not.  Brent keeps
+the sign change and its stopping rule, so each level is still certified
+to within ``refine_tol``, and a poor guess only costs steps.  A level
+costs 0.30 scalar determinant evaluations on the reference table and
+1.08 on deep wells (``deep_sweep`` seed 1), besides the one lane call;
+Brent from the guess alone took 2.20 and 2.57, and from the bracket ends
+alone 4.12 and 4.78.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
-from .numerics import Bracket, interpolant_root, refine_root
+from .numerics import Bracket, interpolant_root, narrow_bracket, refine_root
 from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 
 # the one exterior function, under the name bench/tracer.py patches here
@@ -265,7 +274,7 @@ def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
 
 def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
     return ArgumentOutOfRange(
-        f"no level in the order-0 channel of {params}, which binds one in every well: "
+        f"no level of {params}, whose order-0 channel binds one in every well: "
         f"its binding energy lies below WINDOW_MARGIN = {WINDOW_MARGIN}"
     )
 
@@ -275,18 +284,20 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     Sign-change brackets of the scale-free determinant on the grid of
     :func:`scan_grid`, uniform in the interior wave number between the
-    margin-shrunk and clamped window ends, are refined to
-    ``scan.refine_tol``.  A root that the grid does not
-    resolve (two close levels within one grid step, or an even-order
-    touch) gives no sign change and is not reported.  An empty spectrum
+    margin-shrunk and clamped window ends, are narrowed by the values
+    either side of their guesses and refined to ``scan.refine_tol``.  A
+    root that the grid does not resolve (two close levels within one grid
+    step, or an even-order touch) gives no sign change and is not
+    reported.  An empty spectrum
     is a valid result.  A window that double precision cannot resolve
     (beta^2 overflows, or the float spacing at its edges exceeds
     ``WINDOW_MARGIN``) raises ``ArgumentOutOfRange``.
 
-    At beta = 0 the channel of order 0 (u for m = 0, w for m = -1) binds
-    a level in every well.  A scan of the whole window that finds none
-    there raises ``ArgumentOutOfRange``: the level lies within
-    ``WINDOW_MARGIN`` of the window top, which the scan does not reach.
+    The angular numbers m = 0 and -1 bind a level in every well, at
+    beta = 0 in their channel of order 0 (u for m = 0, w for m = -1).  A
+    scan of the whole window that finds none there raises
+    ``ArgumentOutOfRange``: the level lies within ``WINDOW_MARGIN`` of the
+    window top, which the scan does not reach.
     """
     if scan is None:
         scan = ScanSpec()
@@ -304,8 +315,11 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
     if scan.e_max is not None:
         b = min(b, scan.e_max)
     coupled = params.beta != 0.0
-    # the scanned channel that must hold a level, if any
-    binding = None if coupled or (a, b) != whole else {0: 0, -1: 1}.get(params.m)
+    # the scanned channel that must hold a level, if any: m = 0 and -1
+    # bind one in every well, at beta = 0 in their order-0 channel
+    binding = None
+    if (a, b) == whole and params.m in (0, -1):
+        binding = 0 if coupled or params.m == 0 else 1
     if not a < b:
         if binding is not None:
             raise _lost_binding_level(params)
@@ -319,23 +333,51 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             return np.linalg.det(matrix)[None]
         return np.stack((_channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)))
 
-    grid = scan_grid(a, b, params.beta, scan.grid_points)
-    scanned = np.concatenate(
-        [values_at(grid[i : i + SCAN_CHUNK]) for i in range(0, len(grid), SCAN_CHUNK)],
-        axis=1,
-    )
+    def values_on(energies: np.ndarray) -> np.ndarray:
+        """``values_at`` on an array of energies, SCAN_CHUNK lanes at a time."""
+        return np.concatenate(
+            [values_at(energies[i : i + SCAN_CHUNK]) for i in range(0, len(energies), SCAN_CHUNK)],
+            axis=1,
+        )
 
+    grid = scan_grid(a, b, params.beta, scan.grid_points)
     roots: list[float] = []
-    for channel, values in enumerate(scanned):
+    found: list[tuple[int, Bracket]] = []
+    for channel, values in enumerate(values_on(grid)):
         at_node, brackets = _scan_roots(grid, values)
         if channel == binding and not (at_node or brackets):
             raise _lost_binding_level(params)
         roots.extend(at_node)
+        found.extend((channel, bracket) for bracket in brackets)
+
+    # the values half refine_tol either side of each guess, of every
+    # channel's brackets in one lane call
+    half = 0.5 * scan.refine_tol
+    probed = [
+        i
+        for i, (_, bracket) in enumerate(found)
+        if bracket.lo < bracket.guess - half and bracket.guess + half < bracket.hi
+    ]
+    f_below = np.full(len(found), math.nan)
+    f_above = np.full(len(found), math.nan)
+    if probed:
+        guesses = np.array([found[i][1].guess for i in probed])
+        probes = values_on(np.concatenate((guesses - half, guesses + half)))
+        channels = [found[i][0] for i in probed]
+        lanes = np.arange(len(probed))
+        f_below[probed] = probes[channels, lanes]
+        f_above[probed] = probes[channels, lanes + len(probed)]
+
+    for (channel, bracket), below, above in zip(found, f_below.tolist(), f_above.tolist()):
+        narrowed = narrow_bracket(bracket, half, below, above)
+        if not isinstance(narrowed, Bracket):
+            roots.append(narrowed)
+            continue
 
         # channel bound as a default: a wrapper of refine_root may keep f
         def channel_value(e: float, channel: int = channel) -> float:
             return float(values_at(e)[channel])
 
-        roots.extend(refine_root(channel_value, bracket, scan.refine_tol) for bracket in brackets)
+        roots.append(refine_root(channel_value, narrowed, scan.refine_tol))
 
     return EnergySpectrum(params=params, levels=tuple(sorted(roots)), window=window)

@@ -178,6 +178,14 @@ class TestSpectrumCommand:
         assert out == ""
         assert "WINDOW_MARGIN" in err
 
+    def test_shallow_coupled_well_is_a_numerical_failure(self, capsys):
+        # at beta = 2 the m = 0 level of v = 1e-5 lies about 5e-11 below
+        # the window top
+        code, out, err = run_cli(capsys, "spectrum", "--v", "1e-5", "--beta", "2", "--m", "0")
+        assert code == 3
+        assert out == ""
+        assert "WINDOW_MARGIN" in err
+
     @pytest.mark.parametrize("beta", ["1e10", "1e200"])
     def test_unresolved_window_is_a_numerical_failure(self, capsys, beta):
         # beta^2 / 4 = 2.5e19 leaves a window of width 25 below the float

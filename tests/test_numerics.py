@@ -18,6 +18,7 @@ from rashbadot.numerics import (
     integrate_panel,
     integrate_tail,
     interpolant_root,
+    narrow_bracket,
     nullspace_4x4,
     refine_root,
 )
@@ -28,6 +29,51 @@ EPS = np.finfo(float).eps
 
 def bracket_of(f, lo, hi):
     return Bracket(lo, hi, f(lo), f(hi))
+
+
+class TestNarrowBracket:
+    # the bracket [0, 1] of f(x) = x - 0.3 (or 0.7), with the guess 0.5
+    # and the half width 0.25: the two points are 0.25 and 0.75
+    BRACKET = Bracket(0.0, 1.0, -1.0, 1.0, 0.5)
+
+    def test_straddle_keeps_the_two_points(self):
+        narrowed = narrow_bracket(self.BRACKET, 0.25, -0.5, 0.5)
+        assert narrowed == Bracket(0.25, 0.75, -0.5, 0.5)
+
+    def test_straddle_is_closed_by_refine_root_at_once(self):
+        calls = []
+        narrowed = narrow_bracket(self.BRACKET, 0.25, -0.5, 0.5)
+        root = refine_root(lambda x: calls.append(x) or x - 0.5, narrowed, 0.5)
+        assert root in (0.25, 0.75) and calls == []
+
+    def test_values_below_the_root_keep_the_upper_part(self):
+        narrowed = narrow_bracket(self.BRACKET, 0.25, -0.55, -0.05)
+        assert narrowed == Bracket(0.75, 1.0, -0.05, 1.0)
+        assert math.isnan(narrowed.guess)
+
+    def test_values_above_the_root_keep_the_lower_part(self):
+        narrowed = narrow_bracket(self.BRACKET, 0.25, 0.05, 0.55)
+        assert narrowed == Bracket(0.0, 0.25, -1.0, 0.05)
+        assert math.isnan(narrowed.guess)
+
+    def test_falling_function(self):
+        falling = Bracket(0.0, 1.0, 1.0, -1.0, 0.5)
+        assert narrow_bracket(falling, 0.25, 0.5, -0.5) == Bracket(0.25, 0.75, 0.5, -0.5)
+        assert narrow_bracket(falling, 0.25, 0.55, 0.05) == Bracket(0.75, 1.0, 0.05, -1.0)
+        assert narrow_bracket(falling, 0.25, -0.05, -0.55) == Bracket(0.0, 0.25, 1.0, -0.05)
+
+    def test_exact_zero_is_the_root(self):
+        assert narrow_bracket(self.BRACKET, 0.25, 0.0, 0.5) == 0.25
+        assert narrow_bracket(self.BRACKET, 0.25, -0.5, 0.0) == 0.75
+
+    def test_nan_guess_leaves_the_bracket(self):
+        bracket = Bracket(0.0, 1.0, -1.0, 1.0)
+        assert narrow_bracket(bracket, 0.25, -0.5, 0.5) is bracket
+
+    @pytest.mark.parametrize("guess", [0.25, 0.75, 0.1, 0.9])
+    def test_guess_within_half_width_of_an_end_leaves_the_bracket(self, guess):
+        bracket = Bracket(0.0, 1.0, -1.0, 1.0, guess)
+        assert narrow_bracket(bracket, 0.25, math.nan, math.nan) is bracket
 
 
 class TestRefineRoot:

@@ -20,6 +20,18 @@ from rashbadot.spectral_solver import (
 
 FIRST_J0_ZERO_SQUARED = 5.7831859629467845
 
+# deep wells across v, beta and m; the last one's determinant is noisy
+# over about 1e-12 in e around its level at e = 169.0845
+DEEP_WELLS = [
+    (9961.549810803253, 125.77606606560674, -2),
+    (9512.792778045305, 27.52841271669822, 0),
+    (2500.0, 100.0, -12),
+    (2500.0, 10.0, 5),
+    (10000.0, 20.0, 3),
+    (4000.0, 0.0, 3),
+    (6846.12420229014, 113.18563015612773, -1),
+]
+
 
 def scan_value(params, e):
     """The value whose sign the scan reads at beta != 0."""
@@ -231,6 +243,21 @@ class TestFindSpectrum:
         clamped = ScanSpec(e_max=0.1)
         assert find_spectrum(DotParameters(v=0.15, beta=0.0, m=0), clamped).levels == ()
 
+    @pytest.mark.parametrize("v,beta,m", [(1e-5, 2.0, 0), (1e-5, 10.0, -1), (1e-6, 2.0, 0)])
+    def test_shallow_coupled_binding_level_raises(self, v, beta, m):
+        # with coupling, m = 0 and -1 bind a level in every well too; its
+        # binding energy falls as v^2, below WINDOW_MARGIN at v = 1e-5
+        with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
+            find_spectrum(DotParameters(v=v, beta=beta, m=m))
+
+    def test_shallow_coupled_binding_level_found(self):
+        # about 5e-9 below the window top, beyond its margin
+        (level,) = find_spectrum(DotParameters(v=1e-4, beta=2.0, m=0)).levels
+        assert -1.0 + 1e-4 - 1e-8 < level < -1.0 + 1e-4 - WINDOW_MARGIN
+        # a clamped scan need not reach the binding level
+        clamped = ScanSpec(e_max=-1.0 + 0.5e-5)
+        assert find_spectrum(DotParameters(v=1e-5, beta=2.0, m=0), clamped).levels == ()
+
     def test_structural_zero_not_reported(self):
         # e = 0 makes the lower interior wave number vanish for m not in
         # {0, -1}; dividing its wave by k^q removes the zero of order q
@@ -428,7 +455,21 @@ class TestFindSpectrum:
             for row in REFERENCE_ROWS
         )
         assert brackets[0] == levels == 139
-        assert evaluations[0] <= 2.5 * levels
+        assert evaluations[0] <= 0.5 * levels
+
+    def test_certified_guesses_keep_the_brent_levels(self, monkeypatch):
+        # the values either side of each guess narrow its bracket; Brent's
+        # method on the whole bracket, from the same guess, is the
+        # reference, and the deep wells' determinants resolve a root to a
+        # few 1e-12 in e (ScanSpec)
+        wells = [DotParameters(row.v, row.beta, row.m) for row in REFERENCE_ROWS]
+        wells += [DotParameters(*well) for well in DEEP_WELLS]
+        narrowed = [find_spectrum(params).levels for params in wells]
+        monkeypatch.setattr(spectral_solver, "narrow_bracket", lambda bracket, *_: bracket)
+        for params, levels in zip(wells, narrowed):
+            reference = find_spectrum(params).levels
+            assert len(levels) == len(reference), params
+            assert np.max(np.abs(np.subtract(levels, reference)), initial=0.0) <= 4e-12, params
 
     @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
     def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):
@@ -463,8 +504,16 @@ class TestFindSpectrum:
         changes = [int(np.count_nonzero(c[:-1] * c[1:] < 0.0)) for c in channels]
         assert all(count > 0 for count in changes)
         assert len(calls) == sum(changes)
+        refine_tol = ScanSpec().refine_tol
         for f, bracket in calls:
-            assert bracket.lo in grid and bracket.hi in grid
+            # inside one scan step, narrowed by the values either side of
+            # its guess; a bracket with neither end on the grid straddles
+            # the guess and is refine_tol wide, up to the rounding of its
+            # two ends
+            step = np.searchsorted(grid, bracket.hi) - 1
+            assert grid[step] <= bracket.lo < bracket.hi <= grid[step + 1]
+            if bracket.lo not in grid and bracket.hi not in grid:
+                assert bracket.hi - bracket.lo <= refine_tol + 2 * math.ulp(bracket.hi)
             assert f(bracket.lo) * bracket.f_lo > 0.0
             assert f(bracket.hi) * bracket.f_hi > 0.0
 
@@ -517,7 +566,12 @@ class TestScanGrid:
             return grids[-1]
 
         monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
-        find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
+        if v < 1e-6 and clamp == (None, None):
+            # the well's m = 0 level lies within WINDOW_MARGIN of the top
+            with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
+                find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
+        else:
+            find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
         (grid,) = grids
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
