@@ -1,8 +1,8 @@
 """Problem-agnostic numerical kernels.
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style) from an optional first guess, the narrowing
-of a bracket by the values either side of its guess, the root of
+acceleration, Brent style), the narrowing of a bracket by the values
+either side of its guess, the root of
 the polynomial interpolating a set of samples (a proxy that supplies
 such a guess from values already computed, in the spirit of Boyd's
 proxy root-finding, SIAM Review 55, 375 (2013)), the kernel of 4x4
@@ -47,8 +47,8 @@ QUAD_ABS_TOL = 1e-14
 @dataclass(frozen=True)
 class Bracket:
     """A sign-change interval: lo < hi and f_lo * f_hi < 0, with an
-    optional estimate ``guess`` of the root.  A guess that does not lie
-    strictly inside (lo, hi), NaN included, is ignored."""
+    optional estimate ``guess`` of the root, which :func:`narrow_bracket`
+    reads."""
 
     lo: float
     hi: float
@@ -60,12 +60,10 @@ class Bracket:
 def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
     """Refine a bracketed root of ``f`` to an interval of width <= ``tol``.
 
-    Uses Brent's method: the sign change is never lost, and secant /
+    Uses Brent's method from the bracket ends alone (``bracket.guess`` is
+    not read): the sign change is never lost, and secant /
     inverse-quadratic steps accelerate convergence when they behave.
-    When ``bracket.guess`` lies strictly inside the bracket, the first
-    evaluation is there; from then on it is the same iteration with the
-    same stopping rule, so a poor guess costs steps, never the sign
-    change.  Deterministic for identical inputs.
+    Deterministic for identical inputs.
     """
     if tol <= 0.0:
         raise InvalidInput("tol must be positive")
@@ -76,10 +74,6 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
 
     c, fc = a, fa
     d = e = b - a
-    if a < bracket.guess < b:
-        # the guess is the first iterate; the contrapoint follows its sign
-        a, fa = b, fb
-        b, fb = bracket.guess, f(bracket.guess)
     for _ in range(ROOT_ITERATION_CAP):
         if fb * fc > 0.0:
             c, fc = a, fa

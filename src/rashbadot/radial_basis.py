@@ -55,7 +55,6 @@ from .errors import AboveWindow, BelowWindow, InvalidInput, OrderCapExceeded
 from .special_functions import (
     ORDER_CAP,
     bessel_j_over_power,
-    bessel_j_over_power_lanes,
     bessel_k_scaled_lanes,
     bessel_k_scaled_many,
 )
@@ -186,18 +185,18 @@ def interior_pair(
     With ``second`` the waves also carry their second radial derivatives;
     they need one more order of J, so only callers that use them ask.
 
-    ``e`` is a float, or a 1-D array of N energies.  On an array the lane
-    kernel of J takes the 2N arguments (k_- r, k_+ r) in one call, whose
-    fixed cost is then paid once for both waves; each lane gives what it
-    would give in a call of its own.
+    ``e`` is a float, or a 1-D array of N energies.  On an array one J
+    call takes the 2N arguments (k_- r, k_+ r), whose fixed cost is then
+    paid once for both waves; each lane gives what it would give in a
+    call of its own.  ``r`` must be positive and finite.
     """
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise InvalidInput("r must be positive and finite")
     k = interior_wave_numbers(e, beta)
     q = min(abs(m), abs(m + 1))
     orders = range(q, q + (4 if second else 3))
     if isinstance(e, np.ndarray):
-        both = bessel_j_over_power_lanes(orders, np.concatenate((k.k_minus, k.k_plus)) * r, q)
+        both = bessel_j_over_power(orders, np.concatenate((k.k_minus, k.k_plus)) * r, q)
         size = len(k.k_minus)
         minus = {n: lanes[:size] for n, lanes in both.items()}
         plus = {n: lanes[size:] for n, lanes in both.items()}
@@ -217,10 +216,10 @@ def exterior_pair(
     The scaled waves stay finite for arbitrarily deep wells, where the
     true ones underflow.  With ``second`` they also carry their second
     radial derivatives, and ``e`` may be an array, as in
-    :func:`interior_pair`.
+    :func:`interior_pair`; ``r`` must be positive and finite.
     """
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise InvalidInput("r must be positive and finite")
     k = exterior_wave_numbers(e, v, beta)
     z = k * r
     reach = 2 if second else 1

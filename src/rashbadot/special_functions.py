@@ -68,12 +68,12 @@ the basis built from these functions live in ``radial_basis``.
 
 Each function comes in two evaluation forms, and each regime is written
 once for both.  Given one argument, a regime runs interpreter arithmetic,
-and each series leaves its loop when its stopping rule passes.  The lane
-kernels (``bessel_j_over_power_lanes``, ``bessel_k_scaled_lanes``) take
-a 1-D array, pick each lane's regime by mask, and run the same
-statements on arrays with no stopping rule: each series sums a fixed
-number of terms, the count its rule needs at the regime's worst
-argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
+and each series leaves its loop when its stopping rule passes.  Given a
+1-D array of lanes, ``bessel_j_over_power`` (one entry point for both
+forms) and ``bessel_k_scaled_lanes`` pick each lane's regime by mask,
+and run the same statements on arrays with no stopping rule: each
+series sums a fixed number of terms, the count its rule needs at the
+regime's worst argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
 ``_K_SERIES_TERMS``), the K quadrature its 21 nodes, and each lane's
 Miller recurrence starts at its own index.  A lane therefore does the
 same arithmetic whatever its batch-mates are, and its value is
@@ -163,12 +163,6 @@ _HANKEL_STEPS = tuple(
 def _check_order(n: int) -> None:
     if abs(n) > ORDER_CAP:
         raise OrderCapExceeded(f"|n| = {abs(n)} exceeds cap {ORDER_CAP}")
-
-
-def _check_j_orders(orders: list[int], power: int) -> None:
-    _check_order(max(orders))
-    if not 0 <= power <= min(orders):
-        raise DomainError(f"power {power} outside 0 .. lowest order {min(orders)}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,54 +297,37 @@ def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
     return {n: -table[-n] if n < 0 and n % 2 else table[abs(n)] for n in orders}
 
 
-def bessel_j_over_power(orders: Iterable[int], x: float, power: int) -> dict[int, float]:
+def bessel_j_over_power(orders: Iterable[int], x: float | np.ndarray, power: int) -> dict:
     """J_n(x) / x^power for every order n >= power >= 0 in ``orders``, from
     one recurrence pass; x may be negative (the power is signed) or 0
-    (the finite limit)."""
+    (the finite limit).  ``x`` is a float, giving floats, or a 1-D array
+    of lanes, giving arrays: each lane takes the regime and the arithmetic
+    the float would."""
     orders = list(orders)
     if not orders:
         return {}
-    _check_j_orders(orders, power)
+    n_max = max(orders)
+    _check_order(n_max)
+    if not 0 <= power <= min(orders):
+        raise DomainError(f"power {power} outside 0 .. lowest order {min(orders)}")
+    lanes = isinstance(x, np.ndarray)
     size = abs(x)
-    if not size <= J_ARGUMENT_CAP:
-        raise ArgumentOutOfRange(f"|x| = {size!r} beyond validated domain {J_ARGUMENT_CAP}")
-    n_max = max(orders)
-    series, hankel = _j_split(n_max, size)
-    regime = _j_series if series else _j_hankel if hankel else _j_miller
-    seq = regime(n_max, size, power)
-    # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power
-    flip = x < 0.0
-    return {n: -seq[n - power] if flip and (n + power) % 2 else seq[n - power] for n in orders}
-
-
-def bessel_j_over_power_lanes(
-    orders: Iterable[int], x: np.ndarray, power: int
-) -> dict[int, np.ndarray]:
-    """:func:`bessel_j_over_power` over a 1-D array of arguments: each
-    lane takes the regime and the arithmetic the scalar would."""
-    orders = list(orders)
-    if not orders:
-        return {}
-    _check_j_orders(orders, power)
-    x = np.asarray(x, dtype=float)
-    size = np.abs(x)
-    if not np.all(size <= J_ARGUMENT_CAP):
+    if not (np.all(size <= J_ARGUMENT_CAP) if lanes else size <= J_ARGUMENT_CAP):
         raise ArgumentOutOfRange(
-            f"|x| = {np.max(size)!r} beyond validated domain {J_ARGUMENT_CAP}"
+            f"|x| = {float(np.max(size))!r} beyond validated domain {J_ARGUMENT_CAP}"
         )
-    n_max = max(orders)
-    seq = np.empty((n_max + 1 - power, len(x)))
     series, hankel = _j_split(n_max, size)
-    miller = ~(series | hankel)
-    for lanes, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
-        if lanes.any():
-            seq[:, lanes] = regime(n_max, size[lanes], power)
+    if lanes:
+        seq = np.empty((n_max + 1 - power, len(x)))
+        miller = ~(series | hankel)
+        for mask, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
+            if mask.any():
+                seq[:, mask] = regime(n_max, size[mask], power)
+    else:
+        seq = (_j_series if series else _j_hankel if hankel else _j_miller)(n_max, size, power)
     # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power
-    flip = x < 0.0
-    return {
-        n: np.where(flip, -seq[n - power], seq[n - power]) if (n + power) % 2 else seq[n - power]
-        for n in orders
-    }
+    sign = 1.0 - 2.0 * (x < 0.0)
+    return {n: sign * seq[n - power] if (n + power) % 2 else seq[n - power] for n in orders}
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,13 @@ which runs the scalar kernels.  Brent's steps are sequential, and a lane
 call has a fixed cost of about ten scalar points (0.9 to 1.3 ms at 8
 lanes and 1.1 to 1.7 ms at 80, against 0.1 ms for one scalar point, on
 a 2-core x86-64 machine), so the one call that certifies every guess of a
-spectrum pays, where a lane call per Brent step would not.  Brent keeps
-the sign change and its stopping rule, so each level is still certified
-to within ``refine_tol``, and a poor guess only costs steps.  A level
+spectrum pays, where a lane call per Brent step would not.  Brent starts
+from the narrowed bracket's ends and keeps the sign change and its
+stopping rule, so each level is still certified to within
+``refine_tol``, and a poor guess only leaves a wider bracket.  A level
 costs 0.30 scalar determinant evaluations on the reference table and
 1.08 on deep wells (``deep_sweep`` seed 1), besides the one lane call;
-Brent from the guess alone took 2.20 and 2.57, and from the bracket ends
-alone 4.12 and 4.78.
+Brent on the whole bracket took 4.12 and 4.78.
 """
 
 from __future__ import annotations

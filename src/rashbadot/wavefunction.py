@@ -272,16 +272,10 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     return inside, outside
 
 
-def radial_density_integral(state: BoundState) -> float:
-    """integral_0^inf (u^2 + w^2) r dr for the state's coefficients."""
-    inside, outside = region_density_integrals(state)
-    return inside + outside
-
-
 def normalize(state: BoundState) -> BoundState:
     """Rescale the coefficients by one positive factor so the radial
     density integrates to 1."""
-    total = radial_density_integral(state)
+    total = sum(region_density_integrals(state))
     if not total > 1e-300:
         raise DegenerateState(f"normalization integral {total!r} vanished")
     return _scaled(state, 1.0 / math.sqrt(total), normalized=True)
@@ -300,8 +294,11 @@ def evaluate_radial(state: BoundState, r: float) -> SpinorSample:
 
 
 def evaluate_spinor(state: BoundState, r: float, phi: float) -> tuple[complex, complex]:
-    """Spinor components (u e^{i m phi}, w e^{i (m+1) phi})."""
+    """Spinor components (u e^{i m phi}, w e^{i (m+1) phi}); phi must be
+    finite."""
     _require_normalized(state)
+    if not math.isfinite(phi):
+        raise InvalidInput("phi must be finite")
     u, w = radial_components(state, r)
     m = state.params.m
     return (

@@ -421,7 +421,8 @@ class TestCountCaps:
 
 
 class TestGoldenBytes:
-    """The CSV bytes of the README commands, pinned in ``tests/golden``.
+    """The CSV bytes (stdout) of the README commands, pinned in
+    ``tests/golden``.
 
     A change that means to alter them regenerates the files with the
     same commands, e.g. ``rashbadot table > tests/golden/table.csv``."""
@@ -431,8 +432,19 @@ class TestGoldenBytes:
         [
             (["table"], "table.csv"),
             (["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"], "sweep.csv"),
+            (["spectrum", "--v", "25", "--beta", "5", "--m", "0"], "spectrum.csv"),
+            (
+                ["spectrum", "--physical", "--m", "0", "--effective-mass", "0.067"]
+                + ["--dot-radius", "12.5", "--well-depth", "180", "--rashba-coefficient", "32"],
+                "spectrum_physical.csv",
+            ),
+            (
+                ["wavefunction", "--v", "100", "--beta", "2", "--m", "1", "--level", "2"]
+                + ["--rmax", "3", "--samples", "300"],
+                "wavefunction.csv",
+            ),
         ],
-        ids=["table", "sweep"],
+        ids=["table", "sweep", "spectrum", "spectrum_physical", "wavefunction"],
     )
     def test_csv_bytes(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)

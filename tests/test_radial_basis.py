@@ -143,6 +143,11 @@ class TestInteriorBasis:
         with pytest.raises(InvalidInput):
             interior_pair(0, 5.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_radius(self, r):
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            interior_pair(1, 5.0, 1.0, r)
+
     def test_divided_wave_does_not_underflow(self):
         # at m = 60, J_60(k) ~ (k/2)^60 / 60! underflows for |k| < ~1e-4;
         # divided by k^60 it stays near its e = 0 limit 1 / (2^60 60!)
@@ -219,6 +224,12 @@ class TestExteriorBasis:
     def test_pair_matches_single(self):
         # the upper member of the pair at m is the lower member at m + 1
         assert paper_exterior(1, 3.0, 25.0, 2.0, 1.6)[1] == paper_exterior(2, 3.0, 25.0, 2.0, 1.6)[0]
+
+    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan, -math.inf])
+    def test_rejects_a_radius_not_positive_and_finite(self, r):
+        # at r = inf the K recurrence would overflow instead
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            exterior_pair(1, 3.0, 25.0, 2.0, r)
 
 
 class TestTailEnvelope:

@@ -434,9 +434,10 @@ class TestFindSpectrum:
             assert split.levels == whole.levels
 
     def test_seeded_refinement_is_cheap_on_the_reference_rows(self, monkeypatch):
-        # each bracket carries the root of the polynomial through the scan
-        # samples around it, so Brent needs few determinant evaluations
-        # (3.96 a level when every refinement started from the bracket ends)
+        # each bracket's guess, the root of the polynomial through the scan
+        # samples around it, is certified and narrows the bracket, so Brent
+        # needs few determinant evaluations (over 4 a level on the whole
+        # bracket)
         refine_root = spectral_solver.refine_root
         evaluations, brackets = [0], [0]
 
@@ -459,9 +460,9 @@ class TestFindSpectrum:
 
     def test_certified_guesses_keep_the_brent_levels(self, monkeypatch):
         # the values either side of each guess narrow its bracket; Brent's
-        # method on the whole bracket, from the same guess, is the
-        # reference, and the deep wells' determinants resolve a root to a
-        # few 1e-12 in e (ScanSpec)
+        # method on the whole bracket, from its ends, is the reference,
+        # and the deep wells' determinants resolve a root to a few 1e-12
+        # in e (ScanSpec)
         wells = [DotParameters(row.v, row.beta, row.m) for row in REFERENCE_ROWS]
         wells += [DotParameters(*well) for well in DEEP_WELLS]
         narrowed = [find_spectrum(params).levels for params in wells]

@@ -1,7 +1,8 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
-Bessel regime is written once, one function picks the J regime, and
-importing the package leaves ``numpy.polynomial`` unloaded."""
+Bessel regime is written once, one function picks the J regime, Brent's
+method reads no guess, and importing the package leaves
+``numpy.polynomial`` unloaded."""
 
 from __future__ import annotations
 
@@ -65,15 +66,33 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_special_functions_writes_each_regime_once():
-    # a regime body takes one argument or an array of lanes; the only lane
-    # functions are the two public entry points that validate and assemble
+    # a regime body takes one argument or an array of lanes, and so does
+    # the one J entry point; the only lane function is K's public entry
+    # point, which validates and assembles
     tree = ast.parse((PACKAGE / "special_functions.py").read_text())
     lane_functions = {
         node.name
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name.endswith("_lanes")
     }
-    assert lane_functions == {"bessel_j_over_power_lanes", "bessel_k_scaled_lanes"}
+    assert lane_functions == {"bessel_k_scaled_lanes"}
+
+
+def test_refine_root_starts_from_the_bracket_alone():
+    # the guess is read in narrow_bracket alone: Brent's method takes
+    # only the ends and their values
+    tree = ast.parse((PACKAGE / "numerics.py").read_text())
+    (refine,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "refine_root"
+    )
+    reads = [
+        node.lineno
+        for node in ast.walk(refine)
+        if isinstance(node, ast.Attribute) and node.attr == "guess"
+    ]
+    assert reads == []
 
 
 def test_j_regime_split_is_read_in_one_function():

@@ -7,6 +7,7 @@ import pytest
 from conftest import matching_residuals, overlap_parts, tail_form
 from rashbadot.errors import (
     BoundaryPoint,
+    InvalidInput,
     NotNormalized,
     NotSingular,
 )
@@ -20,7 +21,6 @@ from rashbadot.wavefunction import (
     normalize,
     ode_residual,
     radial_components,
-    radial_density_integral,
     region_density_integrals,
     solve_coefficients,
 )
@@ -151,7 +151,7 @@ def _assert_closed_form_matches_quadrature(state, tol=1e-11):
     quad_inside, quad_outside = overlap_parts(state, state)
     assert inside == pytest.approx(quad_inside, abs=tol)
     assert outside == pytest.approx(quad_outside, abs=tol)
-    assert radial_density_integral(state) == pytest.approx(quad_inside + quad_outside, abs=tol)
+    assert inside + outside == pytest.approx(quad_inside + quad_outside, abs=tol)
 
 
 class TestClosedFormNorm:
@@ -204,11 +204,13 @@ class TestClosedFormNorm:
         _assert_closed_form_matches_quadrature(state, tol=1e-14)
 
     def test_homogeneous_of_degree_two(self, fig1_state):
-        total = radial_density_integral(fig1_state)
+        total = sum(region_density_integrals(fig1_state))
         for factor in (1e-3, -2.5, 7.0, 1e40):
             s = fig1_state
             scaled = replace(s, a=factor * s.a, c2=factor * s.c2, b=factor * s.b, d2=factor * s.d2)
-            assert radial_density_integral(scaled) == pytest.approx(factor**2 * total, rel=1e-13)
+            assert sum(region_density_integrals(scaled)) == pytest.approx(
+                factor**2 * total, rel=1e-13
+            )
 
 
 @pytest.mark.parametrize("v, beta, m", [(400.0, 5.0, 10), (2500.0, 10.0, 5), (1e4, 20.0, 3)])
@@ -266,6 +268,13 @@ class TestEvaluateRadial:
         assert abs(left.u - right.u) <= 1e-8 + 2.5 * eps * abs(du)
         assert abs(left.w - right.w) <= 1e-8 + 2.5 * eps * abs(dw)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, fig1_state, r):
+        # the region check names the condition; at inf the exterior K
+        # recurrence would overflow
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            evaluate_radial(fig1_state, r)
+
     def test_origin_values(self, shallow_state):
         sample = evaluate_radial(shallow_state, 0.0)
         assert sample.u == shallow_state.coefficients[0]  # m = 0 keeps u finite
@@ -313,6 +322,12 @@ class TestEvaluateSpinor:
         for phi in (0.3, 1.7, 4.4):
             up, down = evaluate_spinor(fig1_state, 0.8, phi)
             assert abs(up) ** 2 + abs(down) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, fig1_state, phi):
+        # a non-finite angle would give a NaN spinor without an error
+        with pytest.raises(InvalidInput, match="phi"):
+            evaluate_spinor(fig1_state, 0.5, phi)
 
     def test_total_density_normalization(self, shallow_state):
         # angular integral contributes 2*pi on top of the radial 1
@@ -362,6 +377,11 @@ class TestOdeResidual:
             ode_residual(fig1_state, 1.0)
         with pytest.raises(BoundaryPoint):
             ode_residual(fig1_state, 0.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, fig1_state, r):
+        with pytest.raises(InvalidInput, match="positive and finite"):
+            ode_residual(fig1_state, r)
 
     def test_arbitrary_coefficients_still_solve_odes(self):
         # any (a, b) interior / (c2, d2) exterior combination solves the
