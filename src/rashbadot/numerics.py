@@ -47,14 +47,15 @@ QUAD_ABS_TOL = 1e-14
 @dataclass(frozen=True)
 class Bracket:
     """A sign-change interval: lo < hi and f_lo * f_hi < 0, with an
-    optional estimate ``guess`` of the root, which :func:`narrow_bracket`
-    reads."""
+    optional estimate ``guess`` of the root and an estimate ``slope`` of
+    the function there, which :func:`narrow_bracket` alone reads."""
 
     lo: float
     hi: float
     f_lo: float
     f_hi: float
     guess: float = math.nan
+    slope: float = math.nan
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
@@ -124,12 +125,16 @@ def narrow_bracket(
     Values of opposite signs give the bracket between the two points,
     which :func:`refine_root` closes at once when ``half_width`` is half
     its ``tol``; values of one sign give the half of the bracket that
-    still holds the sign change, without a guess.  A value of exactly 0.0
-    returns its point as the root.  When the two points do not both lie
-    strictly inside the bracket (a NaN guess included), the bracket is
-    returned unchanged and the values are not read.
+    still holds the sign change, with the guess moved by one Newton step,
+    guess - (f_below + f_above) / (2 slope), or NaN when the moved guess
+    does not lie ``half_width`` inside that half (a NaN or zero slope
+    included).  A value of exactly 0.0 returns its point as the root.
+    When the two points do not both lie strictly inside the bracket (a
+    NaN guess included), the bracket is returned unchanged and the values
+    are not read.
     """
-    below, above = bracket.guess - half_width, bracket.guess + half_width
+    guess, slope = bracket.guess, bracket.slope
+    below, above = guess - half_width, guess + half_width
     if not (bracket.lo < below and above < bracket.hi):
         return bracket
     if f_below == 0.0:
@@ -139,22 +144,28 @@ def narrow_bracket(
     if f_below * f_above < 0.0:
         return Bracket(below, above, f_below, f_above)
     if f_below * bracket.f_lo > 0.0:
-        return Bracket(above, bracket.hi, f_above, bracket.f_hi)
-    return Bracket(bracket.lo, below, bracket.f_lo, f_below)
+        lo, hi, f_lo, f_hi = above, bracket.hi, f_above, bracket.f_hi
+    else:
+        lo, hi, f_lo, f_hi = bracket.lo, below, bracket.f_lo, f_below
+    # the mean of the two values stands for the value at the guess
+    moved = guess - (f_below + f_above) / (2.0 * slope) if slope != 0.0 else math.nan
+    if not (lo < moved - half_width and moved + half_width < hi):
+        moved = math.nan
+    return Bracket(lo, hi, f_lo, f_hi, moved, slope)
 
 
 def interpolant_root(
     nodes: Sequence[float], values: Sequence[float], lo: float, hi: float
-) -> float:
+) -> tuple[float, float]:
     """Root in [lo, hi] of the polynomial through (nodes, values), at
-    distinct nodes.
+    distinct nodes, and the polynomial's slope there.
 
     The interpolant is built in Newton form from divided differences
     and refined by :func:`refine_root` to machine precision, so no call
-    of the sampled function is made.  Returns NaN when the interpolant
-    shows no sign change on [lo, hi].  The result is an estimate of the
-    sampled function's root, to pass on as ``Bracket.guess``: it is
-    certified by nothing.
+    of the sampled function is made.  Returns (NaN, NaN) when the
+    interpolant shows no sign change on [lo, hi].  The pair estimates
+    the sampled function's root and slope there, to pass on as
+    ``Bracket.guess`` and ``Bracket.slope``: it is certified by nothing.
     """
     coefficients = list(values)
     if len(nodes) != len(coefficients) or not nodes:
@@ -177,8 +188,14 @@ def interpolant_root(
 
     f_lo, f_hi = interpolant(lo), interpolant(hi)
     if not (lo < hi and f_lo * f_hi < 0.0):
-        return math.nan
-    return refine_root(interpolant, Bracket(lo, hi, f_lo, f_hi), math.ulp(hi - lo))
+        return math.nan, math.nan
+    root = refine_root(interpolant, Bracket(lo, hi, f_lo, f_hi), math.ulp(hi - lo))
+    # the derivative of the nested form, by the same recurrence
+    value, slope = top, 0.0
+    for coefficient, node in steps:
+        slope = slope * (root - node) + value
+        value = value * (root - node) + coefficient
+    return root, slope
 
 
 def nullspace_4x4(matrix) -> np.ndarray:

@@ -27,9 +27,9 @@ the scalar or the lane kernels of ``special_functions``.
 Both regions return two waves of one type, :class:`RadialWave`, stored
 divided by a ``divisor`` (true value = value * divisor): the signed
 power k^q of the wave number inside, exp(-Re(k2p) r) outside.  The
-waves carry their first radial derivatives and, on request, their
-second ones, by recurrence identities applied once or twice, never by
-numerical differentiation:
+waves carry as many radial derivatives as the caller asks for (none,
+the first, or the first two), by recurrence identities applied once or
+twice, never by numerical differentiation:
 
     d/dr J_n(kr) = (n/r) J_n(kr) - k J_{n+1}(kr),     n >= 0 (no lower order),
     d/dr K_n(kr) = -k (K_{n-1}(kr) + K_{n+1}(kr)) / 2.
@@ -109,12 +109,13 @@ class InteriorWaveNumbers(NamedTuple):
 class RadialWave(NamedTuple):
     """One basis wave at the orders n = m and m + 1, stored divided by
     ``divisor`` (true value = value * divisor), with its first radial
-    derivatives and, on request, its second ones (``curvature``,
-    otherwise ``None``).  Every field is a float, or a 1-D array with one
-    lane per energy when the wave was evaluated on an array of energies."""
+    derivatives (``slope``) and second ones (``curvature``) when they
+    were asked for, otherwise ``None``.  Every field is a float, or a 1-D
+    array with one lane per energy when the wave was evaluated on an
+    array of energies."""
 
     value: tuple[float, float]
-    slope: tuple[float, float]
+    slope: tuple[float, float] | None
     divisor: float
     curvature: tuple[float, float] | None = None
 
@@ -145,10 +146,11 @@ def exterior_wave_numbers(
     return complex(math.sqrt(remaining), 0.5 * beta)
 
 
-def _wave(m: int, k: float | np.ndarray, r: float, table: dict, second: bool) -> RadialWave:
-    """J_n(k r) / k^q at n = m, m + 1 from ``table``, the orders q .. q + 2
-    (q .. q + 3 with ``second``) of J(k r) / (k r)^q
-    (J_n = (-1)^n J_|n|, |n| >= q); the second derivative is
+def _wave(m: int, k: float | np.ndarray, r: float, table: dict, derivatives: int) -> RadialWave:
+    """J_n(k r) / k^q at n = m, m + 1 and its first ``derivatives``
+    radial derivatives from ``table``, the orders q .. q + 1 + derivatives
+    of J(k r) / (k r)^q (J_n = (-1)^n J_|n|, |n| >= q); the second
+    derivative is
 
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
@@ -159,19 +161,21 @@ def _wave(m: int, k: float | np.ndarray, r: float, table: dict, second: bool) ->
     for n in (m, m + 1):
         j = abs(n)
         sign = -lift if n < 0 and j % 2 else lift
-        t0, t1 = table[j], table[j + 1]
+        t0 = table[j]
         value.append(sign * t0)
-        slope.append(sign * (j / r * t0 - k * t1))
-        if second:
+        if derivatives:
+            t1 = table[j + 1]
+            slope.append(sign * (j / r * t0 - k * t1))
+        if derivatives == 2:
             t2 = table[j + 2]
             curvature.append(
                 sign * (j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2)
             )
-    return RadialWave(tuple(value), tuple(slope), k**q, tuple(curvature) if second else None)
+    return RadialWave(tuple(value), tuple(slope) or None, k**q, tuple(curvature) or None)
 
 
 def interior_pair(
-    m: int, e: float | np.ndarray, beta: float, r: float, second: bool = False
+    m: int, e: float | np.ndarray, beta: float, r: float, derivatives: int = 1
 ) -> tuple[RadialWave, RadialWave]:
     """The two interior waves J(k_- r) and J(k_+ r) at orders m and m+1,
     each divided by the signed power k^q of its wave number,
@@ -182,19 +186,20 @@ def interior_pair(
     at e = 0 (k_- for beta > 0, k_+ for beta < 0) takes its finite limit
     there.
 
-    With ``second`` the waves also carry their second radial derivatives;
-    they need one more order of J, so only callers that use them ask.
+    The waves carry their first ``derivatives`` (0, 1 or 2) radial
+    derivatives; each needs one more order of J, so callers ask only for
+    those they use.
 
     ``e`` is a float, or a 1-D array of N energies.  On an array one J
     call takes the 2N arguments (k_- r, k_+ r), whose fixed cost is then
     paid once for both waves; each lane gives what it would give in a
     call of its own.  ``r`` must be positive and finite.
     """
-    if not 0.0 < r < math.inf:
-        raise InvalidInput("r must be positive and finite")
+    if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
+        raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     k = interior_wave_numbers(e, beta)
     q = min(abs(m), abs(m + 1))
-    orders = range(q, q + (4 if second else 3))
+    orders = range(q, q + 2 + derivatives)
     if isinstance(e, np.ndarray):
         both = bessel_j_over_power(orders, np.concatenate((k.k_minus, k.k_plus)) * r, q)
         size = len(k.k_minus)
@@ -203,27 +208,26 @@ def interior_pair(
     else:
         minus = bessel_j_over_power(orders, k.k_minus * r, q)
         plus = bessel_j_over_power(orders, k.k_plus * r, q)
-    return _wave(m, k.k_minus, r, minus, second), _wave(m, k.k_plus, r, plus, second)
+    return _wave(m, k.k_minus, r, minus, derivatives), _wave(m, k.k_plus, r, plus, derivatives)
 
 
 def exterior_pair(
-    m: int, e: float | np.ndarray, v: float, beta: float, r: float, second: bool = False
+    m: int, e: float | np.ndarray, v: float, beta: float, r: float, derivatives: int = 1
 ) -> tuple[RadialWave, RadialWave]:
     """The two real exterior waves x = (Re K_m, Im K_{m+1}) and
     y = (Im K_m, Re K_{m+1}) of K_n(k_+ r), each multiplied by
     exp(+Re(k_+) r), whose inverse ``divisor`` records.
 
     The scaled waves stay finite for arbitrarily deep wells, where the
-    true ones underflow.  With ``second`` they also carry their second
-    radial derivatives, and ``e`` may be an array, as in
-    :func:`interior_pair`; ``r`` must be positive and finite.
+    true ones underflow.  ``derivatives`` and ``e`` are as in
+    :func:`interior_pair`, which needs K at orders m .. m + 1 and one
+    more each side per derivative; ``r`` must be positive and finite.
     """
-    if not 0.0 < r < math.inf:
-        raise InvalidInput("r must be positive and finite")
+    if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
+        raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     k = exterior_wave_numbers(e, v, beta)
     z = k * r
-    reach = 2 if second else 1
-    orders = range(m - reach, m + 2 + reach)
+    orders = range(m - derivatives, m + 2 + derivatives)
     # e^z K_n(z) times e^{-i Im z} is e^{Re z} K_n(z)
     if isinstance(z, np.ndarray):
         scaled = bessel_k_scaled_lanes(orders, z)
@@ -235,14 +239,16 @@ def exterior_pair(
         divisor = math.exp(-z.real)
     t = {n: value * phase for n, value in scaled.items()}
     low, high = t[m], t[m + 1]
-    slope_low = -0.5 * k * (t[m - 1] + high)
-    slope_high = -0.5 * k * (low + t[m + 2])
-    x_curve = y_curve = None
-    if second:
+    x_slope = y_slope = x_curve = y_curve = None
+    if derivatives:
+        slope_low = -0.5 * k * (t[m - 1] + high)
+        slope_high = -0.5 * k * (low + t[m + 2])
+        x_slope, y_slope = (slope_low.real, slope_high.imag), (slope_low.imag, slope_high.real)
+    if derivatives == 2:
         curve_low = 0.25 * k**2 * (t[m - 2] + 2.0 * low + t[m + 2])
         curve_high = 0.25 * k**2 * (t[m - 1] + 2.0 * high + t[m + 3])
         x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
     return (
-        RadialWave((low.real, high.imag), (slope_low.real, slope_high.imag), divisor, x_curve),
-        RadialWave((low.imag, high.real), (slope_low.imag, slope_high.real), divisor, y_curve),
+        RadialWave((low.real, high.imag), x_slope, divisor, x_curve),
+        RadialWave((low.imag, high.real), y_slope, divisor, y_curve),
     )

@@ -63,19 +63,23 @@ beta = 0) go through the scan's chunked lane call once, and
 ``numerics.narrow_bracket`` keeps the part of each bracket that holds its
 sign change.  Values of opposite signs leave a bracket refine_tol wide,
 which Brent's method (``numerics.refine_root``) then closes without an
-evaluation; values of one sign leave the half beyond them, without a
-guess; an exact 0.0 is a root at that energy, as at a grid node.  Each
-bracket is then refined by Brent's method at one float energy at a time,
-which runs the scalar kernels.  Brent's steps are sequential, and a lane
-call has a fixed cost of about ten scalar points (0.9 to 1.3 ms at 8
-lanes and 1.1 to 1.7 ms at 80, against 0.1 ms for one scalar point, on
-a 2-core x86-64 machine), so the one call that certifies every guess of a
-spectrum pays, where a lane call per Brent step would not.  Brent starts
-from the narrowed bracket's ends and keeps the sign change and its
-stopping rule, so each level is still certified to within
-``refine_tol``, and a poor guess only leaves a wider bracket.  A level
-costs 0.30 scalar determinant evaluations on the reference table and
-1.08 on deep wells (``deep_sweep`` seed 1), besides the one lane call;
+evaluation; values of one sign leave the half beyond them, with the
+guess moved by one Newton step on the polynomial's slope there
+(``Bracket.slope``); an exact 0.0 is a root at that energy, as at a grid
+node.  Each bracket is then refined by Brent's method at one float
+energy at a time, which runs the scalar kernels.  Brent's steps are
+sequential, and a lane call has a fixed cost of about ten scalar points
+(0.9 to 1.3 ms at 8 lanes and 1.1 to 1.7 ms at 80, against 0.1 ms for
+one scalar point, on a 2-core x86-64 machine), so one call per spectrum
+pays, where a lane call per Brent step would not.  An open half costs
+Brent about 1.9 evaluations, so a second probe round, at the moved
+guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry one: deep
+wells leave dozens, the reference rows at most one.  Brent starts from
+the narrowed bracket's ends and keeps the sign change and its stopping
+rule, so each level is still certified to within ``refine_tol``, and a
+poor guess only leaves a wider bracket.  A level costs 0.30 scalar
+determinant evaluations on the reference table and 0.32 on deep wells
+(``deep_sweep`` seed 1; 1.08 after one round), besides the lane calls;
 Brent on the whole bracket took 4.12 and 4.78.
 """
 
@@ -102,6 +106,10 @@ GRID_POINTS_CAP = 1_000_000
 # scan samples per bracket whose interpolating polynomial seeds its
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
+# the fewest open brackets with a guess that pay for a second probe
+# round: its lane call costs about ten scalar points (module docstring),
+# and an open bracket about 1.9 Brent evaluations, 10 / 1.9 = 5.3
+PROBE_ROUND_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -113,11 +121,12 @@ class ScanSpec:
     Brent's method closes each sign-change bracket.  It bounds the error
     of a level only as far as the determinant resolves its root: on deep
     wells the determinant's rounding noise spans a few 1e-12 in e around
-    a level, and scans on 200 and 20000 grid points gave levels of the
-    same wells up to 3.6e-12 apart.  ``e_min``/``e_max`` optionally clamp
-    the scan to a sub-range of the window (useful for very deep wells,
-    where resolving the full window would need an enormous grid); they
-    never widen it.
+    a level; scans on 200 and 20000 grid points gave levels of the same
+    wells up to 3.6e-12 apart, and a second probe round moved levels by
+    up to 4.6e-12 (10 ulps at e = 2564).  ``e_min``/``e_max`` optionally
+    clamp the scan to a sub-range of the window (useful for very deep
+    wells, where resolving the full window would need an enormous grid);
+    they never widen it.
     """
 
     grid_points: int = 1000
@@ -250,8 +259,8 @@ def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list
         # the PROXY_NODES samples centred on the bracket, clamped to the grid
         start = min(max(i + 1 - PROXY_NODES // 2, 0), len(grid) - PROXY_NODES)
         near = slice(start, start + PROXY_NODES)
-        guess = interpolant_root(grid[near].tolist(), values[near].tolist(), e_lo, e_hi)
-        brackets.append(Bracket(e_lo, e_hi, float(values[i]), float(values[i + 1]), guess))
+        guess, slope = interpolant_root(grid[near].tolist(), values[near].tolist(), e_lo, e_hi)
+        brackets.append(Bracket(e_lo, e_hi, float(values[i]), float(values[i + 1]), guess, slope))
     return at_node, brackets
 
 
@@ -342,7 +351,7 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     grid = scan_grid(a, b, params.beta, scan.grid_points)
     roots: list[float] = []
-    found: list[tuple[int, Bracket]] = []
+    found: list[tuple[int, float | Bracket]] = []
     for channel, values in enumerate(values_on(grid)):
         at_node, brackets = _scan_roots(grid, values)
         if channel == binding and not (at_node or brackets):
@@ -350,26 +359,32 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
         roots.extend(at_node)
         found.extend((channel, bracket) for bracket in brackets)
 
-    # the values half refine_tol either side of each guess, of every
-    # channel's brackets in one lane call
     half = 0.5 * scan.refine_tol
-    probed = [
-        i
-        for i, (_, bracket) in enumerate(found)
-        if bracket.lo < bracket.guess - half and bracket.guess + half < bracket.hi
-    ]
-    f_below = np.full(len(found), math.nan)
-    f_above = np.full(len(found), math.nan)
-    if probed:
+    # at most two probe rounds, each narrowing every bracket (of every
+    # channel) whose guess has both points inside it by the values half
+    # refine_tol either side of the guess, in one lane call; the second
+    # runs only when enough brackets are left open to pay for its call
+    for least in (1, PROBE_ROUND_MIN):
+        probed = [
+            i
+            for i, (_, bracket) in enumerate(found)
+            if isinstance(bracket, Bracket)
+            and bracket.lo < bracket.guess - half
+            and bracket.guess + half < bracket.hi
+        ]
+        if len(probed) < least:
+            break
         guesses = np.array([found[i][1].guess for i in probed])
         probes = values_on(np.concatenate((guesses - half, guesses + half)))
-        channels = [found[i][0] for i in probed]
         lanes = np.arange(len(probed))
-        f_below[probed] = probes[channels, lanes]
-        f_above[probed] = probes[channels, lanes + len(probed)]
+        channels = [found[i][0] for i in probed]
+        f_below = probes[channels, lanes].tolist()
+        f_above = probes[channels, lanes + len(probed)].tolist()
+        for i, below, above in zip(probed, f_below, f_above):
+            channel, bracket = found[i]
+            found[i] = (channel, narrow_bracket(bracket, half, below, above))
 
-    for (channel, bracket), below, above in zip(found, f_below.tolist(), f_above.tolist()):
-        narrowed = narrow_bracket(bracket, half, below, above)
+    for channel, narrowed in found:
         if not isinstance(narrowed, Bracket):
             roots.append(narrowed)
             continue

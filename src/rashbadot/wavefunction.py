@@ -167,20 +167,19 @@ def _combine(a: float, b: float, waves) -> list[tuple[float, float]]:
     return [(a * wx[0] + b * wy[0], a * wx[1] - b * wy[1]) for wx, wy in waves]
 
 
-def _terms(state: BoundState, r: float, second: bool = False) -> list[tuple[float, float]]:
-    """(u, w), (u', w') and, with ``second``, (u'', w'') at r > 0; r = 1
-    belongs to the exterior.  One formula for both regions; only the two
-    waves x, y and the coefficient pair (a, b) differ."""
+def _terms(state: BoundState, r: float, derivatives: int) -> list[tuple[float, float]]:
+    """(u, w) and its first ``derivatives`` radial derivatives, (u', w')
+    and (u'', w''), at r > 0; r = 1 belongs to the exterior.  One formula
+    for both regions; only the two waves x, y and the coefficient pair
+    (a, b) differ."""
     p = state.params
     if r < 1.0:
-        x, y = interior_pair(p.m, state.e, p.beta, r, second)
+        x, y = interior_pair(p.m, state.e, p.beta, r, derivatives)
         a, b = state.a, state.b
     else:
-        x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, second)
+        x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, derivatives)
         a, b = state.c2, state.d2
-    waves = [(x.value, y.value), (x.slope, y.slope)]
-    if second:
-        waves.append((x.curvature, y.curvature))
+    waves = [(x.value, y.value), (x.slope, y.slope), (x.curvature, y.curvature)][: derivatives + 1]
     # the waves carry true value / divisor
     return _combine(a * x.divisor, b * y.divisor, waves)
 
@@ -195,14 +194,14 @@ def radial_components(state: BoundState, r: float) -> tuple[float, float]:
         u = state.a + state.b if m == 0 else 0.0
         w = state.a - state.b if m + 1 == 0 else 0.0
         return u, w
-    return _terms(state, r)[0]
+    return _terms(state, r, 0)[0]
 
 
 def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     """(u'(r), w'(r)), same region dispatch as :func:`radial_components`."""
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    return _terms(state, r)[1]
+    return _terms(state, r, 1)[1]
 
 
 def _r_slope(wave: RadialWave, scale: float = 1.0) -> tuple[tuple, tuple]:
@@ -242,7 +241,7 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     (module docstring)."""
     p = state.params
     m, e, beta = p.m, state.e, p.beta
-    x, y = interior_pair(m, e, beta, 1.0, second=True)
+    x, y = interior_pair(m, e, beta, 1.0, derivatives=2)
     k = interior_wave_numbers(e, beta)
     q = min(abs(m), abs(m + 1))
     rate = 1.0 / (k.k_plus + k.k_minus)
@@ -258,7 +257,7 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     # outside, on the exp-scaled waves: d/de K_n(kappa r) = s r d/dr K_n(kappa r)
     # with the complex s = (dkappa/de) / kappa, and (a' - i b') = (a - i b) s
     # recombines the real and imaginary parts that x and y hold
-    x, y = exterior_pair(m, e, p.v, beta, 1.0, second=True)
+    x, y = exterior_pair(m, e, p.v, beta, 1.0, derivatives=2)
     kappa = exterior_wave_numbers(e, p.v, beta)
     a, b = state.c2 * x.divisor, state.d2 * y.divisor
     derivative = complex(a, -b) * (-0.5 / kappa.real / kappa)
@@ -322,7 +321,7 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     params = state.params
     m = params.m
     beta = params.beta
-    (u, w), (du, dw), (ddu, ddw) = _terms(state, r, second=True)
+    (u, w), (du, dw), (ddu, ddw) = _terms(state, r, 2)
     kinetic = (state.e - (0.0 if r < 1.0 else params.v)) * r * r
     radial_u = kinetic - m * m
     radial_w = kinetic - (m + 1) * (m + 1)

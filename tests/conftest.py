@@ -7,8 +7,10 @@ import cmath
 import math
 import time
 
+import numpy as np
 import pytest
 
+from rashbadot import spectral_solver
 from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import (
     DotParameters,
@@ -90,6 +92,21 @@ def matching_residuals(state) -> list[float]:
         outside = -(row[1] * state.c2 + row[3] * state.d2)
         out.append(abs(inside - outside) / max(abs(inside), abs(outside), 1.0))
     return out
+
+
+def counted_lane_calls(monkeypatch) -> list[int]:
+    """Wrap ``spectral_solver.equilibrated_matrix`` to count its calls on
+    an array of energies (lane calls: scan chunks and probe rounds) in
+    the returned one-element list."""
+    equilibrated = spectral_solver.equilibrated_matrix
+    lane_calls = [0]
+
+    def counted(params, e):
+        lane_calls[0] += isinstance(e, np.ndarray)
+        return equilibrated(params, e)
+
+    monkeypatch.setattr(spectral_solver, "equilibrated_matrix", counted)
+    return lane_calls
 
 
 def paper_basis(m, e, beta, r):

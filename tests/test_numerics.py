@@ -75,6 +75,33 @@ class TestNarrowBracket:
         bracket = Bracket(0.0, 1.0, -1.0, 1.0, guess)
         assert narrow_bracket(bracket, 0.25, math.nan, math.nan) is bracket
 
+    # f(x) = x - root on [0, 1], guess 0.5 with the slope 1 of f, half
+    # width 0.1: the two points are 0.4 and 0.6, and one Newton step from
+    # the guess lands on the root
+    @pytest.mark.parametrize("root,kept", [(0.8, (0.6, 1.0)), (0.2, (0.0, 0.4))])
+    def test_one_sign_moves_the_guess_by_a_newton_step(self, root, kept):
+        bracket = Bracket(0.0, 1.0, -root, 1.0 - root, 0.5, 1.0)
+        narrowed = narrow_bracket(bracket, 0.1, 0.4 - root, 0.6 - root)
+        assert (narrowed.lo, narrowed.hi) == kept
+        assert narrowed.guess == pytest.approx(root, abs=1e-15)
+        assert narrowed.slope == 1.0
+
+    @pytest.mark.parametrize(
+        "root,slope",
+        [
+            (0.95, 1.0),  # beyond hi - half width
+            (0.65, 1.0),  # below lo + half width
+            (0.8, -1.0),  # a slope of the wrong sign steps out of the half
+            (0.8, math.nan),
+            (0.8, 0.0),
+        ],
+    )
+    def test_moved_guess_outside_the_half_is_nan(self, root, slope):
+        bracket = Bracket(0.0, 1.0, -root, 1.0 - root, 0.5, slope)
+        narrowed = narrow_bracket(bracket, 0.1, 0.4 - root, 0.6 - root)
+        assert (narrowed.lo, narrowed.hi) == (0.6, 1.0)
+        assert math.isnan(narrowed.guess)
+
 
 class TestRefineRoot:
     def test_sqrt_two(self):
@@ -161,13 +188,23 @@ class TestInterpolantRoot:
 
         nodes = [0.1 * i + 0.7 for i in range(12)]
         values = [cubic(x) for x in nodes]
-        assert abs(interpolant_root(nodes, values, 1.2, 1.3) - 1.2345678901234) < 1e-14
+        root, _ = interpolant_root(nodes, values, 1.2, 1.3)
+        assert abs(root - 1.2345678901234) < 1e-14
+
+    def test_slope_is_the_cubic_derivative_at_its_root(self):
+        def cubic(x):
+            return (x - 1.2345678901234) * (x + 3.0) * (x - 7.5)
+
+        nodes = [0.1 * i + 0.7 for i in range(12)]
+        root, slope = interpolant_root(nodes, [cubic(x) for x in nodes], 1.2, 1.3)
+        # d/dx at the root: the product of the other two factors
+        assert slope == pytest.approx((root + 3.0) * (root - 7.5), rel=1e-12)
 
     def test_no_sign_change_of_the_interpolant_gives_nan(self):
         nodes = [0.0, 1.0, 2.0]
-        assert math.isnan(interpolant_root(nodes, [1.0, 2.0, 5.0], 0.0, 1.0))
-        # an empty or reversed interval holds no root either
-        assert math.isnan(interpolant_root(nodes, [-1.0, 2.0, 5.0], 1.0, 0.0))
+        for lo, hi, values in ((0.0, 1.0, [1.0, 2.0, 5.0]), (1.0, 0.0, [-1.0, 2.0, 5.0])):
+            # an empty or reversed interval holds no root either
+            assert all(math.isnan(x) for x in interpolant_root(nodes, values, lo, hi))
 
     def test_mismatched_samples(self):
         with pytest.raises(InvalidInput):

@@ -176,7 +176,7 @@ class TestExteriorBasis:
         assert f == pytest.approx(expected, rel=1e-13)
 
     def test_real_by_construction(self):
-        for wave in exterior_pair(1, 3.0, 25.0, 2.0, 1.4, second=True):
+        for wave in exterior_pair(1, 3.0, 25.0, 2.0, 1.4, derivatives=2):
             assert isinstance(wave.divisor, float)
             for field in ("value", "slope", "curvature"):
                 assert all(isinstance(x, float) for x in getattr(wave, field))
@@ -230,6 +230,34 @@ class TestExteriorBasis:
         # at r = inf the K recurrence would overflow instead
         with pytest.raises(InvalidInput, match="positive and finite"):
             exterior_pair(1, 3.0, 25.0, 2.0, r)
+
+
+class TestDerivativeCount:
+    # each derivative needs one more Bessel order; the fields a count
+    # leaves out are None, and those it keeps equal a fuller count's bit
+    # for bit
+    @pytest.mark.parametrize("m", [-3, -1, 0, 2])
+    @pytest.mark.parametrize("region", ["interior", "exterior"])
+    def test_fewer_derivatives_keep_the_same_fields(self, region, m):
+        def pair(derivatives):
+            if region == "interior":
+                return interior_pair(m, 3.0, 2.0, 0.7, derivatives)
+            return exterior_pair(m, 3.0, 25.0, 2.0, 1.4, derivatives)
+
+        full = pair(2)
+        assert all(wave.curvature is not None for wave in full)
+        for count in (0, 1):
+            for wave, whole in zip(pair(count), full):
+                assert (wave.value, wave.divisor) == (whole.value, whole.divisor)
+                assert wave.slope == (whole.slope if count else None)
+                assert wave.curvature is None
+
+    @pytest.mark.parametrize("derivatives", [-1, 3, 1.5])
+    def test_rejects_other_counts(self, derivatives):
+        with pytest.raises(InvalidInput):
+            interior_pair(1, 3.0, 2.0, 0.7, derivatives)
+        with pytest.raises(InvalidInput):
+            exterior_pair(1, 3.0, 25.0, 2.0, 1.4, derivatives)
 
 
 class TestTailEnvelope:

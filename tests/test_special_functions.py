@@ -239,7 +239,7 @@ def interior_derivatives(m, e, beta):
     """``check_ladder_derivatives`` view of the two interior waves."""
 
     def derivatives(r):
-        waves = interior_pair(m, e, beta, r, second=True)
+        waves = interior_pair(m, e, beta, r, derivatives=2)
         fields = ("value", "slope", "curvature")
         return [[x for wave in waves for x in getattr(wave, field)] for field in fields]
 
@@ -251,7 +251,7 @@ def exterior_derivatives(m, e, v, beta):
     scale, since their divisor depends on r."""
 
     def derivatives(r):
-        waves = exterior_pair(m, e, v, beta, r, second=True)
+        waves = exterior_pair(m, e, v, beta, r, derivatives=2)
         fields = ("value", "slope", "curvature")
         return [
             [x * wave.divisor for wave in waves for x in getattr(wave, field)]
@@ -366,7 +366,7 @@ class TestBesselJDerivative:
             c = 1.0 / (2.0**q * math.factorial(q))
             sign = (-1.0) ** q if m < 0 else 1.0
             limit = (r**q, q * r ** (q - 1), q * (q - 1) * r ** (q - 2))
-            wave = interior_pair(m, 0.0, 2.0, r, second=True)[0]
+            wave = interior_pair(m, 0.0, 2.0, r, derivatives=2)[0]
             at = 1 if m < 0 else 0  # the order with |n| = q
             for field, want in zip(("value", "slope", "curvature"), limit):
                 got = getattr(wave, field)
@@ -559,8 +559,8 @@ class TestBesselKDerivative:
         # beta -> -beta conjugates k_plus: g = Im K and its derivatives flip
         # sign, f = Re K and its derivatives keep their values, bit for bit;
         # x = (f(m), g(m+1)) and y = (g(m), f(m+1))
-        x_a, y_a = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, True)
-        x_b, y_b = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, True)
+        x_a, y_a = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, 2)
+        x_b, y_b = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, 2)
         assert x_b.divisor == x_a.divisor
         for field in ("value", "slope", "curvature"):
             (f_a, g_a), (f_b, g_b) = getattr(x_a, field), getattr(x_b, field)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import channel_determinant, paper_basis, paper_exterior
+from conftest import channel_determinant, counted_lane_calls, paper_basis, paper_exterior
 from rashbadot import spectral_solver
 from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
@@ -31,6 +31,26 @@ DEEP_WELLS = [
     (4000.0, 0.0, 3),
     (6846.12420229014, 113.18563015612773, -1),
 ]
+
+
+def counted_refinement(monkeypatch) -> dict:
+    """Wrap ``spectral_solver.refine_root`` to count its calls
+    ("brackets") and the determinant evaluations they make
+    ("evaluations")."""
+    refine_root = spectral_solver.refine_root
+    counts = {"brackets": 0, "evaluations": 0}
+
+    def counted(f, bracket, tol):
+        counts["brackets"] += 1
+
+        def evaluated(e):
+            counts["evaluations"] += 1
+            return f(e)
+
+        return refine_root(evaluated, bracket, tol)
+
+    monkeypatch.setattr(spectral_solver, "refine_root", counted)
+    return counts
 
 
 def scan_value(params, e):
@@ -438,25 +458,31 @@ class TestFindSpectrum:
         # samples around it, is certified and narrows the bracket, so Brent
         # needs few determinant evaluations (over 4 a level on the whole
         # bracket)
-        refine_root = spectral_solver.refine_root
-        evaluations, brackets = [0], [0]
-
-        def counted(f, bracket, tol):
-            brackets[0] += 1
-
-            def evaluated(e):
-                evaluations[0] += 1
-                return f(e)
-
-            return refine_root(evaluated, bracket, tol)
-
-        monkeypatch.setattr(spectral_solver, "refine_root", counted)
+        counts = counted_refinement(monkeypatch)
         levels = sum(
             len(find_spectrum(DotParameters(row.v, row.beta, row.m)).levels)
             for row in REFERENCE_ROWS
         )
-        assert brackets[0] == levels == 139
-        assert evaluations[0] <= 0.5 * levels
+        assert counts["brackets"] == levels == 139
+        assert counts["evaluations"] <= 0.5 * levels
+
+    def test_second_probe_round_keeps_deep_wells_cheap(self, monkeypatch):
+        # deep wells leave dozens of brackets open after the first probe
+        # round; a second round at their Newton-moved guesses closes most
+        # of them (one round leaves Brent 1.19 evaluations a level here)
+        counts = counted_refinement(monkeypatch)
+        levels = sum(len(find_spectrum(DotParameters(*well)).levels) for well in DEEP_WELLS)
+        assert counts["evaluations"] <= 0.5 * levels
+
+    def test_reference_rows_make_one_probe_lane_call(self, monkeypatch):
+        # no reference row leaves PROBE_ROUND_MIN brackets open after the
+        # first probe round, so each makes two lane calls: the grid (one
+        # chunk) and the probes of its first round
+        lane_calls = counted_lane_calls(monkeypatch)
+        for row in REFERENCE_ROWS:
+            lane_calls[0] = 0
+            assert find_spectrum(DotParameters(row.v, row.beta, row.m)).levels
+            assert lane_calls[0] == 2, row
 
     def test_certified_guesses_keep_the_brent_levels(self, monkeypatch):
         # the values either side of each guess narrow its bracket; Brent's
@@ -508,9 +534,11 @@ class TestFindSpectrum:
         refine_tol = ScanSpec().refine_tol
         for f, bracket in calls:
             # inside one scan step, narrowed by the values either side of
-            # its guess; a bracket with neither end on the grid straddles
-            # the guess and is refine_tol wide, up to the rounding of its
-            # two ends
+            # its guess.  After one probe round, which is all these wells
+            # take, a bracket with neither end on the grid straddles the
+            # guess and is refine_tol wide, up to the rounding of its two
+            # ends; a second round would also leave brackets between a
+            # probe point of each round, which are wider
             step = np.searchsorted(grid, bracket.hi) - 1
             assert grid[step] <= bracket.lo < bracket.hi <= grid[step + 1]
             if bracket.lo not in grid and bracket.hi not in grid:

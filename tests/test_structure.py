@@ -1,8 +1,8 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
 Bessel regime is written once, one function picks the J regime, Brent's
-method reads no guess, and importing the package leaves
-``numpy.polynomial`` unloaded."""
+method reads no guess, ``narrow_bracket`` alone reads a bracket's slope,
+and importing the package leaves ``numpy.polynomial`` unloaded."""
 
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 import rashbadot
+from conftest import counted_lane_calls
 from rashbadot import numerics, radial_basis, spectral_solver, wavefunction
+from rashbadot.radial_basis import DotParameters
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rashbadot"
@@ -93,6 +95,27 @@ def test_refine_root_starts_from_the_bracket_alone():
         if isinstance(node, ast.Attribute) and node.attr == "guess"
     ]
     assert reads == []
+
+
+def test_narrow_bracket_alone_reads_a_bracket_slope(monkeypatch):
+    # the interpolant's slope at the guess serves the Newton step of
+    # narrow_bracket and nothing else; a deep well that takes both probe
+    # rounds (three lane calls: the grid and two rounds of probes) reads
+    # it nowhere else
+    readers = set()
+
+    class Recorded(numerics.Bracket):
+        def __getattribute__(self, name):
+            if name == "slope":
+                readers.add(sys._getframe(1).f_code.co_name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(numerics, "Bracket", Recorded)
+    monkeypatch.setattr(spectral_solver, "Bracket", Recorded)
+    lane_calls = counted_lane_calls(monkeypatch)
+    assert spectral_solver.find_spectrum(DotParameters(10000.0, 20.0, 3)).levels
+    assert lane_calls[0] == 3
+    assert readers == {"narrow_bracket"}
 
 
 def test_j_regime_split_is_read_in_one_function():
