@@ -105,8 +105,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid",
         type=int,
-        default=ScanSpec().grid_points,
-        help="scan grid points, uniform in the interior wave number",
+        default=None,
+        help="scan grid points, uniform in the interior wave number "
+        "(default: sized from the window)",
     )
     parser.add_argument("--tol", type=float, default=1e-12, help="root refinement tolerance")
 

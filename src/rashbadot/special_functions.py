@@ -11,12 +11,13 @@ regimes, split in ``_j_split`` alone (after Numerical Recipes, section
   stable.  The expansion reaches 1e-18 within 24 terms at x = 25 and
   12 at x = 100.  Against mpmath, on 252 x per n_max in that domain, the
   rows lie within 6.7e-16 (n_max = 16) and 1.5e-15 (n_max = 64) of the
-  largest row, where Miller's reach 5.5e-15;
+  largest row, where Miller's reach 5.5e-15; on 7 x from 199.9 to
+  ``J_ARGUMENT_CAP`` = 2000, within 5.9e-16 (n_max = 0 .. 64);
 * backward (Miller) recurrence with the normalization
 
       J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1
 
-  for every other x, 2 < |x| <= 200.  It starts near
+  for every other x, 2 < |x| < 25 or |x| <= n_max + 2.  It starts near
   x + 9 x^(1/3) + 24 whatever n_max is, about 165 steps at x = 100,
   which is why deep wells take the upward regime.
 
@@ -33,12 +34,11 @@ trial values peak near 1.1e81 and their normalization sum near 1.9e81
 (x just above 2, n_max = 64, start index 76), far from overflow.  A sum
 that is not finite all the same raises ``ArgumentOutOfRange``.
 
-Hankel's regime would serve any x, but ``J_ARGUMENT_CAP`` stays at 200:
-beyond it lie wells whose levels the default 1000-point scan of
-``spectral_solver`` has not been shown to resolve (its step in the
-interior wave number grows with the well's depth), and the cap is what
-makes them fail loudly.  Widening it waits for a level count that does
-not depend on the scan grid.
+Hankel's regime would serve any x; ``J_ARGUMENT_CAP`` is where its
+validation against mpmath stops.  It admits whole windows up to
+sqrt(v) + |beta|/2 = 2000, which ``spectral_solver`` scans at its usual
+step in the interior wave number: at beta = 0, v = 1e5, 3e5 and 1e6
+give exactly the level counts the zeros of J predict.
 
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
@@ -104,7 +104,7 @@ import numpy as np
 from .errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 
 ORDER_CAP = 64
-J_ARGUMENT_CAP = 200.0
+J_ARGUMENT_CAP = 2000.0
 K_ARGUMENT_CAP = 200.0
 
 EULER_GAMMA = 0.5772156649015328606

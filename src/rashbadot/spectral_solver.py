@@ -43,13 +43,13 @@ product.
 
 The scan grid (:func:`scan_grid`) is uniform in the interior wave
 number s = sqrt(e + beta^2/4), in which the levels, near zeros of
-J_n(k_+/- r), are spaced about evenly; on the reference rows and on
-deep wells its 1000 points put the closest adjacent levels 13 grid
-steps apart, where 2000 points uniform in e put them 1.5 steps apart.
+J_n(k_+/- r), are spaced about evenly; :func:`grid_size` sizes it by
+its step in s (``GRID_STEP_S``), which gives the reference rows 300
+points, deep wells 501 to 1001 and the whole window of v = 1e6 10001.
 The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
 takes a float or a 1-D array of energies, and the grid goes through it
-in chunks of ``SCAN_CHUNK`` points (one chunk at the default grid; the
-chunks keep memory flat for larger ones, up to ``GRID_POINTS_CAP``), as
+in chunks of ``SCAN_CHUNK`` points (one chunk below v = 4e4; the
+chunks keep memory flat for larger grids, up to ``GRID_POINTS_CAP``), as
 one ``np.linalg.det`` of the (N, 4, 4) stack or the two channel minors
 per chunk.  Sign changes are read from the value arrays; each energy is
 an independent lane of the special-function kernels, so they do not depend
@@ -77,10 +77,10 @@ guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry one: deep
 wells leave dozens, the reference rows at most one.  Brent starts from
 the narrowed bracket's ends and keeps the sign change and its stopping
 rule, so each level is still certified to within ``refine_tol``, and a
-poor guess only leaves a wider bracket.  A level costs 0.30 scalar
-determinant evaluations on the reference table and 0.32 on deep wells
-(``deep_sweep`` seed 1; 1.08 after one round), besides the lane calls;
-Brent on the whole bracket took 4.12 and 4.78.
+poor guess only leaves a wider bracket.  A level costs 0.45 scalar
+determinant evaluations on the reference table and 0.27 on deep wells
+(``deep_sweep`` seed 1), besides the lane calls; on a fixed 1000-point
+grid it cost 0.30 and 0.32, and Brent on the whole bracket 4.12 and 4.78.
 """
 
 from __future__ import annotations
@@ -97,12 +97,20 @@ from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
 
-# grid points evaluated in one batch: the default grid in one, and
-# memory that stays flat for larger grids
+# grid points evaluated in one batch: the sized grid of a window under
+# 200 wide in s in one, and memory that stays flat for larger grids
 SCAN_CHUNK = 2000
 # the largest scan grid: a scan of about 4 s at under 70 MB peak
 # (2-core x86-64 machine)
 GRID_POINTS_CAP = 1_000_000
+# the step in s = sqrt(e + beta^2/4) of a sized grid: adjacent levels lie
+# at least 1.006 apart in s on the 36 reference rows and 1.238 on deep
+# wells (deep_sweep seed 1), so it puts 10 or more steps between them
+GRID_STEP_S = 0.1
+# the fewest points of a sized grid, which the reference rows (s-ranges
+# 5 to 10) get: Brent takes 0.45 evaluations a level there, where at 250
+# points deep wells took 2.42
+GRID_POINTS_MIN = 300
 # scan samples per bracket whose interpolating polynomial seeds its
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
@@ -117,33 +125,32 @@ class ScanSpec:
     """Grid density and refinement tolerances for the spectrum search.
 
     ``grid_points`` scan energies are spread uniformly in the interior
-    wave number (:func:`scan_grid`).  ``refine_tol`` is the width to which
-    Brent's method closes each sign-change bracket.  It bounds the error
-    of a level only as far as the determinant resolves its root: on deep
-    wells the determinant's rounding noise spans a few 1e-12 in e around
-    a level; scans on 200 and 20000 grid points gave levels of the same
+    wave number (:func:`scan_grid`), or by default :func:`grid_size` of
+    them.  ``refine_tol`` is the width to which Brent's method closes each
+    sign-change bracket.  It bounds the error of a level only as far as
+    the determinant resolves its root: on deep wells the determinant's
+    rounding noise spans a few 1e-12 in e around a level; scans on 200 and 20000 grid points gave levels of the same
     wells up to 3.6e-12 apart, and a second probe round moved levels by
     up to 4.6e-12 (10 ulps at e = 2564).  ``e_min``/``e_max`` optionally
-    clamp the scan to a sub-range of the window (useful for very deep
-    wells, where resolving the full window would need an enormous grid);
-    they never widen it.
+    clamp the scan to a sub-range of the window; they never widen it.
     """
 
-    grid_points: int = 1000
+    grid_points: int | None = None
     refine_tol: float = 1e-12
     e_min: float | None = None
     e_max: float | None = None
 
     def __post_init__(self):
-        try:
-            grid_points = int(self.grid_points)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput("grid_points must be an integer") from None
-        if grid_points != self.grid_points:
-            raise InvalidInput(f"grid_points = {self.grid_points!r} must be an integer")
-        object.__setattr__(self, "grid_points", grid_points)
-        if not 100 <= self.grid_points <= GRID_POINTS_CAP:
-            raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
+        if self.grid_points is not None:
+            try:
+                grid_points = int(self.grid_points)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidInput("grid_points must be an integer") from None
+            if grid_points != self.grid_points:
+                raise InvalidInput(f"grid_points = {self.grid_points!r} must be an integer")
+            object.__setattr__(self, "grid_points", grid_points)
+            if not 100 <= self.grid_points <= GRID_POINTS_CAP:
+                raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
         for name in ("refine_tol", "e_min", "e_max"):
             value = getattr(self, name)
             if value is None and name != "refine_tol":
@@ -281,6 +288,20 @@ def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
     return grid[np.diff(grid, prepend=-math.inf) > 0.0]
 
 
+def grid_size(a: float, b: float, beta: float) -> int:
+    """The points of the default scan grid from ``a`` to ``b``: steps of
+    at most ``GRID_STEP_S`` in the interior wave number, and at least
+    ``GRID_POINTS_MIN``.  Beyond ``GRID_POINTS_CAP`` it raises, since a
+    coarser grid would drop levels without a sign."""
+    quarter = 0.25 * beta * beta
+    points = math.ceil((math.sqrt(b + quarter) - math.sqrt(a + quarter)) / GRID_STEP_S) + 1
+    if points > GRID_POINTS_CAP:
+        raise ArgumentOutOfRange(
+            f"a scan of {points} points exceeds GRID_POINTS_CAP = {GRID_POINTS_CAP}"
+        )
+    return max(points, GRID_POINTS_MIN)
+
+
 def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
     return ArgumentOutOfRange(
         f"no level of {params}, whose order-0 channel binds one in every well: "
@@ -293,14 +314,16 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
 
     Sign-change brackets of the scale-free determinant on the grid of
     :func:`scan_grid`, uniform in the interior wave number between the
-    margin-shrunk and clamped window ends, are narrowed by the values
+    margin-shrunk and clamped window ends (:func:`grid_size` points
+    unless ``scan.grid_points`` sets them), are narrowed by the values
     either side of their guesses and refined to ``scan.refine_tol``.  A
     root that the grid does not resolve (two close levels within one grid
     step, or an even-order touch) gives no sign change and is not
     reported.  An empty spectrum
     is a valid result.  A window that double precision cannot resolve
     (beta^2 overflows, or the float spacing at its edges exceeds
-    ``WINDOW_MARGIN``) raises ``ArgumentOutOfRange``.
+    ``WINDOW_MARGIN``), or whose sized grid would exceed
+    ``GRID_POINTS_CAP``, raises ``ArgumentOutOfRange``.
 
     The angular numbers m = 0 and -1 bind a level in every well, at
     beta = 0 in their channel of order 0 (u for m = 0, w for m = -1).  A
@@ -349,7 +372,8 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             axis=1,
         )
 
-    grid = scan_grid(a, b, params.beta, scan.grid_points)
+    points = grid_size(a, b, params.beta) if scan.grid_points is None else scan.grid_points
+    grid = scan_grid(a, b, params.beta, points)
     roots: list[float] = []
     found: list[tuple[int, float | Bracket]] = []
     for channel, values in enumerate(values_on(grid)):

@@ -165,3 +165,30 @@ def tail_form(e, v, beta):
     gamma = arg kappa."""
     kappa = exterior_wave_numbers(e, v, beta)
     return math.sqrt(0.5 * math.pi / abs(kappa)), kappa.real, cmath.phase(kappa)
+
+
+def uncoupled_level_count(v: float, m: int) -> int:
+    """The number of levels of (v, 0, m) from the zeros of J alone.
+
+    At beta = 0 the spectrum is that of two scalar finite circular wells,
+    of orders n = m and m + 1.  A level of order n enters at the window
+    top when sqrt(v) crosses a zero of J_{|n|-1} (for n = 0, of J_1, plus
+    the level every 2D well binds), so the spectrum holds
+    N(v, m) + N(v, m + 1) levels with
+
+        N(v, n) = #{k : j_{|n|-1,k} < sqrt v}        for n != 0,
+        N(v, 0) = 1 + #{k : j_{1,k} < sqrt v}.
+    """
+    from scipy.special import jn_zeros
+
+    edge = math.sqrt(v)
+    # adjacent zeros of J_0 and J_1 .. J_63 lie nearly pi apart (DLMF
+    # 10.21(vi)), so the last of these lies past the edge
+    available = int(edge / math.pi) + 2
+
+    def below(order):
+        zeros = jn_zeros(order, available)
+        assert zeros[-1] > edge
+        return int(np.count_nonzero(zeros < edge))
+
+    return sum(1 + below(1) if n == 0 else below(abs(n) - 1) for n in (m, m + 1))

@@ -23,6 +23,7 @@ from conftest import (
     k_kernel,
     matching_residuals,
     overlap_parts,
+    uncoupled_level_count,
 )
 from rashbadot import spectral_solver
 from rashbadot.cli import main
@@ -33,7 +34,7 @@ from rashbadot.reference_levels import (
     REFERENCE_ROWS,
     corrected_levels,
 )
-from rashbadot.spectral_solver import ScanSpec, find_spectrum, spectral_determinant
+from rashbadot.spectral_solver import find_spectrum, spectral_determinant
 from rashbadot.wavefunction import (
     normalize,
     ode_residual,
@@ -292,9 +293,9 @@ class TestCriterion6SpecialFunctions:
 
 class TestCriterion7HardWallLimit:
     def test_deep_well_lowest_level(self):
-        spectrum = find_spectrum(
-            DotParameters(v=1e6, beta=0.0, m=0), ScanSpec(e_max=30.0)
-        )
+        # the whole window, every level the beta = 0 identity counts
+        spectrum = find_spectrum(DotParameters(v=1e6, beta=0.0, m=0))
+        assert len(spectrum.levels) == uncoupled_level_count(1e6, 0) == 637
         lowest = spectrum.levels[0]
         deviation = abs(lowest - FIRST_J0_ZERO_SQUARED) / FIRST_J0_ZERO_SQUARED
         assert deviation < 0.01
@@ -302,7 +303,8 @@ class TestCriterion7HardWallLimit:
             7,
             True,
             f"v=1e6 lowest level {lowest:.4f} vs J0-zero squared "
-            f"{FIRST_J0_ZERO_SQUARED:.4f} ({100 * deviation:.2f}% < 1%)",
+            f"{FIRST_J0_ZERO_SQUARED:.4f} ({100 * deviation:.2f}% < 1%), "
+            f"{len(spectrum.levels)} levels as the beta = 0 identity counts",
         )
 
 

@@ -196,6 +196,15 @@ class TestSpectrumCommand:
         assert out == ""
         assert "window" in err
 
+    def test_grid_beyond_cap_is_a_numerical_failure(self, capsys, monkeypatch):
+        # the window of v = 1e4 needs a 1001-point grid: a clamped one would
+        # drop levels without a sign
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 1000)
+        code, out, err = run_cli(capsys, "spectrum", "--v", "1e4", "--beta", "0", "--m", "3")
+        assert code == 3
+        assert out == ""
+        assert "GRID_POINTS_CAP = 1000" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run_cli(

@@ -10,6 +10,7 @@ from conftest import j_kernel, k_kernel
 from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 from rashbadot.radial_basis import exterior_pair, interior_pair
 from rashbadot.special_functions import (
+    J_ARGUMENT_CAP,
     ORDER_CAP,
     _J_HANKEL_PAIRS,
     _J_HANKEL_RADIUS,
@@ -108,7 +109,7 @@ class TestBesselJ:
 
     def test_argument_cap(self):
         with pytest.raises(ArgumentOutOfRange):
-            j_kernel(0, 200.5)
+            j_kernel(0, J_ARGUMENT_CAP + 0.5)
         with pytest.raises(ArgumentOutOfRange):
             j_kernel(0, math.nan)
 
@@ -144,7 +145,7 @@ class TestBesselJ:
             (range(3, 7), 3, (-0.9, -4.2, -60.0, -199.5, 4.2)),
             # Hankel's expansion, x >= 25 and x > n_max + 2, beside Miller
             # lanes on the other side of each bound and a series lane
-            (range(0, 17), 0, (25.0, 30.0, 99.9, 150.0, 200.0, 24.9999999, 18.0, 1.0)),
+            (range(0, 17), 0, (25.0, 30.0, 99.9, 150.0, 1999.9, 24.9999999, 18.0, 1.0)),
             (range(30, 33), 30, (34.0, 34.0000001, 60.0, 24.9999999, 25.0)),
             # negative x with a signed power in Hankel lanes
             (range(12, 15), 12, (-25.0, -33.3, -150.0, -199.5, 140.0, -20.0, -1.5)),
@@ -190,7 +191,7 @@ class TestBesselJ:
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(ArgumentOutOfRange):
-            bessel_j_over_power((0, 1), np.array([1.0, 200.5]), 0)
+            bessel_j_over_power((0, 1), np.array([1.0, J_ARGUMENT_CAP + 0.5]), 0)
         with pytest.raises(ArgumentOutOfRange):
             bessel_j_over_power((0, 1), np.array([1.0, math.nan]), 0)
         with pytest.raises(OrderCapExceeded):
@@ -323,7 +324,7 @@ K_SERIES_EDGE = _K_SERIES_RADIUS * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 9
             hankel_stop,
             _J_HANKEL_PAIRS,
             [_J_HANKEL_RADIUS],
-            np.linspace(_J_HANKEL_RADIUS, 200.0, 41),
+            np.linspace(_J_HANKEL_RADIUS, J_ARGUMENT_CAP, 41),
         ),
         (
             k_series_stop,
@@ -575,7 +576,8 @@ class TestLiveHighPrecisionOracle:
 
     def test_j_sampled_grid(self):
         # rows 0 .. n_max against the largest of them, in every regime and
-        # on both sides of the Hankel bounds x = 25 and x = n_max + 2
+        # on both sides of the Hankel bounds x = 25 and x = n_max + 2; the
+        # upward recurrence from Hankel's J_0 and J_1 up to the argument cap
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         for n_max in (0, 1, 4, 13, 23, 40, ORDER_CAP):
@@ -583,6 +585,7 @@ class TestLiveHighPrecisionOracle:
             for x in (
                 0.7, 2.0, 2.5, 5.1, 19.7, 24.99, 25.0, 25.01,
                 edge - 0.01, edge, edge + 0.01, 87.3, 166.0, 199.9,
+                316.2, 499.7, 1000.0, 1414.2, 1999.9, J_ARGUMENT_CAP,
             ):
                 got = bessel_j_over_power(range(n_max + 1), x, 0)
                 ref = [float(mp.besselj(n, mp.mpf(x))) for n in range(n_max + 1)]

@@ -1,10 +1,18 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import channel_determinant, counted_lane_calls, paper_basis, paper_exterior
+from conftest import (
+    channel_determinant,
+    counted_lane_calls,
+    paper_basis,
+    paper_exterior,
+    uncoupled_level_count,
+)
 from rashbadot import spectral_solver
 from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
@@ -13,6 +21,7 @@ from rashbadot.spectral_solver import (
     ScanSpec,
     equilibrated_matrix,
     find_spectrum,
+    grid_size,
     match_matrix,
     scan_grid,
     spectral_determinant,
@@ -51,6 +60,30 @@ def counted_refinement(monkeypatch) -> dict:
 
     monkeypatch.setattr(spectral_solver, "refine_root", counted)
     return counts
+
+
+def recorded_grids(monkeypatch) -> list:
+    """Wrap ``spectral_solver.scan_grid`` to keep every grid it builds,
+    as (points asked for, grid)."""
+    build = spectral_solver.scan_grid
+    grids = []
+
+    def recorded(a, b, beta, points):
+        grids.append((points, build(a, b, beta, points)))
+        return grids[-1][1]
+
+    monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
+    return grids
+
+
+def deep_sweep_wells(seed: int) -> list[DotParameters]:
+    """The wells of the benchmark's ``deep_sweep`` workload for ``seed``,
+    from ``bench/workloads.py`` without putting ``bench`` on the path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [DotParameters(w["v"], w["beta"], w["m"]) for w in module.deep_sweep_items(seed)]
 
 
 def scan_value(params, e):
@@ -343,13 +376,11 @@ class TestFindSpectrum:
 
     def test_hard_wall_limit(self):
         # at huge depth the lowest uncoupled level approaches the square
-        # of the first J0 zero
-        spectrum = find_spectrum(
-            DotParameters(v=1e6, beta=0.0, m=0),
-            ScanSpec(grid_points=2000, e_max=30.0),
-        )
+        # of the first J0 zero; the whole window holds the identity's count
+        spectrum = find_spectrum(DotParameters(v=1e6, beta=0.0, m=0))
+        assert len(spectrum.levels) == uncoupled_level_count(1e6, 0) == 637
         lowest = spectrum.levels[0]
-        assert abs(lowest - FIRST_J0_ZERO_SQUARED) / FIRST_J0_ZERO_SQUARED < 0.01
+        assert abs(lowest - FIRST_J0_ZERO_SQUARED) / FIRST_J0_ZERO_SQUARED < 0.003
 
     def test_scan_spec_validation(self):
         with pytest.raises(InvalidInput):
@@ -358,7 +389,7 @@ class TestFindSpectrum:
             ScanSpec(refine_tol=0.0)
         cap = spectral_solver.GRID_POINTS_CAP
         assert ScanSpec(grid_points=cap).grid_points == cap
-        for points in (150.5, "2000", None, math.inf, math.nan, cap + 1):
+        for points in (150.5, "2000", math.inf, math.nan, cap + 1):
             with pytest.raises(InvalidInput):
                 ScanSpec(grid_points=points)
 
@@ -518,7 +549,7 @@ class TestFindSpectrum:
 
         lo, hi = params.window
         a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
-        grid = scan_grid(a, b, beta, ScanSpec().grid_points)
+        grid = scan_grid(a, b, beta, grid_size(a, b, beta))
         matrix = equilibrated_matrix(params, grid)[0]
         if beta != 0.0:
             channels = [np.linalg.det(matrix)]
@@ -550,7 +581,7 @@ class TestFindSpectrum:
         "v,beta,m,e",
         [
             (100.0, 0.0, 50, 100.0 - 1e-9),  # K_49 overflows at the window top
-            (1e5, 1.0, 0, 5e4),  # k r beyond the validated J domain
+            (1e7, 1.0, 0, 5e6),  # k r beyond the validated J domain
         ],
     )
     def test_out_of_domain_lane_raises_as_scalar(self, v, beta, m, e):
@@ -573,45 +604,84 @@ class TestFindSpectrum:
 
 class TestScanGrid:
     @pytest.mark.parametrize(
-        "v,beta,m", [(25.0, 0.0, 0), (100.0, 2.0, 1), (1.0, -300.0, 0), (1e-8, 399.0, 0)]
+        "v,beta,m",
+        [(25.0, 0.0, 0), (100.0, 2.0, 1), (1.0, -300.0, 0), (1e-8, 399.0, 0), (3e-9, 399.0, 0)],
     )
     @pytest.mark.parametrize("clamp", [(None, None), (0.3, 0.7), (-1.0, 0.8)], ids=str)
     def test_strictly_increasing_with_exact_ends(self, monkeypatch, v, beta, m, clamp):
         # the grid find_spectrum scans runs from the margin-shrunk window
         # ends, clamped by e_min / e_max (which never widen it), and pins
         # both ends exactly; clamp gives them as fractions of the window.
-        # In the shallow well at beta = 399 some steps in s map below the
-        # float spacing of e near -beta^2/4, and their repeats are dropped
+        # In the shallowest well at beta = 399 some of the sized grid's steps
+        # in s map below the float spacing of e near -beta^2/4, and their
+        # repeats are dropped; at v = 1e-8 its 300 steps all stay above it
         params = DotParameters(v=v, beta=beta, m=m)
         lo, hi = params.window
         e_min, e_max = (None if f is None else lo + f * (hi - lo) for f in clamp)
         a = lo + WINDOW_MARGIN if e_min is None else max(lo + WINDOW_MARGIN, e_min)
         b = hi - WINDOW_MARGIN if e_max is None else min(hi - WINDOW_MARGIN, e_max)
-        build = spectral_solver.scan_grid
-        grids = []
-
-        def recorded(*args):
-            grids.append(build(*args))
-            return grids[-1]
-
-        monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
-        if v < 1e-6 and clamp == (None, None):
-            # the well's m = 0 level lies within WINDOW_MARGIN of the top
+        grids = recorded_grids(monkeypatch)
+        if v < 1e-6 and (a, b) == (lo + WINDOW_MARGIN, hi - WINDOW_MARGIN):
+            # the well's m = 0 level lies within WINDOW_MARGIN of the top,
+            # which a scan of the whole window reports
             with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
                 find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
         else:
             find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
-        (grid,) = grids
+        ((_, grid),) = grids
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
         # between the ends, every distinct inner node uniform in s, and
-        # only those
-        points = ScanSpec().grid_points
+        # only those, as many as the window's sized grid holds
+        points = grid_size(a, b, beta)
         quarter = 0.25 * beta * beta
         s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
         nodes = np.unique(s[1:-1] * s[1:-1] - quarter)
         assert np.array_equal(grid[1:-1], nodes[(a < nodes) & (nodes < b)])
-        assert (len(grid) < points) == (v < 1e-6)
+        assert (len(grid) < points) == (v < 5e-9)
+
+    def test_reference_rows_scan_the_floor(self, monkeypatch):
+        # the rows' windows span 5 to 10 in s: 51 to 101 steps of
+        # GRID_STEP_S, raised to the floor
+        grids = recorded_grids(monkeypatch)
+        for row in REFERENCE_ROWS:
+            find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
+        assert len(grids) == 36
+        assert all(points == len(grid) == 300 for points, grid in grids)
+
+    def test_deep_wells_are_sized_by_their_step(self):
+        # the deep_sweep wells span 50 to 100 in s
+        wells = deep_sweep_wells(1)
+        assert len(wells) == 32
+        for params in wells:
+            lo, hi = params.window
+            a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
+            points = grid_size(a, b, params.beta)
+            grid = scan_grid(a, b, params.beta, points)
+            assert 501 <= points == len(grid) <= 1001
+            steps = np.diff(np.sqrt(grid + 0.25 * params.beta**2))
+            assert steps.max() <= spectral_solver.GRID_STEP_S
+
+    def test_explicit_grid_points_scan_exactly_that_grid(self, monkeypatch):
+        params = DotParameters(v=100.0, beta=2.0, m=1)
+        lo, hi = params.window
+        grids = recorded_grids(monkeypatch)
+        find_spectrum(params, ScanSpec(grid_points=1000))
+        ((points, grid),) = grids
+        assert points == len(grid) == 1000
+        assert np.array_equal(grid, scan_grid(lo + WINDOW_MARGIN, hi - WINDOW_MARGIN, 2.0, 1000))
+
+    def test_window_beyond_the_grid_cap_raises(self, monkeypatch):
+        # a clamped grid would drop levels without a sign; the window of
+        # v = 1e4 needs 1001 points, so a cap of 1000 raises before a grid
+        # is built
+        grids = recorded_grids(monkeypatch)
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 1000)
+        with pytest.raises(ArgumentOutOfRange, match="1001 points exceeds GRID_POINTS_CAP = 1000$"):
+            find_spectrum(DotParameters(v=1e4, beta=0.0, m=3))
+        assert grids == []
+        # an explicit grid within the cap still scans
+        assert find_spectrum(DotParameters(v=1e4, beta=0.0, m=3), ScanSpec(grid_points=1000)).levels
 
     def test_uniform_in_interior_wave_number(self):
         beta = 12.0
