@@ -146,39 +146,38 @@ def exterior_wave_numbers(
     return complex(math.sqrt(remaining), 0.5 * beta)
 
 
-def _wave(m: int, k: float | np.ndarray, r: float, table: dict, derivatives: int) -> RadialWave:
+def _wave(rows, q: int, k, r: float, table: dict, derivatives: int) -> RadialWave:
     """J_n(k r) / k^q at n = m, m + 1 and its first ``derivatives``
     radial derivatives from ``table``, the orders q .. q + 1 + derivatives
-    of J(k r) / (k r)^q (J_n = (-1)^n J_|n|, |n| >= q); the second
-    derivative is
+    of J(k r) / (k r)^q.  ``rows`` holds (sign r^q, |n|) for n = m, m + 1:
+    J_n = (-1)^n J_|n|, |n| >= q, and J_j(kr) / k^q = r^q J_j(x) / x^q.
+    The derivatives are
 
+        d/dr J_j(kr)   = (j / r) J_j - k J_{j+1},
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
-    q = min(abs(m), abs(m + 1))
-    # J_j(kr) / k^q = r^q J_j(x) / x^q
-    lift = r**q
-    value, slope, curvature = [], [], []
-    for n in (m, m + 1):
-        j = abs(n)
-        sign = -lift if n < 0 and j % 2 else lift
-        t0 = table[j]
-        value.append(sign * t0)
-        if derivatives:
-            t1 = table[j + 1]
-            slope.append(sign * (j / r * t0 - k * t1))
-        if derivatives == 2:
-            t2 = table[j + 2]
-            curvature.append(
-                sign * (j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2)
-            )
-    return RadialWave(tuple(value), tuple(slope) or None, k**q, tuple(curvature) or None)
+    (s0, j0), (s1, j1) = rows
+    value = (s0 * table[j0], s1 * table[j1])
+    if not derivatives:
+        return RadialWave(value, None, k**q)
+
+    def slope(j):
+        return j / r * table[j] - k * table[j + 1]
+
+    def bend(j):
+        t0, t1, t2 = table[j], table[j + 1], table[j + 2]
+        return j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2
+
+    curvature = (s0 * bend(j0), s1 * bend(j1)) if derivatives == 2 else None
+    return RadialWave(value, (s0 * slope(j0), s1 * slope(j1)), k**q, curvature)
 
 
 def interior_pair(
-    m: int, e: float | np.ndarray, beta: float, r: float, derivatives: int = 1
+    m: int, k: InteriorWaveNumbers, r: float, derivatives: int = 1
 ) -> tuple[RadialWave, RadialWave]:
     """The two interior waves J(k_- r) and J(k_+ r) at orders m and m+1,
-    each divided by the signed power k^q of its wave number,
+    for the wave numbers ``k`` of :func:`interior_wave_numbers`, each
+    divided by the signed power k^q of its wave number,
     q = min(|m|, |m+1|), which ``divisor`` records.
 
     J_n(k r) ~ k^|n| with |n| >= q, so the divided waves stay O(1) for
@@ -190,43 +189,51 @@ def interior_pair(
     derivatives; each needs one more order of J, so callers ask only for
     those they use.
 
-    ``e`` is a float, or a 1-D array of N energies.  On an array one J
-    call takes the 2N arguments (k_- r, k_+ r), whose fixed cost is then
-    paid once for both waves; each lane gives what it would give in a
-    call of its own.  ``r`` must be positive and finite.
+    ``k`` holds floats, or 1-D arrays of N energies' wave numbers.  On
+    arrays one J call takes the 2N arguments (k_- r, k_+ r), whose fixed
+    cost is then paid once for both waves; each lane gives what it would
+    give in a call of its own.  ``r`` must be positive and finite.
     """
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
-    k = interior_wave_numbers(e, beta)
-    q = min(abs(m), abs(m + 1))
+    k_plus, k_minus = k
+    j0, j1 = abs(m), abs(m + 1)
+    q = min(j0, j1)
+    lift = r**q
+    rows = ((-lift if m < 0 and j0 % 2 else lift, j0), (-lift if m < -1 and j1 % 2 else lift, j1))
     orders = range(q, q + 2 + derivatives)
-    if isinstance(e, np.ndarray):
-        both = bessel_j_over_power(orders, np.concatenate((k.k_minus, k.k_plus)) * r, q)
-        size = len(k.k_minus)
+    if isinstance(k_minus, np.ndarray):
+        both = bessel_j_over_power(orders, np.concatenate((k_minus, k_plus)) * r, q)
+        size = len(k_minus)
         minus = {n: lanes[:size] for n, lanes in both.items()}
         plus = {n: lanes[size:] for n, lanes in both.items()}
     else:
-        minus = bessel_j_over_power(orders, k.k_minus * r, q)
-        plus = bessel_j_over_power(orders, k.k_plus * r, q)
-    return _wave(m, k.k_minus, r, minus, derivatives), _wave(m, k.k_plus, r, plus, derivatives)
+        minus = bessel_j_over_power(orders, k_minus * r, q)
+        # at beta = 0 the two waves coincide
+        plus = minus if k_plus == k_minus else bessel_j_over_power(orders, k_plus * r, q)
+    return (
+        _wave(rows, q, k_minus, r, minus, derivatives),
+        _wave(rows, q, k_plus, r, plus, derivatives),
+    )
 
 
 def exterior_pair(
-    m: int, e: float | np.ndarray, v: float, beta: float, r: float, derivatives: int = 1
+    m: int, kappa: complex | np.ndarray, r: float, derivatives: int = 1
 ) -> tuple[RadialWave, RadialWave]:
     """The two real exterior waves x = (Re K_m, Im K_{m+1}) and
-    y = (Im K_m, Re K_{m+1}) of K_n(k_+ r), each multiplied by
-    exp(+Re(k_+) r), whose inverse ``divisor`` records.
+    y = (Im K_m, Re K_{m+1}) of K_n(kappa r), for the wave number
+    ``kappa`` of :func:`exterior_wave_numbers`, each multiplied by
+    exp(+Re(kappa) r), whose inverse ``divisor`` records.
 
     The scaled waves stay finite for arbitrarily deep wells, where the
-    true ones underflow.  ``derivatives`` and ``e`` are as in
-    :func:`interior_pair`, which needs K at orders m .. m + 1 and one
-    more each side per derivative; ``r`` must be positive and finite.
+    true ones underflow.  ``derivatives`` is as in :func:`interior_pair`,
+    and needs K at orders m .. m + 1 and one more each side per
+    derivative; ``kappa`` is a complex or a 1-D array of N energies'
+    wave numbers, and ``r`` must be positive and finite.
     """
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
-    k = exterior_wave_numbers(e, v, beta)
-    z = k * r
+    z = kappa * r
     orders = range(m - derivatives, m + 2 + derivatives)
     # e^z K_n(z) times e^{-i Im z} is e^{Re z} K_n(z)
     if isinstance(z, np.ndarray):
@@ -237,16 +244,16 @@ def exterior_pair(
         scaled = bessel_k_scaled_many(orders, z)
         phase = cmath.exp(complex(0.0, -z.imag))
         divisor = math.exp(-z.real)
-    t = {n: value * phase for n, value in scaled.items()}
-    low, high = t[m], t[m + 1]
+    low, high = scaled[m] * phase, scaled[m + 1] * phase
     x_slope = y_slope = x_curve = y_curve = None
     if derivatives:
-        slope_low = -0.5 * k * (t[m - 1] + high)
-        slope_high = -0.5 * k * (low + t[m + 2])
+        below, above = scaled[m - 1] * phase, scaled[m + 2] * phase
+        slope_low = -0.5 * kappa * (below + high)
+        slope_high = -0.5 * kappa * (low + above)
         x_slope, y_slope = (slope_low.real, slope_high.imag), (slope_low.imag, slope_high.real)
     if derivatives == 2:
-        curve_low = 0.25 * k**2 * (t[m - 2] + 2.0 * low + t[m + 2])
-        curve_high = 0.25 * k**2 * (t[m - 1] + 2.0 * high + t[m + 3])
+        curve_low = 0.25 * kappa**2 * (scaled[m - 2] * phase + 2.0 * low + above)
+        curve_high = 0.25 * kappa**2 * (below + 2.0 * high + scaled[m + 3] * phase)
         x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
     return (
         RadialWave((low.real, high.imag), x_slope, divisor, x_curve),

@@ -149,6 +149,8 @@ _K_NODES = (
     (37.45483826846007, 3.913852357129493e-17),
     (42.08205580020674, 3.951333623078096e-19),
 )
+# the nodes as (t, w, w t): the weights of the K_0 and the K_1 integrand
+_K_TERMS = tuple((t, w, w * t) for t, w in _K_NODES)
 
 # Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
 # of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
@@ -303,13 +305,13 @@ def bessel_j_over_power(orders: Iterable[int], x: float | np.ndarray, power: int
     (the finite limit).  ``x`` is a float, giving floats, or a 1-D array
     of lanes, giving arrays: each lane takes the regime and the arithmetic
     the float would."""
-    orders = list(orders)
+    orders = sorted(orders)
     if not orders:
         return {}
-    n_max = max(orders)
+    n_max = orders[-1]
     _check_order(n_max)
-    if not 0 <= power <= min(orders):
-        raise DomainError(f"power {power} outside 0 .. lowest order {min(orders)}")
+    if not 0 <= power <= orders[0]:
+        raise DomainError(f"power {power} outside 0 .. lowest order {orders[0]}")
     lanes = isinstance(x, np.ndarray)
     size = abs(x)
     if not (np.all(size <= J_ARGUMENT_CAP) if lanes else size <= J_ARGUMENT_CAP):
@@ -380,14 +382,14 @@ def _k01_quadrature(z) -> tuple:
     about the real line, so the fixed rule of ``_K_NODES`` converges at
     every |z| > 3: a loop over the nodes, with no convergence test.
     """
-    lib = np if isinstance(z, np.ndarray) and z.ndim else cmath
+    sqrt = np.sqrt if isinstance(z, np.ndarray) and z.ndim else cmath.sqrt
     u = 0.5 / z
     s0 = s1 = 0.0
-    for t, w in _K_NODES:
-        root = lib.sqrt(1.0 + t * u)
+    for t, w, wt in _K_TERMS:
+        root = sqrt(1.0 + t * u)
         s0 = s0 + w / root
-        s1 = s1 + (w * t) * root
-    return s0 / lib.sqrt(2.0 * z), s1 * lib.sqrt(2.0 / z)
+        s1 = s1 + wt * root
+    return s0 / sqrt(2.0 * z), s1 * sqrt(2.0 / z)
 
 
 def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
@@ -397,25 +399,20 @@ def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex
     exterior basis stays usable for very deep wells where the unscaled
     K underflows double precision.
     """
-    orders = list(orders)
-    n_abs_max = max((abs(n) for n in orders), default=0)
+    orders = sorted(orders)
+    n_abs_max = max(-orders[0], orders[-1]) if orders else 0
     _check_order(n_abs_max)
     if not z.real > 0.0:
         raise DomainError(f"K_n requires Re z > 0, got z = {z!r}")
     conjugated = z.imag < 0.0
     if conjugated:
         z = z.conjugate()
-    k0, k1 = (_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_quadrature)(z)
-    seq = [k0, k1]
+    seq = list((_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_quadrature)(z))
     for n in range(1, n_abs_max):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    out = {}
-    for n in orders:
-        value = seq[abs(n)]
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ArgumentOutOfRange(f"K_{n}({z!r}) overflowed the recurrence")
-        out[n] = value.conjugate() if conjugated else value
-    return out
+    if not all(map(cmath.isfinite, seq)):
+        raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {n_abs_max}")
+    return {n: seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders}
 
 
 def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
@@ -433,7 +430,7 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     """:func:`bessel_k_scaled_many` over a 1-D array of arguments: each
     lane takes the seed regime and the arithmetic the scalar would."""
     orders = list(orders)
-    n_abs_max = max((abs(n) for n in orders), default=0)
+    n_abs_max = max(map(abs, orders), default=0)
     _check_order(n_abs_max)
     z = np.asarray(z, dtype=complex)
     if not np.all(z.real > 0.0):

@@ -92,7 +92,13 @@ import numpy as np
 
 from .errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
 from .numerics import Bracket, interpolant_root, narrow_bracket, refine_root
-from .radial_basis import WINDOW_MARGIN, DotParameters, interior_pair
+from .radial_basis import (
+    WINDOW_MARGIN,
+    DotParameters,
+    exterior_wave_numbers,
+    interior_pair,
+    interior_wave_numbers,
+)
 
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
@@ -203,8 +209,9 @@ def equilibrated_matrix(
     ``e`` is a float, giving a (4, 4) matrix and (4,) scales, or a 1-D
     array of N energies, giving an (N, 4, 4) stack and (N, 4) scales."""
     _check_window(params, e)
-    minus, plus = interior_pair(params.m, e, params.beta, 1.0)
-    x, y = exterior_pair_scaled(params.m, e, params.v, params.beta, 1.0)
+    minus, plus = interior_pair(params.m, interior_wave_numbers(e, params.beta), 1.0)
+    kappa = exterior_wave_numbers(e, params.v, params.beta)
+    x, y = exterior_pair_scaled(params.m, kappa, 1.0)
     columns = (
         (minus.value[0], minus.slope[0], minus.value[1], minus.slope[1]),
         (-x.value[0], -x.slope[0], -x.value[1], -x.slope[1]),

@@ -65,6 +65,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +80,7 @@ from .errors import (
 from .numerics import nullspace_4x4
 from .radial_basis import (
     DotParameters,
+    InteriorWaveNumbers,
     RadialWave,
     exterior_pair,
     exterior_wave_numbers,
@@ -109,9 +112,16 @@ class BoundState:
         """The paper's (c1, c2, d1, d2) = (a + b, c2, a - b, d2)."""
         return (self.a + self.b, self.c2, self.a - self.b, self.d2)
 
+    @cached_property
+    def wave_numbers(self) -> tuple[InteriorWaveNumbers, complex]:
+        """The interior (k_-, k_+) and the exterior kappa at the state's
+        energy, the part of every sample that does not depend on r:
+        computed once per state."""
+        p = self.params
+        return interior_wave_numbers(self.e, p.beta), exterior_wave_numbers(self.e, p.v, p.beta)
 
-@dataclass(frozen=True)
-class SpinorSample:
+
+class SpinorSample(NamedTuple):
     """Radial sample (r, u(r), w(r))."""
 
     r: float
@@ -161,47 +171,50 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
     return _scaled(state, sign / math.sqrt(float(paper @ paper)))
 
 
-def _combine(a: float, b: float, waves) -> list[tuple[float, float]]:
-    """(u, w) = (a x(m) + b y(m), a x(m+1) - b y(m+1)) for each (x, y)
-    pair of ``waves`` (module docstring)."""
-    return [(a * wx[0] + b * wy[0], a * wx[1] - b * wy[1]) for wx, wy in waves]
+def _combine(a: float, b: float, x_row, y_row) -> tuple[float, float]:
+    """(u, w) = (a x(m) + b y(m), a x(m+1) - b y(m+1)) from one row (the
+    values, the slopes or the curvatures) of the two waves x, y (module
+    docstring)."""
+    return a * x_row[0] + b * y_row[0], a * x_row[1] - b * y_row[1]
 
 
-def _terms(state: BoundState, r: float, derivatives: int) -> list[tuple[float, float]]:
-    """(u, w) and its first ``derivatives`` radial derivatives, (u', w')
-    and (u'', w''), at r > 0; r = 1 belongs to the exterior.  One formula
-    for both regions; only the two waves x, y and the coefficient pair
-    (a, b) differ."""
-    p = state.params
+def _weighted_waves(state: BoundState, r: float, derivatives: int):
+    """The two waves x, y at r > 0 with their first ``derivatives``
+    radial derivatives, and their weights: the coefficient pair (a, b) of
+    the region times each wave's divisor, so that :func:`_combine` gives
+    true scale.  r = 1 belongs to the exterior.  One formula for both
+    regions; only the waves and the coefficient pair differ."""
+    m = state.params.m
+    k, kappa = state.wave_numbers
     if r < 1.0:
-        x, y = interior_pair(p.m, state.e, p.beta, r, derivatives)
+        x, y = interior_pair(m, k, r, derivatives)
         a, b = state.a, state.b
     else:
-        x, y = exterior_pair(p.m, state.e, p.v, p.beta, r, derivatives)
+        x, y = exterior_pair(m, kappa, r, derivatives)
         a, b = state.c2, state.d2
-    waves = [(x.value, y.value), (x.slope, y.slope), (x.curvature, y.curvature)][: derivatives + 1]
-    # the waves carry true value / divisor
-    return _combine(a * x.divisor, b * y.divisor, waves)
+    return a * x.divisor, b * y.divisor, x, y
 
 
 def radial_components(state: BoundState, r: float) -> tuple[float, float]:
     """(u(r), w(r)) with region dispatch at r = 1 (r = 1 uses the exterior)."""
-    m = state.params.m
     if r < 0.0:
         raise InvalidInput("r must be nonnegative")
     if r == 0.0:
         # both interior waves are 1 at the origin in order 0
+        m = state.params.m
         u = state.a + state.b if m == 0 else 0.0
         w = state.a - state.b if m + 1 == 0 else 0.0
         return u, w
-    return _terms(state, r, 0)[0]
+    a, b, x, y = _weighted_waves(state, r, 0)
+    return _combine(a, b, x.value, y.value)
 
 
 def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
     """(u'(r), w'(r)), same region dispatch as :func:`radial_components`."""
     if not r > 0.0:
         raise InvalidInput("r must be positive")
-    return _terms(state, r, 1)[1]
+    a, b, x, y = _weighted_waves(state, r, 1)
+    return _combine(a, b, x.slope, y.slope)
 
 
 def _r_slope(wave: RadialWave, scale: float = 1.0) -> tuple[tuple, tuple]:
@@ -230,8 +243,8 @@ def _edge_form(ab, waves, dab, energy_waves, beta: float) -> float:
     value and slope of x and y, ``energy_waves`` those of x_e and y_e, and
     (a', b') = ``dab`` carry the chain-rule factors that x_e and y_e
     leave out."""
-    (u2, w2), (du2, dw2) = _combine(*ab, waves)
-    (u1, w1), (du1, dw1) = _combine(*dab, energy_waves)
+    (u2, w2), (du2, dw2) = (_combine(*ab, *row) for row in waves)
+    (u1, w1), (du1, dw1) = (_combine(*dab, *row) for row in energy_waves)
     return u1 * du2 - u2 * du1 + w1 * dw2 - w2 * dw1 + beta * (u2 * w1 - u1 * w2)
 
 
@@ -239,10 +252,9 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     """(integral_0^1, integral_1^inf) of (u^2 + w^2) r dr for the state's
     coefficients, each in closed form as a boundary form at r = 1
     (module docstring)."""
-    p = state.params
-    m, e, beta = p.m, state.e, p.beta
-    x, y = interior_pair(m, e, beta, 1.0, derivatives=2)
-    k = interior_wave_numbers(e, beta)
+    m, beta = state.params.m, state.params.beta
+    k, kappa = state.wave_numbers
+    x, y = interior_pair(m, k, 1.0, derivatives=2)
     q = min(abs(m), abs(m + 1))
     rate = 1.0 / (k.k_plus + k.k_minus)
     x_e = _interior_energy_wave(x, k.k_minus, m, q)
@@ -257,8 +269,7 @@ def region_density_integrals(state: BoundState) -> tuple[float, float]:
     # outside, on the exp-scaled waves: d/de K_n(kappa r) = s r d/dr K_n(kappa r)
     # with the complex s = (dkappa/de) / kappa, and (a' - i b') = (a - i b) s
     # recombines the real and imaginary parts that x and y hold
-    x, y = exterior_pair(m, e, p.v, beta, 1.0, derivatives=2)
-    kappa = exterior_wave_numbers(e, p.v, beta)
+    x, y = exterior_pair(m, kappa, 1.0, derivatives=2)
     a, b = state.c2 * x.divisor, state.d2 * y.divisor
     derivative = complex(a, -b) * (-0.5 / kappa.real / kappa)
     outside = -_edge_form(
@@ -321,7 +332,11 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     params = state.params
     m = params.m
     beta = params.beta
-    (u, w), (du, dw), (ddu, ddw) = _terms(state, r, 2)
+    a, b, x, y = _weighted_waves(state, r, 2)
+    (u, w), (du, dw), (ddu, ddw) = (
+        _combine(a, b, x_row, y_row)
+        for x_row, y_row in ((x.value, y.value), (x.slope, y.slope), (x.curvature, y.curvature))
+    )
     kinetic = (state.e - (0.0 if r < 1.0 else params.v)) * r * r
     radial_u = kinetic - m * m
     radial_w = kinetic - (m + 1) * (m + 1)

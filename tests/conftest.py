@@ -17,6 +17,7 @@ from rashbadot.radial_basis import (
     exterior_pair,
     exterior_wave_numbers,
     interior_pair,
+    interior_wave_numbers,
 )
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.special_functions import bessel_j_over_power, bessel_k_scaled_many
@@ -113,7 +114,7 @@ def paper_basis(m, e, beta, r):
     """The paper's interior pair [(f1, g1, f1', g1') at order m, at m + 1],
     f1, g1 = (J(k_- r) +/- J(k_+ r)) / 2, from the two divided waves of
     ``interior_pair``."""
-    minus, plus = interior_pair(m, e, beta, r)
+    minus, plus = interior_pair(m, interior_wave_numbers(e, beta), r)
     out = []
     for n in (0, 1):
         jm, jp = minus.value[n] * minus.divisor, plus.value[n] * plus.divisor
@@ -126,7 +127,7 @@ def paper_exterior(m, e, v, beta, r):
     """The paper's exterior pair [(f2, g2, f2', g2') at order m, at m + 1],
     f2, g2 = Re, Im K_n(k_+ r) at true scale, from the two waves
     x = (f2(m), g2(m+1)) and y = (g2(m), f2(m+1)) of ``exterior_pair``."""
-    x, y = exterior_pair(m, e, v, beta, r)
+    x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
     d = x.divisor
     return [
         (x.value[0] * d, y.value[0] * d, x.slope[0] * d, y.slope[0] * d),

@@ -97,7 +97,7 @@ class TestExteriorWaveNumbers:
 class TestInteriorBasis:
     def test_uncoupled_reduces_to_plain_bessel(self):
         e, r = 7.3, 0.63
-        minus, plus = interior_pair(2, e, 0.0, r)
+        minus, plus = interior_pair(2, interior_wave_numbers(e, 0.0), r)
         assert minus == plus
         assert minus.divisor == pytest.approx(e, rel=1e-15)  # k^q = sqrt(e)^2
         assert minus.value[0] * minus.divisor == pytest.approx(
@@ -105,7 +105,7 @@ class TestInteriorBasis:
         )
 
     def test_origin_limit_m0(self):
-        for wave in interior_pair(0, 5.0, 1.0, 1e-9):
+        for wave in interior_pair(0, interior_wave_numbers(5.0, 1.0), 1e-9):
             assert wave.divisor == 1.0
             assert wave.value[0] == pytest.approx(1.0, abs=1e-12)
             assert abs(wave.value[1]) < 1e-8
@@ -125,8 +125,8 @@ class TestInteriorBasis:
 
     def test_small_beta_continuity(self):
         for m in (0, 1, -2):
-            a = interior_pair(m, 5.0, 1e-8, 0.7)
-            b = interior_pair(m, 5.0, 0.0, 0.7)
+            a = interior_pair(m, interior_wave_numbers(5.0, 1e-8), 0.7)
+            b = interior_pair(m, interior_wave_numbers(5.0, 0.0), 0.7)
             for wave_a, wave_b in zip(a, b):
                 assert wave_a.divisor == pytest.approx(wave_b.divisor, rel=1e-6)
                 for field in ("value", "slope"):
@@ -135,33 +135,33 @@ class TestInteriorBasis:
 
     def test_origin_regularity_m1(self):
         # J_1(k r) ~ C r for m = 1
-        f_small = interior_pair(1, 5.0, 1.0, 1e-6)[0].value[0]
-        f_large = interior_pair(1, 5.0, 1.0, 1e-3)[0].value[0]
+        f_small = interior_pair(1, interior_wave_numbers(5.0, 1.0), 1e-6)[0].value[0]
+        f_large = interior_pair(1, interior_wave_numbers(5.0, 1.0), 1e-3)[0].value[0]
         assert f_small / f_large == pytest.approx(1e-3, rel=0.1)
 
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInput):
-            interior_pair(0, 5.0, 1.0, 0.0)
+            interior_pair(0, interior_wave_numbers(5.0, 1.0), 0.0)
 
     @pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
     def test_rejects_non_finite_radius(self, r):
         with pytest.raises(InvalidInput, match="positive and finite"):
-            interior_pair(1, 5.0, 1.0, r)
+            interior_pair(1, interior_wave_numbers(5.0, 1.0), r)
 
     def test_divided_wave_does_not_underflow(self):
         # at m = 60, J_60(k) ~ (k/2)^60 / 60! underflows for |k| < ~1e-4;
         # divided by k^60 it stays near its e = 0 limit 1 / (2^60 60!)
         limit = 1.0 / (2.0**60 * math.factorial(60))
         for e in (1e-6, 1e-12, 0.0, -1e-12, -1e-6):
-            minus = interior_pair(60, e, 1.0, 1.0)[0]
+            minus = interior_pair(60, interior_wave_numbers(e, 1.0), 1.0)[0]
             assert minus.value[0] == pytest.approx(limit, rel=1e-5)
             assert minus.slope[0] == pytest.approx(60.0 * limit, rel=1e-5)
 
     def test_signed_divisor(self):
         # below e = 0 the lower wave number is negative, and so is k^q for
         # odd q: the divided wave keeps its sign through e = 0
-        below = interior_pair(1, -0.01, 2.0, 1.0)[0]
-        above = interior_pair(1, 0.01, 2.0, 1.0)[0]
+        below = interior_pair(1, interior_wave_numbers(-0.01, 2.0), 1.0)[0]
+        above = interior_pair(1, interior_wave_numbers(0.01, 2.0), 1.0)[0]
         assert below.divisor < 0.0 < above.divisor
         assert below.value[0] > 0.0 and above.value[0] > 0.0
 
@@ -176,7 +176,7 @@ class TestExteriorBasis:
         assert f == pytest.approx(expected, rel=1e-13)
 
     def test_real_by_construction(self):
-        for wave in exterior_pair(1, 3.0, 25.0, 2.0, 1.4, derivatives=2):
+        for wave in exterior_pair(1, exterior_wave_numbers(3.0, 25.0, 2.0), 1.4, derivatives=2):
             assert isinstance(wave.divisor, float)
             for field in ("value", "slope", "curvature"):
                 assert all(isinstance(x, float) for x in getattr(wave, field))
@@ -193,7 +193,7 @@ class TestExteriorBasis:
         # the waves carry K * exp(+Re(k_+) r); value * divisor is true scale
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
         k_plus = exterior_wave_numbers(e, v, beta)
-        x, y = exterior_pair(m, e, v, beta, r)
+        x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
         assert x.divisor == y.divisor == math.exp(-k_plus.real * r)
         for n in (m, m + 1):
             true = k_kernel(n, k_plus * r)
@@ -229,7 +229,7 @@ class TestExteriorBasis:
     def test_rejects_a_radius_not_positive_and_finite(self, r):
         # at r = inf the K recurrence would overflow instead
         with pytest.raises(InvalidInput, match="positive and finite"):
-            exterior_pair(1, 3.0, 25.0, 2.0, r)
+            exterior_pair(1, exterior_wave_numbers(3.0, 25.0, 2.0), r)
 
 
 class TestDerivativeCount:
@@ -241,8 +241,8 @@ class TestDerivativeCount:
     def test_fewer_derivatives_keep_the_same_fields(self, region, m):
         def pair(derivatives):
             if region == "interior":
-                return interior_pair(m, 3.0, 2.0, 0.7, derivatives)
-            return exterior_pair(m, 3.0, 25.0, 2.0, 1.4, derivatives)
+                return interior_pair(m, interior_wave_numbers(3.0, 2.0), 0.7, derivatives)
+            return exterior_pair(m, exterior_wave_numbers(3.0, 25.0, 2.0), 1.4, derivatives)
 
         full = pair(2)
         assert all(wave.curvature is not None for wave in full)
@@ -255,9 +255,9 @@ class TestDerivativeCount:
     @pytest.mark.parametrize("derivatives", [-1, 3, 1.5])
     def test_rejects_other_counts(self, derivatives):
         with pytest.raises(InvalidInput):
-            interior_pair(1, 3.0, 2.0, 0.7, derivatives)
+            interior_pair(1, interior_wave_numbers(3.0, 2.0), 0.7, derivatives)
         with pytest.raises(InvalidInput):
-            exterior_pair(1, 3.0, 25.0, 2.0, 1.4, derivatives)
+            exterior_pair(1, exterior_wave_numbers(3.0, 25.0, 2.0), 1.4, derivatives)
 
 
 class TestTailEnvelope:
@@ -268,7 +268,7 @@ class TestTailEnvelope:
         # the g2 parts, y at order m and x at m + 1, are exactly zero
         assert exterior_wave_numbers(4.0, 25.0, 0.0).imag == 0.0
         for r in (1.0, 5.0, 30.0):
-            x, y = exterior_pair(0, 4.0, 25.0, 0.0, r)
+            x, y = exterior_pair(0, exterior_wave_numbers(4.0, 25.0, 0.0), r)
             assert (y.value[0], x.value[1]) == (0.0, 0.0)
 
     def test_three_four_five_instance(self):
@@ -276,7 +276,7 @@ class TestTailEnvelope:
         # so (2 r / pi) times its square tends to 1 / kappa = 0.16 - 0.12i,
         # with relative error about 1 / (4 |kappa| r)
         r = 100.0
-        x, y = exterior_pair(0, 0.0, 25.0, 6.0, r)
+        x, y = exterior_pair(0, exterior_wave_numbers(0.0, 25.0, 6.0), r)
         scaled = complex(x.value[0], y.value[0]) * cmath.exp(3j * r)
         assert abs(2.0 * r / math.pi * scaled**2 - complex(0.16, -0.12)) < 1e-3 * 0.2
 
@@ -294,7 +294,7 @@ class TestTailEnvelope:
         m, e, v, beta = 0, 2.97, 100.0, 2.0
         amplitude, decay_rate, gamma = tail_form(e, v, beta)
         r = 30.0
-        x, y = exterior_pair(m, e, v, beta, r)
+        x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
         exponent = -math.log(x.divisor)
         assert exponent == pytest.approx(decay_rate * r, rel=1e-14)
         # compare in scaled space (the raw values are ~1e-120)
@@ -305,4 +305,4 @@ class TestTailEnvelope:
 
     def test_window_guard(self):
         with pytest.raises(AboveWindow):
-            exterior_pair(0, 25.0, 25.0, 0.0, 2.0)
+            exterior_pair(0, exterior_wave_numbers(25.0, 25.0, 0.0), 2.0)

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import j_kernel, k_kernel
 from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
-from rashbadot.radial_basis import exterior_pair, interior_pair
+from rashbadot.radial_basis import (
+    exterior_pair,
+    exterior_wave_numbers,
+    interior_pair,
+    interior_wave_numbers,
+)
 from rashbadot.special_functions import (
     J_ARGUMENT_CAP,
     ORDER_CAP,
@@ -240,7 +245,7 @@ def interior_derivatives(m, e, beta):
     """``check_ladder_derivatives`` view of the two interior waves."""
 
     def derivatives(r):
-        waves = interior_pair(m, e, beta, r, derivatives=2)
+        waves = interior_pair(m, interior_wave_numbers(e, beta), r, derivatives=2)
         fields = ("value", "slope", "curvature")
         return [[x for wave in waves for x in getattr(wave, field)] for field in fields]
 
@@ -252,7 +257,7 @@ def exterior_derivatives(m, e, v, beta):
     scale, since their divisor depends on r."""
 
     def derivatives(r):
-        waves = exterior_pair(m, e, v, beta, r, derivatives=2)
+        waves = exterior_pair(m, exterior_wave_numbers(e, v, beta), r, derivatives=2)
         fields = ("value", "slope", "curvature")
         return [
             [x * wave.divisor for wave in waves for x in getattr(wave, field)]
@@ -350,10 +355,9 @@ class TestBesselJDerivative:
 
     def test_j0_derivative_identity(self):
         # beta = 0, e = 1: the wave is J_0(r), so its slope is -J_1(r)
+        k = interior_wave_numbers(1.0, 0.0)
         for r in (0.3, 1.0, 2.7):
-            assert interior_pair(0, 1.0, 0.0, r)[0].slope[0] == pytest.approx(
-                -j_kernel(1, r), abs=1e-14
-            )
+            assert interior_pair(0, k, r)[0].slope[0] == pytest.approx(-j_kernel(1, r), abs=1e-14)
 
     def test_matches_finite_difference(self):
         check_ladder_derivatives(interior_derivatives(1, 6.0, 2.0), 0.7, 1e-8)
@@ -367,7 +371,7 @@ class TestBesselJDerivative:
             c = 1.0 / (2.0**q * math.factorial(q))
             sign = (-1.0) ** q if m < 0 else 1.0
             limit = (r**q, q * r ** (q - 1), q * (q - 1) * r ** (q - 2))
-            wave = interior_pair(m, 0.0, 2.0, r, derivatives=2)[0]
+            wave = interior_pair(m, interior_wave_numbers(0.0, 2.0), r, derivatives=2)[0]
             at = 1 if m < 0 else 0  # the order with |n| = q
             for field, want in zip(("value", "slope", "curvature"), limit):
                 got = getattr(wave, field)
@@ -549,7 +553,7 @@ class TestBesselKDerivative:
         # beta = 0: f = K_0(k r) with k = sqrt(v - e) = 2, so f' = -2 K_1(2 r)
         for r in (0.4, 1.1, 3.0):
             expected = -2.0 * k_kernel(1, complex(2.0 * r, 0.0)).real
-            x = exterior_pair(0, 21.0, 25.0, 0.0, r)[0]
+            x = exterior_pair(0, exterior_wave_numbers(21.0, 25.0, 0.0), r)[0]
             assert x.slope[0] * x.divisor == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_difference(self):
@@ -560,8 +564,8 @@ class TestBesselKDerivative:
         # beta -> -beta conjugates k_plus: g = Im K and its derivatives flip
         # sign, f = Re K and its derivatives keep their values, bit for bit;
         # x = (f(m), g(m+1)) and y = (g(m), f(m+1))
-        x_a, y_a = exterior_pair(2, 3.0, 25.0, 1.8, 0.8, 2)
-        x_b, y_b = exterior_pair(2, 3.0, 25.0, -1.8, 0.8, 2)
+        x_a, y_a = exterior_pair(2, exterior_wave_numbers(3.0, 25.0, 1.8), 0.8, 2)
+        x_b, y_b = exterior_pair(2, exterior_wave_numbers(3.0, 25.0, -1.8), 0.8, 2)
         assert x_b.divisor == x_a.divisor
         for field in ("value", "slope", "curvature"):
             (f_a, g_a), (f_b, g_b) = getattr(x_a, field), getattr(x_b, field)
