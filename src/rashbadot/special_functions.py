@@ -215,7 +215,7 @@ def _j_miller(n_max: int, x, power: int) -> list:
     their seeds, so a lane does the scalar's arithmetic step for step.
     """
     lanes = isinstance(x, np.ndarray)
-    start = x + 9.0 * x ** (1.0 / 3.0) + 24.0
+    start = x + 9.0 * x ** (1.0 / 3.0) + 8.0
     if lanes:
         start = np.maximum(start.astype(np.int64), n_max + 12)
     else:

@@ -99,6 +99,7 @@ from .radial_basis import (
     interior_pair,
     interior_wave_numbers,
 )
+from .special_functions import J_ARGUMENT_CAP
 
 # the one exterior function, under the name bench/tracer.py patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
@@ -363,6 +364,13 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
         if binding is not None:
             raise _lost_binding_level(params)
         return EnergySpectrum(params=params, levels=(), window=window)
+    # the matching takes J at k_+/- r = 1, the largest at the window top
+    reach = math.sqrt(b + 0.25 * params.beta * params.beta) + 0.5 * abs(params.beta)
+    if reach > J_ARGUMENT_CAP:
+        raise ArgumentOutOfRange(
+            f"window ({a!r}, {b!r}) of {params} reaches the interior wave number "
+            f"{reach:.6g}, beyond the validated J argument domain {J_ARGUMENT_CAP}"
+        )
 
     def values_at(e: float | np.ndarray) -> np.ndarray:
         """Scan values at the energies e: (channels,) at a float,

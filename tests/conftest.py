@@ -95,6 +95,19 @@ def matching_residuals(state) -> list[float]:
     return out
 
 
+# deep wells across v, beta and m; the last one's determinant is noisy
+# over about 1e-12 in e around its level at e = 169.0845
+DEEP_WELLS = [
+    (9961.549810803253, 125.77606606560674, -2),
+    (9512.792778045305, 27.52841271669822, 0),
+    (2500.0, 100.0, -12),
+    (2500.0, 10.0, 5),
+    (10000.0, 20.0, 3),
+    (4000.0, 0.0, 3),
+    (6846.12420229014, 113.18563015612773, -1),
+]
+
+
 def counted_lane_calls(monkeypatch) -> list[int]:
     """Wrap ``spectral_solver.equilibrated_matrix`` to count its calls on
     an array of energies (lane calls: scan chunks and probe rounds) in

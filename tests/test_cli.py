@@ -205,6 +205,14 @@ class TestSpectrumCommand:
         assert out == ""
         assert "GRID_POINTS_CAP = 1000" in err
 
+    def test_window_beyond_the_j_domain_is_a_numerical_failure(self, capsys):
+        # the window top of v = 4.5e6 needs J at k r = 2121, beyond the
+        # validated J argument domain
+        code, out, err = run_cli(capsys, "spectrum", "--v", "4.5e6", "--beta", "0", "--m", "0")
+        assert code == 3
+        assert out == ""
+        assert "reaches the interior wave number 2121.32" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run_cli(
@@ -452,8 +460,14 @@ class TestGoldenBytes:
                 + ["--rmax", "3", "--samples", "300"],
                 "wavefunction.csv",
             ),
+            (
+                # the symmetry partner of the one above: negative odd orders
+                ["wavefunction", "--v", "100", "--beta", "-2", "--m", "-2", "--level", "2"]
+                + ["--rmax", "3", "--samples", "300"],
+                "wavefunction_partner.csv",
+            ),
         ],
-        ids=["table", "sweep", "spectrum", "spectrum_physical", "wavefunction"],
+        ids=["table", "sweep", "spectrum", "spectrum_physical", "wavefunction", "partner"],
     )
     def test_csv_bytes(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)

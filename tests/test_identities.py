@@ -3,13 +3,20 @@
 At beta = 0 the level count follows from the zeros of J alone
 (``conftest.uncoupled_level_count``): a spectrum that drops a level, or
 reports one twice, fails it at any depth, without a second solver.
+
+At any beta the well depth v enters the Hamiltonian only as the step
+v * theta(r - 1), so by Hellmann-Feynman de/dv of a level is the weight
+of its density outside the well: the slope of the spectrum in v checks
+the closed-form region integrals of ``wavefunction``.
 """
 
 import pytest
 
-from conftest import uncoupled_level_count
+from conftest import DEEP_WELLS, uncoupled_level_count
 from rashbadot.radial_basis import DotParameters
+from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum
+from rashbadot.wavefunction import region_density_integrals, solve_coefficients
 
 pytest.importorskip("scipy")
 
@@ -51,3 +58,35 @@ def test_wells_either_side_of_a_threshold(n):
 def test_deep_whole_windows(v, m):
     # the whole window, 201 to 637 levels, with no clamp on the scan
     assert count_mismatches([(v, m)]) == []
+
+
+def hellmann_feynman_gaps(wells, h: float) -> list[float]:
+    """|de/dv - weight outside| of every level of ``wells``: de/dv from the
+    4-point central difference of the spectra at v - 2h .. v + 2h, the
+    weight from ``region_density_integrals`` of the level's state."""
+    gaps = []
+    for v, beta, m in wells:
+        params = DotParameters(v=v, beta=beta, m=m)
+        levels = find_spectrum(params).levels
+        shifted = [find_spectrum(DotParameters(v + k * h, beta, m)).levels for k in (-2, -1, 1, 2)]
+        assert all(len(near) == len(levels) for near in shifted), (v, beta, m)
+        for e, (e_2, e_1, e1, e2) in zip(levels, zip(*shifted)):
+            slope = (e_2 - 8.0 * e_1 + 8.0 * e1 - e2) / (12.0 * h)
+            inside, outside = region_density_integrals(solve_coefficients(params, e))
+            gaps.append(abs(slope - outside / (inside + outside)))
+    return gaps
+
+
+@pytest.mark.parametrize(
+    "wells,h,tol",
+    [
+        # 139 levels: the step balances the stencil's h^4 error against the
+        # levels' 1e-12 refinement, 1.41e-9 measured at h = 0.01
+        ([(row.v, row.beta, row.m) for row in REFERENCE_ROWS], 0.01, 2e-9),
+        # 330 levels of v = 2500 to 1e4, 2.35e-11 measured at h = 0.1
+        (DEEP_WELLS, 0.1, 5e-11),
+    ],
+    ids=["reference_rows", "deep_wells"],
+)
+def test_level_slope_in_depth_is_the_weight_outside(wells, h, tol):
+    assert max(hellmann_feynman_gaps(wells, h)) < tol

@@ -194,6 +194,32 @@ class TestBesselJ:
         with pytest.raises(ArgumentOutOfRange), np.errstate(over="ignore", invalid="ignore"):
             _j_miller(300, np.array([50.0, 2.5]), 0)
 
+    def test_miller_start_against_mpmath(self):
+        # the recurrence starts at x + 9 x^(1/3) + 8 (at least n_max + 12):
+        # over its whole domain, 2 < x < 25 at every n_max <= ORDER_CAP and
+        # 25 <= x <= n_max + 2, the rows 0 .. n_max lie within 2.2e-15 of
+        # the largest of them (2.16e-15 measured on this grid, at n_max = 53,
+        # x = 54.5; a start at + 24 gave 1.99e-15); n_max = 0 is left out,
+        # since J_0 alone vanishes at its zeros.  The reference rows come
+        # from mpmath's J_65 and J_66 by the downward recurrence, which is
+        # stable for J, at 30 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        top = ORDER_CAP + 2
+        xs = [2.0 + 1e-9, *np.arange(2.05, 25.0, 0.1), *np.arange(25.0, top + 1e-9, 0.25)]
+        worst = 0.0
+        for x in (round(float(x), 6) for x in xs):
+            exact = mp.mpf(x)
+            rows = {top: mp.besselj(top, exact), top - 1: mp.besselj(top - 1, exact)}
+            for n in range(top - 1, 0, -1):
+                rows[n - 1] = 2 * n / exact * rows[n] - rows[n + 1]
+            ref = [float(rows[n]) for n in range(ORDER_CAP + 1)]
+            for n_max in range(1 if x < 25.0 else math.ceil(x - 2.0), ORDER_CAP + 1):
+                got = _j_miller(n_max, x, 0)
+                error = max(abs(a - b) for a, b in zip(got, ref))
+                worst = max(worst, error / max(map(abs, ref[: n_max + 1])))
+        assert worst <= 2.2e-15
+
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(ArgumentOutOfRange):
             bessel_j_over_power((0, 1), np.array([1.0, J_ARGUMENT_CAP + 0.5]), 0)

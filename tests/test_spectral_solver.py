@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DEEP_WELLS,
     channel_determinant,
     counted_lane_calls,
     paper_basis,
@@ -28,18 +30,6 @@ from rashbadot.spectral_solver import (
 )
 
 FIRST_J0_ZERO_SQUARED = 5.7831859629467845
-
-# deep wells across v, beta and m; the last one's determinant is noisy
-# over about 1e-12 in e around its level at e = 169.0845
-DEEP_WELLS = [
-    (9961.549810803253, 125.77606606560674, -2),
-    (9512.792778045305, 27.52841271669822, 0),
-    (2500.0, 100.0, -12),
-    (2500.0, 10.0, 5),
-    (10000.0, 20.0, 3),
-    (4000.0, 0.0, 3),
-    (6846.12420229014, 113.18563015612773, -1),
-]
 
 
 def counted_refinement(monkeypatch) -> dict:
@@ -682,6 +672,32 @@ class TestScanGrid:
         assert grids == []
         # an explicit grid within the cap still scans
         assert find_spectrum(DotParameters(v=1e4, beta=0.0, m=3), ScanSpec(grid_points=1000)).levels
+
+    @pytest.mark.parametrize("v", [4.5e6, 1.6e7])
+    def test_window_beyond_the_j_domain_raises_before_a_scan(self, monkeypatch, v):
+        # the window top sets the largest interior wave number, sqrt(v) at
+        # beta = 0: past J_ARGUMENT_CAP the spectrum fails at once, naming
+        # the well and the window, where it used to scan the chunks below
+        # the cap first; the whole window of v = 1e6 (k up to 1000) still
+        # scans, with its 637 levels (test_hard_wall_limit)
+        calls = []
+        equilibrated = spectral_solver.equilibrated_matrix
+
+        def counted(params, e):
+            calls.append(e)
+            return equilibrated(params, e)
+
+        monkeypatch.setattr(spectral_solver, "equilibrated_matrix", counted)
+        params = DotParameters(v=v, beta=0.0, m=0)
+        message = (
+            rf"^window \(1e-09, .*\) of {re.escape(repr(params))} reaches the interior "
+            r"wave number .*, beyond the validated J argument domain 2000\.0$"
+        )
+        with pytest.raises(ArgumentOutOfRange, match=message):
+            find_spectrum(params)
+        assert calls == []
+        # a scan clamped below the cap is inside the domain
+        assert find_spectrum(params, ScanSpec(e_max=100.0)).levels
 
     def test_uniform_in_interior_wave_number(self):
         beta = 12.0

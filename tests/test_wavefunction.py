@@ -12,7 +12,14 @@ from rashbadot.errors import (
     NotSingular,
 )
 from rashbadot.numerics import integrate_panel, integrate_tail
-from rashbadot.radial_basis import DotParameters, interior_wave_numbers
+from rashbadot import wavefunction
+from rashbadot.radial_basis import (
+    DotParameters,
+    exterior_pair,
+    exterior_wave_numbers,
+    interior_pair,
+    interior_wave_numbers,
+)
 from rashbadot.spectral_solver import find_spectrum
 from rashbadot.wavefunction import (
     BoundState,
@@ -394,6 +401,81 @@ class TestOdeResidual:
         for _ in range(20):
             assert max(abs(x) for x in ode_residual(state, rng.uniform(0.02, 0.98))) < 1e-8
             assert max(abs(x) for x in ode_residual(state, rng.uniform(1.02, 8.0))) < 1e-8
+
+
+# the positive radii of ``rashbadot wavefunction --rmax 3 --samples 300``,
+# and radii inside and outside the well for the residuals
+PROFILE_RADII = [3.0 if i == 299 else i * (3.0 / 299) for i in range(1, 300)]
+RESIDUAL_RADII = (0.05, 0.31, 0.77, 0.95, 1.05, 1.7, 2.9)
+
+
+def assembled_rows(state, r, derivatives):
+    """(u, w) and its first ``derivatives`` radial derivatives at r > 0,
+    assembled from one call of a pair function at the state's energy
+    with the state's coefficients (``wavefunction`` module docstring)."""
+    p = state.params
+    if r < 1.0:
+        x, y = interior_pair(p.m, interior_wave_numbers(state.e, p.beta), r, derivatives)
+        a, b = state.a * x.divisor, state.b * y.divisor
+    else:
+        x, y = exterior_pair(p.m, exterior_wave_numbers(state.e, p.v, p.beta), r, derivatives)
+        a, b = state.c2 * x.divisor, state.d2 * y.divisor
+    rows = ((x.value, y.value), (x.slope, y.slope), (x.curvature, y.curvature))
+    return [(a * xr[0] + b * yr[0], a * xr[1] - b * yr[1]) for xr, yr in rows[: derivatives + 1]]
+
+
+def assembled_residual(state, r):
+    """The scaled residuals of the two radial equations, times r^2, from
+    ``assembled_rows``, term for term in the order ``ode_residual`` sums
+    them."""
+    (u, w), (du, dw), (ddu, ddw) = assembled_rows(state, r, 2)
+    m, beta = state.params.m, state.params.beta
+    kinetic = (state.e - (0.0 if r < 1.0 else state.params.v)) * r * r
+    r2 = r * r
+    coupling_u = beta * r2 * (dw + (m + 1) * w / r)
+    coupling_w = beta * r2 * (du - m * u / r)
+    terms_u = (r2 * ddu, r * du, (kinetic - m * m) * u, coupling_u)
+    terms_w = (r2 * ddw, r * dw, (kinetic - (m + 1) * (m + 1)) * w, coupling_w)
+    residual_u = terms_u[0] + terms_u[1] + terms_u[2] - coupling_u
+    residual_w = terms_w[0] + terms_w[1] + terms_w[2] + coupling_w
+    return (
+        residual_u / max(max(map(abs, terms_u)), 1e-300),
+        residual_w / max(max(map(abs, terms_w)), 1e-300),
+    )
+
+
+class TestSamplePath:
+    """Samples and residuals are the pair functions' waves, combined with
+    the state's coefficients: no second copy of the basis formulas."""
+
+    def test_samples_and_residuals_are_the_pair_functions(self, table_states):
+        for states in table_states.values():
+            for state in states:
+                for r in PROFILE_RADII:
+                    sample = evaluate_radial(state, r)
+                    assert (sample.u, sample.w) == assembled_rows(state, r, 0)[0], (state, r)
+                for r in RESIDUAL_RADII:
+                    assert ode_residual(state, r) == assembled_residual(state, r), (state, r)
+
+    def test_wave_numbers_once_per_state(self, monkeypatch):
+        calls = {"interior": 0, "exterior": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        params = DotParameters(v=100.0, beta=2.0, m=1)
+        state = normalize(solve_coefficients(params, find_spectrum(params).levels[2]))
+        for name, fn in (("interior", interior_wave_numbers), ("exterior", exterior_wave_numbers)):
+            monkeypatch.setattr(wavefunction, f"{name}_wave_numbers", counted(name, fn))
+        for r in (0.0, *PROFILE_RADII):
+            evaluate_radial(state, r)
+        for r in RESIDUAL_RADII:
+            ode_residual(state, r)
+        assert calls == {"interior": 1, "exterior": 1}
 
 
 class TestOrthogonalityAndSymmetry:
