@@ -22,8 +22,9 @@ y = (g2(m), f2(m+1)).
 
 This module is the one place where Bessel tables become basis values,
 for one energy or for an array of energies (the scan's energy axis):
-the formulas below are written once, and the type of the energy picks
-the scalar or the lane kernels of ``special_functions``.
+the formulas below are written once, and the type of the wave numbers
+(of ``interior_wave_numbers`` and ``exterior_wave_numbers``, which do not
+depend on r) picks the scalar or the lane kernels of ``special_functions``.
 Both regions return two waves of one type, :class:`RadialWave`, stored
 divided by a ``divisor`` (true value = value * divisor): the signed
 power k^q of the wave number inside, exp(-Re(k2p) r) outside.  The
@@ -146,17 +147,17 @@ def exterior_wave_numbers(
     return complex(math.sqrt(remaining), 0.5 * beta)
 
 
-def _wave(rows, q: int, k, r: float, table: dict, derivatives: int) -> RadialWave:
+def _wave(m: int, q: int, k, r: float, table: dict, derivatives: int) -> RadialWave:
     """J_n(k r) / k^q at n = m, m + 1 and its first ``derivatives``
     radial derivatives from ``table``, the orders q .. q + 1 + derivatives
-    of J(k r) / (k r)^q.  ``rows`` holds (sign r^q, |n|) for n = m, m + 1:
-    J_n = (-1)^n J_|n|, |n| >= q, and J_j(kr) / k^q = r^q J_j(x) / x^q.
-    The derivatives are
+    of J(k r) / (k r)^q (J_n = (-1)^n J_|n|, |n| >= q); the derivatives are
 
         d/dr J_j(kr)   = (j / r) J_j - k J_{j+1},
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
-    (s0, j0), (s1, j1) = rows
+    # J_j(kr) / k^q = r^q J_j(x) / x^q
+    lift = r**q
+    (s0, j0), (s1, j1) = [(-lift if n < 0 and n % 2 else lift, abs(n)) for n in (m, m + 1)]
     value = (s0 * table[j0], s1 * table[j1])
     if not derivatives:
         return RadialWave(value, None, k**q)
@@ -197,10 +198,7 @@ def interior_pair(
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     k_plus, k_minus = k
-    j0, j1 = abs(m), abs(m + 1)
-    q = min(j0, j1)
-    lift = r**q
-    rows = ((-lift if m < 0 and j0 % 2 else lift, j0), (-lift if m < -1 and j1 % 2 else lift, j1))
+    q = min(abs(m), abs(m + 1))
     orders = range(q, q + 2 + derivatives)
     if isinstance(k_minus, np.ndarray):
         both = bessel_j_over_power(orders, np.concatenate((k_minus, k_plus)) * r, q)
@@ -211,10 +209,7 @@ def interior_pair(
         minus = bessel_j_over_power(orders, k_minus * r, q)
         # at beta = 0 the two waves coincide
         plus = minus if k_plus == k_minus else bessel_j_over_power(orders, k_plus * r, q)
-    return (
-        _wave(rows, q, k_minus, r, minus, derivatives),
-        _wave(rows, q, k_plus, r, plus, derivatives),
-    )
+    return _wave(m, q, k_minus, r, minus, derivatives), _wave(m, q, k_plus, r, plus, derivatives)
 
 
 def exterior_pair(

@@ -58,6 +58,13 @@ for q >= 1; for q = 0 (m = 0 or -1) r J_n'(k r) is taken at its limit
 r J_n'(0) where k is exactly 0.  The exterior waves stay exp-scaled, so
 deep wells do not underflow.  One normalization
 thus costs one interior and one exterior basis evaluation.
+
+A sample costs one pair-function call: one K call outside the well, two
+J calls inside (one at beta = 0, where k_- = k_+).  The wave numbers do
+not depend on r, so a state computes them once (``wave_numbers``).  At
+(v, beta, m) = (100, 2, 1) a sample takes 11-13 us at r = 2, 7 us of it
+in the K quadrature, and 16-18 us at r = 0.5, 9-10 us of it in the two
+J recurrences (shared 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -179,11 +186,9 @@ def _combine(a: float, b: float, x_row, y_row) -> tuple[float, float]:
 
 
 def _weighted_waves(state: BoundState, r: float, derivatives: int):
-    """The two waves x, y at r > 0 with their first ``derivatives``
-    radial derivatives, and their weights: the coefficient pair (a, b) of
-    the region times each wave's divisor, so that :func:`_combine` gives
-    true scale.  r = 1 belongs to the exterior.  One formula for both
-    regions; only the waves and the coefficient pair differ."""
+    """(a, b, x, y): the region's two waves at r > 0 (r = 1 belongs to the
+    exterior) with their first ``derivatives`` radial derivatives, and its
+    coefficient pair times the waves' divisors, the weights of :func:`_combine`."""
     m = state.params.m
     k, kappa = state.wave_numbers
     if r < 1.0:
@@ -333,10 +338,9 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     m = params.m
     beta = params.beta
     a, b, x, y = _weighted_waves(state, r, 2)
-    (u, w), (du, dw), (ddu, ddw) = (
-        _combine(a, b, x_row, y_row)
-        for x_row, y_row in ((x.value, y.value), (x.slope, y.slope), (x.curvature, y.curvature))
-    )
+    u, w = _combine(a, b, x.value, y.value)
+    du, dw = _combine(a, b, x.slope, y.slope)
+    ddu, ddw = _combine(a, b, x.curvature, y.curvature)
     kinetic = (state.e - (0.0 if r < 1.0 else params.v)) * r * r
     radial_u = kinetic - m * m
     radial_w = kinetic - (m + 1) * (m + 1)
