@@ -227,29 +227,28 @@ def _j_miller(n_max: int, x, power: int) -> list:
     start += start % 2
     first, top = (int(start.min()), int(start.max())) if lanes else (start, start)
 
-    out = [0.0] * (n_max + 1)
-    j_above = 0.0
-    j_here = 1e-30
-    norm = 0.0
-    for n in range(top, 0, -1):
+    j_above, j_here, norm = 0.0, 1e-30, 0.0
+    # only lanes start above the lowest start; those not yet started hold
+    # their seeds
+    for n in range(top, first, -1):
         j_below = (2.0 * n / x) * j_here - j_above
-        if n > first:
-            active = start >= n
-            j_above = np.where(active, j_here, j_above)
-            j_here = np.where(active, j_below, j_here)
-        else:
-            j_above = j_here
-            j_here = j_below
-        if n - 1 <= n_max:
-            out[n - 1] = j_here
+        active = start >= n
+        j_above, j_here = np.where(active, j_here, j_above), np.where(active, j_below, j_here)
         if n % 2 == 0:
             norm = norm + 2.0 * j_above  # 0 for lanes not yet started
+    trail = []  # J_first .. J_1, every lane started
+    for n in range(first, 0, -1):
+        j_above, j_here = j_here, (2.0 * n / x) * j_here - j_above
+        trail.append(j_above)
+    for value in trail[::2]:  # the even orders, from the top down
+        norm = norm + 2.0 * value
     norm = norm + j_here  # j_here now holds the J_0 trial value
     if not (np.isfinite(norm).all() if lanes else math.isfinite(norm)):
         bad = x[~np.isfinite(norm)][0] if lanes else x
         raise ArgumentOutOfRange(f"J Miller recurrence to n = {n_max} overflowed at x = {bad!r}")
     scale = x**-power
-    return [value / norm * scale for value in out[power:]]
+    rows = [j_here, *trail[: -n_max - 1 : -1]]  # J_0 .. J_n_max
+    return [value / norm * scale for value in rows[power:]]
 
 
 def _j_hankel(n_max: int, x, power: int) -> list:
