@@ -197,7 +197,7 @@ def interior_pair(
     """
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
-    k_plus, k_minus = k
+    k_minus, k_plus = k.k_minus, k.k_plus
     q = min(abs(m), abs(m + 1))
     orders = range(q, q + 2 + derivatives)
     if isinstance(k_minus, np.ndarray):

@@ -413,9 +413,10 @@ def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex
     seq = list((_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_quadrature)(z))
     for n in range(1, n_abs_max):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    if not all(map(cmath.isfinite, seq)):
+    out = {n: seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders}
+    if not all(map(cmath.isfinite, out.values())):
         raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {n_abs_max}")
-    return {n: seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders}
+    return out
 
 
 def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
@@ -433,7 +434,7 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     """:func:`bessel_k_scaled_many` over a 1-D array of arguments: each
     lane takes the seed regime and the arithmetic the scalar would."""
     orders = list(orders)
-    n_abs_max = max(map(abs, orders), default=0)
+    n_abs_max = max((abs(n) for n in orders), default=0)
     _check_order(n_abs_max)
     z = np.asarray(z, dtype=complex)
     if not np.all(z.real > 0.0):

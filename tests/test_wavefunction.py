@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import matching_residuals, overlap_parts, tail_form
+from rashbadot import wavefunction
 from rashbadot.errors import (
     BoundaryPoint,
     InvalidInput,
@@ -12,7 +13,6 @@ from rashbadot.errors import (
     NotSingular,
 )
 from rashbadot.numerics import integrate_panel, integrate_tail
-from rashbadot import wavefunction
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
@@ -425,9 +425,9 @@ def assembled_rows(state, r, derivatives):
 
 
 def assembled_residual(state, r):
-    """The scaled residuals of the two radial equations, times r^2, from
-    ``assembled_rows``, term for term in the order ``ode_residual`` sums
-    them."""
+    """The scaled residuals of the two radial equations that
+    ``ode_residual`` returns, from ``assembled_rows``, term for term in the
+    order it sums them."""
     (u, w), (du, dw), (ddu, ddw) = assembled_rows(state, r, 2)
     m, beta = state.params.m, state.params.beta
     kinetic = (state.e - (0.0 if r < 1.0 else state.params.v)) * r * r
