@@ -19,7 +19,6 @@ from . import errors
 from .radial_basis import DotParameters
 from .spectral_solver import (
     EnergySpectrum,
-    ScanSpec,
     find_spectrum,
     match_matrix,
     spectral_determinant,
@@ -38,7 +37,6 @@ __all__ = [
     "BoundState",
     "DotParameters",
     "EnergySpectrum",
-    "ScanSpec",
     "SpinorSample",
     "errors",
     "evaluate_radial",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
 from .reference_levels import REFERENCE_ROWS, corrected_levels
-from .spectral_solver import EnergySpectrum, ScanSpec, find_spectrum
+from .spectral_solver import find_spectrum
 from .wavefunction import evaluate_radial, normalize, solve_coefficients
 
 # hbar^2 / (2 m_e) for the free-electron mass, in meV nm^2
@@ -29,7 +29,7 @@ EXIT_LEVEL_INDEX = 4
 EXIT_TABLE_MISMATCH = 5
 
 # the largest counts the command line turns into work, checked before
-# any of it is allocated (--grid is bounded by ScanSpec)
+# any of it is allocated (--grid is bounded by find_spectrum)
 BETA_COUNT_CAP = 10_000
 SAMPLES_CAP = 100_000
 
@@ -89,14 +89,12 @@ def _write(args, payload: dict, header: str, rows) -> None:
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _spectrum(params: DotParameters, args) -> EnergySpectrum:
-    """The spectrum of ``params`` on the scan set by ``--grid`` and ``--tol``."""
-    return find_spectrum(params, ScanSpec(grid_points=args.grid, refine_tol=args.tol))
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +107,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="scan grid points, uniform in the interior wave number "
         "(default: sized from the window)",
     )
-    parser.add_argument("--tol", type=float, default=1e-12, help="root refinement tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +182,7 @@ def _run_spectrum(args, parser) -> int:
             parser.error("need --v and --beta (or --physical)")
         v, beta = args.v, args.beta
 
-    spectrum = _spectrum(DotParameters(v=v, beta=beta, m=args.m), args)
+    spectrum = find_spectrum(DotParameters(v=v, beta=beta, m=args.m), args.grid)
     payload = {
         "params": {"v": v, "beta": beta, "m": args.m},
         "window": list(spectrum.window),
@@ -213,7 +210,7 @@ def _run_wavefunction(args, parser) -> int:
         parser.error("--energy-tol must be a number >= 0")
 
     params = DotParameters(v=args.v, beta=args.beta, m=args.m)
-    spectrum = _spectrum(params, args)
+    spectrum = find_spectrum(params, args.grid)
     if args.level is not None:
         if not 0 <= args.level < len(spectrum.levels):
             sys.stderr.write(
@@ -259,7 +256,7 @@ def _run_table(args, parser) -> int:
     rows_out = []
     all_pass = True
     for row in REFERENCE_ROWS:
-        levels = _spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m), args).levels
+        levels = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m), args.grid).levels
         expected = corrected_levels(row)
         count = max(len(levels), len(expected))
         for index in range(count):
@@ -316,7 +313,7 @@ def _run_sweep(args, parser) -> int:
     records = []
     for beta in betas:
         for m in sorted(set(m_values)):
-            levels = _spectrum(DotParameters(v=args.v, beta=beta, m=m), args).levels
+            levels = find_spectrum(DotParameters(v=args.v, beta=beta, m=m), args.grid).levels
             for index, e in enumerate(levels):
                 records.append((beta, m, index, e))
     records.sort(key=lambda rec: (rec[0], rec[1], rec[2]))

@@ -58,10 +58,10 @@ on the chunking.  Each bracket, of either channel at beta = 0, carries a
 values centred on the bracket (clamped to the grid), which
 ``numerics.interpolant_root`` finds without evaluating the determinant.
 The guess is not trusted but certified: the values at guess -/+ h,
-h = refine_tol / 2, of every bracket of the spectrum (of both channels at
+h = REFINE_TOL / 2, of every bracket of the spectrum (of both channels at
 beta = 0) go through the scan's chunked lane call once, and
 ``numerics.narrow_bracket`` keeps the part of each bracket that holds its
-sign change.  Values of opposite signs leave a bracket refine_tol wide,
+sign change.  Values of opposite signs leave a bracket REFINE_TOL wide,
 which Brent's method (``numerics.refine_root``) then closes without an
 evaluation; values of one sign leave the half beyond them, with the
 guess moved by one Newton step on the polynomial's slope there
@@ -76,7 +76,7 @@ Brent about 1.9 evaluations, so a second probe round, at the moved
 guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry one: deep
 wells leave dozens, the reference rows at most one.  Brent starts from
 the narrowed bracket's ends and keeps the sign change and its stopping
-rule, so each level is still certified to within ``refine_tol``, and a
+rule, so each level is still certified to within ``REFINE_TOL``, and a
 poor guess only leaves a wider bracket.  A level costs 0.45 scalar
 determinant evaluations on the reference table and 0.27 on deep wells
 (``deep_sweep`` seed 1), besides the lane calls; on a fixed 1000-point
@@ -125,52 +125,13 @@ PROXY_NODES = 16
 # round: its lane call costs about ten scalar points (module docstring),
 # and an open bracket about 1.9 Brent evaluations, 10 / 1.9 = 5.3
 PROBE_ROUND_MIN = 6
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid density and refinement tolerances for the spectrum search.
-
-    ``grid_points`` scan energies are spread uniformly in the interior
-    wave number (:func:`scan_grid`), or by default :func:`grid_size` of
-    them.  ``refine_tol`` is the width to which Brent's method closes each
-    sign-change bracket.  It bounds the error of a level only as far as
-    the determinant resolves its root: on deep wells the determinant's
-    rounding noise spans a few 1e-12 in e around a level; scans on 200 and 20000 grid points gave levels of the same
-    wells up to 3.6e-12 apart, and a second probe round moved levels by
-    up to 4.6e-12 (10 ulps at e = 2564).  ``e_min``/``e_max`` optionally
-    clamp the scan to a sub-range of the window; they never widen it.
-    """
-
-    grid_points: int | None = None
-    refine_tol: float = 1e-12
-    e_min: float | None = None
-    e_max: float | None = None
-
-    def __post_init__(self):
-        if self.grid_points is not None:
-            try:
-                grid_points = int(self.grid_points)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidInput("grid_points must be an integer") from None
-            if grid_points != self.grid_points:
-                raise InvalidInput(f"grid_points = {self.grid_points!r} must be an integer")
-            object.__setattr__(self, "grid_points", grid_points)
-            if not 100 <= self.grid_points <= GRID_POINTS_CAP:
-                raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
-        for name in ("refine_tol", "e_min", "e_max"):
-            value = getattr(self, name)
-            if value is None and name != "refine_tol":
-                continue
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidInput(f"{name} must be a real number") from None
-            if not math.isfinite(value):
-                raise InvalidInput(f"{name} = {value!r} must be finite")
-            object.__setattr__(self, name, value)
-        if not self.refine_tol > 0.0:
-            raise InvalidInput("refine_tol must be positive")
+# the width to which Brent's method closes each sign-change bracket.  It
+# bounds a level's error only as far as the determinant resolves its
+# root, which on deep wells it does not: there the determinant's rounding
+# noise spans a few 1e-12 in e around a level, scans on 200 and 20000
+# grid points gave levels of the same wells up to 3.6e-12 apart, and a
+# second probe round moved levels by up to 4.6e-12 (10 ulps at e = 2564)
+REFINE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -317,30 +278,37 @@ def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
     )
 
 
-def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> EnergySpectrum:
+def find_spectrum(params: DotParameters, grid_points: int | None = None) -> EnergySpectrum:
     """Enumerate all bound-state energies inside the window.
 
     Sign-change brackets of the scale-free determinant on the grid of
     :func:`scan_grid`, uniform in the interior wave number between the
-    margin-shrunk and clamped window ends (:func:`grid_size` points
-    unless ``scan.grid_points`` sets them), are narrowed by the values
-    either side of their guesses and refined to ``scan.refine_tol``.  A
-    root that the grid does not resolve (two close levels within one grid
-    step, or an even-order touch) gives no sign change and is not
-    reported.  An empty spectrum
-    is a valid result.  A window that double precision cannot resolve
-    (beta^2 overflows, or the float spacing at its edges exceeds
+    margin-shrunk window ends (:func:`grid_size` points unless
+    ``grid_points``, an integer in 100 .. ``GRID_POINTS_CAP``, sets
+    them), are narrowed by the values either side of their guesses and
+    refined to ``REFINE_TOL``.  A root that the grid does not resolve
+    (two close levels within one grid step, or an even-order touch) gives
+    no sign change and is not reported.  An empty spectrum is a valid
+    result.  A window that double precision cannot resolve (beta^2
+    overflows, or the float spacing at its edges exceeds
     ``WINDOW_MARGIN``), or whose sized grid would exceed
     ``GRID_POINTS_CAP``, raises ``ArgumentOutOfRange``.
 
     The angular numbers m = 0 and -1 bind a level in every well, at
     beta = 0 in their channel of order 0 (u for m = 0, w for m = -1).  A
-    scan of the whole window that finds none there raises
-    ``ArgumentOutOfRange``: the level lies within ``WINDOW_MARGIN`` of the
-    window top, which the scan does not reach.
+    scan that finds none there raises ``ArgumentOutOfRange``: the level
+    lies within ``WINDOW_MARGIN`` of the window top, which the scan does
+    not reach.
     """
-    if scan is None:
-        scan = ScanSpec()
+    if grid_points is not None:
+        try:
+            points = int(grid_points)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("grid_points must be an integer") from None
+        if points != grid_points:
+            raise InvalidInput(f"grid_points = {grid_points!r} must be an integer")
+        if not 100 <= points <= GRID_POINTS_CAP:
+            raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
     window = params.window
     a = window[0] + WINDOW_MARGIN
     b = window[1] - WINDOW_MARGIN
@@ -349,16 +317,11 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             f"window {window} of {params} does not resolve its margin {WINDOW_MARGIN} "
             "in double precision"
         )
-    whole = (a, b)
-    if scan.e_min is not None:
-        a = max(a, scan.e_min)
-    if scan.e_max is not None:
-        b = min(b, scan.e_max)
     coupled = params.beta != 0.0
     # the scanned channel that must hold a level, if any: m = 0 and -1
     # bind one in every well, at beta = 0 in their order-0 channel
     binding = None
-    if (a, b) == whole and params.m in (0, -1):
+    if params.m in (0, -1):
         binding = 0 if coupled or params.m == 0 else 1
     if not a < b:
         if binding is not None:
@@ -387,7 +350,8 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
             axis=1,
         )
 
-    points = grid_size(a, b, params.beta) if scan.grid_points is None else scan.grid_points
+    if grid_points is None:
+        points = grid_size(a, b, params.beta)
     grid = scan_grid(a, b, params.beta, points)
     roots: list[float] = []
     found: list[tuple[int, float | Bracket]] = []
@@ -398,10 +362,10 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
         roots.extend(at_node)
         found.extend((channel, bracket) for bracket in brackets)
 
-    half = 0.5 * scan.refine_tol
+    half = 0.5 * REFINE_TOL
     # at most two probe rounds, each narrowing every bracket (of every
     # channel) whose guess has both points inside it by the values half
-    # refine_tol either side of the guess, in one lane call; the second
+    # REFINE_TOL either side of the guess, in one lane call; the second
     # runs only when enough brackets are left open to pay for its call
     for least in (1, PROBE_ROUND_MIN):
         probed = [
@@ -432,6 +396,6 @@ def find_spectrum(params: DotParameters, scan: ScanSpec | None = None) -> Energy
         def channel_value(e: float, channel: int = channel) -> float:
             return float(values_at(e)[channel])
 
-        roots.append(refine_root(channel_value, narrowed, scan.refine_tol))
+        roots.append(refine_root(channel_value, narrowed, REFINE_TOL))
 
     return EnergySpectrum(params=params, levels=tuple(sorted(roots)), window=window)

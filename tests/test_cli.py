@@ -155,7 +155,7 @@ class TestSpectrumCommand:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--v", "-1"), ("--grid", "50"), ("--tol", "-1"), ("--beta", "nan")]
+        "flag, value", [("--v", "-1"), ("--grid", "50"), ("--beta", "nan")]
     )
     def test_invalid_input_is_a_usage_error(self, capsys, flag, value):
         args = {"--v": "25", "--beta": "0", "--m": "0", flag: value}
@@ -163,6 +163,15 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ")
+
+    def test_tol_is_not_an_option(self, capsys):
+        # the refinement tolerance is the constant REFINE_TOL
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--v", "25", "--beta", "0", "--m", "0", "--tol", "1e-12"])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
     def test_numerical_failure_exit_code(self, capsys):
         # angular number beyond the Bessel order cap
@@ -221,6 +230,24 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("index,e\n")
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--v", "25", "--beta", "5", "--m", "0"], ["table"]],
+        ids=["spectrum", "table"],
+    )
+    def test_is_a_usage_error(self, capsys, tmp_path, argv, where):
+        # an --out path that cannot be opened exits 2 with the reason, not
+        # with a traceback
+        path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert err == f"usage error: cannot write {path}: {reason}\n"
 
 
 class TestWavefunctionCommand:

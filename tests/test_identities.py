@@ -60,6 +60,14 @@ def test_deep_whole_windows(v, m):
     assert count_mismatches([(v, m)]) == []
 
 
+@pytest.mark.parametrize("v", [100.0, 2500.0, 1e4, 4e4])
+def test_large_angular_numbers(v):
+    # channel orders up to 49 (m = 48 and its partner m = -49), below the
+    # K overflow at the window top that makes m >= 49 raise: 0 to 108
+    # levels a well, none at v = 100
+    assert count_mismatches([(v, m) for m in (20, 30, 40, 45, 48, -41, -49)]) == []
+
+
 def hellmann_feynman_gaps(wells, h: float) -> list[float]:
     """|de/dv - weight outside| of every level of ``wells``: de/dv from the
     4-point central difference of the spectra at v - 2h .. v + 2h, the

@@ -20,7 +20,7 @@ from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, W
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
-    ScanSpec,
+    REFINE_TOL,
     equilibrated_matrix,
     find_spectrum,
     grid_size,
@@ -282,9 +282,6 @@ class TestFindSpectrum:
 
     def test_shallow_binding_level_found(self):
         assert len(find_spectrum(DotParameters(v=0.3, beta=0.0, m=0)).levels) == 1
-        # a clamped scan need not reach the binding level
-        clamped = ScanSpec(e_max=0.1)
-        assert find_spectrum(DotParameters(v=0.15, beta=0.0, m=0), clamped).levels == ()
 
     @pytest.mark.parametrize("v,beta,m", [(1e-5, 2.0, 0), (1e-5, 10.0, -1), (1e-6, 2.0, 0)])
     def test_shallow_coupled_binding_level_raises(self, v, beta, m):
@@ -297,9 +294,6 @@ class TestFindSpectrum:
         # about 5e-9 below the window top, beyond its margin
         (level,) = find_spectrum(DotParameters(v=1e-4, beta=2.0, m=0)).levels
         assert -1.0 + 1e-4 - 1e-8 < level < -1.0 + 1e-4 - WINDOW_MARGIN
-        # a clamped scan need not reach the binding level
-        clamped = ScanSpec(e_max=-1.0 + 0.5e-5)
-        assert find_spectrum(DotParameters(v=1e-5, beta=2.0, m=0), clamped).levels == ()
 
     def test_structural_zero_not_reported(self):
         # e = 0 makes the lower interior wave number vanish for m not in
@@ -372,16 +366,19 @@ class TestFindSpectrum:
         lowest = spectrum.levels[0]
         assert abs(lowest - FIRST_J0_ZERO_SQUARED) / FIRST_J0_ZERO_SQUARED < 0.003
 
-    def test_scan_spec_validation(self):
-        with pytest.raises(InvalidInput):
-            ScanSpec(grid_points=50)
-        with pytest.raises(InvalidInput):
-            ScanSpec(refine_tol=0.0)
-        cap = spectral_solver.GRID_POINTS_CAP
-        assert ScanSpec(grid_points=cap).grid_points == cap
-        for points in (150.5, "2000", math.inf, math.nan, cap + 1):
-            with pytest.raises(InvalidInput):
-                ScanSpec(grid_points=points)
+    def test_grid_points_validation(self, monkeypatch):
+        # an integer-valued number in 100 .. GRID_POINTS_CAP, both ends
+        # included, checked before any scan
+        params = DotParameters(v=25.0, beta=0.0, m=0)
+        grids = recorded_grids(monkeypatch)
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 400)
+        for points in (99, 150.5, "2000", 1j, math.inf, math.nan, 401):
+            with pytest.raises(InvalidInput, match="grid_points"):
+                find_spectrum(params, points)
+        assert grids == []
+        for points in (100, 400):
+            assert find_spectrum(params, points).levels
+        assert [asked for asked, _ in grids] == [100, 400]
 
     @pytest.mark.parametrize("v,beta", [(25.0, 1.0), (25.0, 0.0)])
     def test_vanishing_scan_raises(self, monkeypatch, v, beta):
@@ -410,45 +407,14 @@ class TestFindSpectrum:
             find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
     @pytest.mark.parametrize("points", [2000.0, np.int64(2000)])
-    def test_scan_spec_integral_grid_points(self, points):
-        spec = ScanSpec(grid_points=points)
-        assert spec.grid_points == 2000 and type(spec.grid_points) is int
-        # the float spec scans the int spec's grid
+    def test_integral_grid_points(self, monkeypatch, points):
+        # an integer-valued float or numpy integer scans the int's grid
         params = DotParameters(v=25.0, beta=0.0, m=0)
-        assert find_spectrum(params, spec) == find_spectrum(params, ScanSpec(grid_points=2000))
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("refine_tol", "tight"),
-            ("refine_tol", None),
-            ("refine_tol", math.inf),
-            ("refine_tol", math.nan),
-            ("e_min", math.nan),
-            ("e_min", "low"),
-            ("e_min", 1j),
-            ("e_min", -math.inf),
-            ("e_max", math.nan),
-            ("e_max", math.inf),
-            pytest.param("e_max", 10**400, id="e_max-int-beyond-float"),
-        ],
-    )
-    def test_scan_spec_rejects_bad_real(self, field, value):
-        with pytest.raises(InvalidInput):
-            ScanSpec(**{field: value})
-
-    def test_scan_spec_reals_are_floats(self):
-        spec = ScanSpec(refine_tol="1e-12", e_min=5, e_max=np.int64(15))
-        assert (spec.refine_tol, spec.e_min, spec.e_max) == (1e-12, 5.0, 15.0)
-        assert all(type(x) is float for x in (spec.refine_tol, spec.e_min, spec.e_max))
-        # an inverted clamp is a valid, empty spectrum
-        params = DotParameters(v=25.0, beta=0.0, m=0)
-        assert find_spectrum(params, ScanSpec(e_min=15.0, e_max=5.0)).levels == ()
-
-    def test_scan_clamps(self):
-        params = DotParameters(v=25.0, beta=0.0, m=0)
-        clamped = find_spectrum(params, ScanSpec(e_min=5.0, e_max=15.0))
-        assert [round(e, 2) for e in clamped.levels] == [9.94]
+        plain = find_spectrum(params, 2000)
+        grids = recorded_grids(monkeypatch)
+        assert find_spectrum(params, points) == plain
+        ((asked, _),) = grids
+        assert asked == 2000 and type(asked) is int
 
     def test_numpy_scalar_inputs(self):
         plain = find_spectrum(DotParameters(v=25.0, beta=10.0, m=0))
@@ -466,12 +432,11 @@ class TestFindSpectrum:
         # every energy is one independent lane, so the grid evaluated in
         # one batch, in chunks of 7 and point by point gives equal spectra
         params = DotParameters(v=v, beta=beta, m=m)
-        scan = ScanSpec(grid_points=500)
-        whole = find_spectrum(params, scan)
+        whole = find_spectrum(params, 500)
         assert whole.levels
         for chunk in (7, 1):
             monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", chunk)
-            split = find_spectrum(params, scan)
+            split = find_spectrum(params, 500)
             assert split.levels == whole.levels
 
     def test_seeded_refinement_is_cheap_on_the_reference_rows(self, monkeypatch):
@@ -509,7 +474,7 @@ class TestFindSpectrum:
         # the values either side of each guess narrow its bracket; Brent's
         # method on the whole bracket, from its ends, is the reference,
         # and the deep wells' determinants resolve a root to a few 1e-12
-        # in e (ScanSpec)
+        # in e (REFINE_TOL)
         wells = [DotParameters(row.v, row.beta, row.m) for row in REFERENCE_ROWS]
         wells += [DotParameters(*well) for well in DEEP_WELLS]
         narrowed = [find_spectrum(params).levels for params in wells]
@@ -530,6 +495,7 @@ class TestFindSpectrum:
         calls = []
 
         def counted(f, bracket, tol):
+            assert tol == REFINE_TOL
             calls.append((f, bracket))
             return refine_root(f, bracket, tol)
 
@@ -552,18 +518,17 @@ class TestFindSpectrum:
         changes = [int(np.count_nonzero(c[:-1] * c[1:] < 0.0)) for c in channels]
         assert all(count > 0 for count in changes)
         assert len(calls) == sum(changes)
-        refine_tol = ScanSpec().refine_tol
         for f, bracket in calls:
             # inside one scan step, narrowed by the values either side of
             # its guess.  After one probe round, which is all these wells
             # take, a bracket with neither end on the grid straddles the
-            # guess and is refine_tol wide, up to the rounding of its two
+            # guess and is REFINE_TOL wide, up to the rounding of its two
             # ends; a second round would also leave brackets between a
             # probe point of each round, which are wider
             step = np.searchsorted(grid, bracket.hi) - 1
             assert grid[step] <= bracket.lo < bracket.hi <= grid[step + 1]
             if bracket.lo not in grid and bracket.hi not in grid:
-                assert bracket.hi - bracket.lo <= refine_tol + 2 * math.ulp(bracket.hi)
+                assert bracket.hi - bracket.lo <= REFINE_TOL + 2 * math.ulp(bracket.hi)
             assert f(bracket.lo) * bracket.f_lo > 0.0
             assert f(bracket.hi) * bracket.f_hi > 0.0
 
@@ -600,25 +565,29 @@ class TestScanGrid:
     @pytest.mark.parametrize("clamp", [(None, None), (0.3, 0.7), (-1.0, 0.8)], ids=str)
     def test_strictly_increasing_with_exact_ends(self, monkeypatch, v, beta, m, clamp):
         # the grid find_spectrum scans runs from the margin-shrunk window
-        # ends, clamped by e_min / e_max (which never widen it), and pins
-        # both ends exactly; clamp gives them as fractions of the window.
-        # In the shallowest well at beta = 399 some of the sized grid's steps
-        # in s map below the float spacing of e near -beta^2/4, and their
-        # repeats are dropped; at v = 1e-8 its 300 steps all stay above it
+        # ends and pins both ends exactly; a clamp, as fractions of the
+        # window, gives a sub-range (never a wider one) whose scan_grid pins
+        # its ends too.  In the shallowest well at beta = 399 some of the
+        # sized grid's steps in s map below the float spacing of e near
+        # -beta^2/4, and their repeats are dropped; at v = 1e-8 its 300
+        # steps all stay above it
         params = DotParameters(v=v, beta=beta, m=m)
         lo, hi = params.window
-        e_min, e_max = (None if f is None else lo + f * (hi - lo) for f in clamp)
-        a = lo + WINDOW_MARGIN if e_min is None else max(lo + WINDOW_MARGIN, e_min)
-        b = hi - WINDOW_MARGIN if e_max is None else min(hi - WINDOW_MARGIN, e_max)
-        grids = recorded_grids(monkeypatch)
-        if v < 1e-6 and (a, b) == (lo + WINDOW_MARGIN, hi - WINDOW_MARGIN):
-            # the well's m = 0 level lies within WINDOW_MARGIN of the top,
-            # which a scan of the whole window reports
-            with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
-                find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
+        a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
+        if clamp == (None, None):
+            grids = recorded_grids(monkeypatch)
+            if v < 1e-6:
+                # the well's m = 0 level lies within WINDOW_MARGIN of the
+                # top, which the scan reports
+                with pytest.raises(ArgumentOutOfRange, match="WINDOW_MARGIN"):
+                    find_spectrum(params)
+            else:
+                find_spectrum(params)
+            ((_, grid),) = grids
         else:
-            find_spectrum(params, ScanSpec(e_min=e_min, e_max=e_max))
-        ((_, grid),) = grids
+            a = max(a, lo + clamp[0] * (hi - lo))
+            b = min(b, lo + clamp[1] * (hi - lo))
+            grid = scan_grid(a, b, beta, grid_size(a, b, beta))
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
         # between the ends, every distinct inner node uniform in s, and
@@ -656,7 +625,7 @@ class TestScanGrid:
         params = DotParameters(v=100.0, beta=2.0, m=1)
         lo, hi = params.window
         grids = recorded_grids(monkeypatch)
-        find_spectrum(params, ScanSpec(grid_points=1000))
+        find_spectrum(params, 1000)
         ((points, grid),) = grids
         assert points == len(grid) == 1000
         assert np.array_equal(grid, scan_grid(lo + WINDOW_MARGIN, hi - WINDOW_MARGIN, 2.0, 1000))
@@ -671,7 +640,7 @@ class TestScanGrid:
             find_spectrum(DotParameters(v=1e4, beta=0.0, m=3))
         assert grids == []
         # an explicit grid within the cap still scans
-        assert find_spectrum(DotParameters(v=1e4, beta=0.0, m=3), ScanSpec(grid_points=1000)).levels
+        assert find_spectrum(DotParameters(v=1e4, beta=0.0, m=3), 1000).levels
 
     @pytest.mark.parametrize("v", [4.5e6, 1.6e7])
     def test_window_beyond_the_j_domain_raises_before_a_scan(self, monkeypatch, v):
@@ -696,8 +665,6 @@ class TestScanGrid:
         with pytest.raises(ArgumentOutOfRange, match=message):
             find_spectrum(params)
         assert calls == []
-        # a scan clamped below the cap is inside the domain
-        assert find_spectrum(params, ScanSpec(e_max=100.0)).levels
 
     def test_uniform_in_interior_wave_number(self):
         beta = 12.0
@@ -725,7 +692,7 @@ class TestScanGrid:
         # deep levels lie about evenly in the interior wave number, so 200
         # points uniform in it resolve every one a 20000-point scan finds
         params = DotParameters(v=v, beta=beta, m=m)
-        fine = find_spectrum(params, ScanSpec(grid_points=20000)).levels
-        coarse = find_spectrum(params, ScanSpec(grid_points=200)).levels
+        fine = find_spectrum(params, 20000).levels
+        coarse = find_spectrum(params, 200).levels
         assert len(coarse) == len(fine)
         assert max(abs(x - y) for x, y in zip(coarse, fine)) < 1e-11

@@ -2,12 +2,17 @@
 it wraps, no module reaches into another module's private names, each
 Bessel regime is written once, one function picks the J regime, Brent's
 method reads no guess, ``narrow_bracket`` alone reads a bracket's slope,
-and importing the package leaves ``numpy.polynomial`` unloaded."""
+importing the package leaves ``numpy.polynomial`` unloaded, the spectrum
+search takes a well and a grid size alone, and the README's library
+example runs."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +148,23 @@ def test_import_leaves_numpy_polynomial_unloaded():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_find_spectrum_takes_a_well_and_a_grid_size():
+    # the scan always covers the whole margin-shrunk window, refined to
+    # the constant REFINE_TOL: no scan-settings object, no window clamps
+    assert list(inspect.signature(spectral_solver.find_spectrum).parameters) == [
+        "params",
+        "grid_points",
+    ]
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rashbadot" if path.stem == "__init__" else f"rashbadot.{path.stem}"
+        assert not hasattr(importlib.import_module(name), "ScanSpec"), name
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library" uses only the public API
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    (block,) = re.findall(r"^```python\n(.*?)^```", section.split("\n## ", 1)[0], re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
