@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
 from .reference_levels import REFERENCE_ROWS, corrected_levels
-from .spectral_solver import find_spectrum
+from .spectral_solver import GRID_POINTS_CAP, GRID_POINTS_FLOOR, find_spectrum
 from .wavefunction import evaluate_radial, normalize, solve_coefficients
 
 # hbar^2 / (2 m_e) for the free-electron mass, in meV nm^2
@@ -29,7 +29,7 @@ EXIT_LEVEL_INDEX = 4
 EXIT_TABLE_MISMATCH = 5
 
 # the largest counts the command line turns into work, checked before
-# any of it is allocated (--grid is bounded by find_spectrum)
+# any of it is allocated (--grid by the bounds of find_spectrum)
 BETA_COUNT_CAP = 10_000
 SAMPLES_CAP = 100_000
 
@@ -332,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _run_sweep,
     }
     try:
+        if args.grid is not None and not GRID_POINTS_FLOOR <= args.grid <= GRID_POINTS_CAP:
+            raise InvalidInput(f"--grid must lie in {GRID_POINTS_FLOOR} .. {GRID_POINTS_CAP}")
         return runners[args.command](args, parser)
     except InvalidInput as exc:
         sys.stderr.write(f"usage error: {exc}\n")

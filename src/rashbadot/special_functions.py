@@ -46,22 +46,28 @@ give exactly the level counts the zeros of J predict.
 
 K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
 the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
-stable for K.  The seeds come from two regimes, split at |z| = 3
-(validated against mpmath to keep the worst relative error near 1e-13
-over 1e-6 <= |z| <= 200, Re z > 0):
+stable for K.  The seeds come from two regimes, split at |z| = 3 in
+``_k_regime`` (validated against mpmath to keep the worst relative error
+near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
 
 * the ascending log series for |z| <= 3, which sums terms of size up to
   ~e^|z| to a result of size ~e^-Re z and so loses at most e^6 ulps;
 * Gauss-Hermite quadrature for every other z.  DLMF 10.32.8 with t = s^2
   writes e^z K_0 and e^z K_1 as integrals over the real line of e^(-s^2)
   times functions analytic in a strip of half-width at least sqrt|z|,
-  so one fixed rule (21 nodes of the 56-point rule, ``_K_NODES``)
-  converges at every such z, and its terms (positive for real z) do not
-  cancel.  Against mpmath, on 594 points with 3 < |z| <= 1000 from the
-  real axis to 1e-9 off the imaginary one and in the lower half-plane,
-  the seeds lie within 8.3e-16.  Its cost does not depend on z: a
-  scalar call of the K entry point for K_0 and K_1 costs 9.3-10 us, and
-  2000 lanes cost 2.2-2.5 ms (shared 2-vCPU x86-64 machine).
+  so a fixed rule converges at every such z, and its terms (positive for
+  real z) do not cancel.  The strip widens with |z| and the rule shrinks
+  with it, a ladder of pruned rules (``_K_RUNGS``): 21 nodes of the
+  56-point rule for 3 < |z| <= 14.5, 8 of the 16-point rule up to 25
+  and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
+  and 39 angles from the real axis to 1e-9 off the imaginary one in both
+  half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
+  scalar call of the K entry point for K_0 and K_1 costs 9.4-10.6,
+  5.2-5.6 and 4.6-4.8 us, and 2000 lanes on one rung 1.4-1.5, 0.63-0.68
+  and 0.50-0.52 ms (shared 2-vCPU x86-64 machine).  The first cut lies
+  above every |z| of the reference rows' scan (at most 14.14); denser
+  cuts save more per point, but a lane call whose lanes straddle a cut
+  runs every rung it touches.
 
 All K evaluation is done internally on the exponentially scaled function
 e^z K_n(z), which stays representable for Re z far beyond the point
@@ -78,7 +84,7 @@ forms) and ``bessel_k_scaled_lanes`` pick each lane's regime by mask,
 and run the same statements on arrays with no stopping rule: each
 series sums a fixed number of terms, the count its rule needs at the
 regime's worst argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
-``_K_SERIES_TERMS``), the K quadrature its 21 nodes, and each lane's
+``_K_SERIES_TERMS``), each K quadrature rung its nodes, and each lane's
 Miller recurrence starts at its own index.  A lane therefore does the
 same arithmetic whatever its batch-mates are, and its value is
 bit-identical alone, in a chunk or in a full scan grid.  The terms it
@@ -99,6 +105,7 @@ through the lanes against 170-240 ms point by point.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from typing import Iterable
@@ -116,7 +123,9 @@ EULER_GAMMA = 0.5772156649015328606
 # the J regime split, read in _j_split alone
 _J_SERIES_RADIUS = 2.0
 _J_HANKEL_RADIUS = 25.0
-_K_SERIES_RADIUS = 3.0
+# the K seed regime cuts, read in _k_regime alone: the log series up to
+# |z| = 3, then rung i of _K_RUNGS above _K_CUTS[i] up to the next cut
+_K_CUTS = (3.0, 14.5, 25.0)
 
 # the terms each series sums on lanes, and the most it sums for one
 # argument before its stopping rule passes: the count that rule needs at
@@ -127,34 +136,37 @@ _J_SERIES_TERMS = 13
 _J_HANKEL_PAIRS = 12
 _K_SERIES_TERMS = 15
 
-# the 56-point Gauss-Hermite rule folded onto its 28 positive nodes s, as
-# (t, w) = (s^2, twice the weight of s), keeping the 21 with
-# w (1 + t) > 1e-18 w_0; the integrands of _k01_quadrature are even in s
-_K_NODES = (
-    (0.02183595942166429, 0.5783501686702966),
-    (0.19662501675605396, 0.4859785419854475),
-    (0.5467457595545774, 0.3429544952425431),
-    (1.073292764692549, 0.20303878543597345),
-    (1.7779315886935154, 0.10067679484963173),
-    (2.6629283184247887, 0.04171714828031564),
-    (3.7311909350139647, 0.014404104464082102),
-    (4.986324374557585, 0.004129495127206275),
-    (6.432701921917829, 0.0009787458713140975),
-    (8.075556568667016, 0.00019079198209554608),
-    (9.92109731942131, 3.040216298456891e-05),
-    (11.97665731809708, 3.9315068008019425e-06),
-    (14.250883359461472, 4.0908929072921536e-07),
-    (16.753980285337462, 3.3908648511983946e-08),
-    (19.49802964803646, 2.2124013953764334e-09),
-    (22.49741105007469, 1.1202795700936892e-10),
-    (25.769368816152557, 4.328385177002464e-12),
-    (29.334789869091175, 1.2500891259504768e-13),
-    (33.219297919270076, 2.6317122502794006e-15),
-    (37.45483826846007, 3.913852357129493e-17),
+# the 56-, 16- and 12-point Gauss-Hermite rules folded onto their positive
+# nodes s, as (t, w) = (s^2, twice the weight of s), keeping the 21, 8 and
+# 6 with w (1 + t) > 1e-18 w_0; the integrands of _k01_quadrature are even
+_K_NODES_56 = (
+    (0.02183595942166429, 0.5783501686702966), (0.19662501675605396, 0.4859785419854475),
+    (0.5467457595545774, 0.3429544952425431), (1.073292764692549, 0.20303878543597345),
+    (1.7779315886935154, 0.10067679484963173), (2.6629283184247887, 0.04171714828031564),
+    (3.7311909350139647, 0.014404104464082102), (4.986324374557585, 0.004129495127206275),
+    (6.432701921917829, 0.0009787458713140975), (8.075556568667016, 0.00019079198209554608),
+    (9.92109731942131, 3.040216298456891e-05), (11.97665731809708, 3.9315068008019425e-06),
+    (14.250883359461472, 4.0908929072921536e-07), (16.753980285337462, 3.3908648511983946e-08),
+    (19.49802964803646, 2.2124013953764334e-09), (22.49741105007469, 1.1202795700936892e-10),
+    (25.769368816152557, 4.328385177002464e-12), (29.334789869091175, 1.2500891259504768e-13),
+    (33.219297919270076, 2.6317122502794006e-15), (37.45483826846007, 3.913852357129493e-17),
     (42.08205580020674, 3.951333623078096e-19),
 )
-# the nodes as (t, w, w t): the weights of the K_0 and the K_1 integrand
-_K_TERMS = tuple((t, w, w * t) for t, w in _K_NODES)
+_K_NODES_16 = (
+    (0.07479188259681827, 1.0158589580332273), (0.6772490876492891, 0.5612949170570674),
+    (1.9051136350314286, 0.16762008279797166), (3.8094763614849065, 0.025760623071019978),
+    (6.483145428627171, 0.0018645680172483614), (10.093323675221344, 5.4237201850757784e-05),
+    (14.972627088426394, 4.6419616897304065e-07), (21.984272840962653, 5.309614948022335e-10),
+)
+_K_NODES_12 = (
+    (0.0987470140684812, 1.140270472524959), (0.8983028345696178, 0.5209846205283222),
+    (2.5525898026681713, 0.10321597123176796), (5.196152530054465, 0.00781078116925812),
+    (9.124248037531178, 0.00017147374087175737), (15.129959781108084, 5.317103368712609e-07),
+)
+# the rungs as (t, w, w t): the weights of the K_0 and the K_1 integrand
+_K_RUNGS = tuple(
+    tuple((t, w, w * t) for t, w in rule) for rule in (_K_NODES_56, _K_NODES_16, _K_NODES_12)
+)
 
 # Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
 # of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
@@ -372,9 +384,9 @@ def _k01_series(z) -> tuple:
     return scale * k0, scale * k1
 
 
-def _k01_quadrature(z) -> tuple:
-    """(e^z K_0, e^z K_1) by Gauss-Hermite quadrature, Re z > 0; ``z`` is a
-    complex or a 1-D array of lanes.
+def _k01_quadrature(z, terms: tuple) -> tuple:
+    """(e^z K_0, e^z K_1) by the Gauss-Hermite rung ``terms`` of
+    ``_K_RUNGS``, Re z > 0; ``z`` is a complex or a 1-D array of lanes.
 
     DLMF 10.32.8 with t = s^2 gives, over the whole real line,
 
@@ -382,17 +394,27 @@ def _k01_quadrature(z) -> tuple:
         e^z K_1(z) = (2/z)^(1/2) int e^(-s^2) s^2 (1 + s^2/2z)^(1/2) ds.
 
     The integrands are analytic in a strip of half-width at least sqrt|z|
-    about the real line, so the fixed rule of ``_K_NODES`` converges at
-    every |z| > 3: a loop over the nodes, with no convergence test.
+    about the real line, so each rung converges on its whole span of |z|,
+    and a wider strip needs fewer nodes: a loop over the rung's nodes, with
+    no convergence test.
     """
     sqrt = np.sqrt if isinstance(z, np.ndarray) and z.ndim else cmath.sqrt
     u = 0.5 / z
     s0 = s1 = 0.0
-    for t, w, wt in _K_TERMS:
+    for t, w, wt in terms:
         root = sqrt(1.0 + t * u)
         s0 = s0 + w / root
         s1 = s1 + wt * root
     return s0 / sqrt(2.0 * z), s1 * sqrt(2.0 / z)
+
+
+def _k_regime(size):
+    """The K seed regime at |z| = ``size``, a float or a 1-D array of
+    lanes: 0 for the log series, i >= 1 for the quadrature rung
+    ``_K_RUNGS[i - 1]``."""
+    if isinstance(size, np.ndarray):
+        return np.searchsorted(_K_CUTS, size)
+    return bisect.bisect_left(_K_CUTS, size)
 
 
 def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
@@ -410,7 +432,8 @@ def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex
     conjugated = z.imag < 0.0
     if conjugated:
         z = z.conjugate()
-    seq = list((_k01_series if abs(z) <= _K_SERIES_RADIUS else _k01_quadrature)(z))
+    regime = _k_regime(abs(z))
+    seq = list(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))
     for n in range(1, n_abs_max):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
     out = {n: seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders}
@@ -441,12 +464,14 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
         raise DomainError(f"K_n requires Re z > 0, got z = {z[~(z.real > 0.0)][0]!r}")
     conjugated = z.imag < 0.0
     z = np.where(conjugated, z.conj(), z)
-    series = np.abs(z) <= _K_SERIES_RADIUS
+    regime = _k_regime(np.abs(z))
     k0 = np.empty_like(z)
     k1 = np.empty_like(z)
-    for lanes, seeds in ((series, _k01_series), (~series, _k01_quadrature)):
+    for i in range(len(_K_RUNGS) + 1):
+        lanes = regime == i
         if lanes.any():
-            k0[lanes], k1[lanes] = seeds(z[lanes])
+            seeds = _k01_quadrature(z[lanes], _K_RUNGS[i - 1]) if i else _k01_series(z[lanes])
+            k0[lanes], k1[lanes] = seeds
     seq = [k0, k1]
     # only the order recurrence can overflow, which the finiteness check
     # below reports as the scalar does

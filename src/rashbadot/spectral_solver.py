@@ -110,6 +110,8 @@ SCAN_CHUNK = 2000
 # the largest scan grid: a scan of about 4 s at under 70 MB peak
 # (2-core x86-64 machine)
 GRID_POINTS_CAP = 1_000_000
+# the fewest points a caller may set
+GRID_POINTS_FLOOR = 100
 # the step in s = sqrt(e + beta^2/4) of a sized grid: adjacent levels lie
 # at least 1.006 apart in s on the 36 reference rows and 1.238 on deep
 # wells (deep_sweep seed 1), so it puts 10 or more steps between them
@@ -307,8 +309,8 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
             raise InvalidInput("grid_points must be an integer") from None
         if points != grid_points:
             raise InvalidInput(f"grid_points = {grid_points!r} must be an integer")
-        if not 100 <= points <= GRID_POINTS_CAP:
-            raise InvalidInput(f"grid_points must lie in 100 .. {GRID_POINTS_CAP}")
+        if not GRID_POINTS_FLOOR <= points <= GRID_POINTS_CAP:
+            raise InvalidInput(f"grid_points must lie in {GRID_POINTS_FLOOR} .. {GRID_POINTS_CAP}")
     window = params.window
     a = window[0] + WINDOW_MARGIN
     b = window[1] - WINDOW_MARGIN

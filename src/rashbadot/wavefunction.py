@@ -62,9 +62,11 @@ thus costs one interior and one exterior basis evaluation.
 A sample costs one pair-function call: one K call outside the well, two
 J calls inside (one at beta = 0, where k_- = k_+).  The wave numbers do
 not depend on r, so a state computes them once (``wave_numbers``).  At
-(v, beta, m) = (100, 2, 1) a sample takes 11-13 us at r = 2, 7 us of it
-in the K quadrature, and 16-18 us at r = 0.5, 9-10 us of it in the two
-J recurrences (shared 2-vCPU x86-64 machine).
+(v, beta, m) = (100, 2, 1), level 2 (|kappa| = 7.93), a sample takes
+13-14 us at r = 1.2, 7.4-7.7 us of it in the 21-node K quadrature,
+9.1-9.5 us at r = 2, where |z| = 15.9 takes the 8-node rung (3.3-3.5 us),
+and 18-19 us at r = 0.5, 9-10 us of it in the two J recurrences (shared
+2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations

@@ -163,6 +163,17 @@ class TestSpectrumCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ")
+        if flag == "--grid":
+            # every command names the flag and its bounds, not the
+            # library's parameter
+            message = "usage error: --grid must lie in 100 .. 1000000\n"
+            assert err == message
+            for argv in (
+                ["wavefunction", "--v", "25", "--beta", "0", "--m", "0", "--level", "0"],
+                ["table"],
+                ["sweep", "--v", "25", "--beta-range", "0:1:1", "--m-list", "0"],
+            ):
+                assert run_cli(capsys, *argv, flag, value) == (2, "", message)
 
     def test_tol_is_not_an_option(self, capsys):
         # the refinement tolerance is the constant REFINE_TOL
@@ -493,8 +504,17 @@ class TestGoldenBytes:
                 + ["--rmax", "3", "--samples", "300"],
                 "wavefunction_partner.csv",
             ),
+            (
+                # a deep level whose exterior samples span every quadrature
+                # rung of K (|z| from 11.0 to 33.1)
+                ["wavefunction", "--v", "400", "--beta", "6", "--m", "2", "--level", "8"]
+                + ["--rmax", "3", "--samples", "300"],
+                "wavefunction_deep.csv",
+            ),
         ],
-        ids=["table", "sweep", "spectrum", "spectrum_physical", "wavefunction", "partner"],
+        ids=[
+            "table", "sweep", "spectrum", "spectrum_physical", "wavefunction", "partner", "deep",
+        ],
     )
     def test_csv_bytes(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)

@@ -21,8 +21,11 @@ from rashbadot.special_functions import (
     _J_HANKEL_RADIUS,
     _J_SERIES_RADIUS,
     _J_SERIES_TERMS,
-    _K_NODES,
-    _K_SERIES_RADIUS,
+    _K_CUTS,
+    _K_NODES_12,
+    _K_NODES_16,
+    _K_NODES_56,
+    _K_RUNGS,
     _K_SERIES_TERMS,
     _j_miller,
     bessel_j_many,
@@ -339,7 +342,7 @@ def k_series_stop(z):
 
 
 # |z| = 3 from the real axis to the imaginary one, Re z > 0, Im z >= 0
-K_SERIES_EDGE = _K_SERIES_RADIUS * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 91)[:-1])
+K_SERIES_EDGE = _K_CUTS[0] * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 91)[:-1])
 
 
 @pytest.mark.parametrize(
@@ -471,14 +474,16 @@ class TestBesselK:
         for n in (0, 1, 2):
             assert scaled[n] == pytest.approx(plain[n] * cmath.exp(z), rel=1e-13)
 
-    # points in both seed regimes and beside their boundary |z| = 3: the
-    # log series (|z| <= 3), the Gauss-Hermite quadrature (|z| > 3, from
-    # near the imaginary axis to |z| = 1000), and the lower half-plane
+    # points in every seed regime and beside their cuts: the log series
+    # (|z| <= 3), the Gauss-Hermite rungs (|z| > 3, cut at 14.5 and 25,
+    # from near the imaginary axis to |z| = 1000), and the lower half-plane
     LANE_POINTS = (
         1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j, 2.0000001 + 0j,
         1.0 + 1.7320509j, 3.0 + 0j,
         3.0000001 + 0j, 0.1 + 3.01j, 0.5 + 3j, 3 + 2j, 6 + 6j, 0.3 + 7.9j,
         0.5 + 12j, 0.99 + 12.4j, 1 + 12.4j, 12.4999 + 0j, 12.5 + 0j,
+        14.5 + 0j, 14.5000001 + 0j, 0.2 + 14.6j, 10 + 20j, 25.0 + 0j,
+        25.0000001 + 0j, 1e-3 + 25.1j,
         30 + 40j, 140 + 139j, 1000 + 5j,
         1.5 - 0.7j, 0.3 - 7.9j, 3 - 2j, 30 - 40j,
     )
@@ -499,27 +504,36 @@ class TestBesselK:
 
     def test_quadrature_lane_is_the_same_alone_and_in_a_batch(self):
         # a lane does its own arithmetic whatever its batch-mates are: the
-        # quadrature and log-series lanes of a 2000-lane grid over both
-        # half-planes equal the same lanes asked for alone, bit for bit
+        # log-series lanes and each quadrature rung's lanes of a 2000-lane
+        # grid over both half-planes, 0.1 <= |z| <= 1000, equal the same
+        # lanes asked for alone, bit for bit
         rng = np.random.default_rng(17)
-        zs = rng.uniform(0.1, 40.0, 2000) * np.exp(1j * rng.uniform(-1.5, 1.5, 2000))
+        sizes = np.exp(rng.uniform(math.log(0.1), math.log(1000.0), 2000))
+        zs = sizes * np.exp(1j * rng.uniform(-1.5, 1.5, 2000))
         orders = range(0, 3)
         batch = bessel_k_scaled_lanes(orders, zs)
-        near = np.abs(zs) <= 3.0
-        for regime in (near, ~near):
-            for i in np.flatnonzero(regime)[::15]:
+        regimes = np.digitize(sizes, _K_CUTS, right=True)
+        for regime in range(len(_K_RUNGS) + 1):
+            lanes = np.flatnonzero(regimes == regime)[::15]
+            assert len(lanes) >= 5, regime
+            for i in lanes:
                 alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
                 assert all(alone[n][0] == batch[n][i] for n in orders)
 
     def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
-        # the 56-point rule folded onto its positive nodes as (s^2, 2 w),
-        # keeping the nodes with w (1 + t) > 1e-18 w_0
-        s, weights = np.polynomial.hermite.hermgauss(56)
-        positive = s > 0.0
-        t, w = s[positive] ** 2, 2.0 * weights[positive]
-        keep = w * (1.0 + t) > 1e-18 * w[0]
-        assert tuple(zip(t[keep].tolist(), w[keep].tolist())) == _K_NODES
-        assert len(_K_NODES) == 21
+        # each rung is its rule folded onto its positive nodes as
+        # (s^2, 2 w), keeping the nodes with w (1 + t) > 1e-18 w_0, and
+        # carries the K_1 weight w t; the rungs run from the widest rule
+        rules = ((56, _K_NODES_56, 21), (16, _K_NODES_16, 8), (12, _K_NODES_12, 6))
+        for (points, nodes, kept), rung in zip(rules, _K_RUNGS, strict=True):
+            s, weights = np.polynomial.hermite.hermgauss(points)
+            positive = s > 0.0
+            t, w = s[positive] ** 2, 2.0 * weights[positive]
+            keep = w * (1.0 + t) > 1e-18 * w[0]
+            assert tuple(zip(t[keep].tolist(), w[keep].tolist())) == nodes
+            assert len(nodes) == kept
+            assert rung == tuple((t, w, w * t) for t, w in nodes)
+        assert _K_CUTS == (3.0, 14.5, 25.0)
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(DomainError):
@@ -635,12 +649,16 @@ class TestLiveHighPrecisionOracle:
                 assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_k_seeds_beyond_the_series(self):
-        # e^z K_0 and e^z K_1 from the quadrature, 3 < |z| <= 1000, from the
-        # real axis to 1e-9 off the imaginary one and in the lower half-plane
+        # e^z K_0 and e^z K_1 from each quadrature rung, 3 < |z| <= 1000
+        # with sizes at and just above each cut, from the real axis to 1e-9
+        # off the imaginary one and in the lower half-plane
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         half_pi = 0.5 * math.pi
-        for size in (3.0000001, 3.2, 4.5, 8.0, 12.5, 30.0, 100.0, 400.0, 1000.0):
+        for size in (
+            3.0000001, 3.2, 4.5, 8.0, 12.5, 14.5, 14.5000001, 15.0, 20.0, 25.0,
+            25.0000001, 26.0, 30.0, 100.0, 400.0, 1000.0,
+        ):
             for angle in (
                 0.0, 0.3, 0.8, 1.2, 1.5, half_pi - 1e-6, half_pi - 1e-9,
                 -0.7, -1.5, -(half_pi - 1e-9),

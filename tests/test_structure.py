@@ -1,10 +1,10 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
-Bessel regime is written once, one function picks the J regime, Brent's
-method reads no guess, ``narrow_bracket`` alone reads a bracket's slope,
-importing the package leaves ``numpy.polynomial`` unloaded, the spectrum
-search takes a well and a grid size alone, and the README's library
-example runs."""
+Bessel regime is written once, one function picks the J regime and one
+the K regime, Brent's method reads no guess, ``narrow_bracket`` alone
+reads a bracket's slope, importing the package leaves ``numpy.polynomial``
+unloaded, the spectrum search takes a well and a grid size alone, and the
+README's library example runs."""
 
 from __future__ import annotations
 
@@ -136,6 +136,21 @@ def test_j_regime_split_is_read_in_one_function():
             if isinstance(node, ast.Name) and node.id == constant
         }
         assert readers == {"_j_split"}, constant
+
+
+def test_k_regime_cuts_are_read_in_one_function():
+    # the scalar and the lane K entry points take their seed regime, the
+    # log series or a quadrature rung, from one place, so a lane and the
+    # scalar cannot disagree on it
+    tree = ast.parse((PACKAGE / "special_functions.py").read_text())
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "_K_CUTS"
+    }
+    assert readers == {"_k_regime"}
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
