@@ -147,30 +147,24 @@ def exterior_wave_numbers(
     return complex(math.sqrt(remaining), 0.5 * beta)
 
 
-def _wave(m: int, q: int, k, r: float, table: dict, derivatives: int) -> RadialWave:
-    """J_n(k r) / k^q at n = m, m + 1 and its first ``derivatives``
-    radial derivatives from ``table``, the orders q .. q + 1 + derivatives
-    of J(k r) / (k r)^q (J_n = (-1)^n J_|n|, |n| >= q); the derivatives are
+def _wave(rows: list, k, r: float, q: int, signed: tuple, derivatives: int) -> RadialWave:
+    """One interior wave and its first ``derivatives`` (1 or 2) radial
+    derivatives from ``rows``, the orders q .. q + 1 + derivatives of
+    J(k r) / (k r)^q, at the (sign times r^q, row) ``signed`` of its orders
+    m and m + 1, j = q + row:
 
         d/dr J_j(kr)   = (j / r) J_j - k J_{j+1},
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
-    # J_j(kr) / k^q = r^q J_j(x) / x^q
-    lift = r**q
-    (s0, j0), (s1, j1) = [(-lift if n < 0 and n % 2 else lift, abs(n)) for n in (m, m + 1)]
-    value = (s0 * table[j0], s1 * table[j1])
-    if not derivatives:
-        return RadialWave(value, None, k**q)
-
-    def slope(j):
-        return j / r * table[j] - k * table[j + 1]
-
-    def bend(j):
-        t0, t1, t2 = table[j], table[j + 1], table[j + 2]
-        return j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * t2
-
-    curvature = (s0 * bend(j0), s1 * bend(j1)) if derivatives == 2 else None
-    return RadialWave(value, (s0 * slope(j0), s1 * slope(j1)), k**q, curvature)
+    value, slope, curvature = [], [], []
+    for s, i in signed:
+        j, t0, t1 = q + i, rows[i], rows[i + 1]
+        value.append(s * t0)
+        slope.append(s * (j / r * t0 - k * t1))
+        if derivatives == 2:
+            bend = j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * rows[i + 2]
+            curvature.append(s * bend)
+    return RadialWave(tuple(value), tuple(slope), k**q, tuple(curvature) if curvature else None)
 
 
 def interior_pair(
@@ -199,17 +193,27 @@ def interior_pair(
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     k_minus, k_plus = k.k_minus, k.k_plus
     q = min(abs(m), abs(m + 1))
-    orders = range(q, q + 2 + derivatives)
+    n_max = q + 1 + derivatives
     if isinstance(k_minus, np.ndarray):
-        both = bessel_j_over_power(orders, np.concatenate((k_minus, k_plus)) * r, q)
+        both = bessel_j_over_power(n_max, np.concatenate((k_minus, k_plus)) * r, q)
         size = len(k_minus)
-        minus = {n: lanes[:size] for n, lanes in both.items()}
-        plus = {n: lanes[size:] for n, lanes in both.items()}
+        minus = [row[:size] for row in both]
+        plus = [row[size:] for row in both]
     else:
-        minus = bessel_j_over_power(orders, k_minus * r, q)
+        minus = bessel_j_over_power(n_max, k_minus * r, q)
         # at beta = 0 the two waves coincide
-        plus = minus if k_plus == k_minus else bessel_j_over_power(orders, k_plus * r, q)
-    return _wave(m, q, k_minus, r, minus, derivatives), _wave(m, q, k_plus, r, plus, derivatives)
+        plus = minus if k_plus == k_minus else bessel_j_over_power(n_max, k_plus * r, q)
+    # J_n(k r) / k^q = r^q J_|n|(x) / x^q at n = m and m + 1, negated for odd n < 0
+    lift = r**q
+    s0 = -lift if m < 0 and m % 2 else lift
+    s1 = -lift if m < -1 and m % 2 == 0 else lift
+    i0, i1 = abs(m) - q, abs(m + 1) - q
+    if derivatives:
+        signed = (s0, i0), (s1, i1)
+        x = _wave(minus, k_minus, r, q, signed, derivatives)
+        return x, _wave(plus, k_plus, r, q, signed, derivatives)
+    x = RadialWave((s0 * minus[i0], s1 * minus[i1]), None, k_minus**q)
+    return x, RadialWave((s0 * plus[i0], s1 * plus[i1]), None, k_plus**q)
 
 
 def exterior_pair(
@@ -230,7 +234,7 @@ def exterior_pair(
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     z = kappa * r
     orders = range(m - derivatives, m + 2 + derivatives)
-    # e^z K_n(z) times e^{-i Im z} is e^{Re z} K_n(z)
+    # scaled[derivatives + i] is e^z K_{m+i}(z), which e^{-i Im z} takes to e^{Re z} K_{m+i}(z)
     if isinstance(z, np.ndarray):
         scaled = bessel_k_scaled_lanes(orders, z)
         phase = np.exp(-1j * z.imag)
@@ -239,16 +243,16 @@ def exterior_pair(
         scaled = bessel_k_scaled_many(orders, z)
         phase = cmath.exp(complex(0.0, -z.imag))
         divisor = math.exp(-z.real)
-    low, high = scaled[m] * phase, scaled[m + 1] * phase
+    low, high = scaled[derivatives] * phase, scaled[derivatives + 1] * phase
     x_slope = y_slope = x_curve = y_curve = None
     if derivatives:
-        below, above = scaled[m - 1] * phase, scaled[m + 2] * phase
+        below, above = scaled[derivatives - 1] * phase, scaled[derivatives + 2] * phase
         slope_low = -0.5 * kappa * (below + high)
         slope_high = -0.5 * kappa * (low + above)
         x_slope, y_slope = (slope_low.real, slope_high.imag), (slope_low.imag, slope_high.real)
     if derivatives == 2:
-        curve_low = 0.25 * kappa**2 * (scaled[m - 2] * phase + 2.0 * low + above)
-        curve_high = 0.25 * kappa**2 * (below + 2.0 * high + scaled[m + 3] * phase)
+        curve_low = 0.25 * kappa**2 * (scaled[0] * phase + 2.0 * low + above)
+        curve_high = 0.25 * kappa**2 * (below + 2.0 * high + scaled[5] * phase)
         x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
     return (
         RadialWave((low.real, high.imag), x_slope, divisor, x_curve),

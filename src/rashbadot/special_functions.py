@@ -25,10 +25,10 @@ regimes, split in ``_j_split`` alone (after Numerical Recipes, section
   regime.  Against mpmath, over its whole domain at n_max = 1 .. 64, the
   rows lie within 2.2e-15 of the largest row (2.0e-15 from + 24).
 
-Negative arguments and negative orders are folded onto the positive
-quadrant through the parity reflections
-
-    J_n(-x) = (-1)^n J_n(x),        J_{-n}(x) = (-1)^n J_n(x).
+``bessel_j_over_power(n_max, x, p)`` returns the rows J_n(x) / x^p,
+n = p .. n_max, as the list its regime builds, and for x < 0 flips the
+rows at odd offsets from p, J_n(-x) / (-x)^p = (-1)^(n + p) J_n(x) / x^p;
+``bessel_j_many`` folds negative orders by J_{-n}(x) = (-1)^n J_n(x).
 
 The quotient J_n(x) / x^p, 0 <= p <= n, is finite down to x = 0; the
 series regime leaves the p factors of x out of its leading term instead
@@ -44,11 +44,11 @@ sqrt(v) + |beta|/2 = 2000, which ``spectral_solver`` scans at its usual
 step in the interior wave number: at beta = 0, v = 1e5, 3e5 and 1e6
 give exactly the level counts the zeros of J predict.
 
-K_n(z) requires Re z > 0 and is assembled from seed values K_0, K_1 by
-the forward order recurrence K_{n+1} = K_{n-1} + (2n/z) K_n, which is
-stable for K.  The seeds come from two regimes, split at |z| = 3 in
-``_k_regime`` (validated against mpmath to keep the worst relative error
-near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
+K_n(z) requires a finite z with Re z > 0 and is assembled from seed
+values K_0, K_1 by the forward order recurrence K_{n+1} = K_{n-1} +
+(2n/z) K_n, which is stable for K.  The seeds come from two regimes,
+split at |z| = 3 in ``_k_regime`` (validated against mpmath to keep the
+worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
 
 * the ascending log series for |z| <= 3, which sums terms of size up to
   ~e^|z| to a result of size ~e^-Re z and so loses at most e^6 ulps;
@@ -62,12 +62,12 @@ near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
   and 39 angles from the real axis to 1e-9 off the imaginary one in both
   half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
-  scalar call of the K entry point for K_0 and K_1 costs 9.4-10.6,
-  5.2-5.6 and 4.6-4.8 us, and 2000 lanes on one rung 1.4-1.5, 0.63-0.68
-  and 0.50-0.52 ms (shared 2-vCPU x86-64 machine).  The first cut lies
-  above every |z| of the reference rows' scan (at most 14.14); denser
-  cuts save more per point, but a lane call whose lanes straddle a cut
-  runs every rung it touches.
+  scalar call of the K entry point for K_0 and K_1 costs 9.5-10.0,
+  5.3-5.4 and 4.6-4.7 us, and 2000 lanes on one rung 1.49-1.53,
+  0.62-0.65 and 0.50-0.54 ms (shared 2-vCPU x86-64 machine).  The first
+  cut lies above every |z| of the reference rows' scan (at most 14.14);
+  denser cuts save more per point, but a lane call whose lanes straddle
+  a cut runs every rung it touches.
 
 All K evaluation is done internally on the exponentially scaled function
 e^z K_n(z), which stays representable for Re z far beyond the point
@@ -178,9 +178,11 @@ _HANKEL_STEPS = tuple(
 )
 
 
-def _check_order(n: int) -> None:
-    if abs(n) > ORDER_CAP:
-        raise OrderCapExceeded(f"|n| = {abs(n)} exceeds cap {ORDER_CAP}")
+def _top_order(orders) -> int:
+    top = max(-orders[0], orders[-1])
+    if top > ORDER_CAP:
+        raise OrderCapExceeded(f"|n| = {top} exceeds cap {ORDER_CAP}")
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +250,21 @@ def _j_miller(n_max: int, x, power: int) -> list:
         j_above, j_here = np.where(active, j_here, j_above), np.where(active, j_below, j_here)
         if n % 2 == 0:
             norm = norm + 2.0 * j_above  # 0 for lanes not yet started
-    trail = []  # J_first .. J_1, every lane started
-    for n in range(first, 0, -1):
-        j_above, j_here = j_here, (2.0 * n / x) * j_here - j_above
-        trail.append(j_above)
-    for value in trail[::2]:  # the even orders, from the top down
-        norm = norm + 2.0 * value
+    # two steps a turn down from each even order, which joins the sum as it passes
+    kept = []
+    for n in range(first, 0, -2):
+        norm = norm + 2.0 * j_here
+        j_odd = (2.0 * n / x) * j_here - j_above
+        if n <= n_max + 1:
+            kept += (j_here, j_odd)
+        j_above, j_here = j_odd, (2.0 * (n - 1) / x) * j_odd - j_here
     norm = norm + j_here  # j_here now holds the J_0 trial value
     if not (np.isfinite(norm).all() if lanes else math.isfinite(norm)):
         bad = x[~np.isfinite(norm)][0] if lanes else x
         raise ArgumentOutOfRange(f"J Miller recurrence to n = {n_max} overflowed at x = {bad!r}")
     scale = x**-power
-    rows = [j_here, *trail[: -n_max - 1 : -1]]  # J_0 .. J_n_max
-    return [value / norm * scale for value in rows[power:]]
+    rows = [j_here, *kept[::-1]]  # J_0 .. J_n_max, and J_{n_max + 1} for odd n_max
+    return [value / norm * scale for value in rows[power : n_max + 1]]
 
 
 def _j_hankel(n_max: int, x, power: int) -> list:
@@ -309,24 +313,20 @@ def _j_split(n_max: int, size):
 def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
     """J_n(x) for every order in ``orders`` from one recurrence pass."""
     orders = list(orders)
-    table = bessel_j_over_power({abs(n) for n in orders}, x, 0)
+    rows = bessel_j_over_power(max(map(abs, orders), default=0), x, 0)
     # J_{-n}(x) = (-1)^n J_n(x)
-    return {n: -table[-n] if n < 0 and n % 2 else table[abs(n)] for n in orders}
+    return {n: -rows[-n] if n < 0 and n % 2 else rows[abs(n)] for n in orders}
 
 
-def bessel_j_over_power(orders: Iterable[int], x: float | np.ndarray, power: int) -> dict:
-    """J_n(x) / x^power for every order n >= power >= 0 in ``orders``, from
-    one recurrence pass; x may be negative (the power is signed) or 0
-    (the finite limit).  ``x`` is a float, giving floats, or a 1-D array
-    of lanes, giving arrays: each lane takes the regime and the arithmetic
-    the float would."""
-    orders = sorted(orders)
-    if not orders:
-        return {}
-    n_max = orders[-1]
-    _check_order(n_max)
-    if not 0 <= power <= orders[0]:
-        raise DomainError(f"power {power} outside 0 .. lowest order {orders[0]}")
+def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
+    """The rows n = power .. n_max of J_n(x) / x^power, 0 <= power <=
+    n_max, from one recurrence pass; x may be negative (the power is
+    signed) or 0 (the finite limit).  ``x`` is a float, giving floats, or
+    a 1-D array of lanes, giving arrays: each lane takes the regime and
+    the arithmetic the float would."""
+    _top_order((n_max,))
+    if not 0 <= power <= n_max:
+        raise DomainError(f"power {power} outside 0 .. n_max {n_max}")
     lanes = isinstance(x, np.ndarray)
     size = abs(x)
     if not (np.all(size <= J_ARGUMENT_CAP) if lanes else size <= J_ARGUMENT_CAP):
@@ -334,17 +334,19 @@ def bessel_j_over_power(orders: Iterable[int], x: float | np.ndarray, power: int
             f"|x| = {float(np.max(size))!r} beyond validated domain {J_ARGUMENT_CAP}"
         )
     series, hankel = _j_split(n_max, size)
+    # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power: odd offsets flip
     if lanes:
-        seq = np.empty((n_max + 1 - power, len(x)))
+        rows = np.empty((n_max + 1 - power, len(x)))
         miller = ~(series | hankel)
         for mask, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
             if mask.any():
-                seq[:, mask] = regime(n_max, size[mask], power)
-    else:
-        seq = (_j_series if series else _j_hankel if hankel else _j_miller)(n_max, size, power)
-    # J_n(-x) / (-x)^power = (-1)^(n + power) J_n(x) / x^power
-    sign = 1.0 - 2.0 * (x < 0.0)
-    return {n: sign * seq[n - power] if (n + power) % 2 else seq[n - power] for n in orders}
+                rows[:, mask] = regime(n_max, size[mask], power)
+        rows[1::2] *= 1.0 - 2.0 * (x < 0.0)
+        return list(rows)
+    rows = (_j_series if series else _j_hankel if hankel else _j_miller)(n_max, size, power)
+    if x < 0.0:
+        rows[1::2] = [-value for value in rows[1::2]]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -417,56 +419,56 @@ def _k_regime(size):
     return bisect.bisect_left(_K_CUTS, size)
 
 
-def bessel_k_scaled_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
-    """e^z K_n(z) for every order in ``orders``; Re z > 0, any magnitude.
+def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
+    """[e^z K_n(z) for n in orders], ``orders`` a range; finite z, Re z > 0.
 
     Internal workhorse: not subject to the public |z| cap, so the
     exterior basis stays usable for very deep wells where the unscaled
     K underflows double precision.
     """
-    orders = sorted(orders)
-    n_abs_max = max(-orders[0], orders[-1]) if orders else 0
-    _check_order(n_abs_max)
-    if not z.real > 0.0:
-        raise DomainError(f"K_n requires Re z > 0, got z = {z!r}")
+    top = _top_order(orders)
+    if not (z.real > 0.0 and (size := abs(z)) < math.inf):
+        raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {z!r}")
     conjugated = z.imag < 0.0
     if conjugated:
         z = z.conjugate()
-    regime = _k_regime(abs(z))
+    regime = _k_regime(size)
     seq = list(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))
-    for n in range(1, n_abs_max):
+    for n in range(1, top):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    out = {n: seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders}
-    if not all(map(cmath.isfinite, out.values())):
-        raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {n_abs_max}")
+    # K_{-n} = K_n
+    out = [seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders]
+    if not all(map(cmath.isfinite, out)):
+        raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {top}")
     return out
 
 
 def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
     """K_n(z) for every order in ``orders``; validated for |z| <= 200."""
+    orders = list(orders)
     z = complex(z)
     if not abs(z) <= K_ARGUMENT_CAP:
         raise ArgumentOutOfRange(f"|z| = {abs(z)!r} beyond validated domain {K_ARGUMENT_CAP}")
-    # bessel_k_scaled_many evaluates in the upper half-plane, which keeps
-    # K_n(conj z) == conj(K_n(z)) bit-exact
+    # the scaled K is evaluated in the upper half-plane: K_n(conj z) == conj(K_n(z))
     damp = cmath.exp(-z)
-    return {n: value * damp for n, value in bessel_k_scaled_many(orders, z).items()}
+    span = range(min(orders, default=0), max(orders, default=0) + 1)
+    scaled = dict(zip(span, bessel_k_scaled_many(span, z)))
+    return {n: scaled[n] * damp for n in orders}
 
 
-def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.ndarray]:
+def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     """:func:`bessel_k_scaled_many` over a 1-D array of arguments: each
     lane takes the seed regime and the arithmetic the scalar would."""
-    orders = list(orders)
-    n_abs_max = max((abs(n) for n in orders), default=0)
-    _check_order(n_abs_max)
+    top = _top_order(orders)
     z = np.asarray(z, dtype=complex)
-    if not np.all(z.real > 0.0):
-        raise DomainError(f"K_n requires Re z > 0, got z = {z[~(z.real > 0.0)][0]!r}")
+    size = np.abs(z)
+    if not (np.all(z.real > 0.0) and size.max() < math.inf):
+        bad = z[~(z.real > 0.0) | ~(size < math.inf)][0]
+        raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
     conjugated = z.imag < 0.0
     z = np.where(conjugated, z.conj(), z)
-    regime = _k_regime(np.abs(z))
-    k0 = np.empty_like(z)
-    k1 = np.empty_like(z)
+    regime = _k_regime(size)
+    k0, k1 = np.empty((2, len(z)), dtype=complex)
     for i in range(len(_K_RUNGS) + 1):
         lanes = regime == i
         if lanes.any():
@@ -476,13 +478,13 @@ def bessel_k_scaled_lanes(orders: Iterable[int], z: np.ndarray) -> dict[int, np.
     # only the order recurrence can overflow, which the finiteness check
     # below reports as the scalar does
     with np.errstate(all="ignore"):
-        for n in range(1, n_abs_max):
+        for n in range(1, top):
             seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    out = {}
+    out = []
     for n in orders:
         value = seq[abs(n)]
         if not np.all(np.isfinite(value)):
             bad = z[~np.isfinite(value)][0]
             raise ArgumentOutOfRange(f"K_{n}({bad!r}) overflowed the recurrence")
-        out[n] = np.where(conjugated, value.conj(), value)
+        out.append(np.where(conjugated, value.conj(), value))
     return out

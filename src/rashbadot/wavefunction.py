@@ -59,13 +59,14 @@ r J_n'(0) where k is exactly 0.  The exterior waves stay exp-scaled, so
 deep wells do not underflow.  One normalization
 thus costs one interior and one exterior basis evaluation.
 
-A sample costs one pair-function call: one K call outside the well, two
-J calls inside (one at beta = 0, where k_- = k_+).  The wave numbers do
-not depend on r, so a state computes them once (``wave_numbers``).  At
+A sample costs one pair-function call, which ``evaluate_radial`` reaches
+through ``radial_components``: one K call outside the well, two J calls
+inside (one at beta = 0, where k_- = k_+).  The wave numbers do not
+depend on r, so a state computes them once (``wave_numbers``).  At
 (v, beta, m) = (100, 2, 1), level 2 (|kappa| = 7.93), a sample takes
-13-14 us at r = 1.2, 7.4-7.7 us of it in the 21-node K quadrature,
-9.1-9.5 us at r = 2, where |z| = 15.9 takes the 8-node rung (3.3-3.5 us),
-and 18-19 us at r = 0.5, 9-10 us of it in the two J recurrences (shared
+13-14 us at r = 1.2, 7.1-7.4 us of it in the 21-node K quadrature,
+8.8-9.3 us at r = 2, where |z| = 15.9 takes the 8-node rung (3.2-3.3 us),
+and 13-15 us at r = 0.5, 10-11 us of it in the two J calls (shared
 2-vCPU x86-64 machine).
 """
 
@@ -209,11 +210,9 @@ def radial_components(state: BoundState, r: float) -> tuple[float, float]:
     if r == 0.0:
         # both interior waves are 1 at the origin in order 0
         m = state.params.m
-        u = state.a + state.b if m == 0 else 0.0
-        w = state.a - state.b if m + 1 == 0 else 0.0
-        return u, w
+        return (state.a + state.b if m == 0 else 0.0), (state.a - state.b if m == -1 else 0.0)
     a, b, x, y = _weighted_waves(state, r, 0)
-    return _combine(a, b, x.value, y.value)
+    return a * x.value[0] + b * y.value[0], a * x.value[1] - b * y.value[1]
 
 
 def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
@@ -298,25 +297,19 @@ def normalize(state: BoundState) -> BoundState:
     return _scaled(state, 1.0 / math.sqrt(total), normalized=True)
 
 
-def _require_normalized(state: BoundState) -> None:
-    if not state.normalized:
-        raise NotNormalized("state must be normalized first")
-
-
 def evaluate_radial(state: BoundState, r: float) -> SpinorSample:
     """Sample (r, u, w) of a normalized state; r = 0 via the origin limit."""
-    _require_normalized(state)
-    u, w = radial_components(state, r)
-    return SpinorSample(r=r, u=u, w=w)
+    if not state.normalized:
+        raise NotNormalized("state must be normalized first")
+    return SpinorSample(r, *radial_components(state, r))
 
 
 def evaluate_spinor(state: BoundState, r: float, phi: float) -> tuple[complex, complex]:
     """Spinor components (u e^{i m phi}, w e^{i (m+1) phi}); phi must be
     finite."""
-    _require_normalized(state)
+    _, u, w = evaluate_radial(state, r)
     if not math.isfinite(phi):
         raise InvalidInput("phi must be finite")
-    u, w = radial_components(state, r)
     m = state.params.m
     return (
         u * cmath.exp(complex(0.0, m * phi)),
@@ -331,7 +324,8 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     Second derivatives come from applying the ladder identities twice,
     so the residual isolates assembly errors from differencing noise.
     """
-    _require_normalized(state)
+    if not state.normalized:
+        raise NotNormalized("state must be normalized first")
     if r == 0.0 or r == 1.0:
         raise BoundaryPoint("residual undefined exactly at r = 0 and r = 1")
     if r < 0.0:

@@ -158,13 +158,15 @@ def channel_determinant(params, channel, e):
 
 
 def j_kernel(n, x):
-    """J_n(x), n >= 0, from the J kernel the solver runs."""
-    return bessel_j_over_power((n,), x, 0)[n]
+    """J_n(x), n >= 0: the last row of the J kernel the solver runs, asked
+    for the rows 0 .. n."""
+    return bessel_j_over_power(n, x, 0)[-1]
 
 
 def k_kernel(n, z):
-    """K_n(z) from the scaled K kernel the solver runs, times e^-z."""
-    return bessel_k_scaled_many((n,), z)[n] * cmath.exp(-z)
+    """K_n(z): the scaled K kernel the solver runs, asked for the one order
+    n, times e^-z."""
+    return bessel_k_scaled_many(range(n, n + 1), z)[0] * cmath.exp(-z)
 
 
 def tail_form(e, v, beta):

@@ -511,9 +511,18 @@ class TestGoldenBytes:
                 + ["--rmax", "3", "--samples", "300"],
                 "wavefunction_deep.csv",
             ),
+            (
+                # a level below e = 0 (e = -97.84): k_- = -8.53, so its
+                # interior samples take J at negative arguments, in the
+                # series and Miller regimes
+                ["wavefunction", "--v", "100", "--beta", "20", "--m", "2", "--level", "0"]
+                + ["--rmax", "3", "--samples", "300"],
+                "wavefunction_negative_k.csv",
+            ),
         ],
         ids=[
             "table", "sweep", "spectrum", "spectrum_physical", "wavefunction", "partner", "deep",
+            "negative_k",
         ],
     )
     def test_csv_bytes(self, capsys, argv, name):

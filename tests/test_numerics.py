@@ -267,7 +267,7 @@ class TestPanelQuadrature:
         # frozen oracle: trapezoid rule with 10^6 points on J0(5r)^2 r
         oracle = 0.06942435228309353
         value = integrate_panel(
-            lambda r: bessel_j_over_power((0,), 5.0 * r, 0)[0] ** 2 * r, 0.0, 1.0
+            lambda r: bessel_j_over_power(0, 5.0 * r, 0)[0] ** 2 * r, 0.0, 1.0
         )
         assert value == pytest.approx(oracle, abs=1e-10)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,19 +123,38 @@ class TestBesselJ:
             j_kernel(0, math.nan)
 
     def test_over_power(self):
-        # J_n(x) / x^p: the plain quotient where nothing underflows, the
-        # series' leading term (x/2)^(n-p) / (2^p n!) where J_n(x) would
-        for n, x, p in ((3, 1.7, 2), (30, 33.0, 30), (5, -4.2, 3), (4, -0.9, 4)):
-            got = bessel_j_over_power((n,), x, p)[n]
-            assert got == pytest.approx(j_kernel(n, x) / x**p, rel=1e-14)
+        # the rows p .. n_max of J_n(x) / x^p: the plain quotient where
+        # nothing underflows, the series' leading term
+        # (x/2)^(n-p) / (2^p n!) where J_n(x) would
+        for n_max, x, p in ((3, 1.7, 2), (30, 33.0, 30), (5, -4.2, 3), (4, -0.9, 4), (9, 7.3, 0)):
+            rows = bessel_j_over_power(n_max, x, p)
+            assert len(rows) == n_max + 1 - p
+            for n, got in zip(range(p, n_max + 1), rows):
+                assert got == pytest.approx(j_one(n, x) / x**p, rel=1e-14)
         leading = 1.0 / (2.0**61 * math.factorial(61))
-        assert bessel_j_over_power((61,), 1e-200, 61)[61] == pytest.approx(leading, rel=1e-15)
-        assert bessel_j_over_power((61,), -1e-200, 61)[61] == pytest.approx(leading, rel=1e-15)
-        at_zero = bessel_j_over_power((61, 62), 0.0, 61)
-        assert at_zero[61] == pytest.approx(leading, rel=1e-15)
-        assert at_zero[62] == 0.0
+        assert bessel_j_over_power(61, 1e-200, 61) == [pytest.approx(leading, rel=1e-15)]
+        assert bessel_j_over_power(61, -1e-200, 61) == [pytest.approx(leading, rel=1e-15)]
+        assert bessel_j_over_power(62, 0.0, 61) == [pytest.approx(leading, rel=1e-15), 0.0]
         with pytest.raises(DomainError):
-            bessel_j_over_power((2,), 1.0, 3)
+            bessel_j_over_power(2, 1.0, 3)
+        with pytest.raises(DomainError):
+            bessel_j_over_power(2, 1.0, -1)
+
+    @pytest.mark.parametrize(
+        "n_max,power,size",
+        # every regime: the series, Miller's recurrence, Hankel's expansion
+        [(6, 0, 1.3), (4, 4, 0.9), (9, 2, 7.3), (7, 1, 24.0), (20, 3, 60.0), (14, 12, 150.0)],
+    )
+    def test_negative_argument_flips_the_odd_offsets(self, n_max, power, size):
+        # J_n(-x) / (-x)^p = (-1)^(n + p) J_n(x) / x^p: row i of the rows
+        # p .. n_max flips sign when i is odd, bit for bit, for a float and
+        # for lanes
+        rows = bessel_j_over_power(n_max, size, power)
+        flipped = [-value if i % 2 else value for i, value in enumerate(rows)]
+        assert bessel_j_over_power(n_max, -size, power) == flipped
+        lanes = bessel_j_over_power(n_max, np.array([size, -size]), power)
+        assert [row[0] for row in lanes] == rows
+        assert [row[1] for row in lanes] == flipped
 
     def test_many_matches_scalar(self):
         table = bessel_j_many(range(-3, 4), 7.3)
@@ -160,11 +180,14 @@ class TestBesselJ:
         ],
     )
     def test_lanes_match_scalar(self, orders, power, xs):
-        lanes = bessel_j_over_power(orders, np.array(xs), power)
+        # the lanes of the rows power .. n_max, one row per order, equal the
+        # scalar's rows to rounding
+        lanes = bessel_j_over_power(orders[-1], np.array(xs), power)
+        assert len(lanes) == len(orders)
         for i, x in enumerate(xs):
-            scalar = bessel_j_over_power(orders, x, power)
-            for n in orders:
-                assert lanes[n][i] == pytest.approx(scalar[n], rel=1e-14, abs=0.0)
+            scalar = bessel_j_over_power(orders[-1], x, power)
+            for row, value in zip(lanes, scalar, strict=True):
+                assert row[i] == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_hankel_lane_is_the_same_alone_and_in_a_batch(self):
         # a lane does its own arithmetic whatever its batch-mates are: the
@@ -173,13 +196,12 @@ class TestBesselJ:
         # bit for bit
         rng = np.random.default_rng(13)
         xs = np.concatenate([rng.uniform(-200.0, 200.0, 2000), rng.uniform(-2.0, 2.0, 100)])
-        orders = range(12, 15)
-        batch = bessel_j_over_power(orders, xs, 12)
+        batch = bessel_j_over_power(14, xs, 12)
         size = np.abs(xs)
         for regime in (size <= 2.0, (2.0 < size) & (size < 25.0), size >= 25.0):
             for i in np.flatnonzero(regime)[::15]:
-                alone = bessel_j_over_power(orders, xs[i : i + 1], 12)
-                assert all(alone[n][0] == batch[n][i] for n in orders)
+                alone = bessel_j_over_power(14, xs[i : i + 1], 12)
+                assert [row[0] for row in alone] == [row[i] for row in batch]
 
     def test_miller_stays_finite_up_to_the_order_cap(self):
         # the recurrence carries no rescale: below the cap its trial values
@@ -225,13 +247,13 @@ class TestBesselJ:
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(ArgumentOutOfRange):
-            bessel_j_over_power((0, 1), np.array([1.0, J_ARGUMENT_CAP + 0.5]), 0)
+            bessel_j_over_power(1, np.array([1.0, J_ARGUMENT_CAP + 0.5]), 0)
         with pytest.raises(ArgumentOutOfRange):
-            bessel_j_over_power((0, 1), np.array([1.0, math.nan]), 0)
+            bessel_j_over_power(1, np.array([1.0, math.nan]), 0)
         with pytest.raises(OrderCapExceeded):
-            bessel_j_over_power((65,), np.array([1.0]), 0)
+            bessel_j_over_power(65, np.array([1.0]), 0)
         with pytest.raises(DomainError):
-            bessel_j_over_power((2,), np.array([1.0]), 3)
+            bessel_j_over_power(2, np.array([1.0]), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -469,7 +491,7 @@ class TestBesselK:
     def test_scaled_consistency(self):
         # e^z K_n(z) from the scaled path equals K_n(z) e^z within rounding
         z = complex(3.0, 2.0)
-        scaled = bessel_k_scaled_many((0, 1, 2), z)
+        scaled = bessel_k_scaled_many(range(3), z)
         plain = bessel_k_many((0, 1, 2), z)
         for n in (0, 1, 2):
             assert scaled[n] == pytest.approx(plain[n] * cmath.exp(z), rel=1e-13)
@@ -489,8 +511,10 @@ class TestBesselK:
     )
 
     def test_lanes_match_scalar(self):
+        # a lane of each requested order equals the scalar's value to rounding
         orders = range(-2, 6)
         lanes = bessel_k_scaled_lanes(orders, np.array(self.LANE_POINTS))
+        assert len(lanes) == len(orders)
         for i, z in enumerate(self.LANE_POINTS):
             scalar = bessel_k_scaled_many(orders, z)
             tol = 1e-14
@@ -499,8 +523,47 @@ class TestBesselK:
                 # so it magnifies the one-ulp difference between numpy's and
                 # the interpreter's complex rounding by that ratio
                 tol = max(tol, 2.0**-52 * math.exp(abs(z) + z.real))
-            for n in orders:
-                assert abs(lanes[n][i] - scalar[n]) <= tol * abs(scalar[n])
+            for row, value in zip(lanes, scalar, strict=True):
+                assert abs(row[i] - value) <= tol * abs(value)
+
+    @pytest.mark.parametrize("orders", [range(0, 1), range(1, 3), range(-3, 3), range(-4, -1)])
+    def test_values_align_with_the_requested_orders(self, orders):
+        # one value per order from the lowest, K_{-n} = K_n, and
+        # K_n(conj z) = conj(K_n(z)) bit for bit, in every seed regime and
+        # for a number and lanes alike
+        points = [complex(z) for z in self.LANE_POINTS if z.imag > 0.0]
+        for z in points:
+            table = bessel_k_scaled_many(range(0, 5), z)
+            values = bessel_k_scaled_many(orders, z)
+            assert values == [table[abs(n)] for n in orders]
+            assert bessel_k_scaled_many(orders, z.conjugate()) == [v.conjugate() for v in values]
+        lanes = bessel_k_scaled_lanes(orders, np.array(points))
+        table = bessel_k_scaled_lanes(range(0, 5), np.array(points))
+        mirrored = bessel_k_scaled_lanes(orders, np.array(points).conj())
+        assert len(lanes) == len(mirrored) == len(orders)
+        assert all(np.array_equal(row, table[abs(n)]) for n, row in zip(orders, lanes))
+        assert all(np.array_equal(row.conj(), other) for row, other in zip(lanes, mirrored))
+
+    @pytest.mark.parametrize("orders", [range(1, 2), range(0, 2)])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            complex(math.inf, 0.0),
+            complex(math.inf, 1.0),
+            complex(1.0, math.inf),
+            complex(1.0, -math.inf),
+            complex(1.0, math.nan),
+        ],
+    )
+    def test_non_finite_argument_is_a_domain_error(self, orders, z):
+        # Re z > 0 passes for these, yet K there is no number: both forms
+        # refuse them before any arithmetic, and warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                bessel_k_scaled_many(orders, z)
+            with pytest.raises(DomainError):
+                bessel_k_scaled_lanes(orders, np.array([1.0 + 1.0j, z]))
 
     def test_quadrature_lane_is_the_same_alone_and_in_a_batch(self):
         # a lane does its own arithmetic whatever its batch-mates are: the
@@ -518,7 +581,7 @@ class TestBesselK:
             assert len(lanes) >= 5, regime
             for i in lanes:
                 alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
-                assert all(alone[n][0] == batch[n][i] for n in orders)
+                assert [row[0] for row in alone] == [row[i] for row in batch]
 
     def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
         # each rung is its rule folded onto its positive nodes as
@@ -537,27 +600,29 @@ class TestBesselK:
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(DomainError):
-            bessel_k_scaled_lanes((0,), np.array([1.0 + 0j, -1.0 + 1j]))
+            bessel_k_scaled_lanes(range(0, 1), np.array([1.0 + 0j, -1.0 + 1j]))
         with pytest.raises(OrderCapExceeded):
-            bessel_k_scaled_lanes((65,), np.array([1.0 + 0j]))
+            bessel_k_scaled_lanes(range(65, 66), np.array([1.0 + 0j]))
+        with pytest.raises(OrderCapExceeded):
+            bessel_k_scaled_many(range(-65, 0), 1.0 + 0j)
         # K_50 near the origin overflows the forward recurrence
         z = np.array([5.0 + 0j, 1e-5 + 0j])
         with pytest.raises(ArgumentOutOfRange):
-            bessel_k_scaled_many((50,), complex(z[1]))
+            bessel_k_scaled_many(range(50, 51), complex(z[1]))
         with pytest.raises(ArgumentOutOfRange):
-            bessel_k_scaled_lanes((50,), z)
+            bessel_k_scaled_lanes(range(50, 51), z)
 
     def test_zero_dimensional_argument_is_one_point(self):
         # a 0-d array takes the scalar form in both regimes and half-planes,
         # with the bits of the numpy scalar
         for z in (0.5 + 0.2j, 1 + 1j, 5 + 1j, 5 - 1j, 40 - 3j):
-            scalar = bessel_k_scaled_many((0, 1, 2), np.complex128(z))
-            assert bessel_k_scaled_many((0, 1, 2), np.array(z)) == scalar
+            scalar = bessel_k_scaled_many(range(3), np.complex128(z))
+            assert bessel_k_scaled_many(range(3), np.array(z)) == scalar
 
     def test_scaled_survives_deep_well_arguments(self):
         # unscaled K underflows near Re z ~ 750; the scaled value stays O(1)
         z = complex(1000.0, 5.0)
-        value = bessel_k_scaled_many((0, 1), z)[0]
+        value = bessel_k_scaled_many(range(1), z)[0]
         assert 0.01 < abs(value) < 1.0
 
     @settings(max_examples=40, deadline=None)
@@ -631,7 +696,7 @@ class TestLiveHighPrecisionOracle:
                 edge - 0.01, edge, edge + 0.01, 87.3, 166.0, 199.9,
                 316.2, 499.7, 1000.0, 1414.2, 1999.9, J_ARGUMENT_CAP,
             ):
-                got = bessel_j_over_power(range(n_max + 1), x, 0)
+                got = bessel_j_over_power(n_max, x, 0)
                 ref = [float(mp.besselj(n, mp.mpf(x))) for n in range(n_max + 1)]
                 error = max(abs(got[n] - ref[n]) for n in range(n_max + 1))
                 assert error <= 1e-13 * max(map(abs, ref)), (n_max, x)
@@ -664,7 +729,7 @@ class TestLiveHighPrecisionOracle:
                 -0.7, -1.5, -(half_pi - 1e-9),
             ):
                 z = cmath.rect(size, angle)
-                got = bessel_k_scaled_many((0, 1), z)
+                got = bessel_k_scaled_many(range(2), z)
                 exact = mp.mpc(z.real, z.imag)
                 for n in (0, 1):
                     ref = complex(mp.besselk(n, exact) * mp.exp(exact))

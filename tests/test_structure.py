@@ -1,10 +1,11 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
 Bessel regime is written once, one function picks the J regime and one
-the K regime, Brent's method reads no guess, ``narrow_bracket`` alone
-reads a bracket's slope, importing the package leaves ``numpy.polynomial``
-unloaded, the spectrum search takes a well and a grid size alone, and the
-README's library example runs."""
+the K regime, every Bessel value of the basis comes through the pair
+functions of ``radial_basis``, Brent's method reads no guess,
+``narrow_bracket`` alone reads a bracket's slope, importing the package
+leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
+and a grid size alone, and the README's library example runs."""
 
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rashbadot
 from conftest import counted_lane_calls
-from rashbadot import numerics, radial_basis, spectral_solver, wavefunction
+from rashbadot import numerics, radial_basis, special_functions, spectral_solver, wavefunction
 from rashbadot.radial_basis import DotParameters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +86,78 @@ def test_special_functions_writes_each_regime_once():
         if isinstance(node, ast.FunctionDef) and node.name.endswith("_lanes")
     }
     assert lane_functions == {"bessel_k_scaled_lanes"}
+
+
+# the Bessel entry points and regime bodies of special_functions
+BESSEL_NAMES = (
+    "bessel_j_many",
+    "bessel_j_over_power",
+    "bessel_k_many",
+    "bessel_k_scaled_many",
+    "bessel_k_scaled_lanes",
+    "_j_series",
+    "_j_miller",
+    "_j_hankel",
+    "_k01_series",
+    "_k01_quadrature",
+)
+
+
+def test_every_bessel_call_goes_through_the_pair_functions(monkeypatch):
+    # the samples, the residual, the normalization and the matching
+    # matrix (for one energy and on lanes) take every Bessel value from
+    # radial_basis.interior_pair / exterior_pair: a Bessel function called
+    # outside them would be a second place that assembles the basis.
+    # Every module-level name of the package bound to one of these
+    # functions is wrapped, whatever it is called there
+    depth = [0]
+    inside, outside = [], []
+    bessel = [getattr(special_functions, name) for name in BESSEL_NAMES]
+    pairs = (radial_basis.interior_pair, radial_basis.exterior_pair)
+
+    def through_pair(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            (inside if depth[0] else outside).append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rashbadot" if path.stem == "__init__" else f"rashbadot.{path.stem}"
+        module = importlib.import_module(name)
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in pairs):
+                monkeypatch.setattr(module, attr, through_pair(value))
+            elif any(value is fn for fn in bessel):
+                monkeypatch.setattr(module, attr, counted(value))
+
+    def checked(function, *args):
+        inside.clear()
+        result = function(*args)
+        assert inside and outside == [], (function.__name__, args, outside)
+        return result
+
+    for params in (DotParameters(100.0, 2.0, 1), DotParameters(25.0, 0.0, -2)):
+        e = checked(spectral_solver.find_spectrum, params).levels[0]
+        checked(spectral_solver.equilibrated_matrix, params, e)
+        checked(spectral_solver.equilibrated_matrix, params, np.array([e, 0.5 * e, 0.9 * e]))
+        state = checked(wavefunction.solve_coefficients, params, e)
+        checked(wavefunction.region_density_integrals, state)
+        state = checked(wavefunction.normalize, state)
+        for r in (0.3, 0.9, 1.0, 2.5):
+            checked(wavefunction.evaluate_radial, state, r)
+        for r in (0.3, 2.5):
+            checked(wavefunction.ode_residual, state, r)
 
 
 def test_refine_root_starts_from_the_bracket_alone():
