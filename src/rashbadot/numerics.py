@@ -2,8 +2,8 @@
 
 Bracketed root refinement (bisection with secant/inverse-quadratic
 acceleration, Brent style), the narrowing of a bracket by the values
-either side of its guess, the root of
-the polynomial interpolating a set of samples (a proxy that supplies
+either side of its guess, the Newton tables of a batch of polynomials
+interpolating sets of samples and the root of one (a proxy that supplies
 such a guess from values already computed, in the spirit of Boyd's
 proxy root-finding, SIAM Review 55, 375 (2013)), the kernel of 4x4
 systems by singular value decomposition, and adaptive Gauss-Legendre
@@ -154,28 +154,38 @@ def narrow_bracket(
     return Bracket(lo, hi, f_lo, f_hi, moved, slope)
 
 
-def interpolant_root(
-    nodes: Sequence[float], values: Sequence[float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Root in [lo, hi] of the polynomial through (nodes, values), at
-    distinct nodes, and the polynomial's slope there.
+def divided_differences(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The Newton coefficients f[x_0], f[x_0, x_1], ..., f[x_0 .. x_n]
+    of the polynomial through (nodes, values) along the last axis, for
+    a batch of stencils at once: arrays of shape (..., n + 1), distinct
+    nodes within a stencil.  Each entry takes the arithmetic of the
+    in-place table built one stencil at a time."""
+    nodes = np.asarray(nodes, dtype=float)
+    table = np.array(values, dtype=float)
+    if nodes.shape != table.shape or table.ndim == 0 or table.shape[-1] == 0:
+        raise InvalidInput("need equally many nodes and values, at least one")
+    for order in range(1, table.shape[-1]):
+        table[..., order:] = (table[..., order:] - table[..., order - 1 : -1]) / (
+            nodes[..., order:] - nodes[..., :-order]
+        )
+    return table
 
-    The interpolant is built in Newton form from divided differences
-    and refined by :func:`refine_root` to machine precision, so no call
-    of the sampled function is made.  Returns (NaN, NaN) when the
+
+def interpolant_root(
+    nodes: Sequence[float], coefficients: Sequence[float], lo: float, hi: float
+) -> tuple[float, float]:
+    """Root in [lo, hi] of the polynomial with the Newton ``coefficients``
+    (:func:`divided_differences`) on distinct ``nodes``, and the
+    polynomial's slope there.
+
+    The root is refined by :func:`refine_root` to machine precision, so
+    no call of the sampled function is made.  Returns (NaN, NaN) when the
     interpolant shows no sign change on [lo, hi].  The pair estimates
     the sampled function's root and slope there, to pass on as
     ``Bracket.guess`` and ``Bracket.slope``: it is certified by nothing.
     """
-    coefficients = list(values)
     if len(nodes) != len(coefficients) or not nodes:
-        raise InvalidInput("need equally many nodes and values, at least one")
-    count = len(nodes)
-    for order in range(1, count):
-        for i in range(count - 1, order - 1, -1):
-            coefficients[i] = (coefficients[i] - coefficients[i - 1]) / (
-                nodes[i] - nodes[i - order]
-            )
+        raise InvalidInput("need equally many nodes and coefficients, at least one")
     # nested form: c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...))
     steps = list(zip(coefficients[-2::-1], nodes[-2::-1]))
     top = coefficients[-1]

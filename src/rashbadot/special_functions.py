@@ -84,8 +84,10 @@ forms) and ``bessel_k_scaled_lanes`` pick each lane's regime by mask,
 and run the same statements on arrays with no stopping rule: each
 series sums a fixed number of terms, the count its rule needs at the
 regime's worst argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
-``_K_SERIES_TERMS``), each K quadrature rung its nodes, and each lane's
-Miller recurrence starts at its own index.  A lane therefore does the
+``_K_SERIES_TERMS``, each term's factor from one table a call), each K
+quadrature rung its nodes, and each lane's Miller recurrence starts at
+its own index, holding zeros until it takes its seed on the step above
+that index.  A lane therefore does the
 same arithmetic whatever its batch-mates are, and its value is
 bit-identical alone, in a chunk or in a full scan grid.  The terms it
 sums past the scalar's stopping point lie below the rule's 1e-18, so it
@@ -206,17 +208,21 @@ def _j_series(n_max: int, x, power: int) -> list:
         if k >= power:
             leads.append(lead)
     lanes = isinstance(x, np.ndarray)
+    q = -0.25 * x * x
     if lanes:
-        # every order at once, the order a column
-        sums = [(np.array(leads), np.arange(power, n_max + 1.0)[:, None])]
+        # every order at once, the order a column, with every term's factor
+        # q / (k (n + k)) from one table
+        k = np.arange(1.0, _J_SERIES_TERMS + 1)[:, None, None]
+        n = np.arange(power, n_max + 1.0)[:, None]
+        factors = q / (k * (n + k))
+        sums = [(np.array(leads), n)]
     else:
         sums = zip(leads, range(power, n_max + 1))
-    q = -0.25 * x * x
     rows = []
     for total, n in sums:
         term = total
         for k in range(1, _J_SERIES_TERMS + 1):
-            term = term * (q / (k * (n + k)))
+            term = term * (factors[k - 1] if lanes else q / (k * (n + k)))
             total = total + term
             if not lanes and abs(term) < 1e-18 * abs(total):
                 break
@@ -229,8 +235,10 @@ def _j_miller(n_max: int, x, power: int) -> list:
     2 < x <= 200 (it serves x < 25 or x <= n_max + 2); ``x`` is a float or
     a 1-D array of lanes.
 
-    Each lane starts at its own index; lanes that start below n hold
-    their seeds, so a lane does the scalar's arithmetic step for step.
+    Each lane starts at its own (even) index.  Lanes that have not
+    started hold zeros, which the recurrence keeps at zero, and each takes
+    its seed 1e-30 on the step above its start, so a lane does the
+    scalar's arithmetic step for step.
     """
     lanes = isinstance(x, np.ndarray)
     start = x + 9.0 * x ** (1.0 / 3.0) + 8.0
@@ -242,14 +250,15 @@ def _j_miller(n_max: int, x, power: int) -> list:
     first, top = (int(start.min()), int(start.max())) if lanes else (start, start)
 
     j_above, j_here, norm = 0.0, 1e-30, 0.0
-    # only lanes start above the lowest start; those not yet started hold
-    # their seeds
+    if lanes:
+        j_here = np.where(start == top, 1e-30, 0.0)
+    # only lanes start above the lowest start
     for n in range(top, first, -1):
-        j_below = (2.0 * n / x) * j_here - j_above
-        active = start >= n
-        j_above, j_here = np.where(active, j_here, j_above), np.where(active, j_below, j_here)
+        j_above, j_here = j_here, (2.0 * n / x) * j_here - j_above
         if n % 2 == 0:
             norm = norm + 2.0 * j_above  # 0 for lanes not yet started
+        else:
+            j_here[start == n - 1] = 1e-30  # the seed of lanes that start next
     # two steps a turn down from each even order, which joins the sum as it passes
     kept = []
     for n in range(first, 0, -2):
@@ -368,9 +377,13 @@ def _k01_series(z) -> tuple:
     s0 = 0.0 + 0.0j
     s1 = (1.0 - 2.0 * EULER_GAMMA) * t1
     harmonic = 0.0
+    if lanes:
+        # every term's factors h / k^2 and h / (k (k+1)) from one table each
+        k = np.arange(1.0, _K_SERIES_TERMS + 1)[:, None]
+        factors0, factors1 = h / (k * k), h / (k * (k + 1.0))
     for k in range(1, _K_SERIES_TERMS + 1):
-        t0 = t0 * (h / (k * k))
-        t1 = t1 * (h / (k * (k + 1)))
+        t0 = t0 * (factors0[k - 1] if lanes else h / (k * k))
+        t1 = t1 * (factors1[k - 1] if lanes else h / (k * (k + 1)))
         harmonic += 1.0 / k
         harmonic_next = harmonic + 1.0 / (k + 1)
         i0 = i0 + t0
@@ -480,11 +493,11 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     with np.errstate(all="ignore"):
         for n in range(1, top):
             seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    out = []
-    for n in orders:
-        value = seq[abs(n)]
-        if not np.all(np.isfinite(value)):
-            bad = z[~np.isfinite(value)][0]
-            raise ArgumentOutOfRange(f"K_{n}({bad!r}) overflowed the recurrence")
-        out.append(np.where(conjugated, value.conj(), value))
-    return out
+    # the requested orders, K_{-n} = K_n, checked and conjugated as one stack
+    out = np.array([seq[abs(n)] for n in orders])
+    finite = np.isfinite(out)
+    if not finite.all():
+        row, lane = np.argwhere(~finite)[0]
+        raise ArgumentOutOfRange(f"K_{orders[row]}({z[lane]!r}) overflowed the recurrence")
+    np.conjugate(out, out=out, where=conjugated)
+    return list(out)

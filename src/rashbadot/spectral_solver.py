@@ -56,7 +56,9 @@ an independent lane of the special-function kernels, so they do not depend
 on the chunking.  Each bracket, of either channel at beta = 0, carries a
 ``guess``, the root of the polynomial through the ``PROXY_NODES`` scan
 values centred on the bracket (clamped to the grid), which
-``numerics.interpolant_root`` finds without evaluating the determinant.
+``numerics.interpolant_root`` finds without evaluating the determinant
+from the Newton table that ``numerics.divided_differences`` builds for
+every bracket of the channel in one array pass.
 The guess is not trusted but certified: the values at guess -/+ h,
 h = REFINE_TOL / 2, of every bracket of the spectrum (of both channels at
 beta = 0) go through the scan's chunked lane call once, and
@@ -69,18 +71,19 @@ guess moved by one Newton step on the polynomial's slope there
 node.  Each bracket is then refined by Brent's method at one float
 energy at a time, which runs the scalar kernels.  Brent's steps are
 sequential, and a lane call has a fixed cost of about ten scalar points
-(0.9 to 1.3 ms at 8 lanes and 1.1 to 1.7 ms at 80, against 0.1 ms for
-one scalar point, on a 2-core x86-64 machine), so one call per spectrum
-pays, where a lane call per Brent step would not.  An open half costs
-Brent about 1.9 evaluations, so a second probe round, at the moved
-guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry one: deep
-wells leave dozens, the reference rows at most one.  Brent starts from
-the narrowed bracket's ends and keeps the sign change and its stopping
-rule, so each level is still certified to within ``REFINE_TOL``, and a
-poor guess only leaves a wider bracket.  A level costs 0.45 scalar
-determinant evaluations on the reference table and 0.27 on deep wells
-(``deep_sweep`` seed 1), besides the lane calls; on a fixed 1000-point
-grid it cost 0.30 and 0.32, and Brent on the whole bracket 4.12 and 4.78.
+(0.5 to 1.2 ms at 8 lanes and 0.7 to 1.4 ms at 80, against 0.05 to
+0.08 ms for one scalar point, on a 2-core x86-64 machine), so one call
+per spectrum pays, where a lane call per Brent step would not.  An open
+half costs Brent about 1.9 evaluations, so a second probe round, at
+the moved guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry
+one: deep wells leave dozens, the reference rows at most one.  Brent
+starts from the narrowed bracket's ends and keeps the sign change and
+its stopping rule, so each level is still certified to within
+``REFINE_TOL``, and a poor guess only leaves a wider bracket.  A level
+costs 0.45 scalar determinant evaluations on the reference table and
+0.27 on deep wells (``deep_sweep`` seed 1), besides the lane calls; on
+a fixed 1000-point grid it cost 0.30 and 0.32, and Brent on the whole
+bracket 4.12 and 4.78.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
-from .numerics import Bracket, interpolant_root, narrow_bracket, refine_root
+from .numerics import Bracket, divided_differences, interpolant_root, narrow_bracket, refine_root
 from .radial_basis import (
     WINDOW_MARGIN,
     DotParameters,
@@ -231,14 +234,24 @@ def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list
     lo, hi = values[:-1], values[1:]
     # a zero at the right end belongs to the next interval's left end
     at_node = grid[:-1][lo == 0.0].tolist()
+    change = np.flatnonzero(lo * hi < 0.0)
+    # the PROXY_NODES samples centred on each bracket, clamped to the grid,
+    # and the Newton tables of their polynomials in one pass
+    start = np.minimum(np.maximum(change + 1 - PROXY_NODES // 2, 0), len(grid) - PROXY_NODES)
+    near = start[:, None] + np.arange(PROXY_NODES)
+    nodes = grid[near]
+    tables = divided_differences(nodes, values[near])
     brackets = []
-    for i in np.flatnonzero(lo * hi < 0.0).tolist():
-        e_lo, e_hi = float(grid[i]), float(grid[i + 1])
-        # the PROXY_NODES samples centred on the bracket, clamped to the grid
-        start = min(max(i + 1 - PROXY_NODES // 2, 0), len(grid) - PROXY_NODES)
-        near = slice(start, start + PROXY_NODES)
-        guess, slope = interpolant_root(grid[near].tolist(), values[near].tolist(), e_lo, e_hi)
-        brackets.append(Bracket(e_lo, e_hi, float(values[i]), float(values[i + 1]), guess, slope))
+    for e_lo, e_hi, f_lo, f_hi, stencil, table in zip(
+        grid[change].tolist(),
+        grid[change + 1].tolist(),
+        values[change].tolist(),
+        values[change + 1].tolist(),
+        nodes.tolist(),
+        tables.tolist(),
+    ):
+        guess, slope = interpolant_root(stencil, table, e_lo, e_hi)
+        brackets.append(Bracket(e_lo, e_hi, f_lo, f_hi, guess, slope))
     return at_node, brackets
 
 

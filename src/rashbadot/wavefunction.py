@@ -215,14 +215,6 @@ def radial_components(state: BoundState, r: float) -> tuple[float, float]:
     return a * x.value[0] + b * y.value[0], a * x.value[1] - b * y.value[1]
 
 
-def radial_derivatives(state: BoundState, r: float) -> tuple[float, float]:
-    """(u'(r), w'(r)), same region dispatch as :func:`radial_components`."""
-    if not r > 0.0:
-        raise InvalidInput("r must be positive")
-    a, b, x, y = _weighted_waves(state, r, 1)
-    return _combine(a, b, x.slope, y.slope)
-
-
 def _r_slope(wave: RadialWave, scale: float = 1.0) -> tuple[tuple, tuple]:
     """Value and slope at r = 1 of ``scale`` times r d/dr of a wave: its
     slope, and its slope + curvature."""

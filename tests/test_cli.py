@@ -476,8 +476,8 @@ class TestCountCaps:
 
 
 class TestGoldenBytes:
-    """The CSV bytes (stdout) of the README commands, pinned in
-    ``tests/golden``.
+    """The CSV bytes (stdout) of the README commands, and the JSON bytes
+    of one deep spectrum, pinned in ``tests/golden``.
 
     A change that means to alter them regenerates the files with the
     same commands, e.g. ``rashbadot table > tests/golden/table.csv``."""
@@ -492,6 +492,18 @@ class TestGoldenBytes:
                 ["spectrum", "--physical", "--m", "0", "--effective-mass", "0.067"]
                 + ["--dot-radius", "12.5", "--well-depth", "180", "--rashba-coefficient", "32"],
                 "spectrum_physical.csv",
+            ),
+            (
+                # a deep well: its scan takes J in all three regimes, at
+                # k_- from -50 to 42, K on the 6-node rung (|z| >= 50), and
+                # its brackets two probe rounds
+                ["spectrum", "--v", "6000", "--beta", "100", "--m", "8"],
+                "spectrum_deep.csv",
+            ),
+            (
+                # the same levels in full precision, so their bits stay pinned
+                ["spectrum", "--v", "6000", "--beta", "100", "--m", "8", "--format", "json"],
+                "spectrum_deep.json",
             ),
             (
                 ["wavefunction", "--v", "100", "--beta", "2", "--m", "1", "--level", "2"]
@@ -521,8 +533,8 @@ class TestGoldenBytes:
             ),
         ],
         ids=[
-            "table", "sweep", "spectrum", "spectrum_physical", "wavefunction", "partner", "deep",
-            "negative_k",
+            "table", "sweep", "spectrum", "spectrum_physical", "spectrum_deep", "spectrum_deep_json",
+            "wavefunction", "partner", "deep", "negative_k",
         ],
     )
     def test_csv_bytes(self, capsys, argv, name):

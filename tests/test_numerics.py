@@ -15,6 +15,7 @@ from rashbadot.errors import (
 )
 from rashbadot.numerics import (
     Bracket,
+    divided_differences,
     integrate_panel,
     integrate_tail,
     interpolant_root,
@@ -181,6 +182,51 @@ class TestRefineRoot:
         assert abs(found - root) <= tol + 4.0 * EPS * max(abs(found), abs(root))
 
 
+def proxy_root(nodes, values, lo, hi):
+    """interpolant_root on the Newton table of (nodes, values)."""
+    return interpolant_root(nodes, divided_differences(nodes, values).tolist(), lo, hi)
+
+
+def stencil_table(nodes, values):
+    """The Newton coefficients of one stencil by the in-place recurrence
+    on Python floats."""
+    coefficients = list(values)
+    for order in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, order - 1, -1):
+            coefficients[i] = (coefficients[i] - coefficients[i - 1]) / (
+                nodes[i] - nodes[i - order]
+            )
+    return coefficients
+
+
+class TestDividedDifferences:
+    def test_batch_equals_the_recurrence_stencil_by_stencil(self):
+        # scan-like stencils: sorted nodes, values of both signs spanning
+        # many magnitudes
+        rng = np.random.default_rng(3)
+        for count in (1, 2, 5, 16):
+            nodes = np.sort(rng.uniform(-50.0, 3000.0, (40, count)), axis=1)
+            values = rng.standard_normal((40, count)) * 10.0 ** rng.uniform(-8, 8, (40, count))
+            table = divided_differences(nodes, values)
+            for row, (x, y) in enumerate(zip(nodes.tolist(), values.tolist())):
+                assert table[row].tolist() == stencil_table(x, y)
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(4)
+        nodes = np.cumsum(rng.uniform(0.01, 0.1, 16)) + 2500.0
+        values = rng.standard_normal(16)
+        single = divided_differences(nodes[None], values[None])
+        assert single.shape == (1, 16)
+        assert single[0].tolist() == stencil_table(nodes.tolist(), values.tolist())
+        assert divided_differences(nodes, values).tolist() == single[0].tolist()
+
+    def test_mismatched_or_empty(self):
+        with pytest.raises(InvalidInput):
+            divided_differences(np.zeros((3, 4)), np.zeros((3, 5)))
+        with pytest.raises(InvalidInput):
+            divided_differences(np.zeros((3, 0)), np.zeros((3, 0)))
+
+
 class TestInterpolantRoot:
     def test_cubic_root_from_twelve_samples(self):
         def cubic(x):
@@ -188,7 +234,7 @@ class TestInterpolantRoot:
 
         nodes = [0.1 * i + 0.7 for i in range(12)]
         values = [cubic(x) for x in nodes]
-        root, _ = interpolant_root(nodes, values, 1.2, 1.3)
+        root, _ = proxy_root(nodes, values, 1.2, 1.3)
         assert abs(root - 1.2345678901234) < 1e-14
 
     def test_slope_is_the_cubic_derivative_at_its_root(self):
@@ -196,7 +242,7 @@ class TestInterpolantRoot:
             return (x - 1.2345678901234) * (x + 3.0) * (x - 7.5)
 
         nodes = [0.1 * i + 0.7 for i in range(12)]
-        root, slope = interpolant_root(nodes, [cubic(x) for x in nodes], 1.2, 1.3)
+        root, slope = proxy_root(nodes, [cubic(x) for x in nodes], 1.2, 1.3)
         # d/dx at the root: the product of the other two factors
         assert slope == pytest.approx((root + 3.0) * (root - 7.5), rel=1e-12)
 
@@ -204,7 +250,7 @@ class TestInterpolantRoot:
         nodes = [0.0, 1.0, 2.0]
         for lo, hi, values in ((0.0, 1.0, [1.0, 2.0, 5.0]), (1.0, 0.0, [-1.0, 2.0, 5.0])):
             # an empty or reversed interval holds no root either
-            assert all(math.isnan(x) for x in interpolant_root(nodes, values, lo, hi))
+            assert all(math.isnan(x) for x in proxy_root(nodes, values, lo, hi))
 
     def test_mismatched_samples(self):
         with pytest.raises(InvalidInput):

@@ -203,6 +203,29 @@ class TestBesselJ:
                 alone = bessel_j_over_power(14, xs[i : i + 1], 12)
                 assert [row[0] for row in alone] == [row[i] for row in batch]
 
+    @pytest.mark.parametrize("n_max", [1, 4, 9, 14, 33, 64])
+    def test_miller_lane_is_the_same_alone_and_in_a_batch(self, n_max):
+        # Miller lanes start at their own even index, at least n_max + 12,
+        # up to that of the top of the regime, and each takes its seed on the
+        # step above its start: every start of the span, beside series and
+        # Hankel lanes, gives the lane it gives alone, bit for bit
+        top = max(_J_HANKEL_RADIUS, n_max + 2)
+        rng = np.random.default_rng(n_max)
+        miller = np.concatenate(
+            [np.linspace(2.0 + 1e-9, top - 1e-9, 400), rng.uniform(2.0, top, 100)]
+        )
+        xs = np.concatenate([miller * rng.choice((-1.0, 1.0), 500), [0.5, -1.9, 150.0, -300.0]])
+        power = n_max // 3
+        batch = bessel_j_over_power(n_max, xs, power)
+        starts = {}
+        for i, x in enumerate(miller.tolist()):
+            start = max(int(x + 9.0 * x ** (1.0 / 3.0) + 8.0), n_max + 12)
+            starts.setdefault(start + start % 2, i)
+        assert sorted(starts) == list(range(min(starts), max(starts) + 1, 2))
+        for i in [*starts.values(), 500, 501, 502, 503]:
+            alone = bessel_j_over_power(n_max, xs[i : i + 1], power)
+            assert [row[0] for row in alone] == [row[i] for row in batch]
+
     def test_miller_stays_finite_up_to_the_order_cap(self):
         # the recurrence carries no rescale: below the cap its trial values
         # peak near 1e81, just above x = 2

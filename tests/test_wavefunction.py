@@ -304,16 +304,14 @@ class TestEvaluateRadial:
         assert abs(evaluate_radial(fig1_state, 2.0).u) < 1e-2 * max(abs(v) for v in values)
 
 
-def _edge_slopes(state):
-    from rashbadot.wavefunction import radial_derivatives
-
-    return radial_derivatives(state, 1.0)
-
-
 def _edge_slopes_at(state, r):
-    from rashbadot.wavefunction import radial_derivatives
+    """(u'(r), w'(r)) from the slopes of the region's weighted waves."""
+    a, b, x, y = wavefunction._weighted_waves(state, r, 1)
+    return a * x.slope[0] + b * y.slope[0], a * x.slope[1] - b * y.slope[1]
 
-    return radial_derivatives(state, r)
+
+def _edge_slopes(state):
+    return _edge_slopes_at(state, 1.0)
 
 
 class TestEvaluateSpinor:
