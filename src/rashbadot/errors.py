@@ -18,7 +18,7 @@ class BracketInvalid(RashbaDotError):
 
 
 class NoConvergence(RashbaDotError):
-    """An iterative scheme hit its iteration or subdivision cap."""
+    """An iterative scheme hit its iteration cap."""
 
 
 class NotSingular(RashbaDotError):
@@ -31,10 +31,6 @@ class RankDeficiency2(RashbaDotError):
     def __init__(self, message: str, kernel_dim: int = 2):
         super().__init__(message)
         self.kernel_dim = kernel_dim
-
-
-class DecayViolation(RashbaDotError):
-    """Tail integral failed to decay within the panel cap."""
 
 
 class OrderCapExceeded(RashbaDotError):

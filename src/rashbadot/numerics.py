@@ -5,9 +5,8 @@ acceleration, Brent style), the narrowing of a bracket by the values
 either side of its guess, the Newton tables of a batch of polynomials
 interpolating sets of samples and the root of one (a proxy that supplies
 such a guess from values already computed, in the spirit of Boyd's
-proxy root-finding, SIAM Review 55, 375 (2013)), the kernel of 4x4
-systems by singular value decomposition, and adaptive Gauss-Legendre
-quadrature over finite panels plus exponentially decaying tails.
+proxy root-finding, SIAM Review 55, 375 (2013)) and the kernel of 4x4
+systems by singular value decomposition.
 
 All functions are pure and thread-safe.
 """
@@ -17,14 +16,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     BracketInvalid,
-    DecayViolation,
     InvalidInput,
     NoConvergence,
     NotSingular,
@@ -34,14 +31,8 @@ from .errors import (
 _EPS = sys.float_info.epsilon
 
 ROOT_ITERATION_CAP = 200
-SUBDIVISION_CAP = 40
-TAIL_PANEL_CAP = 50
 # a singular value counts as zero at or below this fraction of the largest
 SING_TOL = 1e-8
-# Gauss-Legendre panel order and the quadrature convergence tolerances
-PANEL_ORDER = 16
-QUAD_REL_TOL = 1e-12
-QUAD_ABS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -236,68 +227,6 @@ def nullspace_4x4(matrix) -> np.ndarray:
     return vt[3]
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
-
-
-def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Gauss-Legendre integral of ``f`` over [a, b].
-
-    A panel is accepted when its two-half refinement agrees with the
-    single-panel estimate to max(QUAD_REL_TOL * |I|, abs_tol), with
-    abs_tol = QUAD_ABS_TOL halved on each subdivision.
-    """
-    if not a < b:
-        raise InvalidInput("require a < b")
-    nodes, weights = _gauss_rule(PANEL_ORDER)
-
-    def one(lo: float, hi: float) -> float:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        acc = 0.0
-        for x, w in zip(nodes, weights):
-            acc += w * f(mid + half * x)
-        return acc * half
-
-    def recurse(lo: float, hi: float, whole: float, abs_tol: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        left = one(lo, mid)
-        right = one(mid, hi)
-        total = left + right
-        if abs(total - whole) <= max(QUAD_REL_TOL * abs(total), abs_tol):
-            return total
-        if depth >= SUBDIVISION_CAP:
-            raise NoConvergence(f"quadrature depth {SUBDIVISION_CAP} exceeded on [{lo}, {hi}]")
-        half_tol = 0.5 * abs_tol
-        return recurse(lo, mid, left, half_tol, depth + 1) + recurse(
-            mid, hi, right, half_tol, depth + 1
-        )
-
-    return recurse(a, b, one(a, b), QUAD_ABS_TOL, 0)
-
-
-def integrate_tail(f: Callable[[float], float], a: float, decay_rate: float) -> float:
-    """Integral of an exponentially decaying ``f`` over [a, infinity).
-
-    Marches panels of width 5/decay_rate (about five e-foldings each),
-    integrating each adaptively, and stops once a panel contributes less
-    than ``QUAD_ABS_TOL`` in magnitude.
-    """
-    if not decay_rate > 0.0:
-        raise InvalidInput("decay_rate must be positive")
-    width = 5.0 / decay_rate
-
-    total = 0.0
-    lo = a
-    for _ in range(TAIL_PANEL_CAP):
-        hi = lo + width
-        contribution = integrate_panel(f, lo, hi)
-        total += contribution
-        if abs(contribution) < QUAD_ABS_TOL:
-            return total
-        lo = hi
-    raise DecayViolation(
-        f"tail integral not below {QUAD_ABS_TOL:g} after {TAIL_PANEL_CAP} panels"
-    )
+# The benchmark's tracer patches this name here, though nothing calls it;
+# it goes when ROADMAP item 1 points the tracer at the kernels.
+integrate_panel = None

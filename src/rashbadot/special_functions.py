@@ -27,8 +27,7 @@ regimes, split in ``_j_split`` alone (after Numerical Recipes, section
 
 ``bessel_j_over_power(n_max, x, p)`` returns the rows J_n(x) / x^p,
 n = p .. n_max, as the list its regime builds, and for x < 0 flips the
-rows at odd offsets from p, J_n(-x) / (-x)^p = (-1)^(n + p) J_n(x) / x^p;
-``bessel_j_many`` folds negative orders by J_{-n}(x) = (-1)^n J_n(x).
+rows at odd offsets from p, J_n(-x) / (-x)^p = (-1)^(n + p) J_n(x) / x^p.
 
 The quotient J_n(x) / x^p, 0 <= p <= n, is finite down to x = 0; the
 series regime leaves the p factors of x out of its leading term instead
@@ -69,10 +68,10 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   denser cuts save more per point, but a lane call whose lanes straddle
   a cut runs every rung it touches.
 
-All K evaluation is done internally on the exponentially scaled function
-e^z K_n(z), which stays representable for Re z far beyond the point
-where K itself underflows; the public entry point multiplies the scale
-back in.  Conjugate arguments are routed through K_n(conj z) =
+All K evaluation is done on the exponentially scaled function e^z K_n(z),
+which stays representable for Re z far beyond the point where K itself
+underflows; ``radial_basis`` keeps the scale as each exterior wave's
+divisor.  Conjugate arguments are routed through K_n(conj z) =
 conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
 the basis built from these functions live in ``radial_basis``.
 
@@ -110,7 +109,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -118,7 +116,6 @@ from .errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 
 ORDER_CAP = 64
 J_ARGUMENT_CAP = 2000.0
-K_ARGUMENT_CAP = 200.0
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -319,14 +316,6 @@ def _j_split(n_max: int, size):
     return size <= _J_SERIES_RADIUS, (size >= _J_HANKEL_RADIUS) & (size > n_max + 2)
 
 
-def bessel_j_many(orders: Iterable[int], x: float) -> dict[int, float]:
-    """J_n(x) for every order in ``orders`` from one recurrence pass."""
-    orders = list(orders)
-    rows = bessel_j_over_power(max(map(abs, orders), default=0), x, 0)
-    # J_{-n}(x) = (-1)^n J_n(x)
-    return {n: -rows[-n] if n < 0 and n % 2 else rows[abs(n)] for n in orders}
-
-
 def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
     """The rows n = power .. n_max of J_n(x) / x^power, 0 <= power <=
     n_max, from one recurrence pass; x may be negative (the power is
@@ -435,9 +424,8 @@ def _k_regime(size):
 def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     """[e^z K_n(z) for n in orders], ``orders`` a range; finite z, Re z > 0.
 
-    Internal workhorse: not subject to the public |z| cap, so the
-    exterior basis stays usable for very deep wells where the unscaled
-    K underflows double precision.
+    Scaled, so the exterior basis stays usable for very deep wells where
+    the unscaled K underflows double precision.
     """
     top = _top_order(orders)
     if not (z.real > 0.0 and (size := abs(z)) < math.inf):
@@ -454,19 +442,6 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     if not all(map(cmath.isfinite, out)):
         raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {top}")
     return out
-
-
-def bessel_k_many(orders: Iterable[int], z: complex) -> dict[int, complex]:
-    """K_n(z) for every order in ``orders``; validated for |z| <= 200."""
-    orders = list(orders)
-    z = complex(z)
-    if not abs(z) <= K_ARGUMENT_CAP:
-        raise ArgumentOutOfRange(f"|z| = {abs(z)!r} beyond validated domain {K_ARGUMENT_CAP}")
-    # the scaled K is evaluated in the upper half-plane: K_n(conj z) == conj(K_n(z))
-    damp = cmath.exp(-z)
-    span = range(min(orders, default=0), max(orders, default=0) + 1)
-    scaled = dict(zip(span, bessel_k_scaled_many(span, z)))
-    return {n: scaled[n] * damp for n in orders}
 
 
 def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:

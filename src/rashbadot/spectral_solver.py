@@ -104,7 +104,7 @@ from .radial_basis import (
 )
 from .special_functions import J_ARGUMENT_CAP
 
-# the one exterior function, under the name bench/tracer.py patches here
+# the one exterior function, under the name the benchmark's tracer patches here
 from .radial_basis import exterior_pair as exterior_pair_scaled
 
 # grid points evaluated in one batch: the sized grid of a window under

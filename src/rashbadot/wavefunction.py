@@ -99,9 +99,9 @@ from .radial_basis import (
 )
 from .spectral_solver import equilibrated_matrix
 
-# not called here; bench/tracer.py patches these names on this module
-from .numerics import integrate_panel, integrate_tail  # noqa: F401
-from .special_functions import bessel_j_many, bessel_k_many  # noqa: F401
+# The benchmark's tracer patches these names here, though nothing calls
+# them; they go when ROADMAP item 1 points the tracer at the kernels.
+integrate_panel = integrate_tail = bessel_j_many = bessel_k_many = None
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from rashbadot import spectral_solver
-from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
@@ -60,12 +59,51 @@ def table_states(table_spectra):
     return out
 
 
+# the 24-point Gauss-Legendre rule on [-1, 1], exact for degree 47
+GAUSS_NODES, GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(24))
+# a panel spans at most this many e-foldings or radians of its integrand
+PANEL_SPAN = 8.0
+# a decaying tail is cut after this many e-foldings: e^-40 = 4e-18 of it
+TAIL_E_FOLDINGS = 40.0
+
+
+def gauss_legendre(f, a: float, b: float, panels: int) -> float:
+    """Integral of ``f`` over [a, b] by the 24-point Gauss-Legendre rule on
+    ``panels`` equal panels, sampling ``f`` point by point."""
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    half = 0.5 * (b - a) / panels
+    total = 0.0
+    for i in range(panels):
+        mid = a + (2 * i + 1) * half
+        total += half * sum(w * f(mid + half * x) for x, w in zip(GAUSS_NODES, GAUSS_WEIGHTS))
+    return total
+
+
+def gauss_legendre_tail(f, a: float, decay_rate: float, frequency: float = 0.0) -> float:
+    """Integral over [a, inf) of an ``f`` that decays at least as fast as
+    exp(-decay_rate r) and oscillates at most at ``frequency``: the rule of
+    :func:`gauss_legendre` on TAIL_E_FOLDINGS e-foldings, in panels at most
+    PANEL_SPAN e-foldings, PANEL_SPAN radians and 1 long (the algebraic
+    factors of K_n(kappa r) near r = 1)."""
+    if not decay_rate > 0.0:
+        raise ValueError(f"decay_rate must be positive, got {decay_rate}")
+    length = TAIL_E_FOLDINGS / decay_rate
+    panels = math.ceil(length * max(decay_rate, frequency, PANEL_SPAN) / PANEL_SPAN)
+    return gauss_legendre(f, a, a + length, panels)
+
+
 def overlap_parts(state_a, state_b) -> tuple[float, float]:
     """(integral_0^1, integral_1^inf) of (u_a u_b + w_a w_b) r dr by the
-    adaptive quadrature of ``numerics``, sampling the two states point by
-    point.  With state_b = state_a it is the density integral, an oracle
-    for the closed-form norm of ``wavefunction`` that shares only the
-    basis with it."""
+    fixed Gauss-Legendre rule, sampling the two states point by point.
+    With state_b = state_a it is the density integral, an oracle for the
+    closed-form norm of ``wavefunction`` that shares only the basis with
+    it.
+
+    Inside, the product oscillates at most at the sum of the two states'
+    larger wave numbers; outside, it decays at the sum of their Re kappa
+    and oscillates at most at |beta|, since Im kappa = beta/2 at every
+    energy."""
 
     def product(r):
         ua, wa = radial_components(state_a, r)
@@ -73,10 +111,11 @@ def overlap_parts(state_a, state_b) -> tuple[float, float]:
         return (ua * ub + wa * wb) * r
 
     params = state_a.params
-    decay = math.sqrt(params.v - state_a.e - 0.25 * params.beta**2) + math.sqrt(
-        params.v - state_b.e - 0.25 * params.beta**2
-    )
-    return integrate_panel(product, 0.0, 1.0), integrate_tail(product, 1.0, decay)
+    states = (state_a, state_b)
+    wave = sum(max(map(abs, interior_wave_numbers(s.e, params.beta))) for s in states)
+    decay = sum(exterior_wave_numbers(s.e, params.v, params.beta).real for s in states)
+    inside = gauss_legendre(product, 0.0, 1.0, max(1, math.ceil(wave / PANEL_SPAN)))
+    return inside, gauss_legendre_tail(product, 1.0, decay, abs(params.beta))
 
 
 def matching_residuals(state) -> list[float]:

@@ -34,14 +34,14 @@ from rashbadot.reference_levels import (
     REFERENCE_ROWS,
     corrected_levels,
 )
+from rashbadot.special_functions import bessel_j_over_power
 from rashbadot.spectral_solver import find_spectrum, spectral_determinant
 from rashbadot.wavefunction import (
     normalize,
     ode_residual,
     solve_coefficients,
 )
-from test_special_functions import J_ORACLE, K_ORACLE, k_one
-from rashbadot.special_functions import bessel_j_many
+from test_special_functions import J_ORACLE, K_ORACLE
 
 TABLE_TOLERANCE = 0.01
 FIG1_ENERGY = 37.0825
@@ -277,12 +277,12 @@ class TestCriterion6SpecialFunctions:
         # recurrence and conjugation identities
         for n in (1, 3, 6):
             for x in (0.7, 5.0, 29.0):
-                table = bessel_j_many((n - 1, n, n + 1), x)
+                table = bessel_j_over_power(n + 1, x, 0)
                 lhs = table[n - 1] + table[n + 1]
                 rhs = 2.0 * n / x * table[n]
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 0.1)
         z = complex(1.5, 0.7)
-        assert k_one(2, z.conjugate()) == k_one(2, z).conjugate()
+        assert k_kernel(2, z.conjugate()) == k_kernel(2, z).conjugate()
         report(
             6,
             True,

@@ -7,8 +7,21 @@ reports one twice, fails it at any depth, without a second solver.
 At any beta the well depth v enters the Hamiltonian only as the step
 v * theta(r - 1), so by Hellmann-Feynman de/dv of a level is the weight
 of its density outside the well: the slope of the spectrum in v checks
-the closed-form region integrals of ``wavefunction``.
+the closed-form region integrals of ``wavefunction``.  It checks only
+their ratio.
+
+The absolute norm is checked by scaling.  Moving the well edge from
+r = 1 to R scales the kinetic term as R^-2 and the Rashba term as R^-1,
+and moves a level by -v (u(1)^2 + w(1)^2) per unit R, the density at the
+edge of the normalized state (Hellmann-Feynman in the position of the
+step).  At R = 1 this is the virial identity of a step potential
+(V. Fock, Z. Phys. 63, 855 (1930)):
+
+    2 e - 2 v de/dv - beta de/dbeta = v (u(1)^2 + w(1)^2).
 """
+
+from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -16,7 +29,15 @@ from conftest import DEEP_WELLS, uncoupled_level_count
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum
-from rashbadot.wavefunction import region_density_integrals, solve_coefficients
+from rashbadot.wavefunction import (
+    evaluate_radial,
+    normalize,
+    region_density_integrals,
+    solve_coefficients,
+)
+
+# the shifts of a 4-point central difference, in steps h
+STENCIL = (-2, -1, 1, 2)
 
 pytest.importorskip("scipy")
 
@@ -68,18 +89,30 @@ def test_large_angular_numbers(v):
     assert count_mismatches([(v, m) for m in (20, 30, 40, 45, 48, -41, -49)]) == []
 
 
+@cache
+def spectrum_levels(v: float, beta: float, m: int) -> list[float]:
+    """The levels of (v, beta, m), solved once for all the tests that
+    difference spectra."""
+    return find_spectrum(DotParameters(v, beta, m)).levels
+
+
+def level_slopes(levels, shifted, h: float) -> list[float]:
+    """de/dx of every level by the 4-point central difference, from the
+    spectra ``shifted`` at x - 2h, x - h, x + h and x + 2h."""
+    assert all(len(near) == len(levels) for near in shifted)
+    return [(e_2 - 8.0 * e_1 + 8.0 * e1 - e2) / (12.0 * h) for e_2, e_1, e1, e2 in zip(*shifted)]
+
+
 def hellmann_feynman_gaps(wells, h: float) -> list[float]:
     """|de/dv - weight outside| of every level of ``wells``: de/dv from the
-    4-point central difference of the spectra at v - 2h .. v + 2h, the
-    weight from ``region_density_integrals`` of the level's state."""
+    spectra at v - 2h .. v + 2h, the weight from
+    ``region_density_integrals`` of the level's state."""
     gaps = []
     for v, beta, m in wells:
         params = DotParameters(v=v, beta=beta, m=m)
-        levels = find_spectrum(params).levels
-        shifted = [find_spectrum(DotParameters(v + k * h, beta, m)).levels for k in (-2, -1, 1, 2)]
-        assert all(len(near) == len(levels) for near in shifted), (v, beta, m)
-        for e, (e_2, e_1, e1, e2) in zip(levels, zip(*shifted)):
-            slope = (e_2 - 8.0 * e_1 + 8.0 * e1 - e2) / (12.0 * h)
+        levels = spectrum_levels(v, beta, m)
+        shifted = [spectrum_levels(v + k * h, beta, m) for k in STENCIL]
+        for e, slope in zip(levels, level_slopes(levels, shifted, h)):
             inside, outside = region_density_integrals(solve_coefficients(params, e))
             gaps.append(abs(slope - outside / (inside + outside)))
     return gaps
@@ -98,3 +131,43 @@ def hellmann_feynman_gaps(wells, h: float) -> list[float]:
 )
 def test_level_slope_in_depth_is_the_weight_outside(wells, h, tol):
     assert max(hellmann_feynman_gaps(wells, h)) < tol
+
+
+def scaling_gaps(wells, h_v: float, h_beta: float, scale: float = 1.0) -> list[float]:
+    """|2e - 2v de/dv - beta de/dbeta - v rho(1)| / (v rho(1)) of every
+    level of ``wells``: the slopes from the spectra at steps ``h_v`` in v
+    and ``h_beta`` in beta, rho(1) = u(1)^2 + w(1)^2 from the level's
+    normalized state with its coefficients times ``scale``."""
+    gaps = []
+    for v, beta, m in wells:
+        params = DotParameters(v=v, beta=beta, m=m)
+        levels = spectrum_levels(v, beta, m)
+        in_depth = [spectrum_levels(v + k * h_v, beta, m) for k in STENCIL]
+        in_strength = [spectrum_levels(v, beta + k * h_beta, m) for k in STENCIL]
+        slopes = zip(level_slopes(levels, in_depth, h_v), level_slopes(levels, in_strength, h_beta))
+        for e, (de_dv, de_dbeta) in zip(levels, slopes):
+            state = normalize(solve_coefficients(params, e))
+            scaled = {name: scale * getattr(state, name) for name in ("a", "c2", "b", "d2")}
+            edge = evaluate_radial(replace(state, **scaled), 1.0)
+            density = v * (edge.u**2 + edge.w**2)
+            gaps.append(abs(2.0 * e - 2.0 * v * de_dv - beta * de_dbeta - density) / density)
+    return gaps
+
+
+@pytest.mark.parametrize(
+    "wells,h_v,h_beta,tol",
+    [
+        # 139 levels, 3.66e-9 measured (median 1.1e-10); the steps of the
+        # Hellmann-Feynman test in v
+        ([(row.v, row.beta, row.m) for row in REFERENCE_ROWS], 0.01, 0.001, 6e-9),
+        # 330 levels, 6.39e-9 measured (median 1.8e-11); at h_v = 0.1 the
+        # levels' 1e-12 refinement makes it 2.3e-8
+        (DEEP_WELLS, 0.3, 0.015, 1e-8),
+    ],
+    ids=["reference_rows", "deep_wells"],
+)
+def test_scaling_identity_checks_the_absolute_norm(wells, h_v, h_beta, tol):
+    assert max(scaling_gaps(wells, h_v, h_beta)) < tol
+    # a norm 1e-6 too large makes the edge density 2e-6 too large, which
+    # the identity sees at every level
+    assert min(scaling_gaps(wells, h_v, h_beta, scale=1.0 + 1e-6)) > 100.0 * tol

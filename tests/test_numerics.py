@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gauss_legendre, gauss_legendre_tail
 from rashbadot.errors import (
     BracketInvalid,
-    DecayViolation,
     InvalidInput,
     NoConvergence,
     NotSingular,
@@ -16,8 +16,6 @@ from rashbadot.errors import (
 from rashbadot.numerics import (
     Bracket,
     divided_differences,
-    integrate_panel,
-    integrate_tail,
     interpolant_root,
     narrow_bracket,
     nullspace_4x4,
@@ -297,53 +295,43 @@ class TestNullspace:
 
 
 class TestPanelQuadrature:
+    """The fixed 24-point Gauss-Legendre rule of ``conftest``, the tests'
+    reference for the closed-form region integrals."""
+
     def test_polynomial_exact(self):
-        assert integrate_panel(lambda r: r, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert gauss_legendre(lambda r: r, 0.0, 1.0, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_high_degree_polynomial_single_panel(self):
-        # degree 31 = 2 * panel_order - 1 is exact for order 16
-        value = integrate_panel(lambda x: x**31, 0.0, 1.0)
-        assert value == pytest.approx(1.0 / 32.0, rel=1e-14)
+        # degree 47 = 2 * 24 - 1 is exact for 24 nodes
+        value = gauss_legendre(lambda x: x**47, 0.0, 1.0, 1)
+        assert value == pytest.approx(1.0 / 48.0, rel=1e-14)
 
     def test_arctan(self):
-        value = integrate_panel(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0)
+        value = gauss_legendre(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0, 1)
         assert value == pytest.approx(math.pi, abs=1e-12)
 
     def test_bessel_density_against_trapezoid_oracle(self):
         # frozen oracle: trapezoid rule with 10^6 points on J0(5r)^2 r
         oracle = 0.06942435228309353
-        value = integrate_panel(
-            lambda r: bessel_j_over_power(0, 5.0 * r, 0)[0] ** 2 * r, 0.0, 1.0
+        value = gauss_legendre(
+            lambda r: bessel_j_over_power(0, 5.0 * r, 0)[0] ** 2 * r, 0.0, 1.0, 1
         )
         assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_interval(self):
-        with pytest.raises(InvalidInput):
-            integrate_panel(lambda x: x, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            gauss_legendre(lambda x: x, 1.0, 0.0, 1)
 
 
 class TestTailQuadrature:
     def test_plain_exponential(self):
-        value = integrate_tail(lambda r: math.exp(-r), 1.0, 1.0)
+        value = gauss_legendre_tail(lambda r: math.exp(-r), 1.0, 1.0)
         assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_damped_cosine(self):
-        value = integrate_tail(lambda r: math.exp(-2.0 * r) * math.cos(r), 0.0, 2.0)
+        value = gauss_legendre_tail(lambda r: math.exp(-2.0 * r) * math.cos(r), 0.0, 2.0, 1.0)
         assert value == pytest.approx(0.4, abs=1e-12)
 
-    def test_decay_violation(self):
-        with pytest.raises(DecayViolation):
-            integrate_tail(lambda r: 1.0 / (1.0 + r), 0.0, 1.0)
-
     def test_bad_decay_rate(self):
-        with pytest.raises(InvalidInput):
-            integrate_tail(lambda r: math.exp(-r), 0.0, 0.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(split=st.floats(min_value=0.5, max_value=6.0))
-    def test_split_point_invariance(self, split):
-        # panel + tail must not depend on where the domain is split
-        f = lambda r: math.exp(-1.5 * r) * (1.0 + math.sin(r))
-        total = integrate_panel(f, 0.0, split) + integrate_tail(f, split, 1.5)
-        reference = integrate_panel(f, 0.0, 0.25) + integrate_tail(f, 0.25, 1.5)
-        assert total == pytest.approx(reference, abs=5e-13)
+        with pytest.raises(ValueError):
+            gauss_legendre_tail(lambda r: math.exp(-r), 0.0, 0.0)

@@ -5,7 +5,8 @@ the K regime, every Bessel value of the basis comes through the pair
 functions of ``radial_basis``, Brent's method reads no guess,
 ``narrow_bracket`` alone reads a bracket's slope, importing the package
 leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
-and a grid size alone, and the README's library example runs."""
+and a grid size alone, every function of the package serves the program
+or its public API, and the README's library example runs."""
 
 from __future__ import annotations
 
@@ -90,9 +91,7 @@ def test_special_functions_writes_each_regime_once():
 
 # the Bessel entry points and regime bodies of special_functions
 BESSEL_NAMES = (
-    "bessel_j_many",
     "bessel_j_over_power",
-    "bessel_k_many",
     "bessel_k_scaled_many",
     "bessel_k_scaled_lanes",
     "_j_series",
@@ -250,6 +249,35 @@ def test_find_spectrum_takes_a_well_and_a_grid_size():
     for path in sorted(PACKAGE.glob("*.py")):
         name = "rashbadot" if path.stem == "__init__" else f"rashbadot.{path.stem}"
         assert not hasattr(importlib.import_module(name), "ScanSpec"), name
+
+
+def test_every_function_is_used_public_or_the_entry_point():
+    # a top-level function that nothing in src/ refers to outside its own
+    # body, that the package does not export and that is not the console
+    # script runs only for tests: it belongs in tests/, or nowhere
+    scripts = (ROOT / "pyproject.toml").read_text()
+    (entry,) = re.findall(r'^rashbadot = "rashbadot\.\w+:(\w+)"$', scripts, re.M)
+    statements = [
+        statement
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+    ]
+    # the top-level statements that refer to each name
+    referrers = {}
+    for statement in statements:
+        for node in ast.walk(statement):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                referrers.setdefault(name, set()).add(id(statement))
+    unused = [
+        function.name
+        for function in statements
+        if isinstance(function, ast.FunctionDef)
+        and not referrers.get(function.name, set()) - {id(function)}
+        and function.name not in rashbadot.__all__
+        and function.name != entry
+    ]
+    assert unused == []
 
 
 def test_readme_library_example_runs():

@@ -12,7 +12,6 @@ from rashbadot.errors import (
     NotNormalized,
     NotSingular,
 )
-from rashbadot.numerics import integrate_panel, integrate_tail
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
@@ -122,28 +121,8 @@ class TestNormalize:
 
     def test_tail_fraction_below_half(self, shallow_state):
         # deep bound state lives mostly inside the well
-        state = shallow_state
-        density = lambda r: sum(x * x for x in radial_components(state, r)) * r
-        decay = 2.0 * math.sqrt(
-            state.params.v - state.e - 0.25 * state.params.beta**2
-        )
-        tail = integrate_tail(density, 1.0, decay)
+        _, tail = overlap_parts(shallow_state, shallow_state)
         assert tail < 0.5
-
-    def test_tail_against_fixed_grid_oracle(self, shallow_state):
-        # march a fixed grid of panels to r = 60 and compare the stopping
-        # logic of the adaptive tail
-        state = shallow_state
-        density = lambda r: sum(x * x for x in radial_components(state, r)) * r
-        decay = 2.0 * math.sqrt(
-            state.params.v - state.e - 0.25 * state.params.beta**2
-        )
-        adaptive = integrate_tail(density, 1.0, decay)
-        fixed = sum(
-            integrate_panel(density, 1.0 + i * 0.5, 1.0 + (i + 1) * 0.5)
-            for i in range(118)
-        )
-        assert adaptive == pytest.approx(fixed, abs=1e-9)
 
     def test_paper_scale_magnitudes(self, fig1_state):
         # normalization reproduces the reference coefficient magnitudes
@@ -162,7 +141,7 @@ def _assert_closed_form_matches_quadrature(state, tol=1e-11):
 
 
 class TestClosedFormNorm:
-    """The boundary form at r = 1 against the adaptive quadrature of
+    """The boundary form at r = 1 against the fixed Gauss-Legendre rule of
     ``conftest.overlap_parts``, region by region."""
 
     def test_reference_states(self, table_states):
