@@ -316,7 +316,6 @@ def _run_sweep(args, parser) -> int:
             levels = find_spectrum(DotParameters(v=args.v, beta=beta, m=m), args.grid).levels
             for index, e in enumerate(levels):
                 records.append((beta, m, index, e))
-    records.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
 
     _write(args, {"v": args.v, "rows": records}, "beta,m,level_index,e", records)
     return EXIT_OK

@@ -17,9 +17,9 @@ The solver works on the same system in the basis of the four waves of
 ``radial_basis``: a = (c1 + d1)/2 times J(k_- r), b = (c1 - d1)/2 times
 J(k_+ r), c2 times x = (f2(m), g2(m+1)) and d2 times y = (g2(m), f2(m+1)),
 with columns (a, c2, b, d2).  One function, :func:`equilibrated_matrix`,
-builds it for the scan, the refinement, the beta = 0 channel minors and
-the kernel solve.  Each column is one wave as ``radial_basis`` stores
-it, divided by its ``divisor``, and then scaled to unit norm:
+builds it for the scan, the refinement and the kernel solve.  Each
+column is one wave as ``radial_basis`` stores it, divided by its
+``divisor``, and then scaled to unit norm:
 
 * an interior wave is divided by the signed power k^q of its wave
   number, q = min(|m|, |m+1|).  Undivided, the wave whose number
@@ -34,12 +34,14 @@ it, divided by its ``divisor``, and then scaled to unit norm:
 
 Apart from the structural zero, these factors are nonzero and continuous
 in e, so the scan reads the zeros of det M from the sign of
-``np.linalg.det`` of the equilibrated matrix.  At beta = 0 the system
-splits into the two spin channels, the 2x2 minors on rows 0-1 of the
-(a, c2) columns (u) and on rows 2-3 of the (a, d2) columns (w), each
-normalized by its own column norms and scanned separately, so that
-degenerate channel roots are not lost to an even-order touch of the
-product.
+``np.linalg.det`` of the equilibrated matrix, at every beta.  At
+beta = 0 det M is a nonzero factor times the product of the two spin
+channels' 2x2 determinants, the scalar finite wells of orders q and
+q + 1.  With R = k J_{q+1}(k) / J_q(k) and S = kappa K_{q+1}(kappa) /
+K_q(kappa) > 0 (DLMF 10.6.2, 10.29.2), the order-q levels solve R = S
+and the order-(q + 1) levels R = -S k^2 / kappa^2, so no energy is a
+level of both channels: det M changes sign at every level, and the
+lowest level, by min-max, is of order q.
 
 The scan grid (:func:`scan_grid`) is uniform in the interior wave
 number s = sqrt(e + beta^2/4), in which the levels, near zeros of
@@ -50,18 +52,17 @@ The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
 takes a float or a 1-D array of energies, and the grid goes through it
 in chunks of ``SCAN_CHUNK`` points (one chunk below v = 4e4; the
 chunks keep memory flat for larger grids, up to ``GRID_POINTS_CAP``), as
-one ``np.linalg.det`` of the (N, 4, 4) stack or the two channel minors
-per chunk.  Sign changes are read from the value arrays; each energy is
-an independent lane of the special-function kernels, so they do not depend
-on the chunking.  Each bracket, of either channel at beta = 0, carries a
-``guess``, the root of the polynomial through the ``PROXY_NODES`` scan
-values centred on the bracket (clamped to the grid), which
-``numerics.interpolant_root`` finds without evaluating the determinant
-from the Newton table that ``numerics.divided_differences`` builds for
-every bracket of the channel in one array pass.
+one ``np.linalg.det`` of the (N, 4, 4) stack per chunk.  Sign changes
+are read from the value array; each energy is an independent lane of
+the special-function kernels, so they do not depend on the chunking.
+Each bracket carries a ``guess``, the root of the polynomial through
+the ``PROXY_NODES`` scan values centred on the bracket (clamped to the
+grid), which ``numerics.interpolant_root`` finds without evaluating the
+determinant from the Newton table that ``numerics.divided_differences``
+builds for every bracket in one array pass.
 The guess is not trusted but certified: the values at guess -/+ h,
-h = REFINE_TOL / 2, of every bracket of the spectrum (of both channels at
-beta = 0) go through the scan's chunked lane call once, and
+h = REFINE_TOL / 2, of every bracket of the spectrum go through the
+scan's chunked lane call once, and
 ``numerics.narrow_bracket`` keeps the part of each bracket that holds its
 sign change.  Values of opposite signs leave a bracket REFINE_TOL wide,
 which Brent's method (``numerics.refine_root``) then closes without an
@@ -80,10 +81,8 @@ one: deep wells leave dozens, the reference rows at most one.  Brent
 starts from the narrowed bracket's ends and keeps the sign change and
 its stopping rule, so each level is still certified to within
 ``REFINE_TOL``, and a poor guess only leaves a wider bracket.  A level
-costs 0.45 scalar determinant evaluations on the reference table and
-0.27 on deep wells (``deep_sweep`` seed 1), besides the lane calls; on
-a fixed 1000-point grid it cost 0.30 and 0.32, and Brent on the whole
-bracket 4.12 and 4.78.
+costs 0.40 scalar determinant evaluations on the reference table and
+0.27 on deep wells (``deep_sweep`` seed 1), besides the lane calls.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ GRID_POINTS_FLOOR = 100
 # wells (deep_sweep seed 1), so it puts 10 or more steps between them
 GRID_STEP_S = 0.1
 # the fewest points of a sized grid, which the reference rows (s-ranges
-# 5 to 10) get: Brent takes 0.45 evaluations a level there, where at 250
+# 5 to 10) get: Brent takes 0.40 evaluations a level there, where at 250
 # points deep wells took 2.42
 GRID_POINTS_MIN = 300
 # scan samples per bracket whose interpolating polynomial seeds its
@@ -208,18 +207,8 @@ def spectral_determinant(params: DotParameters, e: float) -> float:
     return float(np.linalg.det(match_matrix(params, e)))
 
 
-def _channel_minor(matrix: np.ndarray, row: int, column: int) -> np.ndarray:
-    """2x2 minors of a matrix or a matrix stack on rows (row, row + 1)
-    and columns (0, column), each column part scaled to unit norm: at
-    beta = 0 the (c1, c2) channel for (0, 1) and the (d1, d2) channel
-    for (2, 3)."""
-    a, b = matrix[..., row, 0], matrix[..., row, column]
-    c, d = matrix[..., row + 1, 0], matrix[..., row + 1, column]
-    return (a * d - b * c) / (np.hypot(a, c) * np.hypot(b, d))
-
-
 def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list[Bracket]]:
-    """Grid-point roots and sign-change brackets of one channel's
+    """Grid-point roots and sign-change brackets of the scan
     ``values`` on ``grid``, each bracket with the root of the polynomial
     through the scan values around it as its ``guess``."""
     finite = np.isfinite(values)
@@ -288,7 +277,7 @@ def grid_size(a: float, b: float, beta: float) -> int:
 
 def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
     return ArgumentOutOfRange(
-        f"no level of {params}, whose order-0 channel binds one in every well: "
+        f"no level of {params}, though m = 0 and -1 bind one in every well: "
         f"its binding energy lies below WINDOW_MARGIN = {WINDOW_MARGIN}"
     )
 
@@ -301,17 +290,17 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
     margin-shrunk window ends (:func:`grid_size` points unless
     ``grid_points``, an integer in 100 .. ``GRID_POINTS_CAP``, sets
     them), are narrowed by the values either side of their guesses and
-    refined to ``REFINE_TOL``.  A root that the grid does not resolve
-    (two close levels within one grid step, or an even-order touch) gives
-    no sign change and is not reported.  An empty spectrum is a valid
-    result.  A window that double precision cannot resolve (beta^2
-    overflows, or the float spacing at its edges exceeds
-    ``WINDOW_MARGIN``), or whose sized grid would exceed
-    ``GRID_POINTS_CAP``, raises ``ArgumentOutOfRange``.
+    refined to ``REFINE_TOL``.  Two levels within one grid step give no
+    sign change and are not reported.  At beta = 0 no level is shared by
+    the two spin channels, so the determinant changes sign at each
+    (module docstring).  An empty spectrum is a valid result.  A window
+    that double precision cannot resolve (beta^2 overflows, or the float
+    spacing at its edges exceeds ``WINDOW_MARGIN``), or whose sized grid
+    would exceed ``GRID_POINTS_CAP``, raises ``ArgumentOutOfRange``.
 
-    The angular numbers m = 0 and -1 bind a level in every well, at
-    beta = 0 in their channel of order 0 (u for m = 0, w for m = -1).  A
-    scan that finds none there raises ``ArgumentOutOfRange``: the level
+    The angular numbers m = 0 and -1 bind a level in every well (at
+    beta = 0 the lowest, of order 0: u for m = 0, w for m = -1).  A scan
+    that finds none there raises ``ArgumentOutOfRange``: the level
     lies within ``WINDOW_MARGIN`` of the window top, which the scan does
     not reach.
     """
@@ -332,14 +321,10 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
             f"window {window} of {params} does not resolve its margin {WINDOW_MARGIN} "
             "in double precision"
         )
-    coupled = params.beta != 0.0
-    # the scanned channel that must hold a level, if any: m = 0 and -1
-    # bind one in every well, at beta = 0 in their order-0 channel
-    binding = None
-    if params.m in (0, -1):
-        binding = 0 if coupled or params.m == 0 else 1
+    # m = 0 and -1 bind a level in every well
+    binding = params.m in (0, -1)
     if not a < b:
-        if binding is not None:
+        if binding:
             raise _lost_binding_level(params)
         return EnergySpectrum(params=params, levels=(), window=window)
     # the matching takes J at k_+/- r = 1, the largest at the window top
@@ -350,67 +335,47 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
             f"{reach:.6g}, beyond the validated J argument domain {J_ARGUMENT_CAP}"
         )
 
-    def values_at(e: float | np.ndarray) -> np.ndarray:
-        """Scan values at the energies e: (channels,) at a float,
-        (channels, len(e)) at an array."""
-        matrix = equilibrated_matrix(params, e)[0]
-        if coupled:
-            return np.linalg.det(matrix)[None]
-        return np.stack((_channel_minor(matrix, 0, 1), _channel_minor(matrix, 2, 3)))
+    def values_at(e: float | np.ndarray) -> float | np.ndarray:
+        """Scan values at the energies e: a float at a float, a 1-D array
+        at an array."""
+        return np.linalg.det(equilibrated_matrix(params, e)[0])
 
     def values_on(energies: np.ndarray) -> np.ndarray:
         """``values_at`` on an array of energies, SCAN_CHUNK lanes at a time."""
         return np.concatenate(
-            [values_at(energies[i : i + SCAN_CHUNK]) for i in range(0, len(energies), SCAN_CHUNK)],
-            axis=1,
+            [values_at(energies[i : i + SCAN_CHUNK]) for i in range(0, len(energies), SCAN_CHUNK)]
         )
 
     if grid_points is None:
         points = grid_size(a, b, params.beta)
     grid = scan_grid(a, b, params.beta, points)
-    roots: list[float] = []
-    found: list[tuple[int, float | Bracket]] = []
-    for channel, values in enumerate(values_on(grid)):
-        at_node, brackets = _scan_roots(grid, values)
-        if channel == binding and not (at_node or brackets):
-            raise _lost_binding_level(params)
-        roots.extend(at_node)
-        found.extend((channel, bracket) for bracket in brackets)
+    roots, found = _scan_roots(grid, values_on(grid))
+    if binding and not (roots or found):
+        raise _lost_binding_level(params)
 
     half = 0.5 * REFINE_TOL
-    # at most two probe rounds, each narrowing every bracket (of every
-    # channel) whose guess has both points inside it by the values half
-    # REFINE_TOL either side of the guess, in one lane call; the second
-    # runs only when enough brackets are left open to pay for its call
+    # at most two probe rounds, each narrowing every bracket whose guess
+    # has both points inside it by the values half REFINE_TOL either side
+    # of the guess, in one lane call; the second runs only when enough
+    # brackets are left open to pay for its call
     for least in (1, PROBE_ROUND_MIN):
         probed = [
             i
-            for i, (_, bracket) in enumerate(found)
+            for i, bracket in enumerate(found)
             if isinstance(bracket, Bracket)
             and bracket.lo < bracket.guess - half
             and bracket.guess + half < bracket.hi
         ]
         if len(probed) < least:
             break
-        guesses = np.array([found[i][1].guess for i in probed])
-        probes = values_on(np.concatenate((guesses - half, guesses + half)))
-        lanes = np.arange(len(probed))
-        channels = [found[i][0] for i in probed]
-        f_below = probes[channels, lanes].tolist()
-        f_above = probes[channels, lanes + len(probed)].tolist()
-        for i, below, above in zip(probed, f_below, f_above):
-            channel, bracket = found[i]
-            found[i] = (channel, narrow_bracket(bracket, half, below, above))
+        guesses = np.array([found[i].guess for i in probed])
+        probes = values_on(np.concatenate((guesses - half, guesses + half))).tolist()
+        for i, below, above in zip(probed, probes, probes[len(probed) :]):
+            found[i] = narrow_bracket(found[i], half, below, above)
 
-    for channel, narrowed in found:
-        if not isinstance(narrowed, Bracket):
-            roots.append(narrowed)
-            continue
-
-        # channel bound as a default: a wrapper of refine_root may keep f
-        def channel_value(e: float, channel: int = channel) -> float:
-            return float(values_at(e)[channel])
-
-        roots.append(refine_root(channel_value, narrowed, REFINE_TOL))
+    for narrowed in found:
+        if isinstance(narrowed, Bracket):
+            narrowed = refine_root(lambda e: float(values_at(e)), narrowed, REFINE_TOL)
+        roots.append(narrowed)
 
     return EnergySpectrum(params=params, levels=tuple(sorted(roots)), window=window)

@@ -28,6 +28,7 @@ from rashbadot.spectral_solver import (
     scan_grid,
     spectral_determinant,
 )
+from rashbadot.wavefunction import solve_coefficients
 
 FIRST_J0_ZERO_SQUARED = 5.7831859629467845
 
@@ -239,6 +240,37 @@ class TestFindSpectrum:
         assert 9.94 in m0 and 9.94 in m1
         assert 17.46 in m1 and 17.46 in m2
 
+    @pytest.mark.parametrize(
+        "wells",
+        [
+            [DotParameters(row.v, row.beta, row.m) for row in REFERENCE_ROWS if row.beta == 0.0],
+            *(
+                [DotParameters(v, 0.0, m) for m in range(-6, 6)]
+                for v in (0.5, 25.0, 400.0, 2500.0, 1e4)
+            ),
+        ],
+        ids=["reference", "v=0.5", "v=25", "v=400", "v=2500", "v=1e4"],
+    )
+    def test_uncoupled_levels_alternate_channels(self, wells):
+        # at beta = 0 the levels of the channels of orders q and q + 1,
+        # q = min(|m|, |m+1|), interlace, the lowest of order q, so no
+        # level is shared and the determinant changes sign at each one.
+        # solve_coefficients zeroes the other channel exactly: (d1, d2)
+        # for a u level, (c1, c2) for a w level; order q is u for m >= 0
+        levels = 0
+        for params in wells:
+            channels = []
+            for e in find_spectrum(params).levels:
+                c1, c2, d1, d2 = solve_coefficients(params, e).coefficients
+                u_level, w_level = d1 == d2 == 0.0, c1 == c2 == 0.0
+                assert u_level != w_level, (params, e)
+                channels.append("u" if u_level else "w")
+            order_q = "u" if params.m >= 0 else "w"
+            expected = [order_q, "w" if order_q == "u" else "u"] * len(channels)
+            assert channels == expected[: len(channels)], params
+            levels += len(channels)
+        assert levels > 0
+
     def test_monotonic_in_depth(self, table_spectra):
         lowest = [table_spectra[(0, v, 0.0)].levels[0] for v in (25.0, 49.0, 100.0)]
         assert lowest[0] < lowest[1] < lowest[2]
@@ -384,7 +416,7 @@ class TestFindSpectrum:
     def test_vanishing_scan_raises(self, monkeypatch, v, beta):
         # a scan that is zero at every grid point carries no sign
         # information, so it fails instead of returning no levels; equal
-        # columns make the determinant and both channel minors vanish
+        # columns make the determinant vanish, at beta = 0 as at beta != 0
         def vanishing(params, e):
             return np.ones(np.shape(e) + (4, 4)), np.ones(np.shape(e) + (4,))
 
@@ -452,6 +484,19 @@ class TestFindSpectrum:
         assert counts["brackets"] == levels == 139
         assert counts["evaluations"] <= 0.5 * levels
 
+    def test_uncoupled_deep_wells_refine_cheaply(self, monkeypatch):
+        # at beta = 0 the one determinant scan gives each level one
+        # bracket, narrowed by its certified guess, as at beta != 0: the
+        # bound is the one the benchmark's deep_sweep smoke applies
+        counts = counted_refinement(monkeypatch)
+        levels = sum(
+            len(find_spectrum(DotParameters(v, 0.0, m)).levels)
+            for v in (2500.0, 1e4)
+            for m in (-7, -1, 0, 3, 12)
+        )
+        assert levels > 0
+        assert counts["evaluations"] <= 0.6 * levels
+
     def test_second_probe_round_keeps_deep_wells_cheap(self, monkeypatch):
         # deep wells leave dozens of brackets open after the first probe
         # round; a second round at their Newton-moved guesses closes most
@@ -486,8 +531,8 @@ class TestFindSpectrum:
 
     @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
     def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):
-        # every sign-change bracket of the scan, of both channels at
-        # beta = 0, is refined by one call of the module-level name, so a
+        # every sign-change bracket of the scan's determinant, at every
+        # beta, is refined by one call of the module-level name, so a
         # wrapper over that name sees every refinement
         params = DotParameters(v=v, beta=beta, m=m)
         plain = find_spectrum(params)
@@ -506,18 +551,10 @@ class TestFindSpectrum:
         lo, hi = params.window
         a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
         grid = scan_grid(a, b, beta, grid_size(a, b, beta))
-        matrix = equilibrated_matrix(params, grid)[0]
-        if beta != 0.0:
-            channels = [np.linalg.det(matrix)]
-        else:
-            # the matrix is block diagonal: u on rows 0-1, w on rows 2-3
-            channels = [
-                np.linalg.det(matrix[:, 0:2][:, :, [0, 1]]),
-                np.linalg.det(matrix[:, 2:4][:, :, [0, 3]]),
-            ]
-        changes = [int(np.count_nonzero(c[:-1] * c[1:] < 0.0)) for c in channels]
-        assert all(count > 0 for count in changes)
-        assert len(calls) == sum(changes)
+        values = np.linalg.det(equilibrated_matrix(params, grid)[0])
+        changes = int(np.count_nonzero(values[:-1] * values[1:] < 0.0))
+        assert changes > 0
+        assert len(calls) == changes
         for f, bracket in calls:
             # inside one scan step, narrowed by the values either side of
             # its guess.  After one probe round, which is all these wells
