@@ -298,7 +298,11 @@ def _parse_beta_range(text: str, parser) -> list[float]:
     if not span < BETA_COUNT_CAP:
         parser.error(f"--beta-range gives more than {BETA_COUNT_CAP} betas")
     count = int(math.floor(span)) + 1
-    return [lo + i * step for i in range(count)]
+    betas = [lo + i * step for i in range(count)]
+    # a STEP below the float spacing near LO repeats betas
+    if any(b <= a for a, b in zip(betas, betas[1:])):
+        parser.error("--beta-range betas must strictly increase: STEP is below the spacing of LO")
+    return betas
 
 
 def _run_sweep(args, parser) -> int:

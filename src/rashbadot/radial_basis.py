@@ -114,7 +114,8 @@ class RadialWave(NamedTuple):
     derivatives (``slope``) and second ones (``curvature``) when they
     were asked for, otherwise ``None``.  Every field is a float, or a 1-D
     array with one lane per energy when the wave was evaluated on an
-    array of energies."""
+    array of energies.  The pair functions build it with ``tuple.__new__``,
+    which skips the generated ``__new__`` (0.17 against 0.30 us a wave)."""
 
     value: tuple[float, float]
     slope: tuple[float, float] | None
@@ -165,7 +166,8 @@ def _wave(rows: list, k, r: float, q: int, signed: tuple, derivatives: int) -> R
         if derivatives == 2:
             bend = j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * rows[i + 2]
             curvature.append(s * bend)
-    return RadialWave(tuple(value), tuple(slope), k**q, tuple(curvature) if curvature else None)
+    bent = tuple(curvature) if curvature else None
+    return tuple.__new__(RadialWave, (tuple(value), tuple(slope), k**q, bent))
 
 
 def interior_pair(
@@ -193,7 +195,8 @@ def interior_pair(
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
     k_minus, k_plus = k.k_minus, k.k_plus
-    q = min(abs(m), abs(m + 1))
+    # q = min(|m|, |m + 1|), and the rows of the orders |m| and |m + 1|
+    q, i0, i1 = (m, 0, 1) if m >= 0 else (-m - 1, 1, 0)
     n_max = q + 1 + derivatives
     if isinstance(k_minus, np.ndarray):
         both = bessel_j_over_power(n_max, np.concatenate((k_minus, k_plus)) * r, q)
@@ -208,13 +211,12 @@ def interior_pair(
     lift = r**q
     s0 = -lift if m < 0 and m % 2 else lift
     s1 = -lift if m < -1 and m % 2 == 0 else lift
-    i0, i1 = abs(m) - q, abs(m + 1) - q
     if derivatives:
         signed = (s0, i0), (s1, i1)
         x = _wave(minus, k_minus, r, q, signed, derivatives)
         return x, _wave(plus, k_plus, r, q, signed, derivatives)
-    x = RadialWave((s0 * minus[i0], s1 * minus[i1]), None, k_minus**q)
-    return x, RadialWave((s0 * plus[i0], s1 * plus[i1]), None, k_plus**q)
+    x = tuple.__new__(RadialWave, ((s0 * minus[i0], s1 * minus[i1]), None, k_minus**q, None))
+    return x, tuple.__new__(RadialWave, ((s0 * plus[i0], s1 * plus[i1]), None, k_plus**q, None))
 
 
 def exterior_pair(
@@ -256,6 +258,6 @@ def exterior_pair(
         curve_high = 0.25 * kappa**2 * (below + 2.0 * high + scaled[5] * phase)
         x_curve, y_curve = (curve_low.real, curve_high.imag), (curve_low.imag, curve_high.real)
     return (
-        RadialWave((low.real, high.imag), x_slope, divisor, x_curve),
-        RadialWave((low.imag, high.real), y_slope, divisor, y_curve),
+        tuple.__new__(RadialWave, ((low.real, high.imag), x_slope, divisor, x_curve)),
+        tuple.__new__(RadialWave, ((low.imag, high.real), y_slope, divisor, y_curve)),
     )

@@ -61,12 +61,12 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
   and 39 angles from the real axis to 1e-9 off the imaginary one in both
   half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
-  scalar call of the K entry point for K_0 and K_1 costs 9.5-10.0,
-  5.3-5.4 and 4.6-4.7 us, and 2000 lanes on one rung 1.49-1.53,
-  0.62-0.65 and 0.50-0.54 ms (shared 2-vCPU x86-64 machine).  The first
-  cut lies above every |z| of the reference rows' scan (at most 14.14);
-  denser cuts save more per point, but a lane call whose lanes straddle
-  a cut runs every rung it touches.
+  scalar call of the K entry point for K_0 and K_1 costs 7.4, 3.8-3.9
+  and 3.3 us at |z| = 10, 20 and 40, and 2000 lanes on one rung
+  1.49-1.53, 0.62-0.65 and 0.50-0.54 ms (shared 2-vCPU x86-64 machine).
+  The first cut lies above every |z| of the reference rows' scan (at
+  most 14.14); denser cuts save more per point, but a lane call whose
+  lanes straddle a cut runs every rung it touches.
 
 All K evaluation is done on the exponentially scaled function e^z K_n(z),
 which stays representable for Re z far beyond the point where K itself
@@ -178,7 +178,9 @@ _HANKEL_STEPS = tuple(
 
 
 def _top_order(orders) -> int:
-    top = max(-orders[0], orders[-1])
+    lowest, top = -orders[0], orders[-1]
+    if lowest > top:
+        top = lowest
     if top > ORDER_CAP:
         raise OrderCapExceeded(f"|n| = {top} exceeds cap {ORDER_CAP}")
     return top
@@ -322,8 +324,8 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
     signed) or 0 (the finite limit).  ``x`` is a float, giving floats, or
     a 1-D array of lanes, giving arrays: each lane takes the regime and
     the arithmetic the float would."""
-    _top_order((n_max,))
-    if not 0 <= power <= n_max:
+    if not 0 <= power <= n_max <= ORDER_CAP:
+        _top_order((n_max,))  # an order beyond the cap is reported first
         raise DomainError(f"power {power} outside 0 .. n_max {n_max}")
     lanes = isinstance(x, np.ndarray)
     size = abs(x)
@@ -434,14 +436,15 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     if conjugated:
         z = z.conjugate()
     regime = _k_regime(size)
-    seq = list(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))
+    seq = [*(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))]
     for n in range(1, top):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
     # K_{-n} = K_n
-    out = [seq[abs(n)].conjugate() if conjugated else seq[abs(n)] for n in orders]
-    if not all(map(cmath.isfinite, out)):
-        raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {top}")
-    return out
+    out = [seq[abs(n)] for n in orders]
+    for value in out:
+        if not cmath.isfinite(value):
+            raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {top}")
+    return [value.conjugate() for value in out] if conjugated else out
 
 
 def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:

@@ -60,14 +60,17 @@ deep wells do not underflow.  One normalization
 thus costs one interior and one exterior basis evaluation.
 
 A sample costs one pair-function call, which ``evaluate_radial`` reaches
-through ``radial_components``: one K call outside the well, two J calls
+through ``_weighted_waves``: one K call outside the well, two J calls
 inside (one at beta = 0, where k_- = k_+).  The wave numbers do not
 depend on r, so a state computes them once (``wave_numbers``).  At
 (v, beta, m) = (100, 2, 1), level 2 (|kappa| = 7.93), a sample takes
-13-14 us at r = 1.2, 7.1-7.4 us of it in the 21-node K quadrature,
-8.8-9.3 us at r = 2, where |z| = 15.9 takes the 8-node rung (3.2-3.3 us),
-and 13-15 us at r = 0.5, 10-11 us of it in the two J calls (shared
-2-vCPU x86-64 machine).
+9.9-10.3 us at r = 1.2, 6.1-6.4 us of it in the 21-node K quadrature,
+6.4-7.1 us at r = 2, where |z| = 15.9 takes the 8-node rung (2.6-2.7 us),
+and 9.9-10.2 us at r = 0.5, 7.9 us of it in the two J calls (best of 9,
+five runs, shared 2-vCPU x86-64 machine).  With the regime bodies
+replaced by stubs, the layers above them cost 3.5-3.7 us outside and
+2.5-2.7 us inside: the entry checks, the regime choice, the K order
+recurrence and the three tuples a sample builds.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ class BoundState:
 
 
 class SpinorSample(NamedTuple):
-    """Radial sample (r, u(r), w(r))."""
+    """Radial sample (r, u(r), w(r)); ``evaluate_radial`` builds it with
+    ``tuple.__new__``, as ``radial_basis`` builds its waves."""
 
     r: float
     u: float
@@ -201,18 +205,6 @@ def _weighted_waves(state: BoundState, r: float, derivatives: int):
         x, y = exterior_pair(m, kappa, r, derivatives)
         a, b = state.c2, state.d2
     return a * x.divisor, b * y.divisor, x, y
-
-
-def radial_components(state: BoundState, r: float) -> tuple[float, float]:
-    """(u(r), w(r)) with region dispatch at r = 1 (r = 1 uses the exterior)."""
-    if r < 0.0:
-        raise InvalidInput("r must be nonnegative")
-    if r == 0.0:
-        # both interior waves are 1 at the origin in order 0
-        m = state.params.m
-        return (state.a + state.b if m == 0 else 0.0), (state.a - state.b if m == -1 else 0.0)
-    a, b, x, y = _weighted_waves(state, r, 0)
-    return a * x.value[0] + b * y.value[0], a * x.value[1] - b * y.value[1]
 
 
 def _r_slope(wave: RadialWave, scale: float = 1.0) -> tuple[tuple, tuple]:
@@ -290,10 +282,21 @@ def normalize(state: BoundState) -> BoundState:
 
 
 def evaluate_radial(state: BoundState, r: float) -> SpinorSample:
-    """Sample (r, u, w) of a normalized state; r = 0 via the origin limit."""
+    """Sample (r, u, w) of a normalized state at r >= 0: the exterior from
+    r = 1 on, the origin limit at r = 0."""
     if not state.normalized:
         raise NotNormalized("state must be normalized first")
-    return SpinorSample(r, *radial_components(state, r))
+    if r == 0.0:
+        # both interior waves are 1 at the origin in order 0
+        m = state.params.m
+        u = state.a + state.b if m == 0 else 0.0
+        w = state.a - state.b if m == -1 else 0.0
+    else:
+        # the pair function rejects r < 0 and r that is not finite
+        a, b, x, y = _weighted_waves(state, r, 0)
+        (x0, x1), (y0, y1) = x.value, y.value
+        u, w = a * x0 + b * y0, a * x1 - b * y1
+    return tuple.__new__(SpinorSample, (r, u, w))
 
 
 def evaluate_spinor(state: BoundState, r: float, phi: float) -> tuple[complex, complex]:
@@ -320,8 +323,6 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
         raise NotNormalized("state must be normalized first")
     if r == 0.0 or r == 1.0:
         raise BoundaryPoint("residual undefined exactly at r = 0 and r = 1")
-    if r < 0.0:
-        raise InvalidInput("r must be nonnegative")
     params = state.params
     m = params.m
     beta = params.beta

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rashbadot.radial_basis import (
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.special_functions import bessel_j_over_power, bessel_k_scaled_many
 from rashbadot.spectral_solver import equilibrated_matrix, find_spectrum
-from rashbadot.wavefunction import normalize, radial_components, solve_coefficients
+from rashbadot.wavefunction import evaluate_radial, normalize, solve_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -105,9 +106,12 @@ def overlap_parts(state_a, state_b) -> tuple[float, float]:
     and oscillates at most at |beta|, since Im kappa = beta/2 at every
     energy."""
 
+    # evaluate_radial reads only the coefficients, whatever their scale
+    sampled_a, sampled_b = (replace(s, normalized=True) for s in (state_a, state_b))
+
     def product(r):
-        ua, wa = radial_components(state_a, r)
-        ub, wb = radial_components(state_b, r)
+        _, ua, wa = evaluate_radial(sampled_a, r)
+        _, ub, wb = evaluate_radial(sampled_b, r)
         return (ua * ub + wa * wb) * r
 
     params = state_a.params

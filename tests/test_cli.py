@@ -422,12 +422,21 @@ class TestSweepCommand:
             main(["sweep", "--v", "25", "--beta-range", "0-10-5", "--m-list", "0"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1"])
-    def test_infinite_range_is_a_usage_error(self, capsys, text):
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("0:inf:1", "must be finite"),
+            ("-inf:0:1", "must be finite"),
+            # a STEP below the float spacing of LO gives beta = 4 again and again
+            ("4:4.000000000000004:1e-16", "must strictly increase"),
+        ],
+        ids=["0:inf:1", "-inf:0:1", "step-below-spacing"],
+    )
+    def test_infinite_range_is_a_usage_error(self, capsys, text, message):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--v", "25", f"--beta-range={text}", "--m-list", "0"])
         assert info.value.code == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_repeated_runs_same_bytes(self, capsys, monkeypatch):
         # the grid evaluated point by point gives the batched bytes

@@ -26,7 +26,6 @@ from rashbadot.wavefunction import (
     evaluate_spinor,
     normalize,
     ode_residual,
-    radial_components,
     region_density_integrals,
     solve_coefficients,
 )
@@ -254,10 +253,10 @@ class TestEvaluateRadial:
         assert abs(left.u - right.u) <= 1e-8 + 2.5 * eps * abs(du)
         assert abs(left.w - right.w) <= 1e-8 + 2.5 * eps * abs(dw)
 
-    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -0.5])
     def test_rejects_non_finite_radius(self, fig1_state, r):
         # the region check names the condition; at inf the exterior K
-        # recurrence would overflow
+        # recurrence would overflow, and r < 0 lies in neither region
         with pytest.raises(InvalidInput, match="positive and finite"):
             evaluate_radial(fig1_state, r)
 
@@ -343,7 +342,7 @@ class TestOdeResidual:
         h = 1e-4
         m = state.params.m
         beta = state.params.beta
-        u, w = radial_components(state, r)
+        _, u, w = evaluate_radial(state, r)
         du, dw = _edge_slopes_at(state, r)
         ddu = (_edge_slopes_at(state, r + h)[0] - _edge_slopes_at(state, r - h)[0]) / (2 * h)
         bump = 1.01
@@ -362,7 +361,7 @@ class TestOdeResidual:
         with pytest.raises(BoundaryPoint):
             ode_residual(fig1_state, 0.0)
 
-    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -0.5])
     def test_rejects_non_finite_radius(self, fig1_state, r):
         with pytest.raises(InvalidInput, match="positive and finite"):
             ode_residual(fig1_state, r)
