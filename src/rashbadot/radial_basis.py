@@ -128,7 +128,7 @@ def interior_wave_numbers(e: float | np.ndarray, beta: float) -> InteriorWaveNum
     ``e`` is a float or a 1-D array of energies, and so are the fields."""
     shifted = e + 0.25 * beta * beta
     lanes = isinstance(shifted, np.ndarray)
-    if not (shifted.min() if lanes else shifted) > 0.0:
+    if not (shifted.min(initial=math.inf) if lanes else shifted) > 0.0:
         raise BelowWindow(f"e = {np.min(e)} at or below window bottom {-0.25 * beta * beta}")
     root = np.sqrt(shifted) if lanes else math.sqrt(shifted)
     return InteriorWaveNumbers(k_plus=root + 0.5 * beta, k_minus=root - 0.5 * beta)
@@ -142,7 +142,7 @@ def exterior_wave_numbers(
     conj(kappa), which the waves never need (module docstring)."""
     remaining = v - e - 0.25 * beta * beta
     lanes = isinstance(remaining, np.ndarray)
-    if not (remaining.min() if lanes else remaining) > 0.0:
+    if not (remaining.min(initial=math.inf) if lanes else remaining) > 0.0:
         raise AboveWindow(f"e = {np.max(e)} at or above window top {v - 0.25 * beta * beta}")
     if lanes:
         return np.sqrt(remaining) + 0.5j * beta

@@ -61,9 +61,9 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
   and 39 angles from the real axis to 1e-9 off the imaginary one in both
   half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
-  scalar call of the K entry point for K_0 and K_1 costs 7.4, 3.8-3.9
-  and 3.3 us at |z| = 10, 20 and 40, and 2000 lanes on one rung
-  1.49-1.53, 0.62-0.65 and 0.50-0.54 ms (shared 2-vCPU x86-64 machine).
+  scalar call of the K entry point for K_0 and K_1 costs 7.9, 4.4-4.7
+  and 3.8-3.9 us at |z| = 10, 20 and 40, and 2000 lanes on one rung
+  1.34-1.45, 0.59-0.61 and 0.48-0.49 ms (shared 2-vCPU x86-64 machine).
   The first cut lies above every |z| of the reference rows' scan (at
   most 14.14); denser cuts save more per point, but a lane call whose
   lanes straddle a cut runs every rung it touches.
@@ -75,33 +75,35 @@ divisor.  Conjugate arguments are routed through K_n(conj z) =
 conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
 the basis built from these functions live in ``radial_basis``.
 
-Each function comes in two evaluation forms, and each regime is written
-once for both.  Given one argument, a regime runs interpreter arithmetic,
-and each series leaves its loop when its stopping rule passes.  Given a
-1-D array of lanes, ``bessel_j_over_power`` (one entry point for both
-forms) and ``bessel_k_scaled_lanes`` pick each lane's regime by mask,
-and run the same statements on arrays with no stopping rule: each
-series sums a fixed number of terms, the count its rule needs at the
+Each function comes in two evaluation forms, and each regime is written once
+for both.  Given one argument, a regime runs interpreter arithmetic, and
+each series leaves its loop when its stopping rule passes.  Given a 1-D
+array of lanes, ``bessel_j_over_power`` (one entry point for both forms) and
+``bessel_k_scaled_lanes`` pick each lane's regime by mask, and the regime
+makes one numpy call per term, node or step over all its lanes and orders,
+with no stopping rule: each series sums the terms its rule needs at the
 regime's worst argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
-``_K_SERIES_TERMS``, each term's factor from one table a call), each K
-quadrature rung its nodes, and each lane's Miller recurrence starts at
-its own index, holding zeros until it takes its seed on the step above
-that index.  A lane therefore does the
-same arithmetic whatever its batch-mates are, and its value is
-bit-identical alone, in a chunk or in a full scan grid.  The terms it
-sums past the scalar's stopping point lie below the rule's 1e-18, so it
-agrees with the scalar form to rounding (numpy's complex arithmetic
-rounds differently from the interpreter's by an ulp, which the log
-series magnifies by its cancellation, at most e^6 at |z| = 3).
+``_K_SERIES_TERMS``), each K quadrature rung its nodes, ``_K_BLOCK`` (node,
+lane) pairs at a time, and each lane's Miller recurrence starts at its own
+index, holding zeros until its seed.  A lane thus does the scalar's
+arithmetic in its order, bit-identical alone or in any batch, unless a numpy
+trap breaks it: ``np.add.reduce`` over a first axis with a one-number
+cross-section sums pairwise, so only stacks of two or more sums a lane are
+reduced; complex ``np.multiply.accumulate`` rounds unlike the binary
+multiply, so running products stay loops; a (steps x lanes) factor table
+must pay for its memory in time, as Miller's does.  The terms a lane sums
+past the scalar's stopping point lie below the rule's 1e-18, so it agrees
+with the scalar form to rounding (numpy's complex arithmetic rounds
+differently from the interpreter's by an ulp, which the log series magnifies
+by its cancellation, at most e^6 at |z| = 3).
 
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
-evaluate one energy at one radius at a time.  Measured on the matching
-matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and (6000, 100, 8)
-(shared 2-vCPU x86-64 machine; the ranges span three repeated runs),
-one point costs 0.6-1.0 ms through the lanes against 67-108 us through
-the scalar kernels, while a 2000-point scan grid costs 4.2-8.1 ms
-through the lanes against 170-240 ms point by point.
+evaluate one energy at one radius at a time.  The determinant of the
+matching matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and
+(6000, 100, 8) costs 0.26-0.42 ms at one lane call of 8 points against
+39-57 us a point through the scalar kernels, and 2.6-3.2 ms on a
+2000-point scan grid (shared 2-vCPU x86-64 machine, two runs each).
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ _K_CUTS = (3.0, 14.5, 25.0)
 _J_SERIES_TERMS = 13
 _J_HANKEL_PAIRS = 12
 _K_SERIES_TERMS = 15
+# the lane K series' factors h / (k^2, k (k+1)) and sum weights (H_k, H_k + H_{k+1} - 2 gamma)
+_K_SERIES_DIVISORS = np.array(
+    [(k * k, k * (k + 1)) for k in range(1, _K_SERIES_TERMS + 1)], dtype=float
+)[..., None]
+_H = np.cumsum([0.0, *(1.0 / k for k in range(1, _K_SERIES_TERMS + 2))])  # harmonic numbers
+_K_SERIES_HARMONICS = np.array((_H[:-1], _H[:-1] + _H[1:] - 2.0 * EULER_GAMMA)).T[..., None]
 
 # the 56-, 16- and 12-point Gauss-Hermite rules folded onto their positive
 # nodes s, as (t, w) = (s^2, twice the weight of s), keeping the 21, 8 and
@@ -166,6 +174,9 @@ _K_NODES_12 = (
 _K_RUNGS = tuple(
     tuple((t, w, w * t) for t, w in rule) for rule in (_K_NODES_56, _K_NODES_16, _K_NODES_12)
 )
+# each rung's t, w and w t as the columns that lanes take
+_K_COLUMNS = tuple(np.array(rung).T[:, :, None] for rung in _K_RUNGS)
+_K_BLOCK = 8192
 
 # Hankel's expansion of J_0 and J_1 (DLMF 10.17.3) as running terms: term m
 # of order nu is term m - 1 times c_m / x, c_m = (4 nu^2 - (2m - 1)^2) / (8m),
@@ -175,6 +186,7 @@ _HANKEL_STEPS = tuple(
     tuple((4 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m) * (1 if m % 2 else -1) for nu in (0, 1))
     for m in range(1, 2 * _J_HANKEL_PAIRS + 1)
 )
+_HANKEL_COLUMNS = np.array(_HANKEL_STEPS).reshape(_J_HANKEL_PAIRS, 2, 2, 1)
 
 
 def _top_order(orders) -> int:
@@ -236,8 +248,8 @@ def _j_miller(n_max: int, x, power: int) -> list:
 
     Each lane starts at its own (even) index.  Lanes that have not
     started hold zeros, which the recurrence keeps at zero, and each takes
-    its seed 1e-30 on the step above its start, so a lane does the
-    scalar's arithmetic step for step.
+    its seed 1e-30 at its start, so a lane does the scalar's arithmetic
+    step for step.
     """
     lanes = isinstance(x, np.ndarray)
     start = x + 9.0 * x ** (1.0 / 3.0) + 8.0
@@ -246,33 +258,38 @@ def _j_miller(n_max: int, x, power: int) -> list:
     else:
         start = max(int(start), n_max + 12)
     start += start % 2
-    first, top = (int(start.min()), int(start.max())) if lanes else (start, start)
-
-    j_above, j_here, norm = 0.0, 1e-30, 0.0
     if lanes:
-        j_here = np.where(start == top, 1e-30, 0.0)
-    # only lanes start above the lowest start
-    for n in range(top, first, -1):
-        j_above, j_here = j_here, (2.0 * n / x) * j_here - j_above
-        if n % 2 == 0:
-            norm = norm + 2.0 * j_above  # 0 for lanes not yet started
-        else:
-            j_here[start == n - 1] = 1e-30  # the seed of lanes that start next
-    # two steps a turn down from each even order, which joins the sum as it passes
-    kept = []
-    for n in range(first, 0, -2):
-        norm = norm + 2.0 * j_here
-        j_odd = (2.0 * n / x) * j_here - j_above
-        if n <= n_max + 1:
-            kept += (j_here, j_odd)
-        j_above, j_here = j_odd, (2.0 * (n - 1) / x) * j_odd - j_here
-    norm = norm + j_here  # j_here now holds the J_0 trial value
+        starts = set(start.tolist())
+        factor = (2.0 * np.arange(max(starts) + 1.0)[:, None]) / x  # 2n/x, a row a step
+        trial = np.empty((n_max + 1, len(x)))
+        j_above, j_here, norm = 0.0, np.zeros(len(x)), 0.0
+        for n in range(max(starts), 0, -1):
+            if n in starts:
+                j_here[start == n] = 1e-30  # the seed of lanes that start at n
+            if n % 2 == 0:
+                norm = norm + j_here  # 0 for lanes not yet started, doubled below
+            if n <= n_max:
+                trial[n] = j_here
+            j_above, j_here = j_here, factor[n] * j_here - j_above
+        norm = 2.0 * norm + j_here
+        trial[0] = j_here
+    else:
+        j_above, j_here, norm = 0.0, 1e-30, 0.0
+        # two steps a turn down from each even order, which joins the sum as it passes
+        kept = []
+        for n in range(start, 0, -2):
+            norm = norm + 2.0 * j_here
+            j_odd = (2.0 * n / x) * j_here - j_above
+            if n <= n_max + 1:
+                kept += (j_here, j_odd)
+            j_above, j_here = j_odd, (2.0 * (n - 1) / x) * j_odd - j_here
+        norm = norm + j_here  # j_here now holds the J_0 trial value
+        trial = [j_here, *kept[::-1]]  # J_0 .. J_n_max, and J_{n_max + 1} for odd n_max
     if not (np.isfinite(norm).all() if lanes else math.isfinite(norm)):
         bad = x[~np.isfinite(norm)][0] if lanes else x
         raise ArgumentOutOfRange(f"J Miller recurrence to n = {n_max} overflowed at x = {bad!r}")
-    scale = x**-power
-    rows = [j_here, *kept[::-1]]  # J_0 .. J_n_max, and J_{n_max + 1} for odd n_max
-    return [value / norm * scale for value in rows[power : n_max + 1]]
+    scale, rows = x**-power, trial[power : n_max + 1]
+    return rows / norm * scale if lanes else [value / norm * scale for value in rows]
 
 
 def _j_hankel(n_max: int, x, power: int) -> list:
@@ -283,20 +300,27 @@ def _j_hankel(n_max: int, x, power: int) -> list:
     or a 1-D array of lanes."""
     lanes = isinstance(x, np.ndarray)
     lib = np if lanes else math
-    p0 = p1 = 1.0
-    q0 = q1 = 0.0
-    t0 = t1 = 1.0
-    for (q0_step, q1_step), (p0_step, p1_step) in zip(_HANKEL_STEPS[::2], _HANKEL_STEPS[1::2]):
-        t0 = t0 * (q0_step / x)
-        t1 = t1 * (q1_step / x)
-        q0 = q0 + t0
-        q1 = q1 + t1
-        t0 = t0 * (p0_step / x)
-        t1 = t1 * (p1_step / x)
-        p0 = p0 + t0
-        p1 = p1 + t1
-        if not lanes and abs(t0) + abs(t1) < 1e-18:
-            break
+    if lanes:  # nu = 0 and 1 as the two rows of each array, each step's factors a column
+        p, q, t = 1.0, 0.0, 1.0
+        for q_step, p_step in _HANKEL_COLUMNS:
+            q = q + (t := t * (q_step / x))
+            p = p + (t := t * (p_step / x))
+        (p0, p1), (q0, q1) = p, q
+    else:
+        p0 = p1 = 1.0
+        q0 = q1 = 0.0
+        t0 = t1 = 1.0
+        for (q0_step, q1_step), (p0_step, p1_step) in zip(_HANKEL_STEPS[::2], _HANKEL_STEPS[1::2]):
+            t0 = t0 * (q0_step / x)
+            t1 = t1 * (q1_step / x)
+            q0 = q0 + t0
+            q1 = q1 + t1
+            t0 = t0 * (p0_step / x)
+            t1 = t1 * (p1_step / x)
+            p0 = p0 + t0
+            p1 = p1 + t1
+            if abs(t0) + abs(t1) < 1e-18:
+                break
     # J_nu = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
     # where cos w and sin w are sums of sin x and cos x over sqrt(2)
     sin, cos = lib.sin(x), lib.cos(x)
@@ -305,8 +329,9 @@ def _j_hankel(n_max: int, x, power: int) -> list:
         amplitude * (p0 * (cos + sin) + q0 * (cos - sin)),
         amplitude * (p1 * (sin - cos) + q1 * (sin + cos)),
     ]
+    factor = (2.0 * np.arange(n_max)[:, None]) / x if lanes else None
     for n in range(1, n_max):
-        out.append((2.0 * n / x) * out[n] - out[n - 1])
+        out.append((factor[n] if lanes else 2.0 * n / x) * out[n] - out[n - 1])
     scale = x**-power
     return [value * scale for value in out[power : n_max + 1]]
 
@@ -341,7 +366,7 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
         for mask, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
             if mask.any():
                 rows[:, mask] = regime(n_max, size[mask], power)
-        rows[1::2] *= 1.0 - 2.0 * (x < 0.0)
+        np.negative(rows[1::2], out=rows[1::2], where=x < 0.0)
         return list(rows)
     rows = (_j_series if series else _j_hankel if hankel else _j_miller)(n_max, size, power)
     if x < 0.0:
@@ -361,28 +386,31 @@ def _k01_series(z) -> tuple:
     lib = np if lanes else cmath
     h = 0.25 * z * z
     log_half_z = lib.log(0.5 * z)
-    t0 = 1.0 + 0.0j  # h^k / (k!)^2
-    t1 = 1.0 + 0.0j  # h^k / (k! (k+1)!)
-    i0 = t0
-    i1_sum = t1
-    s0 = 0.0 + 0.0j
-    s1 = (1.0 - 2.0 * EULER_GAMMA) * t1
-    harmonic = 0.0
     if lanes:
-        # every term's factors h / k^2 and h / (k (k+1)) from one table each
-        k = np.arange(1.0, _K_SERIES_TERMS + 1)[:, None]
-        factors0, factors1 = h / (k * k), h / (k * (k + 1.0))
-    for k in range(1, _K_SERIES_TERMS + 1):
-        t0 = t0 * (factors0[k - 1] if lanes else h / (k * k))
-        t1 = t1 * (factors1[k - 1] if lanes else h / (k * (k + 1)))
-        harmonic += 1.0 / k
-        harmonic_next = harmonic + 1.0 / (k + 1)
-        i0 = i0 + t0
-        i1_sum = i1_sum + t1
-        s0 = s0 + t0 * harmonic
-        s1 = s1 + t1 * (harmonic + harmonic_next - 2.0 * EULER_GAMMA)
-        if not lanes and abs(t0) * (harmonic_next + 1.0) < 1e-18 * (abs(s0) + abs(i0)):
-            break
+        # row k: the scalar loop's t0, t1 and their terms of s0, s1, summed as one stack
+        terms = np.empty((_K_SERIES_TERMS + 1, 4, len(z)), dtype=complex)
+        terms[0, :2] = 1.0
+        factors = h / _K_SERIES_DIVISORS
+        for k in range(_K_SERIES_TERMS):
+            np.multiply(terms[k, :2], factors[k], out=terms[k + 1, :2])
+        np.multiply(terms[:, :2], _K_SERIES_HARMONICS, out=terms[:, 2:])
+        i0, i1_sum, s0, s1 = np.add.reduce(terms)
+    else:
+        t0 = t1 = i0 = i1_sum = 1.0 + 0.0j  # t0 = h^k / (k!)^2, t1 = h^k / (k! (k+1)!)
+        s0 = 0.0 + 0.0j
+        s1 = (1.0 - 2.0 * EULER_GAMMA) * t1
+        harmonic = 0.0
+        for k in range(1, _K_SERIES_TERMS + 1):
+            t0 = t0 * (h / (k * k))
+            t1 = t1 * (h / (k * (k + 1)))
+            harmonic += 1.0 / k
+            harmonic_next = harmonic + 1.0 / (k + 1)
+            i0 = i0 + t0
+            i1_sum = i1_sum + t1
+            s0 = s0 + t0 * harmonic
+            s1 = s1 + t1 * (harmonic + harmonic_next - 2.0 * EULER_GAMMA)
+            if abs(t0) * (harmonic_next + 1.0) < 1e-18 * (abs(s0) + abs(i0)):
+                break
     i1 = 0.5 * z * i1_sum
     k0 = -(log_half_z + EULER_GAMMA) * i0 + s0
     k1 = 1.0 / z + log_half_z * i1 - 0.25 * z * s1
@@ -404,14 +432,25 @@ def _k01_quadrature(z, terms: tuple) -> tuple:
     and a wider strip needs fewer nodes: a loop over the rung's nodes, with
     no convergence test.
     """
-    sqrt = np.sqrt if isinstance(z, np.ndarray) and z.ndim else cmath.sqrt
     u = 0.5 / z
+    if isinstance(z, np.ndarray) and z.ndim:
+        # the nodes down and a block of lanes across, both integrands of a
+        # node side by side, summed node by node (module docstring)
+        t, w, wt = terms
+        sums = np.empty((2, len(z)), dtype=complex)
+        for i in range(0, len(z), block := _K_BLOCK // len(t)):
+            root = np.sqrt(1.0 + t * u[i : i + block])
+            nodes = np.empty((len(t), 2, root.shape[1]), dtype=complex)
+            np.divide(w, root, out=nodes[:, 0])
+            np.multiply(wt, root, out=nodes[:, 1])
+            np.add.reduce(nodes, out=sums[:, i : i + block])
+        return sums[0] / np.sqrt(2.0 * z), sums[1] * np.sqrt(2.0 / z)
     s0 = s1 = 0.0
     for t, w, wt in terms:
-        root = sqrt(1.0 + t * u)
+        root = cmath.sqrt(1.0 + t * u)
         s0 = s0 + w / root
         s1 = s1 + wt * root
-    return s0 / sqrt(2.0 * z), s1 * sqrt(2.0 / z)
+    return s0 / cmath.sqrt(2.0 * z), s1 * cmath.sqrt(2.0 / z)
 
 
 def _k_regime(size):
@@ -453,8 +492,8 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     top = _top_order(orders)
     z = np.asarray(z, dtype=complex)
     size = np.abs(z)
-    if not (np.all(z.real > 0.0) and size.max() < math.inf):
-        bad = z[~(z.real > 0.0) | ~(size < math.inf)][0]
+    if not (valid := (z.real > 0.0) & (size < math.inf)).all():
+        bad = z[~valid][0]
         raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
     conjugated = z.imag < 0.0
     z = np.where(conjugated, z.conj(), z)
@@ -463,7 +502,7 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     for i in range(len(_K_RUNGS) + 1):
         lanes = regime == i
         if lanes.any():
-            seeds = _k01_quadrature(z[lanes], _K_RUNGS[i - 1]) if i else _k01_series(z[lanes])
+            seeds = _k01_quadrature(z[lanes], _K_COLUMNS[i - 1]) if i else _k01_series(z[lanes])
             k0[lanes], k1[lanes] = seeds
     seq = [k0, k1]
     # only the order recurrence can overflow, which the finiteness check

@@ -71,9 +71,9 @@ guess moved by one Newton step on the polynomial's slope there
 (``Bracket.slope``); an exact 0.0 is a root at that energy, as at a grid
 node.  Each bracket is then refined by Brent's method at one float
 energy at a time, which runs the scalar kernels.  Brent's steps are
-sequential, and a lane call has a fixed cost of about ten scalar points
-(0.5 to 1.2 ms at 8 lanes and 0.7 to 1.4 ms at 80, against 0.05 to
-0.08 ms for one scalar point, on a 2-core x86-64 machine), so one call
+sequential, and a lane call has a fixed cost of six to ten scalar points
+(0.26 to 0.42 ms at 8 lanes and 0.41 to 0.52 ms at 80, against 0.04 to
+0.06 ms for one scalar point, on a 2-core x86-64 machine), so one call
 per spectrum pays, where a lane call per Brent step would not.  An open
 half costs Brent about 1.9 evaluations, so a second probe round, at
 the moved guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry
@@ -125,9 +125,9 @@ GRID_POINTS_MIN = 300
 # scan samples per bracket whose interpolating polynomial seeds its
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
-# the fewest open brackets with a guess that pay for a second probe
-# round: its lane call costs about ten scalar points (module docstring),
-# and an open bracket about 1.9 Brent evaluations, 10 / 1.9 = 5.3
+# the fewest open brackets with a guess that pay for a second probe round:
+# its lane call costs 6 to 10 scalar points (module docstring) and an open
+# bracket about 1.9 Brent evaluations, 3.2 to 5.3 brackets (lower moves levels)
 PROBE_ROUND_MIN = 6
 # the width to which Brent's method closes each sign-change bracket.  It
 # bounds a level's error only as far as the determinant resolves its

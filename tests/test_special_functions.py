@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +14,17 @@ from hypothesis import strategies as st
 from conftest import j_kernel, k_kernel
 from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
 from rashbadot.radial_basis import (
+    DotParameters,
     exterior_pair,
     exterior_wave_numbers,
     interior_pair,
     interior_wave_numbers,
 )
+from rashbadot.spectral_solver import equilibrated_matrix
 from rashbadot.special_functions import (
     J_ARGUMENT_CAP,
     ORDER_CAP,
+    _K_BLOCK,
     _J_HANKEL_PAIRS,
     _J_HANKEL_RADIUS,
     _J_SERIES_RADIUS,
@@ -600,6 +607,34 @@ class TestBesselK:
                 alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
                 assert [row[0] for row in alone] == [row[i] for row in batch]
 
+    def test_series_lane_is_the_same_alone_and_in_a_batch(self):
+        # the log series sums its terms as one stack: each lane of a
+        # 2000-lane batch on both half-planes, 1e-6 <= |z| <= 3, equals the
+        # same lane asked for alone, bit for bit
+        rng = np.random.default_rng(19)
+        sizes = np.exp(rng.uniform(math.log(1e-6), math.log(3.0), 2000))
+        zs = sizes * np.exp(1j * rng.uniform(-1.57, 1.57, 2000))
+        orders = range(-1, 3)
+        batch = bessel_k_scaled_lanes(orders, zs)
+        for i in range(0, 2000, 7):
+            alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
+            assert [row[0] for row in alone] == [row[i] for row in batch]
+
+    @pytest.mark.parametrize("rung", range(len(_K_RUNGS)))
+    def test_quadrature_lanes_agree_across_a_block_edge(self, rung):
+        # a rung takes its lanes _K_BLOCK nodes-by-lanes at a time: the lanes
+        # on either side of the first two block edges, and a one-lane last
+        # block, give the bits they give alone
+        block = _K_BLOCK // len(_K_RUNGS[rung])
+        low, high = _K_CUTS[rung], (*_K_CUTS, 200.0)[rung + 1]
+        rng = np.random.default_rng(rung)
+        sizes = rng.uniform(low, high, 2 * block + 1)
+        zs = sizes * np.exp(1j * rng.uniform(-1.5, 1.5, sizes.size))
+        batch = bessel_k_scaled_lanes(range(0, 2), zs)
+        for i in (0, block - 1, block, block + 1, 2 * block - 1, 2 * block):
+            alone = bessel_k_scaled_lanes(range(0, 2), zs[i : i + 1])
+            assert [row[0] for row in alone] == [row[i] for row in batch]
+
     def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
         # each rung is its rule folded onto its positive nodes as
         # (s^2, 2 w), keeping the nodes with w (1 + t) > 1e-18 w_0, and
@@ -752,3 +787,36 @@ class TestLiveHighPrecisionOracle:
                 for n in (0, 1):
                     ref = complex(mp.besselk(n, exact) * mp.exp(exact))
                     assert abs(got[n] - ref) <= 2e-15 * abs(ref), (n, z)
+
+
+def test_no_lanes_give_empty_rows():
+    # a zero-length array of lanes is a valid call of every lane entry point
+    none = np.array([])
+    assert [row.shape for row in bessel_j_over_power(4, none, 1)] == [(0,)] * 4
+    k_rows = bessel_k_scaled_lanes(range(-2, 3), none.astype(complex))
+    assert [(row.shape, row.dtype) for row in k_rows] == [((0,), np.complex128)] * 5
+    matrix, scale = equilibrated_matrix(DotParameters(100.0, 20.0, 2), none)
+    assert matrix.shape == (0, 4, 4) and scale.shape == (0, 4)
+
+
+def test_lane_batches_agree_without_avx512():
+    # numpy picks its loops by the CPU; with its AVX-512 groups switched
+    # off, the lanes of a batch still give the bits they give alone
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    groups = [
+        f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("512" in f or f == "X86_V4")
+    ]
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
+        + ["-k", "alone_and_in_a_batch or across_a_block_edge"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert " passed" in result.stdout and "skipped" not in result.stdout

@@ -229,14 +229,20 @@ def test_k_regime_cuts_are_read_in_one_function():
 
 def test_import_leaves_numpy_polynomial_unloaded():
     # the K quadrature nodes are literal constants: building them with
-    # numpy.polynomial at import would load it and raise peak memory
+    # numpy.polynomial at import would load it and raise peak memory.  Nor
+    # does the package load scipy, mpmath or the CLI's argparse and json,
+    # whose import time every run of the library would pay
     source = str(Path(rashbadot.__file__).resolve().parents[1])
+    unwanted = ("numpy.polynomial", "scipy", "mpmath", "argparse", "json")
     code = (
         f"import sys; sys.path.insert(0, {source!r}); import rashbadot; "
-        "sys.exit(int('numpy.polynomial' in sys.modules))"
+        f"print(*[name for name in {unwanted!r} if name in sys.modules])"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
     assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def test_find_spectrum_takes_a_well_and_a_grid_size():
