@@ -243,7 +243,8 @@ def _run_wavefunction(args, parser) -> int:
     payload = {
         "params": {"v": args.v, "beta": args.beta, "m": args.m},
         "e": state.e,
-        "coefficients": coefficients,
+        # RFC 8259 has no Infinity: null for a coefficient that overflows
+        "coefficients": {k: c if math.isfinite(c) else None for k, c in coefficients.items()},
         "samples": rows,
     }
     _write(args, payload, "r,u,w", rows)

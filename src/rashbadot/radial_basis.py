@@ -26,8 +26,9 @@ the formulas below are written once, and the type of the wave numbers
 (of ``interior_wave_numbers`` and ``exterior_wave_numbers``, which do not
 depend on r) picks the scalar or the lane kernels of ``special_functions``.
 Both regions return two waves of one type, :class:`RadialWave`, stored
-divided by a ``divisor`` (true value = value * divisor): the signed
-power k^q of the wave number inside, exp(-Re(k2p) r) outside.  The
+divided by a ``divisor``: the signed power k^q of the wave number inside,
+exp(Re(k2p) (1 - r)) outside, where value * divisor is edge-scaled,
+e^{Re k2p} K_n(k2p r), and the divisor is 1 at the well edge r = 1.  The
 waves carry as many radial derivatives as the caller asks for (none,
 the first, or the first two), by recurrence identities applied once or
 twice, never by numerical differentiation:
@@ -110,12 +111,13 @@ class InteriorWaveNumbers(NamedTuple):
 
 class RadialWave(NamedTuple):
     """One basis wave at the orders n = m and m + 1, stored divided by
-    ``divisor`` (true value = value * divisor), with its first radial
-    derivatives (``slope``) and second ones (``curvature``) when they
-    were asked for, otherwise ``None``.  Every field is a float, or a 1-D
-    array with one lane per energy when the wave was evaluated on an
-    array of energies.  The pair functions build it with ``tuple.__new__``,
-    which skips the generated ``__new__`` (0.17 against 0.30 us a wave)."""
+    ``divisor`` (value * divisor: true scale inside, edge-scaled outside),
+    with its first radial derivatives (``slope``) and second ones
+    (``curvature``) when asked for, otherwise ``None``.  Every field is a
+    float, or a 1-D array with one lane per energy when the wave was
+    evaluated on an array of energies.  The pair functions build it with
+    ``tuple.__new__``, which skips the generated ``__new__`` (0.17 against
+    0.30 us a wave)."""
 
     value: tuple[float, float]
     slope: tuple[float, float] | None
@@ -225,13 +227,15 @@ def exterior_pair(
     """The two real exterior waves x = (Re K_m, Im K_{m+1}) and
     y = (Im K_m, Re K_{m+1}) of K_n(kappa r), for the wave number
     ``kappa`` of :func:`exterior_wave_numbers`, each multiplied by
-    exp(+Re(kappa) r), whose inverse ``divisor`` records.
+    exp(+Re(kappa) r), with ``divisor`` exp(Re(kappa) (1 - r)), which is
+    1 at r = 1: value * divisor is e^{Re kappa} K_n(kappa r), edge-scaled.
 
     The scaled waves stay finite for arbitrarily deep wells, where the
-    true ones underflow.  ``derivatives`` is as in :func:`interior_pair`,
-    and needs K at orders m .. m + 1 and one more each side per
-    derivative; ``kappa`` is a complex or a 1-D array of N energies'
-    wave numbers, and ``r`` must be positive and finite.
+    true ones underflow, and so do coefficients on them, which at true
+    scale (about e^{+Re kappa}) overflow.  ``derivatives`` is as in
+    :func:`interior_pair`, and needs K at orders m .. m + 1 and one more
+    each side per derivative; ``kappa`` is a complex or a 1-D array of N
+    energies' wave numbers, and ``r`` must be positive and finite.
     """
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
@@ -241,11 +245,11 @@ def exterior_pair(
     if isinstance(z, np.ndarray):
         scaled = bessel_k_scaled_lanes(orders, z)
         phase = np.exp(-1j * z.imag)
-        divisor = np.exp(-z.real)
+        divisor = np.exp(kappa.real - z.real)
     else:
         scaled = bessel_k_scaled_many(orders, z)
         phase = cmath.exp(complex(0.0, -z.imag))
-        divisor = math.exp(-z.real)
+        divisor = math.exp(kappa.real - z.real)
     low, high = scaled[derivatives] * phase, scaled[derivatives + 1] * phase
     x_slope = y_slope = x_curve = y_curve = None
     if derivatives:

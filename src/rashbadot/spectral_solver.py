@@ -26,8 +26,8 @@ column is one wave as ``radial_basis`` stores it, divided by its
   vanishes at e = 0 (k_- for beta > 0, k_+ for beta < 0) gives det M a
   zero of order q there whose kernel is the null function, not a bound
   state; divided, its column is O(1), with a finite limit at e = 0;
-* an exterior wave is divided by exp(-decay_rate), so deep wells do not
-  underflow;
+* an exterior wave is edge-scaled, e^{decay_rate} K_n, so deep wells do
+  not underflow;
 * every column is scaled to unit norm, so columns whose J_n ~ k^|n| and
   K_n ~ z^-|n| entries lie orders of magnitude apart keep their full
   precision in the determinant.
@@ -169,8 +169,8 @@ def equilibrated_matrix(
     params: DotParameters, e: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matching matrix in the (a, c2, b, d2) columns, equilibrated,
-    and the scale that takes column j back to true scale:
-    true column = matrix[..., j] * scale[..., j].
+    and the scale that takes column j back to the stored waves' scale
+    (exterior edge-scaled): column = matrix[..., j] * scale[..., j].
 
     ``e`` is a float, giving a (4, 4) matrix and (4,) scales, or a 1-D
     array of N energies, giving an (N, 4, 4) stack and (N, 4) scales."""
@@ -195,15 +195,17 @@ def equilibrated_matrix(
 
 def match_matrix(params: DotParameters, e: float) -> np.ndarray:
     """The 4x4 continuity matrix at energy e in the paper's (c1, c2, d1, d2)
-    columns, true scale, strictly inside the window."""
+    columns, true scale, strictly inside the window.  Its exterior columns,
+    e^{-Re kappa} times the edge-scaled ones, underflow beyond Re kappa = 745."""
     matrix, scale = equilibrated_matrix(params, e)
     minus, c2, plus, d2 = (matrix * scale).T
+    edge = math.exp(-exterior_wave_numbers(e, params.v, params.beta).real)
     # a = (c1 + d1)/2 and b = (c1 - d1)/2 multiply the two waves
-    return np.column_stack((0.5 * (minus + plus), c2, 0.5 * (minus - plus), d2))
+    return np.column_stack((0.5 * (minus + plus), edge * c2, 0.5 * (minus - plus), edge * d2))
 
 
 def spectral_determinant(params: DotParameters, e: float) -> float:
-    """det M(m, e, v, beta) at true scale."""
+    """det M(m, e, v, beta) at true scale: 0.0 beyond Re kappa = 745."""
     return float(np.linalg.det(match_matrix(params, e)))
 
 

@@ -7,18 +7,19 @@ the coefficient vector (a, c2, b, d2) of the radial pair
 
 on the two waves x, y of ``radial_basis``: inside the Bessel waves
 J(k_- r), J(k_+ r) with (a, b), outside x = (f2(m), g2(m+1)) and
-y = (g2(m), f2(m+1)) with (c2, d2) in place of (a, b).
-:class:`BoundState` stores this vector, in the column order of
-``equilibrated_matrix``; its ``coefficients`` are the paper's
+y = (g2(m), f2(m+1)), edge-scaled by e^{Re kappa}, with (c2, d2) in
+place of (a, b).  :class:`BoundState` stores this vector, in the column
+order of ``equilibrated_matrix``; its ``coefficients`` are the paper's
 
     r < 1:   u = c1 f1(m)   + d1 g1(m)
              w = c1 g1(m+1) + d1 f1(m+1)
     r >= 1:  u = c2 f2(m)   + d2 g2(m)
              w = c2 g2(m+1) - d2 f2(m+1)
 
-(note the minus sign on d2 in the exterior w) with c1 = a + b and
-d1 = a - b.  Nothing reads b back as (c1 - d1)/2, which loses it where
-c1 and d1 nearly cancel.  The full spinor is
+(note the minus sign on d2 in the exterior w) with c1 = a + b,
+d1 = a - b, and c2, d2 at true scale, e^{Re kappa} times the stored.
+Nothing reads b back as (c1 - d1)/2, which loses it where c1 and d1
+nearly cancel.  The full spinor is
 
     Psi_m(r, phi) = ( u(r) e^{i m phi},  w(r) e^{i (m+1) phi} ).
 
@@ -55,9 +56,9 @@ K_n(kappa r) = r K_n'(kappa r) dkappa/de with dkappa/de = -1/(2 Re kappa)
 outside.  The interior waves are stored divided by k^q, so their
 derivatives carry k^(q-1), which stays finite as a wave number vanishes
 for q >= 1; for q = 0 (m = 0 or -1) r J_n'(k r) is taken at its limit
-r J_n'(0) where k is exactly 0.  The exterior waves stay exp-scaled, so
-deep wells do not underflow.  One normalization
-thus costs one interior and one exterior basis evaluation.
+r J_n'(0) where k is exactly 0.  Outside, neither the edge-scaled waves
+nor the stored (c2, d2) leave the float range in deep wells.  One
+normalization thus costs one interior and one exterior basis evaluation.
 
 A sample costs one pair-function call, which ``evaluate_radial`` reaches
 through ``_weighted_waves``: one K call outside the well, two J calls
@@ -83,13 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    BoundaryPoint,
-    DegenerateState,
-    InvalidInput,
-    NotNormalized,
-)
+from .errors import BoundaryPoint, DegenerateState, InvalidInput, NotNormalized
 from .numerics import nullspace_4x4
 from .radial_basis import (
     DotParameters,
@@ -122,8 +117,13 @@ class BoundState:
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
-        """The paper's (c1, c2, d1, d2) = (a + b, c2, a - b, d2)."""
-        return (self.a + self.b, self.c2, self.a - self.b, self.d2)
+        """The paper's (c1, c2, d1, d2) = (a + b, c2 e^{Re kappa}, a - b,
+        d2 e^{Re kappa}): the stored exterior pair is on the edge-scaled
+        waves, and at true scale it is +/-inf where it overflows."""
+        with np.errstate(over="ignore"):
+            lift = float(np.exp(self.wave_numbers[1].real))
+        c2, d2 = (c * lift if c else c for c in (self.c2, self.d2))
+        return (self.a + self.b, c2, self.a - self.b, d2)
 
     @cached_property
     def wave_numbers(self) -> tuple[InteriorWaveNumbers, complex]:
@@ -150,25 +150,18 @@ def _scaled(state: BoundState, factor: float, normalized: bool = False) -> Bound
 
 
 def solve_coefficients(params: DotParameters, e: float) -> BoundState:
-    """The state at a spectrum energy whose ``coefficients`` have unit
+    """The state at a spectrum energy whose stored (a, c2, b, d2) has unit
     norm (unnormalized state).
 
-    Sign convention: the first largest-magnitude coefficient is positive.
-    Raises :class:`NotSingular` when e is not actually an eigenvalue and
-    :class:`RankDeficiency2` for degenerate levels.
+    Sign convention: the first largest-magnitude paper coefficient is
+    positive.  Raises :class:`NotSingular` when e is not actually an
+    eigenvalue and :class:`RankDeficiency2` for degenerate levels.
     """
-    # the kernel of the equilibrated matrix, taken back to true scale: at
-    # true scale the columns lie orders of magnitude apart, which would
-    # smear the kernel direction
+    # the kernel of the equilibrated matrix, taken back to the scale of the
+    # stored waves: there the columns lie orders of magnitude apart, which
+    # would smear the kernel direction
     matrix, scale = equilibrated_matrix(params, e)
-    vec = nullspace_4x4(matrix)
-    exponent = exterior_wave_numbers(e, params.v, params.beta).real
-    if exponent > 700.0:
-        # true exterior coefficients would be ~e^{+exponent}
-        raise ArgumentOutOfRange(
-            f"exterior coefficients overflow double precision (decay exponent {exponent:.0f})"
-        )
-    a, c2, b, d2 = (float(x) for x in vec / scale)
+    a, c2, b, d2 = (float(x) for x in nullspace_4x4(matrix) / scale)
     if params.beta == 0.0:
         # the channels decouple, so the kernel lies in one of them: keep
         # exact zeros in the other, d1 = a - b = 0 or c1 = a + b = 0
@@ -179,10 +172,10 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
             a = 0.5 * (a - b)
             b, c2 = -a, 0.0
     state = BoundState(params=params, e=e, a=a, c2=c2, b=b, d2=d2)
-    # unit norm, with the first largest paper coefficient positive
-    paper = np.array(state.coefficients)
-    sign = math.copysign(1.0, paper[np.abs(paper).argmax()])
-    return _scaled(state, sign / math.sqrt(float(paper @ paper)))
+    # the paper's (c1, c2, d1, d2) over e^{Re kappa}, whose first largest is positive
+    edge = math.exp(-state.wave_numbers[1].real)
+    paper = (edge * (a + b), c2, edge * (a - b), d2)
+    return _scaled(state, math.copysign(1.0, max(paper, key=abs)) / math.hypot(a, c2, b, d2))
 
 
 def _combine(a: float, b: float, x_row, y_row) -> tuple[float, float]:

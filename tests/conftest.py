@@ -151,6 +151,13 @@ DEEP_WELLS = [
 ]
 
 
+# two wells whose deepest levels have Re kappa = 1000 and 775: their
+# exterior coefficients overflow at true scale from Re kappa = 707 on, and
+# only the edge-scaled ones that ``BoundState`` stores give every level a
+# state (637 and 490 levels)
+DEEP_STATE_WELLS = [(1e6, 0.0, 0), (6e5, 10.0, 3)]
+
+
 def counted_lane_calls(monkeypatch) -> list[int]:
     """Wrap ``spectral_solver.equilibrated_matrix`` to count its calls on
     an array of energies (lane calls: scan chunks and probe rounds) in
@@ -182,9 +189,11 @@ def paper_basis(m, e, beta, r):
 def paper_exterior(m, e, v, beta, r):
     """The paper's exterior pair [(f2, g2, f2', g2') at order m, at m + 1],
     f2, g2 = Re, Im K_n(k_+ r) at true scale, from the two waves
-    x = (f2(m), g2(m+1)) and y = (g2(m), f2(m+1)) of ``exterior_pair``."""
-    x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
-    d = x.divisor
+    x = (f2(m), g2(m+1)) and y = (g2(m), f2(m+1)) of ``exterior_pair``,
+    which value * divisor gives edge-scaled, e^{Re k_+} times true scale."""
+    kappa = exterior_wave_numbers(e, v, beta)
+    x, y = exterior_pair(m, kappa, r)
+    d = x.divisor * math.exp(-kappa.real)
     return [
         (x.value[0] * d, y.value[0] * d, x.slope[0] * d, y.slope[0] * d),
         (y.value[1] * d, x.value[1] * d, y.slope[1] * d, x.slope[1] * d),

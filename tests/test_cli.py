@@ -307,6 +307,41 @@ class TestWavefunctionCommand:
         assert code == 0
         assert "# e = 37.0825" in err
 
+    @pytest.mark.parametrize(
+        "well,level",
+        [(("1e6", "0", "0"), "0"), (("1e6", "0", "0"), "560"), (("6e5", "10", "3"), "0")],
+        ids=["v1e6-level0", "v1e6-level560", "v6e5-level0"],
+    )
+    def test_deep_level_gives_finite_samples(self, capsys, well, level):
+        # the paper's c2 and d2 overflow at level 0 of both wells (Re kappa
+        # = 1000 and 775); level 560 of (1e6, 0, 0) has Re kappa = 473
+        v, beta, m = well
+        code, out, err = run_cli(
+            capsys, "wavefunction", "--v", v, "--beta", beta, "--m", m, "--level", level
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "r,u,w" and len(lines) == 301
+        assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+
+    def test_json_writes_null_for_an_overflowing_coefficient(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        code, out, err = run_cli(
+            capsys,
+            "wavefunction", "--v", "1e6", "--beta", "0", "--m", "0", "--level", "0",
+            "--samples", "5", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        # level 0 is in the u channel, whose c2 overflows; d1 and d2 are 0
+        assert payload["coefficients"]["c2"] is None
+        assert payload["coefficients"]["c1"] > 0.0
+        assert (payload["coefficients"]["d1"], payload["coefficients"]["d2"]) == (0.0, 0.0)
+        assert "c2 = inf" in err
+        assert len(payload["samples"]) == 5
+
     def test_level_index_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -25,7 +25,7 @@ from functools import cache
 
 import pytest
 
-from conftest import DEEP_WELLS, uncoupled_level_count
+from conftest import DEEP_STATE_WELLS, DEEP_WELLS, uncoupled_level_count
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import find_spectrum
@@ -126,8 +126,12 @@ def hellmann_feynman_gaps(wells, h: float) -> list[float]:
         ([(row.v, row.beta, row.m) for row in REFERENCE_ROWS], 0.01, 2e-9),
         # 330 levels of v = 2500 to 1e4, 2.35e-11 measured at h = 0.1
         (DEEP_WELLS, 0.1, 5e-11),
+        # 1127 levels of v = 6e5 and 1e6, 5.9e-11 measured at h = 3 (median
+        # 2.3e-12); at h = 1 the levels' float spacing, 1.2e-10 at e = 1e6,
+        # makes it 1.6e-10, at h = 10 the stencil's h^4 error 5.6e-9
+        (DEEP_STATE_WELLS, 3.0, 2e-10),
     ],
-    ids=["reference_rows", "deep_wells"],
+    ids=["reference_rows", "deep_wells", "deep_states"],
 )
 def test_level_slope_in_depth_is_the_weight_outside(wells, h, tol):
     assert max(hellmann_feynman_gaps(wells, h)) < tol
@@ -171,3 +175,13 @@ def test_scaling_identity_checks_the_absolute_norm(wells, h_v, h_beta, tol):
     # a norm 1e-6 too large makes the edge density 2e-6 too large, which
     # the identity sees at every level
     assert min(scaling_gaps(wells, h_v, h_beta, scale=1.0 + 1e-6)) > 100.0 * tol
+
+
+def test_scaling_identity_on_deep_states():
+    # 1127 levels, 1.29e-8 measured (median 1.9e-11), at the steps in v of
+    # the Hellmann-Feynman test; the deepest levels' edge density is the
+    # smallest, and the relative gap the largest.  A norm 1e-6 too large
+    # still shows at every level, as a gap of 2e-6 less the noise
+    gaps = scaling_gaps(DEEP_STATE_WELLS, 3.0, 0.05)
+    assert max(gaps) < 3e-8
+    assert min(scaling_gaps(DEEP_STATE_WELLS, 3.0, 0.05, scale=1.0 + 1e-6)) > 1.5e-6

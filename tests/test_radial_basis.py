@@ -190,17 +190,27 @@ class TestExteriorBasis:
         assert g == pytest.approx(value.imag, rel=1e-12)
 
     def test_scaled_and_plain_agree(self):
-        # the waves carry K * exp(+Re(k_+) r); value * divisor is true scale
+        # the waves carry K * exp(+Re(k_+) r); value * divisor is the wave
+        # edge-scaled, exp(+Re(k_+)) times true scale
         m, e, v, beta, r = 0, 3.49, 25.0, 1.0, 2.0
         k_plus = exterior_wave_numbers(e, v, beta)
         x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
-        assert x.divisor == y.divisor == math.exp(-k_plus.real * r)
+        assert x.divisor == y.divisor == math.exp(k_plus.real - k_plus.real * r)
+        edge = math.exp(-k_plus.real)
         for n in (m, m + 1):
             true = k_kernel(n, k_plus * r)
             # x = (Re K_m, Im K_{m+1}), y = (Im K_m, Re K_{m+1})
             want_x, want_y = (true.real, true.imag) if n == m else (true.imag, true.real)
-            assert x.value[n - m] * x.divisor == pytest.approx(want_x, rel=1e-13)
-            assert y.value[n - m] * y.divisor == pytest.approx(want_y, rel=1e-13)
+            assert x.value[n - m] * x.divisor * edge == pytest.approx(want_x, rel=1e-13)
+            assert y.value[n - m] * y.divisor * edge == pytest.approx(want_y, rel=1e-13)
+
+    def test_divisor_is_one_at_the_edge(self):
+        # the edge-scaled waves are the stored ones at r = 1, for a float
+        # and for an array of energies, however deep the well
+        for kappa in (exterior_wave_numbers(3.0, 25.0, 2.0), exterior_wave_numbers(0.0, 1e6, 0.0)):
+            assert all(wave.divisor == 1.0 for wave in exterior_pair(1, kappa, 1.0))
+        lanes = exterior_wave_numbers(np.array([0.0, 3.0, 9e5]), 1e6, 4.0)
+        assert all((wave.divisor == 1.0).all() for wave in exterior_pair(1, lanes, 1.0))
 
     def test_envelope_at_moderate_radius(self):
         # 5% agreement with the asymptotic form already at r = 2
@@ -295,8 +305,9 @@ class TestTailEnvelope:
         amplitude, decay_rate, gamma = tail_form(e, v, beta)
         r = 30.0
         x, y = exterior_pair(m, exterior_wave_numbers(e, v, beta), r)
+        # the divisor holds the decay beyond the well edge
         exponent = -math.log(x.divisor)
-        assert exponent == pytest.approx(decay_rate * r, rel=1e-14)
+        assert exponent == pytest.approx(decay_rate * (r - 1.0), rel=1e-14)
         # compare in scaled space (the raw values are ~1e-120)
         envelope_scaled = amplitude / math.sqrt(r)
         phase = 0.5 * (beta * r + gamma)

@@ -708,11 +708,12 @@ class TestBesselKDerivative:
     ``radial_basis`` carry them."""
 
     def test_k0_derivative_identity(self):
-        # beta = 0: f = K_0(k r) with k = sqrt(v - e) = 2, so f' = -2 K_1(2 r)
+        # beta = 0: f = K_0(k r) with k = sqrt(v - e) = 2, so f' = -2 K_1(2 r);
+        # slope * divisor is edge-scaled, e^2 times f'
         for r in (0.4, 1.1, 3.0):
             expected = -2.0 * k_kernel(1, complex(2.0 * r, 0.0)).real
             x = exterior_pair(0, exterior_wave_numbers(21.0, 25.0, 0.0), r)[0]
-            assert x.slope[0] * x.divisor == pytest.approx(expected, rel=1e-12)
+            assert x.slope[0] * x.divisor * math.exp(-2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_difference(self):
         # k_plus = 3 + i: complex argument, so f and g are both nonzero

@@ -17,7 +17,7 @@ from conftest import (
 )
 from rashbadot import spectral_solver
 from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
-from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters
+from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters, exterior_wave_numbers
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
     REFINE_TOL,
@@ -95,15 +95,17 @@ class TestMatchMatrix:
         assert matrix[3] == pytest.approx((dg1, -dg21, df1, df21), rel=1e-12)
 
     def test_equilibrated_columns(self):
-        # unit columns, and scale takes them back to the true-scale waves
+        # unit columns, and scale takes them back to the stored waves: true
+        # scale inside, e^{Re kappa} times true scale outside
         params = DotParameters(v=100.0, beta=2.0, m=1)
         matrix, scale = equilibrated_matrix(params, 30.0)
         assert np.linalg.norm(matrix, axis=0) == pytest.approx(np.ones(4), rel=1e-15)
         true = matrix * scale
         paper = match_matrix(params, 30.0)
         a_column, b_column = true[:, 0], true[:, 2]
+        edge = math.exp(-exterior_wave_numbers(30.0, 100.0, 2.0).real)
         assert paper[:, 0] == pytest.approx(0.5 * (a_column + b_column), rel=1e-13)
-        assert paper[:, 1] == pytest.approx(true[:, 1], rel=1e-13)
+        assert paper[:, 1] == pytest.approx(true[:, 1] * edge, rel=1e-13)
 
     def test_lanes_independent_of_batch(self):
         # a lane's matrix is the same alone, in a chunk and in the full

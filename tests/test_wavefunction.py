@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import matching_residuals, overlap_parts, tail_form
+from conftest import DEEP_STATE_WELLS, matching_residuals, overlap_parts, tail_form
 from rashbadot import wavefunction
 from rashbadot.errors import (
     BoundaryPoint,
@@ -73,9 +73,11 @@ class TestSolveCoefficients:
     def test_uncoupled_kernel_has_exact_zeros(self):
         params = DotParameters(v=25.0, beta=0.0, m=0)
         levels = find_spectrum(params).levels
-        c1, c2, d1, d2 = solve_coefficients(params, levels[0]).coefficients  # J0 channel
+        state = solve_coefficients(params, levels[0])
+        c1, c2, d1, d2 = state.coefficients  # J0 channel
         assert d1 == 0.0 and d2 == 0.0
-        assert math.hypot(c1, c2) == pytest.approx(1.0, abs=1e-15)
+        # the unit norm is on the stored vector, c2 on the edge-scaled wave
+        assert math.hypot(state.a, state.c2, state.b) == pytest.approx(1.0, abs=1e-15)
         c1, c2, _, _ = solve_coefficients(params, levels[1]).coefficients  # J1 channel
         assert c1 == 0.0 and c2 == 0.0
 
@@ -88,9 +90,10 @@ class TestSolveCoefficients:
     def test_unit_norm_and_sign(self, fig1_state):
         params = DotParameters(v=100.0, beta=2.0, m=1)
         state = solve_coefficients(params, fig1_state.e)
-        vec = state.coefficients
-        assert math.sqrt(sum(x * x for x in vec)) == pytest.approx(1.0, abs=1e-14)
-        assert max(vec, key=abs) > 0.0
+        # unit norm on the stored (a, c2, b, d2), sign on the paper's vector
+        stored = (state.a, state.c2, state.b, state.d2)
+        assert math.sqrt(sum(x * x for x in stored)) == pytest.approx(1.0, abs=1e-14)
+        assert max(state.coefficients, key=abs) > 0.0
 
     def test_raw_matrix_nullspace_parallel_to_reference(self, fig1_state):
         # the kernel of the unscaled matching matrix points along the
@@ -269,7 +272,8 @@ class TestEvaluateRadial:
         state = fig1_state
         amplitude, decay_rate, _ = tail_form(state.e, state.params.v, state.params.beta)
         r = 10.0
-        bound = (abs(state.c2) + abs(state.d2)) * amplitude * math.exp(-decay_rate * r) / math.sqrt(r)
+        _, c2, _, d2 = state.coefficients  # true scale
+        bound = (abs(c2) + abs(d2)) * amplitude * math.exp(-decay_rate * r) / math.sqrt(r)
         assert abs(evaluate_radial(state, r).u) <= 2.0 * bound
 
     def test_node_structure_inside_well(self, fig1_state):
@@ -418,6 +422,62 @@ def assembled_residual(state, r):
         residual_u / max(max(map(abs, terms_u)), 1e-300),
         residual_w / max(max(map(abs, terms_w)), 1e-300),
     )
+
+
+@pytest.fixture(scope="module")
+def deep_states():
+    """{well: [normalized BoundState of every level]} of ``DEEP_STATE_WELLS``."""
+    out = {}
+    for well in DEEP_STATE_WELLS:
+        params = DotParameters(*well)
+        out[well] = [normalize(solve_coefficients(params, e)) for e in find_spectrum(params).levels]
+    return out
+
+
+class TestDeepStates:
+    """Every level of two deep wells gives a state.  (c2, d2) are stored on
+    the edge-scaled exterior waves; only the paper's view, ``coefficients``,
+    forms the true scale, e^{Re kappa} times the stored pair, which is
+    +/-inf where it overflows."""
+
+    def test_every_level_normalizes(self, deep_states):
+        assert {well: len(states) for well, states in deep_states.items()} == {
+            (1e6, 0.0, 0): 637,
+            (6e5, 10.0, 3): 490,
+        }
+        overflowing = 0
+        for states in deep_states.values():
+            for state in states:
+                stored = (state.a, state.c2, state.b, state.d2)
+                assert state.normalized and all(map(math.isfinite, stored))
+                assert sum(region_density_integrals(state)) == pytest.approx(1.0, abs=1e-14)
+                rate = state.wave_numbers[1].real
+                _, c2, _, d2 = state.coefficients
+                if rate < 700.0:
+                    assert c2 == pytest.approx(state.c2 * math.exp(rate), rel=1e-15)
+                    assert d2 == pytest.approx(state.d2 * math.exp(rate), rel=1e-15)
+                else:
+                    overflowing += math.isinf(c2) or math.isinf(d2)
+        # 450 and 197 levels, from Re kappa = 707 on
+        assert overflowing == 647
+
+    @pytest.mark.parametrize("well,step", [(DEEP_STATE_WELLS[0], 15), (DEEP_STATE_WELLS[1], 12)])
+    def test_residuals_on_a_subset(self, deep_states, well, step):
+        # 43 and 41 states: 1.4e-14 and 3.4e-13 measured at most
+        for state in deep_states[well][::step]:
+            for r in RESIDUAL_RADII:
+                assert max(abs(x) for x in ode_residual(state, r)) < 1e-12, (state, r)
+            assert max(matching_residuals(state)) < 1e-11, state
+
+    def test_uncoupled_channels_alternate(self, deep_states):
+        # at beta = 0 the kernel lies in one spin channel, and the two
+        # channels' levels alternate, the lowest of order m (spectral_solver
+        # module docstring): solve_coefficients zeroes d1 and d2 at even
+        # levels and c1 and c2 at odd ones, and keeps the other channel
+        for i, state in enumerate(deep_states[DEEP_STATE_WELLS[0]]):
+            c1, c2, d1, d2 = state.coefficients
+            kept, zeroed = ((c1, c2), (d1, d2)) if i % 2 == 0 else ((d1, d2), (c1, c2))
+            assert zeroed == (0.0, 0.0) and 0.0 not in kept, i
 
 
 class TestSamplePath:
