@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
 from .reference_levels import REFERENCE_ROWS, corrected_levels
-from .spectral_solver import GRID_POINTS_CAP, GRID_POINTS_FLOOR, find_spectrum
+from .spectral_solver import find_spectrum
 from .wavefunction import evaluate_radial, normalize, solve_coefficients
 
 # hbar^2 / (2 m_e) for the free-electron mass, in meV nm^2
@@ -29,7 +29,7 @@ EXIT_LEVEL_INDEX = 4
 EXIT_TABLE_MISMATCH = 5
 
 # the largest counts the command line turns into work, checked before
-# any of it is allocated (--grid by the bounds of find_spectrum)
+# any of it is allocated (find_spectrum sizes its own scan grid)
 BETA_COUNT_CAP = 10_000
 SAMPLES_CAP = 100_000
 
@@ -100,13 +100,6 @@ def _write(args, payload: dict, header: str, rows) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    parser.add_argument(
-        "--grid",
-        type=int,
-        default=None,
-        help="scan grid points, uniform in the interior wave number "
-        "(default: sized from the window)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,6 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_spectrum(args, parser) -> int:
     energy_scale = None
     if args.physical:
+        given = [flag for flag, value in (("--v", args.v), ("--beta", args.beta)) if value is not None]
+        if given:
+            parser.error(f"--physical derives v and beta: drop {' and '.join(given)}")
         missing = [
             flag
             for flag, value in (
@@ -182,7 +178,7 @@ def _run_spectrum(args, parser) -> int:
             parser.error("need --v and --beta (or --physical)")
         v, beta = args.v, args.beta
 
-    spectrum = find_spectrum(DotParameters(v=v, beta=beta, m=args.m), args.grid)
+    spectrum = find_spectrum(DotParameters(v=v, beta=beta, m=args.m))
     payload = {
         "params": {"v": v, "beta": beta, "m": args.m},
         "window": list(spectrum.window),
@@ -210,7 +206,7 @@ def _run_wavefunction(args, parser) -> int:
         parser.error("--energy-tol must be a number >= 0")
 
     params = DotParameters(v=args.v, beta=args.beta, m=args.m)
-    spectrum = find_spectrum(params, args.grid)
+    spectrum = find_spectrum(params)
     if args.level is not None:
         if not 0 <= args.level < len(spectrum.levels):
             sys.stderr.write(
@@ -257,7 +253,7 @@ def _run_table(args, parser) -> int:
     rows_out = []
     all_pass = True
     for row in REFERENCE_ROWS:
-        levels = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m), args.grid).levels
+        levels = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m)).levels
         expected = corrected_levels(row)
         count = max(len(levels), len(expected))
         for index in range(count):
@@ -291,8 +287,8 @@ def _parse_beta_range(text: str, parser) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         parser.error("--beta-range values must be numeric")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        parser.error("--beta-range LO and HI must be finite")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        parser.error("--beta-range LO, HI and STEP must be finite")
     if not (step > 0.0 and hi >= lo):
         parser.error("--beta-range requires STEP > 0 and HI >= LO")
     span = (hi - lo) / step + 1e-9
@@ -318,7 +314,7 @@ def _run_sweep(args, parser) -> int:
     records = []
     for beta in betas:
         for m in sorted(set(m_values)):
-            levels = find_spectrum(DotParameters(v=args.v, beta=beta, m=m), args.grid).levels
+            levels = find_spectrum(DotParameters(v=args.v, beta=beta, m=m)).levels
             for index, e in enumerate(levels):
                 records.append((beta, m, index, e))
 
@@ -336,8 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _run_sweep,
     }
     try:
-        if args.grid is not None and not GRID_POINTS_FLOOR <= args.grid <= GRID_POINTS_CAP:
-            raise InvalidInput(f"--grid must lie in {GRID_POINTS_FLOOR} .. {GRID_POINTS_CAP}")
         return runners[args.command](args, parser)
     except InvalidInput as exc:
         sys.stderr.write(f"usage error: {exc}\n")

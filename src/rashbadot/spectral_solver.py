@@ -48,11 +48,15 @@ number s = sqrt(e + beta^2/4), in which the levels, near zeros of
 J_n(k_+/- r), are spaced about evenly; :func:`grid_size` sizes it by
 its step in s (``GRID_STEP_S``), which gives the reference rows 300
 points, deep wells 501 to 1001 and the whole window of v = 1e6 10001.
+No caller sets the size: a grid ten times finer found no further level,
+and a 100-point one lost none, on the reference rows and on 3932 levels
+of deep wells.
 The scan evaluates the energy axis in arrays: :func:`equilibrated_matrix`
 takes a float or a 1-D array of energies, and the grid goes through it
 in chunks of ``SCAN_CHUNK`` points (one chunk below v = 4e4; the
-chunks keep memory flat for larger grids, up to ``GRID_POINTS_CAP``), as
-one ``np.linalg.det`` of the (N, 4, 4) stack per chunk.  Sign changes
+chunks keep memory flat for larger grids, up to the 20001 points of the
+widest window the J argument domain admits), as one ``np.linalg.det`` of
+the (N, 4, 4) stack per chunk.  Sign changes
 are read from the value array; each energy is an independent lane of
 the special-function kernels, so they do not depend on the chunking.
 Each bracket carries a ``guess``, the root of the polynomial through
@@ -92,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
+from .errors import ArgumentOutOfRange, BracketInvalid, WindowViolation
 from .numerics import Bracket, divided_differences, interpolant_root, narrow_bracket, refine_root
 from .radial_basis import (
     WINDOW_MARGIN,
@@ -109,11 +113,6 @@ from .radial_basis import exterior_pair as exterior_pair_scaled
 # grid points evaluated in one batch: the sized grid of a window under
 # 200 wide in s in one, and memory that stays flat for larger grids
 SCAN_CHUNK = 2000
-# the largest scan grid: a scan of about 4 s at under 70 MB peak
-# (2-core x86-64 machine)
-GRID_POINTS_CAP = 1_000_000
-# the fewest points a caller may set
-GRID_POINTS_FLOOR = 100
 # the step in s = sqrt(e + beta^2/4) of a sized grid: adjacent levels lie
 # at least 1.006 apart in s on the 36 reference rows and 1.238 on deep
 # wells (deep_sweep seed 1), so it puts 10 or more steps between them
@@ -264,16 +263,12 @@ def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
 
 
 def grid_size(a: float, b: float, beta: float) -> int:
-    """The points of the default scan grid from ``a`` to ``b``: steps of
-    at most ``GRID_STEP_S`` in the interior wave number, and at least
-    ``GRID_POINTS_MIN``.  Beyond ``GRID_POINTS_CAP`` it raises, since a
-    coarser grid would drop levels without a sign."""
+    """The points of the scan grid from ``a`` to ``b``: steps of at most
+    ``GRID_STEP_S`` in the interior wave number, and at least
+    ``GRID_POINTS_MIN``.  A window that passes the J argument check of
+    :func:`find_spectrum` spans at most 2000 in s, so at most 20001 points."""
     quarter = 0.25 * beta * beta
     points = math.ceil((math.sqrt(b + quarter) - math.sqrt(a + quarter)) / GRID_STEP_S) + 1
-    if points > GRID_POINTS_CAP:
-        raise ArgumentOutOfRange(
-            f"a scan of {points} points exceeds GRID_POINTS_CAP = {GRID_POINTS_CAP}"
-        )
     return max(points, GRID_POINTS_MIN)
 
 
@@ -284,21 +279,20 @@ def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
     )
 
 
-def find_spectrum(params: DotParameters, grid_points: int | None = None) -> EnergySpectrum:
+def find_spectrum(params: DotParameters) -> EnergySpectrum:
     """Enumerate all bound-state energies inside the window.
 
     Sign-change brackets of the scale-free determinant on the grid of
     :func:`scan_grid`, uniform in the interior wave number between the
-    margin-shrunk window ends (:func:`grid_size` points unless
-    ``grid_points``, an integer in 100 .. ``GRID_POINTS_CAP``, sets
-    them), are narrowed by the values either side of their guesses and
-    refined to ``REFINE_TOL``.  Two levels within one grid step give no
-    sign change and are not reported.  At beta = 0 no level is shared by
-    the two spin channels, so the determinant changes sign at each
-    (module docstring).  An empty spectrum is a valid result.  A window
-    that double precision cannot resolve (beta^2 overflows, or the float
-    spacing at its edges exceeds ``WINDOW_MARGIN``), or whose sized grid
-    would exceed ``GRID_POINTS_CAP``, raises ``ArgumentOutOfRange``.
+    margin-shrunk window ends, with the :func:`grid_size` points the
+    window needs, are narrowed by the values either side of their
+    guesses and refined to ``REFINE_TOL``.  Two levels within one grid
+    step give no sign change and are not reported.  At beta = 0 no level
+    is shared by the two spin channels, so the determinant changes sign
+    at each (module docstring).  An empty spectrum is a valid result.  A
+    window that double precision cannot resolve (beta^2 overflows, or the
+    float spacing at its edges exceeds ``WINDOW_MARGIN``), or whose top
+    needs J beyond ``J_ARGUMENT_CAP``, raises ``ArgumentOutOfRange``.
 
     The angular numbers m = 0 and -1 bind a level in every well (at
     beta = 0 the lowest, of order 0: u for m = 0, w for m = -1).  A scan
@@ -306,15 +300,6 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
     lies within ``WINDOW_MARGIN`` of the window top, which the scan does
     not reach.
     """
-    if grid_points is not None:
-        try:
-            points = int(grid_points)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput("grid_points must be an integer") from None
-        if points != grid_points:
-            raise InvalidInput(f"grid_points = {grid_points!r} must be an integer")
-        if not GRID_POINTS_FLOOR <= points <= GRID_POINTS_CAP:
-            raise InvalidInput(f"grid_points must lie in {GRID_POINTS_FLOOR} .. {GRID_POINTS_CAP}")
     window = params.window
     a = window[0] + WINDOW_MARGIN
     b = window[1] - WINDOW_MARGIN
@@ -348,9 +333,7 @@ def find_spectrum(params: DotParameters, grid_points: int | None = None) -> Ener
             [values_at(energies[i : i + SCAN_CHUNK]) for i in range(0, len(energies), SCAN_CHUNK)]
         )
 
-    if grid_points is None:
-        points = grid_size(a, b, params.beta)
-    grid = scan_grid(a, b, params.beta, points)
+    grid = scan_grid(a, b, params.beta, grid_size(a, b, params.beta))
     roots, found = _scan_roots(grid, values_on(grid))
     if binding and not (roots or found):
         raise _lost_binding_level(params)

@@ -316,7 +316,7 @@ class TestCriterion8Determinism:
         return code, buffer.getvalue()
 
     def test_table_and_sweep_byte_identical(self, monkeypatch):
-        table_args = ["table", "--grid", "1200"]
+        table_args = ["table"]
         code_a, run_a = self._capture(table_args)
         code_b, run_b = self._capture(table_args)
         assert run_a == run_b

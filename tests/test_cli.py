@@ -154,26 +154,13 @@ class TestSpectrumCommand:
             main(["spectrum", "--m", "0"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--v", "-1"), ("--grid", "50"), ("--beta", "nan")]
-    )
+    @pytest.mark.parametrize("flag, value", [("--v", "-1"), ("--beta", "nan")])
     def test_invalid_input_is_a_usage_error(self, capsys, flag, value):
         args = {"--v": "25", "--beta": "0", "--m": "0", flag: value}
         code, out, err = run_cli(capsys, "spectrum", *(x for item in args.items() for x in item))
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: ")
-        if flag == "--grid":
-            # every command names the flag and its bounds, not the
-            # library's parameter
-            message = "usage error: --grid must lie in 100 .. 1000000\n"
-            assert err == message
-            for argv in (
-                ["wavefunction", "--v", "25", "--beta", "0", "--m", "0", "--level", "0"],
-                ["table"],
-                ["sweep", "--v", "25", "--beta-range", "0:1:1", "--m-list", "0"],
-            ):
-                assert run_cli(capsys, *argv, flag, value) == (2, "", message)
 
     def test_tol_is_not_an_option(self, capsys):
         # the refinement tolerance is the constant REFINE_TOL
@@ -183,6 +170,43 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --tol" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--v", "25", "--beta", "0", "--m", "0"],
+            ["wavefunction", "--v", "25", "--beta", "0", "--m", "0", "--level", "0"],
+            ["table"],
+            ["sweep", "--v", "25", "--beta-range", "0:1:1", "--m-list", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_grid_is_not_an_option(self, capsys, argv):
+        # find_spectrum sizes the scan grid from the window
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--grid", "2000"])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --grid 2000" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--v", "25"], ["--beta", "5"], ["--v", "25", "--beta", "5"]],
+        ids=["v", "beta", "v-and-beta"],
+    )
+    def test_physical_mode_rejects_v_and_beta(self, capsys, flags):
+        # the material parameters set v and beta: a given one is not ignored
+        with pytest.raises(SystemExit) as info:
+            main([
+                "spectrum", "--physical", *flags, "--m", "0",
+                "--effective-mass", "0.067", "--dot-radius", "12.5",
+                "--well-depth", "180", "--rashba-coefficient", "32",
+            ])
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--physical derives v and beta: drop " in captured.err
 
     def test_numerical_failure_exit_code(self, capsys):
         # angular number beyond the Bessel order cap
@@ -215,15 +239,6 @@ class TestSpectrumCommand:
         assert code == 3
         assert out == ""
         assert "window" in err
-
-    def test_grid_beyond_cap_is_a_numerical_failure(self, capsys, monkeypatch):
-        # the window of v = 1e4 needs a 1001-point grid: a clamped one would
-        # drop levels without a sign
-        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 1000)
-        code, out, err = run_cli(capsys, "spectrum", "--v", "1e4", "--beta", "0", "--m", "3")
-        assert code == 3
-        assert out == ""
-        assert "GRID_POINTS_CAP = 1000" in err
 
     def test_window_beyond_the_j_domain_is_a_numerical_failure(self, capsys):
         # the window top of v = 4.5e6 needs J at k r = 2121, beyond the
@@ -386,7 +401,7 @@ def table_run():
 
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = main(["table", "--grid", "900"])
+        code = main(["table"])
     return code, buffer.getvalue()
 
 
@@ -405,7 +420,7 @@ class TestTableCommand:
 
     def test_tight_tolerance_flags_mismatch(self):
         # the certified values carry two decimals, so no cell meets 1e-9
-        code = main(["table", "--grid", "900", "--compare-tol", "1e-9", "--out", os.devnull])
+        code = main(["table", "--compare-tol", "1e-9", "--out", os.devnull])
         assert code == EXIT_TABLE_MISMATCH
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -462,10 +477,12 @@ class TestSweepCommand:
         [
             ("0:inf:1", "must be finite"),
             ("-inf:0:1", "must be finite"),
+            # STEP = inf would build the beta 0 * inf = nan
+            ("0:1:inf", "--beta-range LO, HI and STEP must be finite"),
             # a STEP below the float spacing of LO gives beta = 4 again and again
             ("4:4.000000000000004:1e-16", "must strictly increase"),
         ],
-        ids=["0:inf:1", "-inf:0:1", "step-below-spacing"],
+        ids=["0:inf:1", "-inf:0:1", "0:1:inf", "step-below-spacing"],
     )
     def test_infinite_range_is_a_usage_error(self, capsys, text, message):
         with pytest.raises(SystemExit) as info:
@@ -476,10 +493,10 @@ class TestSweepCommand:
     def test_repeated_runs_same_bytes(self, capsys, monkeypatch):
         # the grid evaluated point by point gives the batched bytes
         args = ["sweep", "--v", "25", "--beta-range", "0:10:5", "--m-list", "0,1"]
-        _, first, _ = run_cli(capsys, *args, "--grid", "400")
-        _, second, _ = run_cli(capsys, *args, "--grid", "400")
+        _, first, _ = run_cli(capsys, *args)
+        _, second, _ = run_cli(capsys, *args)
         monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", 1)
-        _, pointwise, _ = run_cli(capsys, *args, "--grid", "400")
+        _, pointwise, _ = run_cli(capsys, *args)
         assert first == second == pointwise
 
 
@@ -490,20 +507,13 @@ class TestCountCaps:
     @pytest.mark.parametrize(
         "argv",
         [
-            [
-                "sweep", "--v", "25", "--beta-range", f"0:{BETA_COUNT_CAP}:1", "--m-list", "0",
-                "--grid", "100",
-            ],
-            [
-                "spectrum", "--v", "25", "--beta", "1", "--m", "0",
-                "--grid", str(spectral_solver.GRID_POINTS_CAP + 1),
-            ],
+            ["sweep", "--v", "25", "--beta-range", f"0:{BETA_COUNT_CAP}:1", "--m-list", "0"],
             [
                 "wavefunction", "--v", "25", "--beta", "1", "--m", "0", "--level", "0",
                 "--samples", str(SAMPLES_CAP + 1),
             ],
         ],
-        ids=["beta-range", "grid", "samples"],
+        ids=["beta-range", "samples"],
     )
     def test_count_above_cap_is_a_usage_error(self, capsys, argv):
         # rejected before the count is allocated or looped over

@@ -16,8 +16,9 @@ from conftest import (
     uncoupled_level_count,
 )
 from rashbadot import spectral_solver
-from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, InvalidInput, WindowViolation
+from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, WindowViolation
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters, exterior_wave_numbers
+from rashbadot.special_functions import J_ARGUMENT_CAP
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
     REFINE_TOL,
@@ -400,20 +401,6 @@ class TestFindSpectrum:
         lowest = spectrum.levels[0]
         assert abs(lowest - FIRST_J0_ZERO_SQUARED) / FIRST_J0_ZERO_SQUARED < 0.003
 
-    def test_grid_points_validation(self, monkeypatch):
-        # an integer-valued number in 100 .. GRID_POINTS_CAP, both ends
-        # included, checked before any scan
-        params = DotParameters(v=25.0, beta=0.0, m=0)
-        grids = recorded_grids(monkeypatch)
-        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 400)
-        for points in (99, 150.5, "2000", 1j, math.inf, math.nan, 401):
-            with pytest.raises(InvalidInput, match="grid_points"):
-                find_spectrum(params, points)
-        assert grids == []
-        for points in (100, 400):
-            assert find_spectrum(params, points).levels
-        assert [asked for asked, _ in grids] == [100, 400]
-
     @pytest.mark.parametrize("v,beta", [(25.0, 1.0), (25.0, 0.0)])
     def test_vanishing_scan_raises(self, monkeypatch, v, beta):
         # a scan that is zero at every grid point carries no sign
@@ -440,16 +427,6 @@ class TestFindSpectrum:
         with pytest.raises(BracketInvalid, match="at e = 10.0"), np.errstate(invalid="ignore"):
             find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
-    @pytest.mark.parametrize("points", [2000.0, np.int64(2000)])
-    def test_integral_grid_points(self, monkeypatch, points):
-        # an integer-valued float or numpy integer scans the int's grid
-        params = DotParameters(v=25.0, beta=0.0, m=0)
-        plain = find_spectrum(params, 2000)
-        grids = recorded_grids(monkeypatch)
-        assert find_spectrum(params, points) == plain
-        ((asked, _),) = grids
-        assert asked == 2000 and type(asked) is int
-
     def test_numpy_scalar_inputs(self):
         plain = find_spectrum(DotParameters(v=25.0, beta=10.0, m=0))
         numpy_typed = find_spectrum(
@@ -466,11 +443,11 @@ class TestFindSpectrum:
         # every energy is one independent lane, so the grid evaluated in
         # one batch, in chunks of 7 and point by point gives equal spectra
         params = DotParameters(v=v, beta=beta, m=m)
-        whole = find_spectrum(params, 500)
+        whole = find_spectrum(params)
         assert whole.levels
         for chunk in (7, 1):
             monkeypatch.setattr(spectral_solver, "SCAN_CHUNK", chunk)
-            split = find_spectrum(params, 500)
+            split = find_spectrum(params)
             assert split.levels == whole.levels
 
     def test_seeded_refinement_is_cheap_on_the_reference_rows(self, monkeypatch):
@@ -660,26 +637,26 @@ class TestScanGrid:
             steps = np.diff(np.sqrt(grid + 0.25 * params.beta**2))
             assert steps.max() <= spectral_solver.GRID_STEP_S
 
-    def test_explicit_grid_points_scan_exactly_that_grid(self, monkeypatch):
-        params = DotParameters(v=100.0, beta=2.0, m=1)
-        lo, hi = params.window
-        grids = recorded_grids(monkeypatch)
-        find_spectrum(params, 1000)
-        ((points, grid),) = grids
-        assert points == len(grid) == 1000
-        assert np.array_equal(grid, scan_grid(lo + WINDOW_MARGIN, hi - WINDOW_MARGIN, 2.0, 1000))
+    @pytest.mark.parametrize(("beta", "points"), [(0.0, 20001), (10.0, 19951)])
+    def test_largest_sized_grid_is_at_the_j_domain_edge(self, monkeypatch, beta, points):
+        # find_spectrum checks J_ARGUMENT_CAP before it sizes the grid, which
+        # bounds the window's span in s by 2000 - |beta|/2: the well whose
+        # window top takes J at the cap gets the largest grid.  Its size is
+        # read as scan_grid is asked for it, before any scan
+        class Sized(Exception):
+            pass
 
-    def test_window_beyond_the_grid_cap_raises(self, monkeypatch):
-        # a clamped grid would drop levels without a sign; the window of
-        # v = 1e4 needs 1001 points, so a cap of 1000 raises before a grid
-        # is built
-        grids = recorded_grids(monkeypatch)
-        monkeypatch.setattr(spectral_solver, "GRID_POINTS_CAP", 1000)
-        with pytest.raises(ArgumentOutOfRange, match="1001 points exceeds GRID_POINTS_CAP = 1000$"):
-            find_spectrum(DotParameters(v=1e4, beta=0.0, m=3))
-        assert grids == []
-        # an explicit grid within the cap still scans
-        assert find_spectrum(DotParameters(v=1e4, beta=0.0, m=3), 1000).levels
+        def sized(a, b, beta, points):
+            raise Sized(points)
+
+        monkeypatch.setattr(spectral_solver, "scan_grid", sized)
+        edge = (J_ARGUMENT_CAP - 0.5 * beta) ** 2
+        with pytest.raises(Sized) as info:
+            find_spectrum(DotParameters(v=edge, beta=beta, m=0))
+        assert info.value.args == (points,)
+        # a deeper well fails the J check without a grid
+        with pytest.raises(ArgumentOutOfRange, match="beyond the validated J argument domain"):
+            find_spectrum(DotParameters(v=edge * (1.0 + 1e-9), beta=beta, m=0))
 
     @pytest.mark.parametrize("v", [4.5e6, 1.6e7])
     def test_window_beyond_the_j_domain_raises_before_a_scan(self, monkeypatch, v):
@@ -727,11 +704,17 @@ class TestScanGrid:
         ],
         ids=str,
     )
-    def test_coarse_grid_keeps_every_deep_level(self, v, beta, m):
+    def test_coarse_grid_keeps_every_deep_level(self, monkeypatch, v, beta, m):
         # deep levels lie about evenly in the interior wave number, so 200
-        # points uniform in it resolve every one a 20000-point scan finds
+        # points uniform in it resolve every one a 20000-point scan finds;
+        # a step wider than any window leaves GRID_POINTS_MIN to set the points
         params = DotParameters(v=v, beta=beta, m=m)
-        fine = find_spectrum(params, 20000).levels
-        coarse = find_spectrum(params, 200).levels
+        grids = recorded_grids(monkeypatch)
+        monkeypatch.setattr(spectral_solver, "GRID_STEP_S", math.inf)
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_MIN", 20000)
+        fine = find_spectrum(params).levels
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_MIN", 200)
+        coarse = find_spectrum(params).levels
+        assert [len(grid) for _, grid in grids] == [20000, 200]
         assert len(coarse) == len(fine)
         assert max(abs(x - y) for x, y in zip(coarse, fine)) < 1e-11

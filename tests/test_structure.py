@@ -5,7 +5,7 @@ the K regime, every Bessel value of the basis comes through the pair
 functions of ``radial_basis``, Brent's method reads no guess,
 ``narrow_bracket`` alone reads a bracket's slope, importing the package
 leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
-and a grid size alone, every function of the package serves the program
+alone, every function of the package serves the program
 or its public API, and the README's library example runs."""
 
 from __future__ import annotations
@@ -245,13 +245,11 @@ def test_import_leaves_numpy_polynomial_unloaded():
     assert result.stdout.split() == []
 
 
-def test_find_spectrum_takes_a_well_and_a_grid_size():
-    # the scan always covers the whole margin-shrunk window, refined to
-    # the constant REFINE_TOL: no scan-settings object, no window clamps
-    assert list(inspect.signature(spectral_solver.find_spectrum).parameters) == [
-        "params",
-        "grid_points",
-    ]
+def test_find_spectrum_takes_a_well():
+    # the scan always covers the whole margin-shrunk window on the grid
+    # grid_size sizes from it, refined to the constant REFINE_TOL: no
+    # scan-settings object, no window clamps, no grid size
+    assert list(inspect.signature(spectral_solver.find_spectrum).parameters) == ["params"]
     for path in sorted(PACKAGE.glob("*.py")):
         name = "rashbadot" if path.stem == "__init__" else f"rashbadot.{path.stem}"
         assert not hasattr(importlib.import_module(name), "ScanSpec"), name
