@@ -8,10 +8,11 @@ index, 5 reference-table mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
@@ -34,7 +35,7 @@ BETA_COUNT_CAP = 10_000
 SAMPLES_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PhysicalInputs:
     """Material parameters: effective mass (units of the free-electron
     mass), dot radius (nm), well depth (meV), Rashba coefficient (meV nm)."""
@@ -119,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dot-radius", type=float, help="nm")
     sp.add_argument("--well-depth", type=float, help="meV")
     sp.add_argument("--rashba-coefficient", type=float, help="meV nm")
+    sp.set_defaults(run=_run_spectrum, subparser=sp)
 
     wf = sub.add_parser("wavefunction", help="normalized radial samples r,u,w for one level")
     _add_common(wf)
@@ -130,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--energy-tol", type=float, default=0.01)
     wf.add_argument("--rmax", type=float, default=3.0)
     wf.add_argument("--samples", type=int, default=300)
+    wf.set_defaults(run=_run_wavefunction, subparser=wf)
 
     tb = sub.add_parser(
         "table",
@@ -138,12 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(tb)
     tb.add_argument("--compare-tol", type=float, default=0.01, help="|e - reference| pass threshold")
+    tb.set_defaults(run=_run_table, subparser=tb)
 
     sw = sub.add_parser("sweep", help="spectra over a range of beta values")
     _add_common(sw)
     sw.add_argument("--v", type=float, required=True)
     sw.add_argument("--beta-range", required=True, help="LO:HI:STEP inclusive")
     sw.add_argument("--m-list", required=True, help="comma-separated angular numbers")
+    sw.set_defaults(run=_run_sweep, subparser=sw)
     return parser
 
 
@@ -153,26 +158,13 @@ def _run_spectrum(args, parser) -> int:
         given = [flag for flag, value in (("--v", args.v), ("--beta", args.beta)) if value is not None]
         if given:
             parser.error(f"--physical derives v and beta: drop {' and '.join(given)}")
-        missing = [
-            flag
-            for flag, value in (
-                ("--effective-mass", args.effective_mass),
-                ("--dot-radius", args.dot_radius),
-                ("--well-depth", args.well_depth),
-                ("--rashba-coefficient", args.rashba_coefficient),
-            )
-            if value is None
-        ]
+        material = {
+            field.name: getattr(args, field.name) for field in dataclasses.fields(PhysicalInputs)
+        }
+        missing = [f"--{name.replace('_', '-')}" for name, value in material.items() if value is None]
         if missing:
             parser.error(f"--physical requires {', '.join(missing)}")
-        v, beta, energy_scale = to_dimensionless(
-            PhysicalInputs(
-                effective_mass=args.effective_mass,
-                dot_radius=args.dot_radius,
-                well_depth=args.well_depth,
-                rashba_coefficient=args.rashba_coefficient,
-            )
-        )
+        v, beta, energy_scale = to_dimensionless(PhysicalInputs(**material))
     else:
         if args.v is None or args.beta is None:
             parser.error("need --v and --beta (or --physical)")
@@ -255,10 +247,7 @@ def _run_table(args, parser) -> int:
     for row in REFERENCE_ROWS:
         levels = find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m)).levels
         expected = corrected_levels(row)
-        count = max(len(levels), len(expected))
-        for index in range(count):
-            computed = levels[index] if index < len(levels) else None
-            reference = expected[index] if index < len(expected) else None
+        for index, (computed, reference) in enumerate(itertools.zip_longest(levels, expected)):
             if computed is None or reference is None:
                 status = "fail"  # level-count mismatch
                 delta = None
@@ -323,16 +312,9 @@ def _run_sweep(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runners = {
-        "spectrum": _run_spectrum,
-        "wavefunction": _run_wavefunction,
-        "table": _run_table,
-        "sweep": _run_sweep,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return runners[args.command](args, parser)
+        return args.run(args, args.subparser)
     except InvalidInput as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

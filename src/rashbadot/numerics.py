@@ -111,23 +111,19 @@ def narrow_bracket(
     bracket: Bracket, half_width: float, f_below: float, f_above: float
 ) -> float | Bracket:
     """Narrow ``bracket`` by the values ``f_below`` and ``f_above`` of its
-    function at guess - half_width and guess + half_width.
+    function at guess - half_width and guess + half_width, two points
+    that the caller has checked lie strictly inside the bracket.
 
     Values of opposite signs give the bracket between the two points,
     which :func:`refine_root` closes at once when ``half_width`` is half
     its ``tol``; values of one sign give the half of the bracket that
     still holds the sign change, with the guess moved by one Newton step,
-    guess - (f_below + f_above) / (2 slope), or NaN when the moved guess
-    does not lie ``half_width`` inside that half (a NaN or zero slope
-    included).  A value of exactly 0.0 returns its point as the root.
-    When the two points do not both lie strictly inside the bracket (a
-    NaN guess included), the bracket is returned unchanged and the values
-    are not read.
+    guess - (f_below + f_above) / (2 slope), or NaN at a zero slope,
+    which the caller checks against that half before it probes again.  A
+    value of exactly 0.0 returns its point as the root.
     """
     guess, slope = bracket.guess, bracket.slope
     below, above = guess - half_width, guess + half_width
-    if not (bracket.lo < below and above < bracket.hi):
-        return bracket
     if f_below == 0.0:
         return below
     if f_above == 0.0:
@@ -140,8 +136,6 @@ def narrow_bracket(
         lo, hi, f_lo, f_hi = bracket.lo, below, bracket.f_lo, f_below
     # the mean of the two values stands for the value at the guess
     moved = guess - (f_below + f_above) / (2.0 * slope) if slope != 0.0 else math.nan
-    if not (lo < moved - half_width and moved + half_width < hi):
-        moved = math.nan
     return Bracket(lo, hi, f_lo, f_hi, moved, slope)
 
 

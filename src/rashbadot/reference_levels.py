@@ -12,10 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-BETA_FACTORS = (0.0, 0.2, 1.0, 2.0)
-WELL_DEPTHS = (25.0, 49.0, 100.0)
-ANGULAR_NUMBERS = (0, 1, 2)
-
 
 @dataclass(frozen=True)
 class ReferenceRow:

@@ -45,9 +45,9 @@ lowest level, by min-max, is of order q.
 
 The scan grid (:func:`scan_grid`) is uniform in the interior wave
 number s = sqrt(e + beta^2/4), in which the levels, near zeros of
-J_n(k_+/- r), are spaced about evenly; :func:`grid_size` sizes it by
-its step in s (``GRID_STEP_S``), which gives the reference rows 300
-points, deep wells 501 to 1001 and the whole window of v = 1e6 10001.
+J_n(k_+/- r), are spaced about evenly, and sizes itself by its step in
+s (``GRID_STEP_S``), which gives the reference rows 300 points, deep
+wells 501 to 1001 and the whole window of v = 1e6 10001.
 No caller sets the size: a grid ten times finer found no further level,
 and a 100-point one lost none, on the reference rows and on 3932 levels
 of deep wells.
@@ -64,29 +64,30 @@ the ``PROXY_NODES`` scan values centred on the bracket (clamped to the
 grid), which ``numerics.interpolant_root`` finds without evaluating the
 determinant from the Newton table that ``numerics.divided_differences``
 builds for every bracket in one array pass.
-The guess is not trusted but certified: the values at guess -/+ h,
-h = REFINE_TOL / 2, of every bracket of the spectrum go through the
-scan's chunked lane call once, and
-``numerics.narrow_bracket`` keeps the part of each bracket that holds its
-sign change.  Values of opposite signs leave a bracket REFINE_TOL wide,
-which Brent's method (``numerics.refine_root``) then closes without an
-evaluation; values of one sign leave the half beyond them, with the
-guess moved by one Newton step on the polynomial's slope there
-(``Bracket.slope``); an exact 0.0 is a root at that energy, as at a grid
-node.  Each bracket is then refined by Brent's method at one float
-energy at a time, which runs the scalar kernels.  Brent's steps are
-sequential, and a lane call has a fixed cost of six to ten scalar points
-(0.26 to 0.42 ms at 8 lanes and 0.41 to 0.52 ms at 80, against 0.04 to
-0.06 ms for one scalar point, on a 2-core x86-64 machine), so one call
-per spectrum pays, where a lane call per Brent step would not.  An open
-half costs Brent about 1.9 evaluations, so a second probe round, at
-the moved guesses, runs when ``PROBE_ROUND_MIN`` or more halves carry
-one: deep wells leave dozens, the reference rows at most one.  Brent
-starts from the narrowed bracket's ends and keeps the sign change and
-its stopping rule, so each level is still certified to within
-``REFINE_TOL``, and a poor guess only leaves a wider bracket.  A level
-costs 0.40 scalar determinant evaluations on the reference table and
-0.27 on deep wells (``deep_sweep`` seed 1), besides the lane calls.
+The guess is not trusted but certified: the values at guess -/+ h, h =
+REFINE_TOL / 2, of every bracket that holds both points strictly inside
+it (:func:`find_spectrum` alone picks them) go through the scan's
+chunked lane call once, and ``numerics.narrow_bracket`` keeps the part
+of each bracket that holds its sign change.  Values of opposite signs
+leave a bracket REFINE_TOL wide, which Brent's method
+(``numerics.refine_root``) then closes without an evaluation; values of
+one sign leave the half beyond them, with the guess moved by one Newton
+step on the polynomial's slope there (``Bracket.slope``); an exact 0.0
+is a root at that energy, as at a grid node.  Each bracket is then
+refined by Brent's method at one float energy at a time, which runs the
+scalar kernels.  Brent's steps are sequential, and a lane call has a
+fixed cost of six to ten scalar points (0.26 to 0.42 ms at 8 lanes and
+0.41 to 0.52 ms at 80, against 0.04 to 0.06 ms for one scalar point, on
+a 2-core x86-64 machine), so one call per spectrum pays, where a lane
+call per Brent step would not.  An open half costs Brent about 1.9
+evaluations, so a second probe round, at the moved guesses, runs when
+``PROBE_ROUND_MIN`` or more halves hold both points of one: deep wells
+leave dozens, the reference rows at most one.  Brent starts from the
+narrowed bracket's ends and keeps the sign change and its stopping rule,
+so each level is still certified to within ``REFINE_TOL``, and a poor
+guess only leaves a wider bracket.  A level costs 0.40 scalar
+determinant evaluations on the reference table and 0.27 on deep wells
+(``deep_sweep`` seed 1), besides the lane calls.
 """
 
 from __future__ import annotations
@@ -245,31 +246,25 @@ def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list
     return at_node, brackets
 
 
-def scan_grid(a: float, b: float, beta: float, points: int) -> np.ndarray:
+def scan_grid(a: float, b: float, beta: float) -> np.ndarray:
     """The scan energies, strictly increasing from ``a`` to ``b``, both
-    exact: ``points`` of them uniform in the interior wave number
-    s = sqrt(e + beta^2/4), less the repeats where a step in s maps below
-    the float spacing of e.
+    exact: uniform in the interior wave number s = sqrt(e + beta^2/4), in
+    steps of at most ``GRID_STEP_S`` and at least ``GRID_POINTS_MIN``
+    points, less the repeats where a step in s maps below the float
+    spacing of e.  A window that passes the J argument check of
+    :func:`find_spectrum` spans at most 2000 in s, so at most 20001 points.
 
     The levels sit near zeros of J_n(k_+/- r), which McMahon's expansion
     (DLMF 10.21(vi)) spaces about evenly in s; a grid uniform in e would
     crowd the window top and starve the deep levels."""
     quarter = 0.25 * beta * beta
-    s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
+    s_a, s_b = math.sqrt(a + quarter), math.sqrt(b + quarter)
+    points = max(math.ceil((s_b - s_a) / GRID_STEP_S) + 1, GRID_POINTS_MIN)
+    s = np.linspace(s_a, s_b, points)
     # rounding can carry a node next to an end beyond it
     grid = np.clip(s * s - quarter, a, b)
     grid[0], grid[-1] = a, b
     return grid[np.diff(grid, prepend=-math.inf) > 0.0]
-
-
-def grid_size(a: float, b: float, beta: float) -> int:
-    """The points of the scan grid from ``a`` to ``b``: steps of at most
-    ``GRID_STEP_S`` in the interior wave number, and at least
-    ``GRID_POINTS_MIN``.  A window that passes the J argument check of
-    :func:`find_spectrum` spans at most 2000 in s, so at most 20001 points."""
-    quarter = 0.25 * beta * beta
-    points = math.ceil((math.sqrt(b + quarter) - math.sqrt(a + quarter)) / GRID_STEP_S) + 1
-    return max(points, GRID_POINTS_MIN)
 
 
 def _lost_binding_level(params: DotParameters) -> ArgumentOutOfRange:
@@ -284,9 +279,9 @@ def find_spectrum(params: DotParameters) -> EnergySpectrum:
 
     Sign-change brackets of the scale-free determinant on the grid of
     :func:`scan_grid`, uniform in the interior wave number between the
-    margin-shrunk window ends, with the :func:`grid_size` points the
-    window needs, are narrowed by the values either side of their
-    guesses and refined to ``REFINE_TOL``.  Two levels within one grid
+    margin-shrunk window ends and sized by their span, are narrowed by
+    the values either side of their guesses, where both lie inside the
+    bracket, and refined to ``REFINE_TOL``.  Two levels within one grid
     step give no sign change and are not reported.  At beta = 0 no level
     is shared by the two spin channels, so the determinant changes sign
     at each (module docstring).  An empty spectrum is a valid result.  A
@@ -333,7 +328,7 @@ def find_spectrum(params: DotParameters) -> EnergySpectrum:
             [values_at(energies[i : i + SCAN_CHUNK]) for i in range(0, len(energies), SCAN_CHUNK)]
         )
 
-    grid = scan_grid(a, b, params.beta, grid_size(a, b, params.beta))
+    grid = scan_grid(a, b, params.beta)
     roots, found = _scan_roots(grid, values_on(grid))
     if binding and not (roots or found):
         raise _lost_binding_level(params)

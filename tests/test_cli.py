@@ -22,9 +22,11 @@ from rashbadot.cli import (
     main,
     to_dimensionless,
 )
-from rashbadot import spectral_solver
+from rashbadot import cli, spectral_solver
 from rashbadot.errors import InvalidInput
+from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
+from rashbadot.spectral_solver import find_spectrum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -423,6 +425,25 @@ class TestTableCommand:
         code = main(["table", "--compare-tol", "1e-9", "--out", os.devnull])
         assert code == EXIT_TABLE_MISMATCH
 
+    def test_level_count_mismatch_leaves_empty_cells(self, capsys, monkeypatch):
+        # a row with one certified level fewer than computed, and one with
+        # one more: the unpaired level gets empty cells and fails
+        short, extra = REFERENCE_ROWS[0], REFERENCE_ROWS[1]
+        levels = {row: corrected_levels(row) for row in REFERENCE_ROWS}
+        levels[short] = levels[short][:-1]
+        levels[extra] = levels[extra] + (99.0,)
+        monkeypatch.setattr(cli, "corrected_levels", levels.__getitem__)
+        code, out, _ = run_cli(capsys, "table")
+        assert code == EXIT_TABLE_MISMATCH
+        computed = find_spectrum(DotParameters(short.v, short.beta, short.m)).levels
+        fmt = lambda x: format(x, ".6g")
+        failed = [line for line in out.splitlines() if line.endswith(",fail")]
+        assert failed == [
+            f"{short.m},{fmt(short.v)},{fmt(short.beta)},{len(computed) - 1},"
+            f"{fmt(computed[-1])},,,fail",
+            f"{extra.m},{fmt(extra.v)},{fmt(extra.beta)},{len(levels[extra]) - 1},,99,,fail",
+        ]
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
         with pytest.raises(SystemExit) as info:
@@ -490,6 +511,17 @@ class TestSweepCommand:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_range_and_angular_numbers_after_equals(self, capsys):
+        # argparse reads a separate leading '-' as a flag: LO and m below
+        # zero are given with '='
+        code, out, _ = run_cli(
+            capsys, "sweep", "--v", "25", "--beta-range=-2:2:2", "--m-list=-1,0"
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        keys = {(float(beta), int(m)) for beta, m, _, _ in rows}
+        assert keys == {(beta, m) for beta in (-2.0, 0.0, 2.0) for m in (-1, 0)}
+
     def test_repeated_runs_same_bytes(self, capsys, monkeypatch):
         # the grid evaluated point by point gives the batched bytes
         args = ["sweep", "--v", "25", "--beta-range", "0:10:5", "--m-list", "0,1"]
@@ -527,6 +559,26 @@ class TestCountCaps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+
+class TestUsageLines:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--m", "0"],
+            ["wavefunction", "--v", "25", "--beta", "0", "--m", "0", "--level", "0", "--energy", "1"],
+            ["table", "--compare-tol", "nan"],
+            ["sweep", "--v", "25", "--beta-range", "0:1:inf", "--m-list", "0"],
+        ],
+        ids=["spectrum", "wavefunction", "table", "sweep"],
+    )
+    def test_runner_usage_error_prints_its_subcommand_usage(self, capsys, argv):
+        # an error found after parsing prints the usage of the subcommand
+        # that was given, as argparse does for its own errors
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage: rashbadot {argv[0]} ")
 
 
 class TestGoldenBytes:

@@ -30,6 +30,13 @@ def bracket_of(f, lo, hi):
     return Bracket(lo, hi, f(lo), f(hi))
 
 
+def assert_unguessed(bracket, lo, hi, f_lo, f_hi):
+    """``bracket`` is (lo, hi, f_lo, f_hi) with a NaN guess: a NaN is
+    equal to nothing, so the brackets are not compared with ==."""
+    assert (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi) == (lo, hi, f_lo, f_hi)
+    assert math.isnan(bracket.guess)
+
+
 class TestNarrowBracket:
     # the bracket [0, 1] of f(x) = x - 0.3 (or 0.7), with the guess 0.5
     # and the half width 0.25: the two points are 0.25 and 0.75
@@ -47,32 +54,21 @@ class TestNarrowBracket:
 
     def test_values_below_the_root_keep_the_upper_part(self):
         narrowed = narrow_bracket(self.BRACKET, 0.25, -0.55, -0.05)
-        assert narrowed == Bracket(0.75, 1.0, -0.05, 1.0)
-        assert math.isnan(narrowed.guess)
+        assert_unguessed(narrowed, 0.75, 1.0, -0.05, 1.0)
 
     def test_values_above_the_root_keep_the_lower_part(self):
         narrowed = narrow_bracket(self.BRACKET, 0.25, 0.05, 0.55)
-        assert narrowed == Bracket(0.0, 0.25, -1.0, 0.05)
-        assert math.isnan(narrowed.guess)
+        assert_unguessed(narrowed, 0.0, 0.25, -1.0, 0.05)
 
     def test_falling_function(self):
         falling = Bracket(0.0, 1.0, 1.0, -1.0, 0.5)
         assert narrow_bracket(falling, 0.25, 0.5, -0.5) == Bracket(0.25, 0.75, 0.5, -0.5)
-        assert narrow_bracket(falling, 0.25, 0.55, 0.05) == Bracket(0.75, 1.0, 0.05, -1.0)
-        assert narrow_bracket(falling, 0.25, -0.05, -0.55) == Bracket(0.0, 0.25, 1.0, -0.05)
+        assert_unguessed(narrow_bracket(falling, 0.25, 0.55, 0.05), 0.75, 1.0, 0.05, -1.0)
+        assert_unguessed(narrow_bracket(falling, 0.25, -0.05, -0.55), 0.0, 0.25, 1.0, -0.05)
 
     def test_exact_zero_is_the_root(self):
         assert narrow_bracket(self.BRACKET, 0.25, 0.0, 0.5) == 0.25
         assert narrow_bracket(self.BRACKET, 0.25, -0.5, 0.0) == 0.75
-
-    def test_nan_guess_leaves_the_bracket(self):
-        bracket = Bracket(0.0, 1.0, -1.0, 1.0)
-        assert narrow_bracket(bracket, 0.25, -0.5, 0.5) is bracket
-
-    @pytest.mark.parametrize("guess", [0.25, 0.75, 0.1, 0.9])
-    def test_guess_within_half_width_of_an_end_leaves_the_bracket(self, guess):
-        bracket = Bracket(0.0, 1.0, -1.0, 1.0, guess)
-        assert narrow_bracket(bracket, 0.25, math.nan, math.nan) is bracket
 
     # f(x) = x - root on [0, 1], guess 0.5 with the slope 1 of f, half
     # width 0.1: the two points are 0.4 and 0.6, and one Newton step from
@@ -85,16 +81,9 @@ class TestNarrowBracket:
         assert narrowed.guess == pytest.approx(root, abs=1e-15)
         assert narrowed.slope == 1.0
 
-    @pytest.mark.parametrize(
-        "root,slope",
-        [
-            (0.95, 1.0),  # beyond hi - half width
-            (0.65, 1.0),  # below lo + half width
-            (0.8, -1.0),  # a slope of the wrong sign steps out of the half
-            (0.8, math.nan),
-            (0.8, 0.0),
-        ],
-    )
+    # without a slope there is no Newton step; a step that leaves the half
+    # is kept as it is, and find_spectrum does not probe it
+    @pytest.mark.parametrize("root,slope", [(0.8, math.nan), (0.8, 0.0)])
     def test_moved_guess_outside_the_half_is_nan(self, root, slope):
         bracket = Bracket(0.0, 1.0, -root, 1.0 - root, 0.5, slope)
         narrowed = narrow_bracket(bracket, 0.1, 0.4 - root, 0.6 - root)

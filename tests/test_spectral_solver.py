@@ -21,10 +21,11 @@ from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters, exterior_wave_n
 from rashbadot.special_functions import J_ARGUMENT_CAP
 from rashbadot.reference_levels import REFERENCE_ROWS
 from rashbadot.spectral_solver import (
+    GRID_POINTS_MIN,
+    GRID_STEP_S,
     REFINE_TOL,
     equilibrated_matrix,
     find_spectrum,
-    grid_size,
     match_matrix,
     scan_grid,
     spectral_determinant,
@@ -55,17 +56,25 @@ def counted_refinement(monkeypatch) -> dict:
 
 
 def recorded_grids(monkeypatch) -> list:
-    """Wrap ``spectral_solver.scan_grid`` to keep every grid it builds,
-    as (points asked for, grid)."""
+    """Wrap ``spectral_solver.scan_grid`` to keep every grid it builds."""
     build = spectral_solver.scan_grid
     grids = []
 
-    def recorded(a, b, beta, points):
-        grids.append((points, build(a, b, beta, points)))
-        return grids[-1][1]
+    def recorded(a, b, beta):
+        grids.append(build(a, b, beta))
+        return grids[-1]
 
     monkeypatch.setattr(spectral_solver, "scan_grid", recorded)
     return grids
+
+
+def sized_points(a: float, b: float, beta: float) -> int:
+    """The points of a grid from ``a`` to ``b`` before repeats are
+    dropped: steps of at most GRID_STEP_S in the interior wave number,
+    and at least GRID_POINTS_MIN."""
+    quarter = 0.25 * beta * beta
+    span = math.sqrt(b + quarter) - math.sqrt(a + quarter)
+    return max(math.ceil(span / GRID_STEP_S) + 1, GRID_POINTS_MIN)
 
 
 def deep_sweep_wells(seed: int) -> list[DotParameters]:
@@ -494,6 +503,53 @@ class TestFindSpectrum:
             assert find_spectrum(DotParameters(row.v, row.beta, row.m)).levels
             assert lane_calls[0] == 2, row
 
+    @pytest.mark.parametrize("v,beta,m", [(2500.0, 10.0, 5), (4000.0, 0.0, 3)])
+    def test_probes_only_guesses_with_both_points_inside(self, monkeypatch, v, beta, m):
+        # find_spectrum alone picks the brackets it probes: a guess that is
+        # NaN, or within REFINE_TOL / 2 of an end of its bracket, is not
+        # probed, and its bracket reaches Brent with its scan ends
+        params = DotParameters(v, beta, m)
+        plain = find_spectrum(params).levels
+        half = 0.5 * REFINE_TOL
+        interpolant_root = spectral_solver.interpolant_root
+        kept, skipped = [], []
+
+        def spoiled(nodes, coefficients, lo, hi):
+            guess, slope = interpolant_root(nodes, coefficients, lo, hi)
+            turn = (len(kept) + len(skipped)) % 4
+            if turn == 3:
+                assert lo < guess - half and guess + half < hi
+                kept.append((lo, hi))
+                return guess, slope
+            skipped.append((lo, hi))
+            return (math.nan, lo + 0.5 * half, hi - 0.5 * half)[turn], slope
+
+        lanes = []
+        equilibrated = spectral_solver.equilibrated_matrix
+
+        def recorded(params, e):
+            if isinstance(e, np.ndarray):
+                lanes.append(len(e))
+            return equilibrated(params, e)
+
+        refined = []
+        refine_root = spectral_solver.refine_root
+
+        def counted(f, bracket, tol):
+            refined.append((bracket.lo, bracket.hi))
+            return refine_root(f, bracket, tol)
+
+        monkeypatch.setattr(spectral_solver, "interpolant_root", spoiled)
+        monkeypatch.setattr(spectral_solver, "equilibrated_matrix", recorded)
+        monkeypatch.setattr(spectral_solver, "refine_root", counted)
+        levels = find_spectrum(params).levels
+        # NaN, near the low end and near the high end, at least once each
+        assert kept and len(skipped) >= 3
+        # the scan (one chunk), then the probes of the kept guesses
+        assert lanes[1] == 2 * len(kept)
+        assert set(skipped) <= set(refined)
+        assert len(levels) == len(plain)
+
     def test_certified_guesses_keep_the_brent_levels(self, monkeypatch):
         # the values either side of each guess narrow its bracket; Brent's
         # method on the whole bracket, from its ends, is the reference,
@@ -529,7 +585,7 @@ class TestFindSpectrum:
 
         lo, hi = params.window
         a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
-        grid = scan_grid(a, b, beta, grid_size(a, b, beta))
+        grid = scan_grid(a, b, beta)
         values = np.linalg.det(equilibrated_matrix(params, grid)[0])
         changes = int(np.count_nonzero(values[:-1] * values[1:] < 0.0))
         assert changes > 0
@@ -599,16 +655,16 @@ class TestScanGrid:
                     find_spectrum(params)
             else:
                 find_spectrum(params)
-            ((_, grid),) = grids
+            (grid,) = grids
         else:
             a = max(a, lo + clamp[0] * (hi - lo))
             b = min(b, lo + clamp[1] * (hi - lo))
-            grid = scan_grid(a, b, beta, grid_size(a, b, beta))
+            grid = scan_grid(a, b, beta)
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
         # between the ends, every distinct inner node uniform in s, and
         # only those, as many as the window's sized grid holds
-        points = grid_size(a, b, beta)
+        points = sized_points(a, b, beta)
         quarter = 0.25 * beta * beta
         s = np.linspace(math.sqrt(a + quarter), math.sqrt(b + quarter), points)
         nodes = np.unique(s[1:-1] * s[1:-1] - quarter)
@@ -622,7 +678,7 @@ class TestScanGrid:
         for row in REFERENCE_ROWS:
             find_spectrum(DotParameters(v=row.v, beta=row.beta, m=row.m))
         assert len(grids) == 36
-        assert all(points == len(grid) == 300 for points, grid in grids)
+        assert all(len(grid) == GRID_POINTS_MIN == 300 for grid in grids)
 
     def test_deep_wells_are_sized_by_their_step(self):
         # the deep_sweep wells span 50 to 100 in s
@@ -631,23 +687,24 @@ class TestScanGrid:
         for params in wells:
             lo, hi = params.window
             a, b = lo + WINDOW_MARGIN, hi - WINDOW_MARGIN
-            points = grid_size(a, b, params.beta)
-            grid = scan_grid(a, b, params.beta, points)
-            assert 501 <= points == len(grid) <= 1001
+            grid = scan_grid(a, b, params.beta)
+            assert 501 <= sized_points(a, b, params.beta) == len(grid) <= 1001
             steps = np.diff(np.sqrt(grid + 0.25 * params.beta**2))
-            assert steps.max() <= spectral_solver.GRID_STEP_S
+            assert steps.max() <= GRID_STEP_S
 
     @pytest.mark.parametrize(("beta", "points"), [(0.0, 20001), (10.0, 19951)])
     def test_largest_sized_grid_is_at_the_j_domain_edge(self, monkeypatch, beta, points):
         # find_spectrum checks J_ARGUMENT_CAP before it sizes the grid, which
         # bounds the window's span in s by 2000 - |beta|/2: the well whose
         # window top takes J at the cap gets the largest grid.  Its size is
-        # read as scan_grid is asked for it, before any scan
+        # read as scan_grid returns it, before any scan
         class Sized(Exception):
             pass
 
-        def sized(a, b, beta, points):
-            raise Sized(points)
+        build = spectral_solver.scan_grid
+
+        def sized(a, b, beta):
+            raise Sized(len(build(a, b, beta)))
 
         monkeypatch.setattr(spectral_solver, "scan_grid", sized)
         edge = (J_ARGUMENT_CAP - 0.5 * beta) ** 2
@@ -682,9 +739,11 @@ class TestScanGrid:
             find_spectrum(params)
         assert calls == []
 
-    def test_uniform_in_interior_wave_number(self):
+    def test_uniform_in_interior_wave_number(self, monkeypatch):
+        # s runs from 1 to sqrt(96): the floor sets the points
+        monkeypatch.setattr(spectral_solver, "GRID_POINTS_MIN", 400)
         beta = 12.0
-        grid = scan_grid(-35.0, 60.0, beta, 400)
+        grid = scan_grid(-35.0, 60.0, beta)
         steps = np.diff(np.sqrt(grid + 0.25 * beta * beta))
         assert steps == pytest.approx(np.full(399, steps.mean()), rel=1e-9)
 
@@ -715,6 +774,6 @@ class TestScanGrid:
         fine = find_spectrum(params).levels
         monkeypatch.setattr(spectral_solver, "GRID_POINTS_MIN", 200)
         coarse = find_spectrum(params).levels
-        assert [len(grid) for _, grid in grids] == [20000, 200]
+        assert [len(grid) for grid in grids] == [20000, 200]
         assert len(coarse) == len(fine)
         assert max(abs(x - y) for x, y in zip(coarse, fine)) < 1e-11

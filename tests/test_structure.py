@@ -247,7 +247,7 @@ def test_import_leaves_numpy_polynomial_unloaded():
 
 def test_find_spectrum_takes_a_well():
     # the scan always covers the whole margin-shrunk window on the grid
-    # grid_size sizes from it, refined to the constant REFINE_TOL: no
+    # scan_grid sizes from it, refined to the constant REFINE_TOL: no
     # scan-settings object, no window clamps, no grid size
     assert list(inspect.signature(spectral_solver.find_spectrum).parameters) == ["params"]
     for path in sorted(PACKAGE.glob("*.py")):
@@ -255,10 +255,23 @@ def test_find_spectrum_takes_a_well():
         assert not hasattr(importlib.import_module(name), "ScanSpec"), name
 
 
+def tracer_patched_names() -> set[str]:
+    """The module-level names of the package that the benchmark tracer
+    patches, read by installing it and uninstalling it."""
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        return {attr for _, attr, _ in tracer._patched}
+    finally:
+        tracer.uninstall()
+
+
 def test_every_function_is_used_public_or_the_entry_point():
-    # a top-level function that nothing in src/ refers to outside its own
-    # body, that the package does not export and that is not the console
-    # script runs only for tests: it belongs in tests/, or nowhere
+    # a top-level function or assigned name that nothing in src/ refers
+    # to outside its own statement, that the package does not export and
+    # that is not the console script runs only for tests: it belongs in
+    # tests/, or nowhere.  Dunder names and the names the benchmark
+    # tracer patches are exempt
     scripts = (ROOT / "pyproject.toml").read_text()
     (entry,) = re.findall(r'^rashbadot = "rashbadot\.\w+:(\w+)"$', scripts, re.M)
     statements = [
@@ -273,13 +286,27 @@ def test_every_function_is_used_public_or_the_entry_point():
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 referrers.setdefault(name, set()).add(id(statement))
+    defined = [
+        (statement.name, statement)
+        for statement in statements
+        if isinstance(statement, ast.FunctionDef)
+    ] + [
+        (name.id, statement)
+        for statement in statements
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for target in (
+            statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        )
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    ]
+    exempt = set(rashbadot.__all__) | tracer_patched_names() | {entry}
     unused = [
-        function.name
-        for function in statements
-        if isinstance(function, ast.FunctionDef)
-        and not referrers.get(function.name, set()) - {id(function)}
-        and function.name not in rashbadot.__all__
-        and function.name != entry
+        name
+        for name, statement in defined
+        if not referrers.get(name, set()) - {id(statement)}
+        and name not in exempt
+        and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
 
