@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ ROOT_ITERATION_CAP = 200
 SING_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """A sign-change interval: lo < hi and f_lo * f_hi < 0, with an
     optional estimate ``guess`` of the root and an estimate ``slope`` of
     the function there, which :func:`narrow_bracket` alone reads."""
@@ -145,15 +143,14 @@ def divided_differences(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     a batch of stencils at once: arrays of shape (..., n + 1), distinct
     nodes within a stencil.  Each entry takes the arithmetic of the
     in-place table built one stencil at a time."""
-    nodes = np.asarray(nodes, dtype=float)
-    table = np.array(values, dtype=float)
-    if nodes.shape != table.shape or table.ndim == 0 or table.shape[-1] == 0:
+    # copies with the orders down the first axis: each step takes whole rows
+    nodes = np.array(np.asarray(nodes, dtype=float).T, order="C")
+    table = np.array(np.asarray(values, dtype=float).T, order="C")
+    if nodes.shape != table.shape or table.ndim == 0 or len(table) == 0:
         raise InvalidInput("need equally many nodes and values, at least one")
-    for order in range(1, table.shape[-1]):
-        table[..., order:] = (table[..., order:] - table[..., order - 1 : -1]) / (
-            nodes[..., order:] - nodes[..., :-order]
-        )
-    return table
+    for order in range(1, len(table)):
+        table[order:] = (table[order:] - table[order - 1 : -1]) / (nodes[order:] - nodes[:-order])
+    return table.T
 
 
 def interpolant_root(
@@ -188,8 +185,9 @@ def interpolant_root(
     # the derivative of the nested form, by the same recurrence
     value, slope = top, 0.0
     for coefficient, node in steps:
-        slope = slope * (root - node) + value
-        value = value * (root - node) + coefficient
+        step = root - node
+        slope = slope * step + value
+        value = value * step + coefficient
     return root, slope
 
 

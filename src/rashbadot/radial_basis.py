@@ -161,10 +161,13 @@ def _wave(rows: list, k, r: float, q: int, signed: tuple, derivatives: int) -> R
         d2/dr2 J_j(kr) = (j (j-1) / r^2) J_j - k ((2j+1)/r) J_{j+1} + k^2 J_{j+2}.
     """
     value, slope, curvature = [], [], []
+    # s = 1 at the well edge, unless the order is odd and negative: the
+    # multiply by it changes no bit there and is skipped
     for s, i in signed:
         j, t0, t1 = q + i, rows[i], rows[i + 1]
-        value.append(s * t0)
-        slope.append(s * (j / r * t0 - k * t1))
+        value.append(t0 if s == 1.0 else s * t0)
+        d1 = j / r * t0 - k * t1
+        slope.append(d1 if s == 1.0 else s * d1)
         if derivatives == 2:
             bend = j * (j - 1) / (r * r) * t0 - k * (2 * j + 1) / r * t1 + k * k * rows[i + 2]
             curvature.append(s * bend)
@@ -201,7 +204,8 @@ def interior_pair(
     q, i0, i1 = (m, 0, 1) if m >= 0 else (-m - 1, 1, 0)
     n_max = q + 1 + derivatives
     if isinstance(k_minus, np.ndarray):
-        both = bessel_j_over_power(n_max, np.concatenate((k_minus, k_plus)) * r, q)
+        k_both = np.concatenate((k_minus, k_plus))
+        both = bessel_j_over_power(n_max, k_both if r == 1.0 else k_both * r, q)
         size = len(k_minus)
         minus = [row[:size] for row in both]
         plus = [row[size:] for row in both]
@@ -254,8 +258,8 @@ def exterior_pair(
     x_slope = y_slope = x_curve = y_curve = None
     if derivatives:
         below, above = scaled[derivatives - 1] * phase, scaled[derivatives + 2] * phase
-        slope_low = -0.5 * kappa * (below + high)
-        slope_high = -0.5 * kappa * (low + above)
+        half = -0.5 * kappa
+        slope_low, slope_high = half * (below + high), half * (low + above)
         x_slope, y_slope = (slope_low.real, slope_high.imag), (slope_low.imag, slope_high.real)
     if derivatives == 2:
         curve_low = 0.25 * kappa**2 * (scaled[0] * phase + 2.0 * low + above)

@@ -61,9 +61,10 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
   and 39 angles from the real axis to 1e-9 off the imaginary one in both
   half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
-  scalar call of the K entry point for K_0 and K_1 costs 7.9, 4.4-4.7
-  and 3.8-3.9 us at |z| = 10, 20 and 40, and 2000 lanes on one rung
-  1.34-1.45, 0.59-0.61 and 0.48-0.49 ms (shared 2-vCPU x86-64 machine).
+  scalar call of the K entry point for K_0 and K_1 costs 8.6, 4.5 and
+  3.9-4.0 us at |z| = 10, 20 and 40, and 2000 lanes on one rung 1.53-1.55,
+  0.63-0.66 and 0.54-0.55 ms (best of 11 and 15 runs, shared 2-vCPU
+  x86-64 machine).
   The first cut lies above every |z| of the reference rows' scan (at
   most 14.14); denser cuts save more per point, but a lane call whose
   lanes straddle a cut runs every rung it touches.
@@ -101,9 +102,10 @@ The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
 evaluate one energy at one radius at a time.  The determinant of the
 matching matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and
-(6000, 100, 8) costs 0.26-0.42 ms at one lane call of 8 points against
-39-57 us a point through the scalar kernels, and 2.6-3.2 ms on a
-2000-point scan grid (shared 2-vCPU x86-64 machine, two runs each).
+(6000, 100, 8) costs 0.26-0.36 ms at one lane call of 8 points and
+0.40-0.54 ms at 80, against 42-47 us a point through the scalar
+kernels, and 2.8-3.2 ms on a 2000-point scan grid (best of 11 and 15
+runs, shared 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -354,7 +356,7 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
         raise DomainError(f"power {power} outside 0 .. n_max {n_max}")
     lanes = isinstance(x, np.ndarray)
     size = abs(x)
-    if not (np.all(size <= J_ARGUMENT_CAP) if lanes else size <= J_ARGUMENT_CAP):
+    if not ((size <= J_ARGUMENT_CAP).all() if lanes else size <= J_ARGUMENT_CAP):
         raise ArgumentOutOfRange(
             f"|x| = {float(np.max(size))!r} beyond validated domain {J_ARGUMENT_CAP}"
         )
@@ -364,9 +366,12 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
         rows = np.empty((n_max + 1 - power, len(x)))
         miller = ~(series | hankel)
         for mask, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
-            if mask.any():
-                rows[:, mask] = regime(n_max, size[mask], power)
-        np.negative(rows[1::2], out=rows[1::2], where=x < 0.0)
+            if count := np.count_nonzero(mask):  # a regime that holds every lane takes them unmasked
+                held = mask if count < len(x) else slice(None)
+                for row, values in zip(rows, regime(n_max, size[held], power)):
+                    row[held] = values  # row by row: a 2-D masked store costs more
+        if (negative := x < 0.0).any():
+            np.negative(rows[1::2], out=rows[1::2], where=negative)
         return list(rows)
     rows = (_j_series if series else _j_hankel if hankel else _j_miller)(n_max, size, power)
     if x < 0.0:
@@ -458,7 +463,7 @@ def _k_regime(size):
     lanes: 0 for the log series, i >= 1 for the quadrature rung
     ``_K_RUNGS[i - 1]``."""
     if isinstance(size, np.ndarray):
-        return np.searchsorted(_K_CUTS, size)
+        return np.array(_K_CUTS).searchsorted(size)  # the method skips np.searchsorted's wrapper
     return bisect.bisect_left(_K_CUTS, size)
 
 
@@ -496,12 +501,13 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
         bad = z[~valid][0]
         raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
     conjugated = z.imag < 0.0
-    z = np.where(conjugated, z.conj(), z)
+    if flip := conjugated.any():  # no lane has Im z < 0 at beta >= 0
+        z = np.where(conjugated, z.conj(), z)
     regime = _k_regime(size)
     k0, k1 = np.empty((2, len(z)), dtype=complex)
-    for i in range(len(_K_RUNGS) + 1):
-        lanes = regime == i
-        if lanes.any():
+    for i, count in enumerate(np.bincount(regime, minlength=len(_K_RUNGS) + 1).tolist()):
+        if count:  # a regime that holds every lane takes them without a mask
+            lanes = regime == i if count < len(z) else slice(None)
             seeds = _k01_quadrature(z[lanes], _K_COLUMNS[i - 1]) if i else _k01_series(z[lanes])
             k0[lanes], k1[lanes] = seeds
     seq = [k0, k1]
@@ -516,5 +522,6 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     if not finite.all():
         row, lane = np.argwhere(~finite)[0]
         raise ArgumentOutOfRange(f"K_{orders[row]}({z[lane]!r}) overflowed the recurrence")
-    np.conjugate(out, out=out, where=conjugated)
+    if flip:
+        np.conjugate(out, out=out, where=conjugated)
     return list(out)

@@ -76,8 +76,8 @@ step on the polynomial's slope there (``Bracket.slope``); an exact 0.0
 is a root at that energy, as at a grid node.  Each bracket is then
 refined by Brent's method at one float energy at a time, which runs the
 scalar kernels.  Brent's steps are sequential, and a lane call has a
-fixed cost of six to ten scalar points (0.26 to 0.42 ms at 8 lanes and
-0.41 to 0.52 ms at 80, against 0.04 to 0.06 ms for one scalar point, on
+fixed cost of six to eight scalar points (0.26 to 0.36 ms at 8 lanes and
+0.40 to 0.54 ms at 80, against 0.042 to 0.047 ms for one scalar point, on
 a 2-core x86-64 machine), so one call per spectrum pays, where a lane
 call per Brent step would not.  An open half costs Brent about 1.9
 evaluations, so a second probe round, at the moved guesses, runs when
@@ -126,8 +126,8 @@ GRID_POINTS_MIN = 300
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
 # the fewest open brackets with a guess that pay for a second probe round:
-# its lane call costs 6 to 10 scalar points (module docstring) and an open
-# bracket about 1.9 Brent evaluations, 3.2 to 5.3 brackets (lower moves levels)
+# its lane call costs 6 to 8 scalar points (module docstring) and an open
+# bracket about 1.9 Brent evaluations, 2.9 to 4.4 brackets (lower moves levels)
 PROBE_ROUND_MIN = 6
 # the width to which Brent's method closes each sign-change bracket.  It
 # bounds a level's error only as far as the determinant resolves its
@@ -161,7 +161,10 @@ def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
 
 
 def _hypot_lanes(a, b, c, d):
-    """math.hypot(a, b, c, d) lane by lane."""
+    """The Euclidean norm of (a, b, c, d) lane by lane, as nested
+    ``np.hypot``: it agrees with ``math.hypot(a, b, c, d)`` to rounding,
+    not bit for bit, which ``test_lanes_independent_of_batch`` pins at
+    1e-14."""
     return np.hypot(np.hypot(a, b), np.hypot(c, d))
 
 
@@ -184,11 +187,14 @@ def equilibrated_matrix(
         (plus.value[0], plus.slope[0], -plus.value[1], -plus.slope[1]),
         (-y.value[0], -y.slope[0], y.value[1], y.slope[1]),
     )
-    # hypot: the K columns near the window top square past the float range
-    hypot = _hypot_lanes if isinstance(e, np.ndarray) else math.hypot
-    norms = np.array([hypot(*column) for column in columns])
-    scale = norms * np.array((minus.divisor, x.divisor, plus.divisor, y.divisor))
     matrix = np.array(columns)
+    # hypot: the K columns near the window top square past the float range;
+    # on lanes one call takes the four columns' entries row by row
+    if isinstance(e, np.ndarray):
+        norms = _hypot_lanes(*matrix.swapaxes(0, 1))
+    else:
+        norms = np.array([math.hypot(*column) for column in columns])
+    scale = norms * np.array((minus.divisor, x.divisor, plus.divisor, y.divisor))
     matrix /= norms[:, None]
     return matrix.T, scale.T
 

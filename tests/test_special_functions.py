@@ -468,6 +468,17 @@ class TestBesselJDerivative:
         check_ladder_derivatives(interior_derivatives(m, e, beta), r, 1e-7)
 
 
+def assert_upper_lanes_unmoved_by_conjugated(orders, zs, batch):
+    """The lanes of ``zs`` with Im z > 0 asked for without the others, in a
+    batch that conjugates no lane, give the bits they give in ``batch``,
+    which conjugates its lanes with Im z < 0."""
+    upper = zs.imag > 0.0
+    assert upper.any() and not upper.all()
+    alone = bessel_k_scaled_lanes(orders, zs[upper])
+    for row, mixed in zip(alone, batch, strict=True):
+        assert np.array_equal(row, mixed[upper])
+
+
 class TestBesselK:
     def test_k0_at_one(self):
         # frozen integral-representation oracle
@@ -606,6 +617,7 @@ class TestBesselK:
             for i in lanes:
                 alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
                 assert [row[0] for row in alone] == [row[i] for row in batch]
+        assert_upper_lanes_unmoved_by_conjugated(orders, zs, batch)
 
     def test_series_lane_is_the_same_alone_and_in_a_batch(self):
         # the log series sums its terms as one stack: each lane of a
@@ -619,6 +631,7 @@ class TestBesselK:
         for i in range(0, 2000, 7):
             alone = bessel_k_scaled_lanes(orders, zs[i : i + 1])
             assert [row[0] for row in alone] == [row[i] for row in batch]
+        assert_upper_lanes_unmoved_by_conjugated(orders, zs, batch)
 
     @pytest.mark.parametrize("rung", range(len(_K_RUNGS)))
     def test_quadrature_lanes_agree_across_a_block_edge(self, rung):
@@ -802,7 +815,8 @@ def test_no_lanes_give_empty_rows():
 
 def test_lane_batches_agree_without_avx512():
     # numpy picks its loops by the CPU; with its AVX-512 groups switched
-    # off, the lanes of a batch still give the bits they give alone
+    # off, the lanes of a batch still give the bits they give alone, in the
+    # Bessel kernels and in the matching matrix
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     groups = [
@@ -813,7 +827,8 @@ def test_lane_batches_agree_without_avx512():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
-        + ["-k", "alone_and_in_a_batch or across_a_block_edge"],
+        + [str(Path(__file__).with_name("test_spectral_solver.py"))]
+        + ["-k", "alone_and_in_a_batch or across_a_block_edge or lanes_independent_of_batch"],
         capture_output=True,
         text=True,
         env=env,

@@ -119,23 +119,26 @@ class TestMatchMatrix:
 
     def test_lanes_independent_of_batch(self):
         # a lane's matrix is the same alone, in a chunk and in the full
-        # 2000-point batch, and it is the scalar's within rounding
-        params = DotParameters(v=100.0, beta=2.0, m=1)
-        lo, hi = params.window
-        grid = np.linspace(lo + 1e-9, hi - 1e-9, 2000)
-        full, full_scale = equilibrated_matrix(params, grid)
-        assert full.shape == (2000, 4, 4) and full_scale.shape == (2000, 4)
-        for start in (0, 993, 1993):
-            chunk, chunk_scale = equilibrated_matrix(params, grid[start : start + 7])
-            assert np.array_equal(chunk, full[start : start + 7])
-            assert np.array_equal(chunk_scale, full_scale[start : start + 7])
-        for i in (0, 1000, 1999):
-            alone, alone_scale = equilibrated_matrix(params, grid[i : i + 1])
-            assert np.array_equal(alone[0], full[i])
-            assert np.array_equal(alone_scale[0], full_scale[i])
-            scalar, scalar_scale = equilibrated_matrix(params, float(grid[i]))
-            assert np.abs(full[i] - scalar).max() < 1e-14
-            assert full_scale[i] == pytest.approx(scalar_scale, rel=1e-14)
+        # 2000-point batch, and it is the scalar's within rounding; the
+        # second well takes negative and odd orders, a negative sign factor,
+        # J arguments of both signs in one call (k_+ < 0 < k_-) and
+        # conjugated K arguments (Im kappa < 0)
+        for params in (DotParameters(100.0, 2.0, 1), DotParameters(100.0, -20.0, -3)):
+            lo, hi = params.window
+            grid = np.linspace(lo + 1e-9, hi - 1e-9, 2000)
+            full, full_scale = equilibrated_matrix(params, grid)
+            assert full.shape == (2000, 4, 4) and full_scale.shape == (2000, 4)
+            for start in (0, 993, 1993):
+                chunk, chunk_scale = equilibrated_matrix(params, grid[start : start + 7])
+                assert np.array_equal(chunk, full[start : start + 7])
+                assert np.array_equal(chunk_scale, full_scale[start : start + 7])
+            for i in (0, 1000, 1999):
+                alone, alone_scale = equilibrated_matrix(params, grid[i : i + 1])
+                assert np.array_equal(alone[0], full[i])
+                assert np.array_equal(alone_scale[0], full_scale[i])
+                scalar, scalar_scale = equilibrated_matrix(params, float(grid[i]))
+                assert np.abs(full[i] - scalar).max() < 1e-14
+                assert full_scale[i] == pytest.approx(scalar_scale, rel=1e-14)
 
     def test_block_diagonal_without_coupling(self):
         matrix = match_matrix(DotParameters(v=25.0, beta=0.0, m=0), 5.0)
