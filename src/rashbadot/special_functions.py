@@ -72,9 +72,11 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
 All K evaluation is done on the exponentially scaled function e^z K_n(z),
 which stays representable for Re z far beyond the point where K itself
 underflows; ``radial_basis`` keeps the scale as each exterior wave's
-divisor.  Conjugate arguments are routed through K_n(conj z) =
-conj(K_n(z)) so the symmetry holds bit-exactly.  Radial derivatives of
-the basis built from these functions live in ``radial_basis``.
+divisor.  Every operation of the K regimes (complex +, -, *, /, sqrt,
+log and exp) commutes with conjugation, so K_n(conj z) = conj(K_n(z))
+holds bit-exactly with each half-plane evaluated directly.  Radial
+derivatives of the basis built from these functions live in
+``radial_basis``.
 
 Each function comes in two evaluation forms, and each regime is written once
 for both.  Given one argument, a regime runs interpreter arithmetic, and
@@ -368,7 +370,7 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
         for mask, regime in ((series, _j_series), (miller, _j_miller), (hankel, _j_hankel)):
             if count := np.count_nonzero(mask):  # a regime that holds every lane takes them unmasked
                 held = mask if count < len(x) else slice(None)
-                for row, values in zip(rows, regime(n_max, size[held], power)):
+                for row, values in zip(rows, regime(n_max, size[held], power), strict=True):
                     row[held] = values  # row by row: a 2-D masked store costs more
         if (negative := x < 0.0).any():
             np.negative(rows[1::2], out=rows[1::2], where=negative)
@@ -476,9 +478,6 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     top = _top_order(orders)
     if not (z.real > 0.0 and (size := abs(z)) < math.inf):
         raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {z!r}")
-    conjugated = z.imag < 0.0
-    if conjugated:
-        z = z.conjugate()
     regime = _k_regime(size)
     seq = [*(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))]
     for n in range(1, top):
@@ -488,7 +487,7 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     for value in out:
         if not cmath.isfinite(value):
             raise ArgumentOutOfRange(f"K_n({z!r}) overflowed the recurrence to order {top}")
-    return [value.conjugate() for value in out] if conjugated else out
+    return out
 
 
 def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
@@ -500,9 +499,6 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     if not (valid := (z.real > 0.0) & (size < math.inf)).all():
         bad = z[~valid][0]
         raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
-    conjugated = z.imag < 0.0
-    if flip := conjugated.any():  # no lane has Im z < 0 at beta >= 0
-        z = np.where(conjugated, z.conj(), z)
     regime = _k_regime(size)
     k0, k1 = np.empty((2, len(z)), dtype=complex)
     for i, count in enumerate(np.bincount(regime, minlength=len(_K_RUNGS) + 1).tolist()):
@@ -516,12 +512,10 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     with np.errstate(all="ignore"):
         for n in range(1, top):
             seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
-    # the requested orders, K_{-n} = K_n, checked and conjugated as one stack
+    # the requested orders, K_{-n} = K_n, checked as one stack
     out = np.array([seq[abs(n)] for n in orders])
     finite = np.isfinite(out)
     if not finite.all():
         row, lane = np.argwhere(~finite)[0]
         raise ArgumentOutOfRange(f"K_{orders[row]}({z[lane]!r}) overflowed the recurrence")
-    if flip:
-        np.conjugate(out, out=out, where=conjugated)
     return list(out)
