@@ -17,12 +17,7 @@ Quick start::
 
 from . import errors
 from .radial_basis import DotParameters
-from .spectral_solver import (
-    EnergySpectrum,
-    find_spectrum,
-    match_matrix,
-    spectral_determinant,
-)
+from .spectral_solver import EnergySpectrum, find_spectrum
 from .wavefunction import (
     BoundState,
     SpinorSample,
@@ -42,10 +37,8 @@ __all__ = [
     "evaluate_radial",
     "evaluate_spinor",
     "find_spectrum",
-    "match_matrix",
     "normalize",
     "ode_residual",
     "solve_coefficients",
-    "spectral_determinant",
 ]
 __version__ = "0.1.0"

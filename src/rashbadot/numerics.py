@@ -19,13 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketInvalid,
-    InvalidInput,
-    NoConvergence,
-    NotSingular,
-    RankDeficiency2,
-)
+from .errors import InvalidInput, NumericalFailure
 
 _EPS = sys.float_info.epsilon
 
@@ -60,7 +54,7 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
     a, b = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
     if not (a < b) or not (fa * fb < 0.0):
-        raise BracketInvalid(f"not a sign-change bracket: [{a}, {b}]")
+        raise NumericalFailure(f"not a sign-change bracket: [{a}, {b}]")
 
     c, fc = a, fa
     d = e = b - a
@@ -102,7 +96,7 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
-    raise NoConvergence(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
+    raise NumericalFailure(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
 
 
 def narrow_bracket(
@@ -199,8 +193,8 @@ def nullspace_4x4(matrix) -> np.ndarray:
     singular vector of the smallest one, with the sign the decomposition
     gives it.
 
-    Raises :class:`NotSingular` when the rank test finds full rank and
-    :class:`RankDeficiency2` when two or more singular values vanish.
+    Raises :class:`NumericalFailure` when the rank test finds full rank
+    or two or more singular values vanish.
     """
     a = np.array(matrix, dtype=float)
     if a.shape != (4, 4):
@@ -210,12 +204,9 @@ def nullspace_4x4(matrix) -> np.ndarray:
     _, sigma, vt = np.linalg.svd(a)
     rank = int(np.count_nonzero(sigma > SING_TOL * sigma[0]))
     if rank == 4:
-        raise NotSingular(f"no singular value below {SING_TOL:g} relative; not an eigenvalue")
+        raise NumericalFailure(f"no singular value below {SING_TOL:g} relative; not an eigenvalue")
     if rank <= 2:
-        raise RankDeficiency2(
-            f"kernel dimension {4 - rank} >= 2 (degenerate level)",
-            kernel_dim=4 - rank,
-        )
+        raise NumericalFailure(f"kernel dimension {4 - rank} >= 2 (degenerate level)")
     return vt[3]
 
 

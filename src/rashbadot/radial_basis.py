@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AboveWindow, BelowWindow, InvalidInput, OrderCapExceeded
+from .errors import ArgumentOutOfRange, InvalidInput
 from .special_functions import (
     ORDER_CAP,
     bessel_j_over_power,
@@ -95,7 +95,7 @@ class DotParameters:
             raise InvalidInput("beta must be finite")
         # the matching needs orders m-2 .. m+3
         if abs(self.m) > ORDER_CAP - 3:
-            raise OrderCapExceeded(f"|m| = {abs(self.m)} too large for order cap {ORDER_CAP}")
+            raise ArgumentOutOfRange(f"|m| = {abs(self.m)} too large for order cap {ORDER_CAP}")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -116,8 +116,8 @@ class RadialWave(NamedTuple):
     (``curvature``) when asked for, otherwise ``None``.  Every field is a
     float, or a 1-D array with one lane per energy when the wave was
     evaluated on an array of energies.  The pair functions build it with
-    ``tuple.__new__``, which skips the generated ``__new__`` (0.17 against
-    0.30 us a wave)."""
+    ``tuple.__new__``, which skips the generated ``__new__`` and its
+    argument handling: every wave-function sample builds two."""
 
     value: tuple[float, float]
     slope: tuple[float, float] | None
@@ -127,12 +127,16 @@ class RadialWave(NamedTuple):
 
 def interior_wave_numbers(e: float | np.ndarray, beta: float) -> InteriorWaveNumbers:
     """Interior pair sqrt(e + beta^2/4) +/- beta/2; requires e > -beta^2/4.
-    ``e`` is a float or a 1-D array of energies, and so are the fields."""
+    ``e`` is a float or a 1-D array of energies, and so are the fields: at
+    beta = 0 one object for both, which :func:`interior_pair` evaluates
+    once."""
     shifted = e + 0.25 * beta * beta
     lanes = isinstance(shifted, np.ndarray)
     if not (shifted.min(initial=math.inf) if lanes else shifted) > 0.0:
-        raise BelowWindow(f"e = {np.min(e)} at or below window bottom {-0.25 * beta * beta}")
+        raise InvalidInput(f"e = {np.min(e)} at or below window bottom {-0.25 * beta * beta}")
     root = np.sqrt(shifted) if lanes else math.sqrt(shifted)
+    if beta == 0.0:
+        return InteriorWaveNumbers(k_plus=root, k_minus=root)
     return InteriorWaveNumbers(k_plus=root + 0.5 * beta, k_minus=root - 0.5 * beta)
 
 
@@ -145,7 +149,7 @@ def exterior_wave_numbers(
     remaining = v - e - 0.25 * beta * beta
     lanes = isinstance(remaining, np.ndarray)
     if not (remaining.min(initial=math.inf) if lanes else remaining) > 0.0:
-        raise AboveWindow(f"e = {np.max(e)} at or above window top {v - 0.25 * beta * beta}")
+        raise InvalidInput(f"e = {np.max(e)} at or above window top {v - 0.25 * beta * beta}")
     if lanes:
         return np.sqrt(remaining) + 0.5j * beta
     return complex(math.sqrt(remaining), 0.5 * beta)
@@ -195,7 +199,9 @@ def interior_pair(
     ``k`` holds floats, or 1-D arrays of N energies' wave numbers.  On
     arrays one J call takes the 2N arguments (k_- r, k_+ r), whose fixed
     cost is then paid once for both waves; each lane gives what it would
-    give in a call of its own.  ``r`` must be positive and finite.
+    give in a call of its own.  A ``k`` whose two fields are one object
+    (beta = 0) takes one J call for both waves.  ``r`` must be positive
+    and finite.
     """
     if not (0.0 < r < math.inf and derivatives in (0, 1, 2)):
         raise InvalidInput(f"r = {r!r} must be positive and finite, derivatives 0, 1 or 2")
@@ -203,7 +209,10 @@ def interior_pair(
     # q = min(|m|, |m + 1|), and the rows of the orders |m| and |m + 1|
     q, i0, i1 = (m, 0, 1) if m >= 0 else (-m - 1, 1, 0)
     n_max = q + 1 + derivatives
-    if isinstance(k_minus, np.ndarray):
+    if k_plus is k_minus:
+        # beta = 0: the two waves coincide
+        minus = plus = bessel_j_over_power(n_max, k_minus if r == 1.0 else k_minus * r, q)
+    elif isinstance(k_minus, np.ndarray):
         k_both = np.concatenate((k_minus, k_plus))
         both = bessel_j_over_power(n_max, k_both if r == 1.0 else k_both * r, q)
         size = len(k_minus)
@@ -211,8 +220,7 @@ def interior_pair(
         plus = [row[size:] for row in both]
     else:
         minus = bessel_j_over_power(n_max, k_minus * r, q)
-        # at beta = 0 the two waves coincide
-        plus = minus if k_plus == k_minus else bessel_j_over_power(n_max, k_plus * r, q)
+        plus = bessel_j_over_power(n_max, k_plus * r, q)
     # J_n(k r) / k^q = r^q J_|n|(x) / x^q at n = m and m + 1, negated for odd n < 0
     lift = r**q
     s0 = -lift if m < 0 and m % 2 else lift

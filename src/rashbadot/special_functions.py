@@ -60,11 +60,9 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   56-point rule for 3 < |z| <= 14.5, 8 of the 16-point rule up to 25
   and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
   and 39 angles from the real axis to 1e-9 off the imaginary one in both
-  half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16; a
-  scalar call of the K entry point for K_0 and K_1 costs 8.6, 4.5 and
-  3.9-4.0 us at |z| = 10, 20 and 40, and 2000 lanes on one rung 1.53-1.55,
-  0.63-0.66 and 0.54-0.55 ms (best of 11 and 15 runs, shared 2-vCPU
-  x86-64 machine).
+  half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16.  A
+  rung costs one complex square root per node, so each cut moves a span
+  of |z| to a rule of fewer nodes.
   The first cut lies above every |z| of the reference rows' scan (at
   most 14.14); denser cuts save more per point, but a lane call whose
   lanes straddle a cut runs every rung it touches.
@@ -102,12 +100,8 @@ by its cancellation, at most e^6 at |z| = 3).
 
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
-evaluate one energy at one radius at a time.  The determinant of the
-matching matrix of (v, beta, m) = (25, 5, 0), (100, 20, 2) and
-(6000, 100, 8) costs 0.26-0.36 ms at one lane call of 8 points and
-0.40-0.54 ms at 80, against 42-47 us a point through the scalar
-kernels, and 2.8-3.2 ms on a 2000-point scan grid (best of 11 and 15
-runs, shared 2-vCPU x86-64 machine).
+evaluate one energy at one radius at a time, where a lane call would
+pay numpy's fixed cost per term, node and step for one number.
 """
 
 from __future__ import annotations
@@ -118,7 +112,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
+from .errors import ArgumentOutOfRange
 
 ORDER_CAP = 64
 J_ARGUMENT_CAP = 2000.0
@@ -198,7 +192,7 @@ def _top_order(orders) -> int:
     if lowest > top:
         top = lowest
     if top > ORDER_CAP:
-        raise OrderCapExceeded(f"|n| = {top} exceeds cap {ORDER_CAP}")
+        raise ArgumentOutOfRange(f"|n| = {top} exceeds order cap {ORDER_CAP}")
     return top
 
 
@@ -355,7 +349,7 @@ def bessel_j_over_power(n_max: int, x: float | np.ndarray, power: int) -> list:
     the arithmetic the float would."""
     if not 0 <= power <= n_max <= ORDER_CAP:
         _top_order((n_max,))  # an order beyond the cap is reported first
-        raise DomainError(f"power {power} outside 0 .. n_max {n_max}")
+        raise ArgumentOutOfRange(f"power {power} outside 0 .. n_max {n_max}")
     lanes = isinstance(x, np.ndarray)
     size = abs(x)
     if not ((size <= J_ARGUMENT_CAP).all() if lanes else size <= J_ARGUMENT_CAP):
@@ -477,7 +471,7 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     """
     top = _top_order(orders)
     if not (z.real > 0.0 and (size := abs(z)) < math.inf):
-        raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {z!r}")
+        raise ArgumentOutOfRange(f"K_n requires a finite z with Re z > 0, got z = {z!r}")
     regime = _k_regime(size)
     seq = [*(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))]
     for n in range(1, top):
@@ -498,7 +492,7 @@ def bessel_k_scaled_lanes(orders: range, z: np.ndarray) -> list[np.ndarray]:
     size = np.abs(z)
     if not (valid := (z.real > 0.0) & (size < math.inf)).all():
         bad = z[~valid][0]
-        raise DomainError(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
+        raise ArgumentOutOfRange(f"K_n requires a finite z with Re z > 0, got z = {bad!r}")
     regime = _k_regime(size)
     k0, k1 = np.empty((2, len(z)), dtype=complex)
     for i, count in enumerate(np.bincount(regime, minlength=len(_K_RUNGS) + 1).tolist()):

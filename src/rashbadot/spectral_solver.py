@@ -76,10 +76,9 @@ step on the polynomial's slope there (``Bracket.slope``); an exact 0.0
 is a root at that energy, as at a grid node.  Each bracket is then
 refined by Brent's method at one float energy at a time, which runs the
 scalar kernels.  Brent's steps are sequential, and a lane call has a
-fixed cost of six to eight scalar points (0.26 to 0.36 ms at 8 lanes and
-0.40 to 0.54 ms at 80, against 0.042 to 0.047 ms for one scalar point, on
-a 2-core x86-64 machine), so one call per spectrum pays, where a lane
-call per Brent step would not.  An open half costs Brent about 1.9
+fixed cost of several scalar points (numpy's per-call cost on every
+term, node and step of a regime), so one call per spectrum pays, where
+a lane call per Brent step would not.  An open half costs Brent about 1.9
 evaluations, so a second probe round, at the moved guesses, runs when
 ``PROBE_ROUND_MIN`` or more halves hold both points of one: deep wells
 leave dozens, the reference rows at most one.  Brent starts from the
@@ -97,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, BracketInvalid, WindowViolation
+from .errors import ArgumentOutOfRange, InvalidInput, NumericalFailure
 from .numerics import Bracket, divided_differences, interpolant_root, narrow_bracket, refine_root
 from .radial_basis import (
     WINDOW_MARGIN,
@@ -126,8 +125,8 @@ GRID_POINTS_MIN = 300
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
 # the fewest open brackets with a guess that pay for a second probe round:
-# its lane call costs 6 to 8 scalar points (module docstring) and an open
-# bracket about 1.9 Brent evaluations, 2.9 to 4.4 brackets (lower moves levels)
+# its lane call costs several scalar points (module docstring) and an open
+# bracket about 1.9 Brent evaluations; lower values move levels
 PROBE_ROUND_MIN = 6
 # the width to which Brent's method closes each sign-change bracket.  It
 # bounds a level's error only as far as the determinant resolves its
@@ -157,7 +156,7 @@ def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
         e = e[~inside][0]
     elif lo < e < hi:
         return
-    raise WindowViolation(f"e = {float(e)!r} outside open window ({lo!r}, {hi!r}) of {params}")
+    raise InvalidInput(f"e = {float(e)!r} outside open window ({lo!r}, {hi!r}) of {params}")
 
 
 def _hypot_lanes(a, b, c, d):
@@ -199,34 +198,18 @@ def equilibrated_matrix(
     return matrix.T, scale.T
 
 
-def match_matrix(params: DotParameters, e: float) -> np.ndarray:
-    """The 4x4 continuity matrix at energy e in the paper's (c1, c2, d1, d2)
-    columns, true scale, strictly inside the window.  Its exterior columns,
-    e^{-Re kappa} times the edge-scaled ones, underflow beyond Re kappa = 745."""
-    matrix, scale = equilibrated_matrix(params, e)
-    minus, c2, plus, d2 = (matrix * scale).T
-    edge = math.exp(-exterior_wave_numbers(e, params.v, params.beta).real)
-    # a = (c1 + d1)/2 and b = (c1 - d1)/2 multiply the two waves
-    return np.column_stack((0.5 * (minus + plus), edge * c2, 0.5 * (minus - plus), edge * d2))
-
-
-def spectral_determinant(params: DotParameters, e: float) -> float:
-    """det M(m, e, v, beta) at true scale: 0.0 beyond Re kappa = 745."""
-    return float(np.linalg.det(match_matrix(params, e)))
-
-
 def _scan_roots(grid: np.ndarray, values: np.ndarray) -> tuple[list[float], list[Bracket]]:
     """Grid-point roots and sign-change brackets of the scan
     ``values`` on ``grid``, each bracket with the root of the polynomial
     through the scan values around it as its ``guess``."""
     finite = np.isfinite(values)
     if not finite.all():
-        raise BracketInvalid(
+        raise NumericalFailure(
             f"scan value {values[~finite][0]} at e = {float(grid[~finite][0])!r}: "
             "no sign information"
         )
     if not values.any():
-        raise BracketInvalid("scan values vanish on the whole grid: no sign information")
+        raise NumericalFailure("scan values vanish on the whole grid: no sign information")
 
     lo, hi = values[:-1], values[1:]
     # a zero at the right end belongs to the next interval's left end

@@ -63,15 +63,9 @@ normalization thus costs one interior and one exterior basis evaluation.
 A sample costs one pair-function call, which ``evaluate_radial`` reaches
 through ``_weighted_waves``: one K call outside the well, two J calls
 inside (one at beta = 0, where k_- = k_+).  The wave numbers do not
-depend on r, so a state computes them once (``wave_numbers``).  At
-(v, beta, m) = (100, 2, 1), level 2 (|kappa| = 7.93), a sample takes
-9.9-10.3 us at r = 1.2, 6.1-6.4 us of it in the 21-node K quadrature,
-6.4-7.1 us at r = 2, where |z| = 15.9 takes the 8-node rung (2.6-2.7 us),
-and 9.9-10.2 us at r = 0.5, 7.9 us of it in the two J calls (best of 9,
-five runs, shared 2-vCPU x86-64 machine).  With the regime bodies
-replaced by stubs, the layers above them cost 3.5-3.7 us outside and
-2.5-2.7 us inside: the entry checks, the regime choice, the K order
-recurrence and the three tuples a sample builds.
+depend on r, so a state computes them once (``wave_numbers``).  Above
+the Bessel regime bodies a sample runs only the entry checks, the regime
+choice, the K order recurrence and the three tuples it builds.
 """
 
 from __future__ import annotations
@@ -84,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundaryPoint, DegenerateState, InvalidInput, NotNormalized
+from .errors import InvalidInput, NumericalFailure
 from .numerics import nullspace_4x4
 from .radial_basis import (
     DotParameters,
@@ -154,8 +148,8 @@ def solve_coefficients(params: DotParameters, e: float) -> BoundState:
     norm (unnormalized state).
 
     Sign convention: the first largest-magnitude paper coefficient is
-    positive.  Raises :class:`NotSingular` when e is not actually an
-    eigenvalue and :class:`RankDeficiency2` for degenerate levels.
+    positive.  Raises :class:`NumericalFailure` when e is not actually an
+    eigenvalue or the level is degenerate.
     """
     # the kernel of the equilibrated matrix, taken back to the scale of the
     # stored waves: there the columns lie orders of magnitude apart, which
@@ -270,7 +264,7 @@ def normalize(state: BoundState) -> BoundState:
     density integrates to 1."""
     total = sum(region_density_integrals(state))
     if not total > 1e-300:
-        raise DegenerateState(f"normalization integral {total!r} vanished")
+        raise NumericalFailure(f"normalization integral {total!r} vanished")
     return _scaled(state, 1.0 / math.sqrt(total), normalized=True)
 
 
@@ -278,7 +272,7 @@ def evaluate_radial(state: BoundState, r: float) -> SpinorSample:
     """Sample (r, u, w) of a normalized state at r >= 0: the exterior from
     r = 1 on, the origin limit at r = 0."""
     if not state.normalized:
-        raise NotNormalized("state must be normalized first")
+        raise InvalidInput("state must be normalized first")
     if r == 0.0:
         # both interior waves are 1 at the origin in order 0
         m = state.params.m
@@ -313,9 +307,9 @@ def ode_residual(state: BoundState, r: float) -> tuple[float, float]:
     so the residual isolates assembly errors from differencing noise.
     """
     if not state.normalized:
-        raise NotNormalized("state must be normalized first")
+        raise InvalidInput("state must be normalized first")
     if r == 0.0 or r == 1.0:
-        raise BoundaryPoint("residual undefined exactly at r = 0 and r = 1")
+        raise InvalidInput("residual undefined exactly at r = 0 and r = 1")
     params = state.params
     m = params.m
     beta = params.beta

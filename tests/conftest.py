@@ -138,6 +138,24 @@ def matching_residuals(state) -> list[float]:
     return out
 
 
+def match_matrix(params, e: float) -> np.ndarray:
+    """The paper's 4x4 continuity matrix at energy e, in its (c1, c2, d1,
+    d2) columns and at true scale, taken back from the solver's
+    equilibrated matrix: the oracle that ties the solver's formulation to
+    the paper's.  Its exterior columns, e^{-Re kappa} times the
+    edge-scaled ones, underflow beyond Re kappa = 745."""
+    matrix, scale = equilibrated_matrix(params, e)
+    minus, c2, plus, d2 = (matrix * scale).T
+    edge = math.exp(-exterior_wave_numbers(e, params.v, params.beta).real)
+    # a = (c1 + d1)/2 and b = (c1 - d1)/2 multiply the two waves
+    return np.column_stack((0.5 * (minus + plus), edge * c2, 0.5 * (minus - plus), edge * d2))
+
+
+def spectral_determinant(params, e: float) -> float:
+    """det M(m, e, v, beta) of :func:`match_matrix`: 0.0 beyond Re kappa = 745."""
+    return float(np.linalg.det(match_matrix(params, e)))
+
+
 # deep wells across v, beta and m; the last one's determinant is noisy
 # over about 1e-12 in e around its level at e = 169.0845
 DEEP_WELLS = [

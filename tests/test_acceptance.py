@@ -23,6 +23,7 @@ from conftest import (
     k_kernel,
     matching_residuals,
     overlap_parts,
+    spectral_determinant,
     uncoupled_level_count,
 )
 from rashbadot import spectral_solver
@@ -35,7 +36,7 @@ from rashbadot.reference_levels import (
     corrected_levels,
 )
 from rashbadot.special_functions import bessel_j_over_power
-from rashbadot.spectral_solver import find_spectrum, spectral_determinant
+from rashbadot.spectral_solver import find_spectrum
 from rashbadot.wavefunction import (
     normalize,
     ode_residual,

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +21,12 @@ from rashbadot.cli import (
     main,
     to_dimensionless,
 )
+from golden_check import GOLDEN, matches_golden
 from rashbadot import cli, spectral_solver
 from rashbadot.errors import InvalidInput
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
-from rashbadot.spectral_solver import find_spectrum
-
-GOLDEN = Path(__file__).parent / "golden"
+from rashbadot.spectral_solver import REFINE_TOL, find_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -582,8 +580,10 @@ class TestUsageLines:
 
 
 class TestGoldenBytes:
-    """The CSV bytes (stdout) of the README commands, and the JSON bytes
-    of one deep spectrum, pinned in ``tests/golden``.
+    """The CSV bytes (stdout) of the README commands, and the JSON of one
+    deep spectrum, pinned in ``tests/golden``: every byte, except that the
+    JSON's full-precision levels hold within ``REFINE_TOL``
+    (``golden_check.py``).
 
     A change that means to alter them regenerates the files with the
     same commands, e.g. ``rashbadot table > tests/golden/table.csv``."""
@@ -607,7 +607,7 @@ class TestGoldenBytes:
                 "spectrum_deep.csv",
             ),
             (
-                # the same levels in full precision, so their bits stay pinned
+                # the same levels in full precision, within REFINE_TOL
                 ["spectrum", "--v", "6000", "--beta", "100", "--m", "8", "--format", "json"],
                 "spectrum_deep.json",
             ),
@@ -646,7 +646,27 @@ class TestGoldenBytes:
     def test_csv_bytes(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert out.encode() == (GOLDEN / name).read_bytes()
+        assert matches_golden(name, out)
+
+    def test_deep_json_compares_levels_within_refine_tol(self):
+        # the golden itself matches; a level moved by less than REFINE_TOL
+        # still does, one moved by more does not, and neither does any
+        # other field or byte
+        name = "spectrum_deep.json"
+        golden = (GOLDEN / name).read_bytes().decode()
+        assert matches_golden(name, golden)
+        payload = json.loads(golden)
+
+        def dumped(**fields):
+            return json.dumps({**payload, **fields}, indent=2) + "\n"
+
+        levels = payload["levels"]
+        assert matches_golden(name, dumped(levels=[levels[0] + 0.9 * REFINE_TOL, *levels[1:]]))
+        assert not matches_golden(name, dumped(levels=[levels[0] + 2.0 * REFINE_TOL, *levels[1:]]))
+        assert not matches_golden(name, dumped(levels=levels[1:]))
+        assert not matches_golden(name, dumped(window=[payload["window"][0], 3500.0000000001]))
+        assert not matches_golden(name, golden.replace("\n", "\r\n"))
+        assert not matches_golden(name, json.dumps(payload) + "\n")
 
 
 class TestConsoleScript:

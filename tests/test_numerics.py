@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_legendre, gauss_legendre_tail
-from rashbadot.errors import (
-    BracketInvalid,
-    InvalidInput,
-    NoConvergence,
-    NotSingular,
-    RankDeficiency2,
-)
+from rashbadot.errors import InvalidInput, NumericalFailure
 from rashbadot.numerics import (
     Bracket,
     divided_differences,
@@ -115,17 +109,17 @@ class TestRefineRoot:
 
     def test_invalid_bracket(self):
         f = lambda x: x * x + 1.0
-        with pytest.raises(BracketInvalid):
+        with pytest.raises(NumericalFailure, match="not a sign-change bracket"):
             refine_root(f, bracket_of(f, -1.0, 1.0), 1e-12)
 
     def test_reversed_bounds(self):
         f = lambda x: x
-        with pytest.raises(BracketInvalid):
+        with pytest.raises(NumericalFailure, match="not a sign-change bracket"):
             refine_root(f, Bracket(2.0, -1.0, 2.0, -1.0), 1e-12)
 
     def test_stalled_step_does_not_converge(self):
         f_step = lambda x: -1.0 if x < 1e-300 else 1.0
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NumericalFailure, match="exceeded 200 iterations"):
             refine_root(f_step, bracket_of(f_step, -1.0, 1.0), 1e-300)
 
     def test_nonpositive_tol(self):
@@ -252,12 +246,11 @@ class TestNullspace:
     def test_three_dim_kernel_flagged(self):
         m = [[0.0] * 4 for _ in range(4)]
         m[0][0] = 1.0
-        with pytest.raises(RankDeficiency2) as info:
+        with pytest.raises(NumericalFailure, match="kernel dimension 3 >= 2"):
             nullspace_4x4(m)
-        assert info.value.kernel_dim == 3
 
     def test_full_rank_rejected(self):
-        with pytest.raises(NotSingular):
+        with pytest.raises(NumericalFailure, match="not an eigenvalue"):
             nullspace_4x4([[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 4, 1], [0, 0, 1, 5]])
 
     def test_sign_convention_and_residual(self):

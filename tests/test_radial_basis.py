@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import j_kernel, k_kernel, paper_basis, paper_exterior, tail_form
-from rashbadot.errors import AboveWindow, BelowWindow, InvalidInput
+from rashbadot import radial_basis
+from rashbadot.errors import InvalidInput
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
@@ -60,7 +61,7 @@ class TestInteriorWaveNumbers:
         assert k.k_minus < 0.0
 
     def test_below_window(self):
-        with pytest.raises(BelowWindow):
+        with pytest.raises(InvalidInput, match="at or below window bottom"):
             interior_wave_numbers(-25.1, 10.0)
 
     @settings(max_examples=50, deadline=None)
@@ -90,7 +91,7 @@ class TestExteriorWaveNumbers:
             assert exterior_wave_numbers(e, 25.0, 10.0).real > 0.0
 
     def test_above_window(self):
-        with pytest.raises(AboveWindow):
+        with pytest.raises(InvalidInput, match="at or above window top"):
             exterior_wave_numbers(0.0, 25.0, 10.0)
 
 
@@ -132,6 +133,30 @@ class TestInteriorBasis:
                 for field in ("value", "slope"):
                     for x, y in zip(getattr(wave_a, field), getattr(wave_b, field)):
                         assert abs(x - y) < 1e-6
+
+    @pytest.mark.parametrize("r", [1.0, 0.7])
+    def test_one_j_call_serves_both_waves_at_beta_zero(self, monkeypatch, r):
+        # at beta = 0 the two wave numbers are one object, and one J call
+        # of N lanes gives both waves the bits that the 2N-lane call of two
+        # distinct arrays gives them
+        calls = []
+        j_rows = radial_basis.bessel_j_over_power
+
+        def counted(n_max, x, power):
+            calls.append(np.size(x))
+            return j_rows(n_max, x, power)
+
+        monkeypatch.setattr(radial_basis, "bessel_j_over_power", counted)
+        k = interior_wave_numbers(np.array([0.5, 5.0, 40.0, 900.0]), 0.0)
+        assert k.k_plus is k.k_minus
+        shared = interior_pair(-3, k, r, derivatives=2)
+        apart = interior_pair(-3, k._replace(k_plus=k.k_plus.copy()), r, derivatives=2)
+        assert calls == [4, 8]
+        for got, want in zip(shared, apart):
+            for field in ("value", "slope", "curvature"):
+                for x, y in zip(getattr(got, field), getattr(want, field), strict=True):
+                    assert np.array_equal(x, y)
+            assert np.array_equal(got.divisor, want.divisor)
 
     def test_origin_regularity_m1(self):
         # J_1(k r) ~ C r for m = 1
@@ -315,5 +340,5 @@ class TestTailEnvelope:
         assert y.value[0] / (-envelope_scaled * math.sin(phase)) == pytest.approx(1.0, abs=1e-3)
 
     def test_window_guard(self):
-        with pytest.raises(AboveWindow):
+        with pytest.raises(InvalidInput, match="at or above window top"):
             exterior_pair(0, exterior_wave_numbers(25.0, 25.0, 0.0), 2.0)

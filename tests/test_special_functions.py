@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import j_kernel, k_kernel
-from rashbadot.errors import ArgumentOutOfRange, DomainError, OrderCapExceeded
+from rashbadot.errors import ArgumentOutOfRange
 from rashbadot.radial_basis import (
     DotParameters,
     exterior_pair,
@@ -115,7 +115,7 @@ class TestBesselJ:
                 assert j_one(np.int64(n), np.float64(x)) == j_one(n, x)
 
     def test_order_cap(self):
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(ArgumentOutOfRange, match="exceeds order cap 64"):
             j_kernel(65, 1.0)
 
     def test_argument_cap(self):
@@ -137,9 +137,9 @@ class TestBesselJ:
         assert bessel_j_over_power(61, 1e-200, 61) == [pytest.approx(leading, rel=1e-15)]
         assert bessel_j_over_power(61, -1e-200, 61) == [pytest.approx(leading, rel=1e-15)]
         assert bessel_j_over_power(62, 0.0, 61) == [pytest.approx(leading, rel=1e-15), 0.0]
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="power 3 outside 0 .. n_max 2"):
             bessel_j_over_power(2, 1.0, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="power -1 outside 0 .. n_max 2"):
             bessel_j_over_power(2, 1.0, -1)
 
     @pytest.mark.parametrize(
@@ -276,9 +276,9 @@ class TestBesselJ:
             bessel_j_over_power(1, np.array([1.0, J_ARGUMENT_CAP + 0.5]), 0)
         with pytest.raises(ArgumentOutOfRange):
             bessel_j_over_power(1, np.array([1.0, math.nan]), 0)
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(ArgumentOutOfRange, match="exceeds order cap 64"):
             bessel_j_over_power(65, np.array([1.0]), 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="power 3 outside 0 .. n_max 2"):
             bessel_j_over_power(2, np.array([1.0]), 3)
 
     @settings(max_examples=60, deadline=None)
@@ -501,13 +501,13 @@ class TestBesselK:
         assert abs(got2 - leading2) / abs(got2) < abs(got - leading) / abs(got)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
             k_kernel(0, complex(-1.0, 1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
             k_kernel(0, complex(0.0, 1.0))
 
     def test_order_cap(self):
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(ArgumentOutOfRange, match="exceeds order cap 64"):
             k_kernel(65, complex(1.0, 0.0))
 
     def test_scaled_consistency(self):
@@ -584,9 +584,9 @@ class TestBesselK:
         # refuse them before any arithmetic, and warn of nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError):
+            with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
                 bessel_k_scaled_many(orders, z)
-            with pytest.raises(DomainError):
+            with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
                 bessel_k_scaled_lanes(orders, np.array([1.0 + 1.0j, z]))
 
     def test_quadrature_lane_is_the_same_alone_and_in_a_batch(self):
@@ -673,11 +673,11 @@ class TestBesselK:
         assert _K_CUTS == (3.0, 14.5, 25.0)
 
     def test_lanes_raise_as_scalar(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
             bessel_k_scaled_lanes(range(0, 1), np.array([1.0 + 0j, -1.0 + 1j]))
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(ArgumentOutOfRange, match="exceeds order cap 64"):
             bessel_k_scaled_lanes(range(65, 66), np.array([1.0 + 0j]))
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(ArgumentOutOfRange, match="exceeds order cap 64"):
             bessel_k_scaled_many(range(-65, 0), 1.0 + 0j)
         # K_50 near the origin overflows the forward recurrence
         z = np.array([5.0 + 0j, 1e-5 + 0j])

@@ -11,12 +11,14 @@ from conftest import (
     DEEP_WELLS,
     channel_determinant,
     counted_lane_calls,
+    match_matrix,
     paper_basis,
     paper_exterior,
+    spectral_determinant,
     uncoupled_level_count,
 )
 from rashbadot import spectral_solver
-from rashbadot.errors import ArgumentOutOfRange, BracketInvalid, WindowViolation
+from rashbadot.errors import ArgumentOutOfRange, InvalidInput, NumericalFailure
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters, exterior_wave_numbers
 from rashbadot.special_functions import J_ARGUMENT_CAP
 from rashbadot.reference_levels import REFERENCE_ROWS
@@ -26,9 +28,7 @@ from rashbadot.spectral_solver import (
     REFINE_TOL,
     equilibrated_matrix,
     find_spectrum,
-    match_matrix,
     scan_grid,
-    spectral_determinant,
 )
 from rashbadot.wavefunction import solve_coefficients
 
@@ -149,9 +149,9 @@ class TestMatchMatrix:
 
     def test_window_guard(self):
         params = DotParameters(v=25.0, beta=0.0, m=0)
-        with pytest.raises(WindowViolation):
+        with pytest.raises(InvalidInput, match="e = -0.5 outside open window"):
             match_matrix(params, -0.5)
-        with pytest.raises(WindowViolation):
+        with pytest.raises(InvalidInput, match="e = 25.0 outside open window"):
             match_matrix(params, 25.0)
 
     def test_nan_energy_is_a_window_violation(self):
@@ -159,14 +159,14 @@ class TestMatchMatrix:
         # lane; the window check itself rejects it, not a later wave number
         params = DotParameters(v=25.0, beta=0.0, m=0)
         for e in (math.nan, np.array([1.0, math.nan, 2.0])):
-            with pytest.raises(WindowViolation, match="e = nan outside open window"):
+            with pytest.raises(InvalidInput, match="e = nan outside open window"):
                 equilibrated_matrix(params, e)
 
     def test_window_message_names_the_first_offending_energy(self):
         # a violation on a scan grid names one energy, not the whole grid
         params = DotParameters(v=25.0, beta=0.0, m=0)
         grid = np.linspace(1.0, 30.0, 2000)
-        with pytest.raises(WindowViolation) as info:
+        with pytest.raises(InvalidInput, match="outside open window") as info:
             equilibrated_matrix(params, grid)
         message = str(info.value)
         assert len(message) < 200
@@ -422,7 +422,7 @@ class TestFindSpectrum:
             return np.ones(np.shape(e) + (4, 4)), np.ones(np.shape(e) + (4,))
 
         monkeypatch.setattr(spectral_solver, "equilibrated_matrix", vanishing)
-        with pytest.raises(BracketInvalid):
+        with pytest.raises(NumericalFailure, match="vanish on the whole grid: no sign information"):
             find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
     @pytest.mark.parametrize("v,beta", [(25.0, 1.0), (25.0, 0.0)])
@@ -436,7 +436,8 @@ class TestFindSpectrum:
 
         monkeypatch.setattr(spectral_solver, "equilibrated_matrix", poisoned)
         # numpy flags the NaN it is given; the scan must not pass it on
-        with pytest.raises(BracketInvalid, match="at e = 10.0"), np.errstate(invalid="ignore"):
+        failure = pytest.raises(NumericalFailure, match=r"at e = 10\.0.*: no sign information")
+        with failure, np.errstate(invalid="ignore"):
             find_spectrum(DotParameters(v=v, beta=beta, m=0))
 
     def test_numpy_scalar_inputs(self):

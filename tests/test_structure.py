@@ -6,7 +6,8 @@ functions of ``radial_basis``, Brent's method reads no guess,
 ``narrow_bracket`` alone reads a bracket's slope, importing the package
 leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
 alone, every function of the package serves the program
-or its public API, and the README's library example runs."""
+or its public API, every error class is raised, no source quotes a
+measured time, and the README's library example runs."""
 
 from __future__ import annotations
 
@@ -309,6 +310,44 @@ def test_every_function_is_used_public_or_the_entry_point():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # one class per outcome a caller acts on, under one root: each is
+    # raised somewhere in src/, and the message carries the detail
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    root, *outcomes = (node.name for node in classes)
+    assert root == "RashbaDotError"
+    assert all([base.id for base in node.bases] == [root] for node in classes[1:])
+    raised = {
+        node.exc.func.id
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    assert sorted(outcomes) == ["ArgumentOutOfRange", "InvalidInput", "NumericalFailure"]
+    assert set(outcomes) <= raised
+
+
+# a number with a unit of time below the second, or a "best of N" run
+# count, also where a line break splits them
+MEASURED_TIME = re.compile(r"\d\s*(?:us|µs|ms)\b|best\s+of", re.I)
+
+
+def test_no_source_quotes_a_measured_time():
+    # docstrings and comments state the method, its accuracy and the
+    # reason for each constant; measured costs depend on the machine and
+    # live in the BENCH_*.json records
+    quoted = [
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}: {match.group()!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for text in [path.read_text()]
+        for match in MEASURED_TIME.finditer(text)
+    ]
+    assert quoted == []
 
 
 def test_readme_library_example_runs():
