@@ -1,8 +1,9 @@
 """Command line interface: spectra, wave-function samples, the reference
 table comparison, and beta sweeps, as CSV or JSON.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 bad level
-index, 5 reference-table mismatch.
+Exit codes: 0 success, 2 usage error, 3 numerical failure or a problem
+outside the validated domain, 4 bad level index, 5 reference-table
+mismatch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import sys
 
-from .errors import InvalidInput, RashbaDotError
+from .errors import ArgumentOutOfRange, InvalidInput, RashbaDotError
 from .radial_basis import DotParameters
 from .reference_levels import REFERENCE_ROWS, corrected_levels
 from .spectral_solver import find_spectrum
@@ -318,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except ArgumentOutOfRange as exc:
+        sys.stderr.write(f"outside the validated domain: {exc}\n")
+        return EXIT_NUMERICAL
     except RashbaDotError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

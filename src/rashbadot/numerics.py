@@ -1,7 +1,7 @@
 """Problem-agnostic numerical kernels.
 
-Bracketed root refinement (bisection with secant/inverse-quadratic
-acceleration, Brent style), the narrowing of a bracket by the values
+Bracketed root refinement (Anderson–Björck regula falsi with a
+bisection guard), the narrowing of a bracket by the values
 either side of its guess, the Newton tables of a batch of polynomials
 interpolating sets of samples and the root of one (a proxy that supplies
 such a guess from values already computed, in the spirit of Boyd's
@@ -42,12 +42,12 @@ class Bracket(NamedTuple):
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
-    """Refine a bracketed root of ``f`` to an interval of width <= ``tol``.
+    """Refine a bracketed root of ``f`` to the secant point of a
+    sign-change interval of width <= ``tol``.
 
-    Uses Brent's method from the bracket ends alone (``bracket.guess`` is
-    not read): the sign change is never lost, and secant /
-    inverse-quadratic steps accelerate convergence when they behave.
-    Deterministic for identical inputs.
+    Anderson–Björck regula falsi (BIT 13, 253 (1973)) from the bracket
+    ends alone (``bracket.guess`` is not read), bisecting a bracket that
+    has not halved in four steps.  Deterministic for identical inputs.
     """
     if tol <= 0.0:
         raise InvalidInput("tol must be positive")
@@ -56,46 +56,30 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> fl
     if not (a < b) or not (fa * fb < 0.0):
         raise NumericalFailure(f"not a sign-change bracket: [{a}, {b}]")
 
-    c, fc = a, fa
-    d = e = b - a
+    # b is the newest point and a the other end; each step evaluates the
+    # secant point, kept tol1 inside the bracket; widths[-4] is the
+    # bracket's width four steps back
+    widths = [math.inf] * 4
     for _ in range(ROOT_ITERATION_CAP):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                # inverse quadratic
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
+        c = b - fb * (b - a) / (fb - fa)
+        tol1 = 2.0 * _EPS * abs(c) + 0.5 * tol
+        width = abs(b - a)
+        if width <= 2.0 * tol1:
+            return c
+        if width > 0.5 * widths[-4]:
+            c = 0.5 * (a + b)
+        widths.append(width)
+        c = min(max(c, min(a, b) + tol1), max(a, b) - tol1)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            # a survives again: scale its value down
+            scale = 1.0 - fc / fb
+            fa *= scale if scale > 0.0 else 0.5
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+            a, fa = b, fb
+        b, fb = c, fc
     raise NumericalFailure(f"root refinement exceeded {ROOT_ITERATION_CAP} iterations")
 
 

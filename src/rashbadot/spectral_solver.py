@@ -69,24 +69,28 @@ REFINE_TOL / 2, of every bracket that holds both points strictly inside
 it (:func:`find_spectrum` alone picks them) go through the scan's
 chunked lane call once, and ``numerics.narrow_bracket`` keeps the part
 of each bracket that holds its sign change.  Values of opposite signs
-leave a bracket REFINE_TOL wide, which Brent's method
-(``numerics.refine_root``) then closes without an evaluation; values of
-one sign leave the half beyond them, with the guess moved by one Newton
-step on the polynomial's slope there (``Bracket.slope``); an exact 0.0
-is a root at that energy, as at a grid node.  Each bracket is then
-refined by Brent's method at one float energy at a time, which runs the
-scalar kernels.  Brent's steps are sequential, and a lane call has a
-fixed cost of several scalar points (numpy's per-call cost on every
-term, node and step of a regime), so one call per spectrum pays, where
-a lane call per Brent step would not.  An open half costs Brent about 1.9
-evaluations, so a second probe round, at the moved guesses, runs when
+leave a bracket REFINE_TOL wide, which Anderson–Björck regula falsi
+(``numerics.refine_root``) then closes without an evaluation, at the
+secant point of the two values; values of one sign leave the half
+beyond them, with the guess moved by one Newton step on the
+polynomial's slope there (``Bracket.slope``); an exact 0.0 is a root at
+that energy, as at a grid node.  Each bracket is then refined by regula
+falsi at one float energy at a time, which runs the scalar kernels.
+Its steps are sequential, and a lane call has a fixed cost of several
+scalar points (numpy's per-call cost on every term, node and step of a
+regime), so one call per spectrum pays, where a lane call per step
+would not.  An open half costs the refinement about 2.3 evaluations, so
+a second probe round, at the moved guesses, runs when
 ``PROBE_ROUND_MIN`` or more halves hold both points of one: deep wells
-leave dozens, the reference rows at most one.  Brent starts from the
-narrowed bracket's ends and keeps the sign change and its stopping rule,
-so each level is still certified to within ``REFINE_TOL``, and a poor
-guess only leaves a wider bracket.  A level costs 0.40 scalar
-determinant evaluations on the reference table and 0.27 on deep wells
-(``deep_sweep`` seed 1), besides the lane calls.
+leave dozens, the reference rows at most one.  The refinement starts
+from the narrowed bracket's ends and keeps the sign change, so a poor
+guess only leaves a wider bracket.
+
+A level is the regula falsi point of a sign-change bracket at most
+``REFINE_TOL`` wide, not an end of it.  On the reference rows it lies
+within 3e-14 of the determinant's sign change (within 5e-14 on every
+one, pinned by the tests); on deep wells the determinant's rounding
+limits a level to about 1e-12.
 """
 
 from __future__ import annotations
@@ -118,22 +122,22 @@ SCAN_CHUNK = 2000
 # wells (deep_sweep seed 1), so it puts 10 or more steps between them
 GRID_STEP_S = 0.1
 # the fewest points of a sized grid, which the reference rows (s-ranges
-# 5 to 10) get: Brent takes 0.40 evaluations a level there, where at 250
-# points deep wells took 2.42
+# 5 to 10) get: the refinement takes 0.46 evaluations a level there,
+# where at 250 points deep wells (deep_sweep seed 1) take 2.45
 GRID_POINTS_MIN = 300
 # scan samples per bracket whose interpolating polynomial seeds its
 # refinement; fewer than the smallest grid
 PROXY_NODES = 16
 # the fewest open brackets with a guess that pay for a second probe round:
 # its lane call costs several scalar points (module docstring) and an open
-# bracket about 1.9 Brent evaluations; lower values move levels
+# bracket about 2.3 evaluations of the refinement; lower values move levels
 PROBE_ROUND_MIN = 6
-# the width to which Brent's method closes each sign-change bracket.  It
-# bounds a level's error only as far as the determinant resolves its
-# root, which on deep wells it does not: there the determinant's rounding
-# noise spans a few 1e-12 in e around a level, scans on 200 and 20000
-# grid points gave levels of the same wells up to 3.6e-12 apart, and a
-# second probe round moved levels by up to 4.6e-12 (10 ulps at e = 2564)
+# the width to which regula falsi closes each sign-change bracket before it
+# returns the bracket's secant point.  It bounds a level's error only as
+# far as the determinant resolves its root, which on deep wells it does
+# not: there the determinant's rounding noise spans about 1e-12 in e
+# around a level, and levels lie up to 3.6e-12 from the sign change of
+# the same determinant refined to 1e-16 (deep_sweep seeds 1-3)
 REFINE_TOL = 1e-12
 
 

@@ -68,6 +68,16 @@ PANEL_SPAN = 8.0
 TAIL_E_FOLDINGS = 40.0
 
 
+def avx512_groups() -> list[str]:
+    """numpy's AVX-512 dispatch groups that this CPU runs: naming them in
+    ``NPY_DISABLE_CPU_FEATURES`` makes numpy run its AVX2 loops."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [
+        f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("512" in f or f == "X86_V4")
+    ]
+
+
 def gauss_legendre(f, a: float, b: float, panels: int) -> float:
     """Integral of ``f`` over [a, b] by the 24-point Gauss-Legendre rule on
     ``panels`` equal panels, sampling ``f`` point by point."""

@@ -32,7 +32,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from conftest import DEEP_WELLS  # noqa: E402
+from conftest import DEEP_WELLS, avx512_groups  # noqa: E402
 from workloads import deep_sweep_items, profile_radii, states_items  # noqa: E402
 
 from rashbadot.radial_basis import WINDOW_MARGIN, DotParameters  # noqa: E402
@@ -75,16 +75,11 @@ def _scalar_stacks(params: DotParameters):
 
 
 def _environment() -> list[str]:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    avx512 = [
-        f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("512" in f or f == "X86_V4")
-    ]
     return [
         f"python {sys.version.split()[0]}, numpy {np.__version__}",
         f"blas {blas.get('name')} {blas.get('version')}",
-        f"avx512 groups enabled: {' '.join(avx512) or 'none'}",
+        f"avx512 groups enabled: {' '.join(avx512_groups()) or 'none'}",
     ]
 
 

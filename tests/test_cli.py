@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,10 @@ from rashbadot.cli import (
     main,
     to_dimensionless,
 )
+from conftest import avx512_groups
 from golden_check import GOLDEN, matches_golden
 from rashbadot import cli, spectral_solver
-from rashbadot.errors import InvalidInput
+from rashbadot.errors import InvalidInput, NumericalFailure
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
 from rashbadot.spectral_solver import REFINE_TOL, find_spectrum
@@ -209,10 +211,22 @@ class TestSpectrumCommand:
         assert "--physical derives v and beta: drop " in captured.err
 
     def test_numerical_failure_exit_code(self, capsys):
-        # angular number beyond the Bessel order cap
-        code, _, err = run_cli(capsys, "spectrum", "--v", "25", "--beta", "0", "--m", "99")
+        # angular number beyond the Bessel order cap: an ArgumentOutOfRange
+        code, out, err = run_cli(capsys, "spectrum", "--v", "25", "--beta", "0", "--m", "99")
         assert code == 3
-        assert "numerical failure" in err
+        assert out == ""
+        assert err.startswith("outside the validated domain: ")
+
+    def test_numerical_failure_keeps_its_prefix(self, capsys, monkeypatch):
+        # a scheme that fails on valid input exits 3 as a numerical failure
+        def failing(params):
+            raise NumericalFailure("no sign change")
+
+        monkeypatch.setattr(cli, "find_spectrum", failing)
+        code, out, err = run_cli(capsys, "spectrum", "--v", "25", "--beta", "0", "--m", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: no sign change\n"
 
     def test_shallow_well_is_a_numerical_failure(self, capsys):
         # its binding level lies within WINDOW_MARGIN of the window top:
@@ -667,6 +681,33 @@ class TestGoldenBytes:
         assert not matches_golden(name, dumped(window=[payload["window"][0], 3500.0000000001]))
         assert not matches_golden(name, golden.replace("\n", "\r\n"))
         assert not matches_golden(name, json.dumps(payload) + "\n")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512_groups())},
+            {"OPENBLAS_CORETYPE": "Haswell"},
+        ],
+        ids=["numpy_avx2_loops", "openblas_haswell"],
+    )
+    def test_goldens_hold_on_other_cpu_kernels(self, setting):
+        # numpy picks its loops by the CPU, and OpenBLAS the kernels under
+        # np.linalg.det; the goldens above hold under numpy's AVX2 loops
+        # and under OpenBLAS's Haswell kernels (where numpy's BLAS is
+        # OpenBLAS), each set on a child process alone
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, **setting}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
+            + ["-k", "TestGoldenBytes and not other_cpu_kernels"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+        assert " passed" in result.stdout and "skipped" not in result.stdout
 
 
 class TestConsoleScript:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_legendre, gauss_legendre_tail
+from rashbadot import numerics
 from rashbadot.errors import InvalidInput, NumericalFailure
 from rashbadot.numerics import (
     Bracket,
@@ -41,10 +42,12 @@ class TestNarrowBracket:
         assert narrowed == Bracket(0.25, 0.75, -0.5, 0.5)
 
     def test_straddle_is_closed_by_refine_root_at_once(self):
+        # no call of f: the result is the secant point of the two values,
+        # strictly inside the bracket, not an end of it
         calls = []
         narrowed = narrow_bracket(self.BRACKET, 0.25, -0.5, 0.5)
         root = refine_root(lambda x: calls.append(x) or x - 0.5, narrowed, 0.5)
-        assert root in (0.25, 0.75) and calls == []
+        assert root == 0.5 and calls == []
 
     def test_values_below_the_root_keep_the_upper_part(self):
         narrowed = narrow_bracket(self.BRACKET, 0.25, -0.55, -0.05)
@@ -117,10 +120,39 @@ class TestRefineRoot:
         with pytest.raises(NumericalFailure, match="not a sign-change bracket"):
             refine_root(f, Bracket(2.0, -1.0, 2.0, -1.0), 1e-12)
 
-    def test_stalled_step_does_not_converge(self):
-        f_step = lambda x: -1.0 if x < 1e-300 else 1.0
-        with pytest.raises(NumericalFailure, match="exceeded 200 iterations"):
-            refine_root(f_step, bracket_of(f_step, -1.0, 1.0), 1e-300)
+    def test_stalled_step_does_not_converge(self, monkeypatch):
+        # x * x - 2 needs more than three steps to close to 1e-12: the cap
+        # stops it after three evaluations
+        calls = []
+        f = lambda x: calls.append(x) or x * x - 2.0
+        bracket = bracket_of(f, 1.0, 2.0)
+        calls.clear()
+        monkeypatch.setattr(numerics, "ROOT_ITERATION_CAP", 3)
+        with pytest.raises(NumericalFailure, match="exceeded 3 iterations"):
+            refine_root(f, bracket, 1e-12)
+        assert len(calls) == 3
+
+    # a flat end, a steep end, an infinite slope at the root and a jump:
+    # plain regula falsi crawls along one end of the first two and hits
+    # the cap; the guard bisects a bracket that has not halved in four
+    # steps, so a halving costs at most about four evaluations
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: (x - 0.3) ** 9,
+            lambda x: math.expm1(40.0 * (x - 0.3)),
+            lambda x: math.copysign(abs(x - 0.3) ** (1.0 / 3.0), x - 0.3),
+            lambda x: -1.0 if x < 0.3 else 1.0,
+        ],
+        ids=["ninth_power", "expm1", "cube_root", "step"],
+    )
+    def test_adversarial_brackets_close_in_bounded_steps(self, f):
+        calls = []
+        tol = 1e-12
+        bracket = bracket_of(f, -1.0, 1.0)
+        root = refine_root(lambda x: calls.append(x) or f(x), bracket, tol)
+        assert abs(root - 0.3) <= tol
+        assert len(calls) <= 4 * math.ceil(math.log2(2.0 / tol)) + 4
 
     def test_nonpositive_tol(self):
         with pytest.raises(InvalidInput):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import j_kernel, k_kernel
+from conftest import avx512_groups, j_kernel, k_kernel
 from rashbadot.errors import ArgumentOutOfRange
 from rashbadot.radial_basis import (
     DotParameters,
@@ -827,13 +827,8 @@ def test_lane_batches_agree_without_avx512():
     # off, the lanes of a batch still give the bits they give alone, in the
     # Bessel kernels and in the matching matrix, and K still mirrors under
     # conjugation
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    groups = [
-        f for f in __cpu_dispatch__ if __cpu_features__.get(f) and ("512" in f or f == "X86_V4")
-    ]
     source = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(groups)}
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512_groups())}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]

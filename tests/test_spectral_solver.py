@@ -465,9 +465,9 @@ class TestFindSpectrum:
 
     def test_seeded_refinement_is_cheap_on_the_reference_rows(self, monkeypatch):
         # each bracket's guess, the root of the polynomial through the scan
-        # samples around it, is certified and narrows the bracket, so Brent
-        # needs few determinant evaluations (over 4 a level on the whole
-        # bracket)
+        # samples around it, is certified and narrows the bracket, so the
+        # refinement needs few determinant evaluations (over 4 a level on
+        # the whole bracket)
         counts = counted_refinement(monkeypatch)
         levels = sum(
             len(find_spectrum(DotParameters(row.v, row.beta, row.m)).levels)
@@ -492,7 +492,8 @@ class TestFindSpectrum:
     def test_second_probe_round_keeps_deep_wells_cheap(self, monkeypatch):
         # deep wells leave dozens of brackets open after the first probe
         # round; a second round at their Newton-moved guesses closes most
-        # of them (one round leaves Brent 1.19 evaluations a level here)
+        # of them (one round leaves the refinement 1.62 evaluations a
+        # level here)
         counts = counted_refinement(monkeypatch)
         levels = sum(len(find_spectrum(DotParameters(*well)).levels) for well in DEEP_WELLS)
         assert counts["evaluations"] <= 0.5 * levels
@@ -511,7 +512,7 @@ class TestFindSpectrum:
     def test_probes_only_guesses_with_both_points_inside(self, monkeypatch, v, beta, m):
         # find_spectrum alone picks the brackets it probes: a guess that is
         # NaN, or within REFINE_TOL / 2 of an end of its bracket, is not
-        # probed, and its bracket reaches Brent with its scan ends
+        # probed, and its bracket reaches the refinement with its scan ends
         params = DotParameters(v, beta, m)
         plain = find_spectrum(params).levels
         half = 0.5 * REFINE_TOL
@@ -555,8 +556,8 @@ class TestFindSpectrum:
         assert len(levels) == len(plain)
 
     def test_certified_guesses_keep_the_brent_levels(self, monkeypatch):
-        # the values either side of each guess narrow its bracket; Brent's
-        # method on the whole bracket, from its ends, is the reference,
+        # the values either side of each guess narrow its bracket; the
+        # refinement of the whole bracket, from its ends, is the reference,
         # and the deep wells' determinants resolve a root to a few 1e-12
         # in e (REFINE_TOL)
         wells = [DotParameters(row.v, row.beta, row.m) for row in REFERENCE_ROWS]
@@ -567,6 +568,16 @@ class TestFindSpectrum:
             reference = find_spectrum(params).levels
             assert len(levels) == len(reference), params
             assert np.max(np.abs(np.subtract(levels, reference)), initial=0.0) <= 4e-12, params
+
+    def test_reference_levels_lie_at_the_determinant_sign_change(self, table_spectra):
+        # a level is the regula falsi point of a bracket at most REFINE_TOL
+        # wide, not an end of it: on the reference rows the scan's
+        # determinant changes sign within 5e-14 of every level
+        for spectrum in table_spectra.values():
+            for e in spectrum.levels:
+                below = scan_value(spectrum.params, e - 5e-14)
+                above = scan_value(spectrum.params, e + 5e-14)
+                assert below * above < 0.0, (spectrum.params, e)
 
     @pytest.mark.parametrize("v,beta,m", [(100.0, 2.0, 1), (25.0, 0.0, 0)])
     def test_refines_each_bracket_through_refine_root(self, monkeypatch, v, beta, m):

@@ -2,7 +2,7 @@
 it wraps, no module reaches into another module's private names, each
 Bessel regime is written once, one function picks the J regime and one
 the K regime, every Bessel value of the basis comes through the pair
-functions of ``radial_basis``, Brent's method reads no guess,
+functions of ``radial_basis``, root refinement reads no guess,
 ``narrow_bracket`` alone reads a bracket's slope, importing the package
 leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
 alone, every function of the package serves the program
@@ -161,8 +161,8 @@ def test_every_bessel_call_goes_through_the_pair_functions(monkeypatch):
 
 
 def test_refine_root_starts_from_the_bracket_alone():
-    # the guess is read in narrow_bracket alone: Brent's method takes
-    # only the ends and their values
+    # the guess is read in narrow_bracket alone: refine_root takes only
+    # the ends and their values
     tree = ast.parse((PACKAGE / "numerics.py").read_text())
     (refine,) = (
         node
