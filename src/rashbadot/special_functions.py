@@ -56,16 +56,23 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   times functions analytic in a strip of half-width at least sqrt|z|,
   so a fixed rule converges at every such z, and its terms (positive for
   real z) do not cancel.  The strip widens with |z| and the rule shrinks
-  with it, a ladder of pruned rules (``_K_RUNGS``): 21 nodes of the
-  56-point rule for 3 < |z| <= 14.5, 8 of the 16-point rule up to 25
-  and 6 of the 12-point rule beyond.  Against mpmath, on 25 sizes a rung
-  and 39 angles from the real axis to 1e-9 off the imaginary one in both
-  half-planes, the seeds lie within 8.2e-16, 6.5e-16 and 6.5e-16.  A
-  rung costs one complex square root per node, so each cut moves a span
-  of |z| to a rule of fewer nodes.
-  The first cut lies above every |z| of the reference rows' scan (at
-  most 14.14); denser cuts save more per point, but a lane call whose
-  lanes straddle a cut runs every rung it touches.
+  with it.  The rules form one family (``_K_RULES``): the 56-, 24-, 16-
+  and 12-point rules, pruned to 21, 12, 8 and 6 nodes, each node one
+  complex square root.  One point takes the narrowest rule its |z|
+  allows (``_K_POINT_CUTS``): 56 points for 3 < |z| <= 7.5, 24 up to 13,
+  16 up to 25 and 12 beyond.  Each rule comes within 8.2e-16 of mpmath
+  at its cut (from |z| = 7.25 and 13 on sizes 0.25 apart), where the
+  next narrower rule is off by 3e-13 or more.  Lanes, as the J series
+  do, run what their regime's worst argument needs: a rung
+  (``_K_RUNGS``) above each lane cut 3, 14.5 and 25, the rule a point
+  takes just above it (56, 16 and 12 points).  Lane cuts are few, since
+  a lane call whose lanes straddle a cut runs every rung it touches;
+  the first lies above every |z| of the reference rows' scan (at most
+  14.14).  Against mpmath, at sizes 0.25 apart up to 30 and four up to
+  1000, and 39 angles from the real axis to 1e-9 off the imaginary one
+  in both half-planes, every point and every lane seed lies within
+  9.0e-16, the 56-point rule's worst at |z| = 7; the narrower rules stay
+  within 6.7e-16.  The K bound the tests hold every rule to is 1e-15.
 
 All K evaluation is done on the exponentially scaled function e^z K_n(z),
 which stays representable for Re z far beyond the point where K itself
@@ -123,8 +130,10 @@ EULER_GAMMA = 0.5772156649015328606
 _J_SERIES_RADIUS = 2.0
 _J_HANKEL_RADIUS = 25.0
 # the K seed regime cuts, read in _k_regime alone: the log series up to
-# |z| = 3, then rung i of _K_RUNGS above _K_CUTS[i] up to the next cut
+# |z| = 3, then for one point rule i of _K_RULES above _K_POINT_CUTS[i], and
+# for lanes rung i of _K_RUNGS above _K_CUTS[i], each up to the next cut
 _K_CUTS = (3.0, 14.5, 25.0)
+_K_POINT_CUTS = (3.0, 7.5, 13.0, 25.0)
 
 # the terms each series sums on lanes, and the most it sums for one
 # argument before its stopping rule passes: the count that rule needs at
@@ -141,9 +150,10 @@ _K_SERIES_DIVISORS = np.array(
 _H = np.cumsum([0.0, *(1.0 / k for k in range(1, _K_SERIES_TERMS + 2))])  # harmonic numbers
 _K_SERIES_HARMONICS = np.array((_H[:-1], _H[:-1] + _H[1:] - 2.0 * EULER_GAMMA)).T[..., None]
 
-# the 56-, 16- and 12-point Gauss-Hermite rules folded onto their positive
-# nodes s, as (t, w) = (s^2, twice the weight of s), keeping the 21, 8 and
-# 6 with w (1 + t) > 1e-18 w_0; the integrands of _k01_quadrature are even
+# the 56-, 24-, 16- and 12-point Gauss-Hermite rules folded onto their
+# positive nodes s, as (t, w) = (s^2, twice the weight of s), keeping the
+# 21, 12, 8 and 6 with w (1 + t) > 1e-18 w_0; the integrands of
+# _k01_quadrature are even
 _K_NODES_56 = (
     (0.02183595942166429, 0.5783501686702966), (0.19662501675605396, 0.4859785419854475),
     (0.5467457595545774, 0.3429544952425431), (1.073292764692549, 0.20303878543597345),
@@ -157,6 +167,14 @@ _K_NODES_56 = (
     (33.219297919270076, 2.6317122502794006e-15), (37.45483826846007, 3.913852357129493e-17),
     (42.08205580020674, 3.951333623078096e-19),
 )
+_K_NODES_24 = (
+    (0.050361889117293945, 0.8538623277373987), (0.4545066815637803, 0.5723590706928858),
+    (1.2695899401039616, 0.25547924356911833), (2.509848097232128, 0.07489094100646147),
+    (4.198415644878414, 0.014096711620145346), (6.369975388030636, 0.0016473849653768338),
+    (9.075434230961202, 0.00011377383272808784), (12.39044796380947, 4.316491409804683e-06),
+    (16.432195087675307, 8.037942349882876e-08), (21.396755936166112, 6.092508539975111e-10),
+    (27.66110877984609, 1.3169240486156334e-12), (36.191360360615604, 3.3287369929782016e-16),
+)
 _K_NODES_16 = (
     (0.07479188259681827, 1.0158589580332273), (0.6772490876492891, 0.5612949170570674),
     (1.9051136350314286, 0.16762008279797166), (3.8094763614849065, 0.025760623071019978),
@@ -168,10 +186,16 @@ _K_NODES_12 = (
     (2.5525898026681713, 0.10321597123176796), (5.196152530054465, 0.00781078116925812),
     (9.124248037531178, 0.00017147374087175737), (15.129959781108084, 5.317103368712609e-07),
 )
-# the rungs as (t, w, w t): the weights of the K_0 and the K_1 integrand
-_K_RUNGS = tuple(
-    tuple((t, w, w * t) for t, w in rule) for rule in (_K_NODES_56, _K_NODES_16, _K_NODES_12)
+# the rules as (t, w, w t), the weights of the K_0 and the K_1 integrand,
+# from the widest: each the narrowest of the family that meets the K bound
+# (module docstring) from its point cut on
+_K_RULES = tuple(
+    tuple((t, w, w * t) for t, w in rule)
+    for rule in (_K_NODES_56, _K_NODES_24, _K_NODES_16, _K_NODES_12)
 )
+# the lane rungs: the rule a point takes just above each lane cut, which
+# the rung's worst argument needs
+_K_RUNGS = (_K_RULES[0], _K_RULES[2], _K_RULES[3])
 # each rung's t, w and w t as the columns that lanes take
 _K_COLUMNS = tuple(np.array(rung).T[:, :, None] for rung in _K_RUNGS)
 _K_BLOCK = 8192
@@ -420,8 +444,9 @@ def _k01_series(z) -> tuple:
 
 
 def _k01_quadrature(z, terms: tuple) -> tuple:
-    """(e^z K_0, e^z K_1) by the Gauss-Hermite rung ``terms`` of
-    ``_K_RUNGS``, Re z > 0; ``z`` is a complex or a 1-D array of lanes.
+    """(e^z K_0, e^z K_1) by the Gauss-Hermite rule ``terms``, Re z > 0:
+    ``z`` is a complex and ``terms`` one of ``_K_RULES``, or ``z`` is a
+    1-D array of lanes and ``terms`` the columns of a rung.
 
     DLMF 10.32.8 with t = s^2 gives, over the whole real line,
 
@@ -429,8 +454,8 @@ def _k01_quadrature(z, terms: tuple) -> tuple:
         e^z K_1(z) = (2/z)^(1/2) int e^(-s^2) s^2 (1 + s^2/2z)^(1/2) ds.
 
     The integrands are analytic in a strip of half-width at least sqrt|z|
-    about the real line, so each rung converges on its whole span of |z|,
-    and a wider strip needs fewer nodes: a loop over the rung's nodes, with
+    about the real line, so each rule converges on its whole span of |z|,
+    and a wider strip needs fewer nodes: a loop over the rule's nodes, with
     no convergence test.
     """
     u = 0.5 / z
@@ -455,12 +480,12 @@ def _k01_quadrature(z, terms: tuple) -> tuple:
 
 
 def _k_regime(size):
-    """The K seed regime at |z| = ``size``, a float or a 1-D array of
-    lanes: 0 for the log series, i >= 1 for the quadrature rung
-    ``_K_RUNGS[i - 1]``."""
+    """The K seed regime at |z| = ``size``: 0 for the log series, and
+    i >= 1 for the quadrature rule ``_K_RULES[i - 1]`` of a float, or the
+    rung ``_K_RUNGS[i - 1]`` of a 1-D array of lanes."""
     if isinstance(size, np.ndarray):
         return np.array(_K_CUTS).searchsorted(size)  # the method skips np.searchsorted's wrapper
-    return bisect.bisect_left(_K_CUTS, size)
+    return bisect.bisect_left(_K_POINT_CUTS, size)
 
 
 def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
@@ -473,7 +498,7 @@ def bessel_k_scaled_many(orders: range, z: complex) -> list[complex]:
     if not (z.real > 0.0 and (size := abs(z)) < math.inf):
         raise ArgumentOutOfRange(f"K_n requires a finite z with Re z > 0, got z = {z!r}")
     regime = _k_regime(size)
-    seq = [*(_k01_quadrature(z, _K_RUNGS[regime - 1]) if regime else _k01_series(z))]
+    seq = [*(_k01_quadrature(z, _K_RULES[regime - 1]) if regime else _k01_series(z))]
     for n in range(1, top):
         seq.append(seq[n - 1] + (2.0 * n / z) * seq[n])
     # K_{-n} = K_n

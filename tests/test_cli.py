@@ -28,7 +28,9 @@ from rashbadot import cli, spectral_solver
 from rashbadot.errors import InvalidInput, NumericalFailure
 from rashbadot.radial_basis import DotParameters
 from rashbadot.reference_levels import REFERENCE_ROWS, corrected_levels
+from rashbadot.special_functions import _K_POINT_CUTS
 from rashbadot.spectral_solver import REFINE_TOL, find_spectrum
+from rashbadot.wavefunction import evaluate_radial
 
 
 def run_cli(capsys, *argv):
@@ -593,6 +595,64 @@ class TestUsageLines:
         assert capsys.readouterr().err.startswith(f"usage: rashbadot {argv[0]} ")
 
 
+# the commands whose stdout tests/golden pins, and the file of each
+GOLDEN_COMMANDS = [
+    (["table"], "table.csv"),
+    (["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"], "sweep.csv"),
+    (["spectrum", "--v", "25", "--beta", "5", "--m", "0"], "spectrum.csv"),
+    (
+        ["spectrum", "--physical", "--m", "0", "--effective-mass", "0.067"]
+        + ["--dot-radius", "12.5", "--well-depth", "180", "--rashba-coefficient", "32"],
+        "spectrum_physical.csv",
+    ),
+    (
+        # a deep well: its scan takes J in all three regimes, at k_- from
+        # -50 to 42, K on the 6-node rung (|z| >= 50), and its brackets
+        # two probe rounds
+        ["spectrum", "--v", "6000", "--beta", "100", "--m", "8"],
+        "spectrum_deep.csv",
+    ),
+    (
+        # the same levels in full precision, within REFINE_TOL
+        ["spectrum", "--v", "6000", "--beta", "100", "--m", "8", "--format", "json"],
+        "spectrum_deep.json",
+    ),
+    (
+        ["wavefunction", "--v", "100", "--beta", "2", "--m", "1", "--level", "2"]
+        + ["--rmax", "3", "--samples", "300"],
+        "wavefunction.csv",
+    ),
+    (
+        # the symmetry partner of the one above: negative odd orders
+        ["wavefunction", "--v", "100", "--beta", "-2", "--m", "-2", "--level", "2"]
+        + ["--rmax", "3", "--samples", "300"],
+        "wavefunction_partner.csv",
+    ),
+    (
+        # a deep level whose exterior samples cross the K lane cuts 14.5
+        # and 25 and the point cuts 13 and 25 (|z| from 11.0 to 33.1)
+        ["wavefunction", "--v", "400", "--beta", "6", "--m", "2", "--level", "8"]
+        + ["--rmax", "3", "--samples", "300"],
+        "wavefunction_deep.csv",
+    ),
+    (
+        # the top level of its window, |kappa| = 2.79: its exterior samples
+        # cross the K point cuts 3, 7.5 and 13 (|z| from 2.79 to 13.93)
+        ["wavefunction", "--v", "50", "--beta", "5", "--m", "-3", "--level", "2"]
+        + ["--rmax", "5", "--samples", "300"],
+        "wavefunction_window_top.csv",
+    ),
+    (
+        # a level below e = 0 (e = -97.84): k_- = -8.53, so its interior
+        # samples take J at negative arguments, in the series and Miller
+        # regimes
+        ["wavefunction", "--v", "100", "--beta", "20", "--m", "2", "--level", "0"]
+        + ["--rmax", "3", "--samples", "300"],
+        "wavefunction_negative_k.csv",
+    ),
+]
+
+
 class TestGoldenBytes:
     """The CSV bytes (stdout) of the README commands, and the JSON of one
     deep spectrum, pinned in ``tests/golden``: every byte, except that the
@@ -604,63 +664,17 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize(
         "argv,name",
-        [
-            (["table"], "table.csv"),
-            (["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"], "sweep.csv"),
-            (["spectrum", "--v", "25", "--beta", "5", "--m", "0"], "spectrum.csv"),
-            (
-                ["spectrum", "--physical", "--m", "0", "--effective-mass", "0.067"]
-                + ["--dot-radius", "12.5", "--well-depth", "180", "--rashba-coefficient", "32"],
-                "spectrum_physical.csv",
-            ),
-            (
-                # a deep well: its scan takes J in all three regimes, at
-                # k_- from -50 to 42, K on the 6-node rung (|z| >= 50), and
-                # its brackets two probe rounds
-                ["spectrum", "--v", "6000", "--beta", "100", "--m", "8"],
-                "spectrum_deep.csv",
-            ),
-            (
-                # the same levels in full precision, within REFINE_TOL
-                ["spectrum", "--v", "6000", "--beta", "100", "--m", "8", "--format", "json"],
-                "spectrum_deep.json",
-            ),
-            (
-                ["wavefunction", "--v", "100", "--beta", "2", "--m", "1", "--level", "2"]
-                + ["--rmax", "3", "--samples", "300"],
-                "wavefunction.csv",
-            ),
-            (
-                # the symmetry partner of the one above: negative odd orders
-                ["wavefunction", "--v", "100", "--beta", "-2", "--m", "-2", "--level", "2"]
-                + ["--rmax", "3", "--samples", "300"],
-                "wavefunction_partner.csv",
-            ),
-            (
-                # a deep level whose exterior samples span every quadrature
-                # rung of K (|z| from 11.0 to 33.1)
-                ["wavefunction", "--v", "400", "--beta", "6", "--m", "2", "--level", "8"]
-                + ["--rmax", "3", "--samples", "300"],
-                "wavefunction_deep.csv",
-            ),
-            (
-                # a level below e = 0 (e = -97.84): k_- = -8.53, so its
-                # interior samples take J at negative arguments, in the
-                # series and Miller regimes
-                ["wavefunction", "--v", "100", "--beta", "20", "--m", "2", "--level", "0"]
-                + ["--rmax", "3", "--samples", "300"],
-                "wavefunction_negative_k.csv",
-            ),
-        ],
+        GOLDEN_COMMANDS,
         ids=[
             "table", "sweep", "spectrum", "spectrum_physical", "spectrum_deep", "spectrum_deep_json",
-            "wavefunction", "partner", "deep", "negative_k",
+            "wavefunction", "partner", "deep", "window_top", "negative_k",
         ],
     )
     def test_csv_bytes(self, capsys, argv, name):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert matches_golden(name, out)
+
 
     def test_deep_json_compares_levels_within_refine_tol(self):
         # the golden itself matches; a level moved by less than REFINE_TOL
@@ -708,6 +722,26 @@ class TestGoldenBytes:
         )
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
         assert " passed" in result.stdout and "skipped" not in result.stdout
+
+
+def test_wavefunction_goldens_cross_every_k_point_cut(monkeypatch, capsys):
+    # the exterior samples of the wavefunction goldens, at |z| = |kappa| r
+    # for r >= 1, lie on both sides of every cut of the single-point K
+    # ladder, so the goldens pin the bits of every point rule
+    spans = []
+
+    def sample(state, r):
+        if r >= 1.0:
+            spans[-1].append(abs(state.wave_numbers[1] * r))
+        return evaluate_radial(state, r)
+
+    monkeypatch.setattr(cli, "evaluate_radial", sample)
+    for argv, _ in GOLDEN_COMMANDS:
+        if argv[0] == "wavefunction":
+            spans.append([])
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+    for cut in _K_POINT_CUTS:
+        assert any(min(sizes) < cut < max(sizes) for sizes in spans), cut
 
 
 class TestConsoleScript:

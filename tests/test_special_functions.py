@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import avx512_groups, j_kernel, k_kernel
+from rashbadot import special_functions
 from rashbadot.errors import ArgumentOutOfRange
 from rashbadot.radial_basis import (
     DotParameters,
@@ -32,10 +33,15 @@ from rashbadot.special_functions import (
     _K_CUTS,
     _K_NODES_12,
     _K_NODES_16,
+    _K_NODES_24,
     _K_NODES_56,
+    _K_POINT_CUTS,
+    _K_RULES,
     _K_RUNGS,
     _K_SERIES_TERMS,
     _j_miller,
+    _k01_quadrature,
+    _k_regime,
     bessel_j_over_power,
     bessel_k_scaled_lanes,
     bessel_k_scaled_many,
@@ -304,6 +310,17 @@ class TestBesselJ:
         assert abs(lhs - rhs) < 1e-10
 
 
+def pruned_hermite_rule(points: int) -> tuple:
+    """The ``points``-point Gauss-Hermite rule folded onto its positive
+    nodes s as (t, w) = (s^2, 2 w), keeping the nodes with
+    w (1 + t) > 1e-18 w_0."""
+    s, weights = np.polynomial.hermite.hermgauss(points)
+    positive = s > 0.0
+    t, w = s[positive] ** 2, 2.0 * weights[positive]
+    keep = w * (1.0 + t) > 1e-18 * w[0]
+    return tuple(zip(t[keep].tolist(), w[keep].tolist()))
+
+
 def check_ladder_derivatives(derivatives, r, abs_tol, h=1e-6):
     """First derivatives against central differences of the values, and
     second derivatives against central differences of the first.
@@ -426,6 +443,91 @@ def test_fixed_series_length_is_what_the_stopping_rule_needs(stop, count, edge, 
     assert max(stop(a) for a in regime) <= count
 
 
+# the bound every K quadrature rule meets on its span; 9.0e-16 measured
+K_BOUND = 1e-15
+
+# sizes across the span of each point rule, from just above its cut; 7.0
+# is the 56-point rule's worst size
+POINT_RULE_SIZES = (
+    (3.0000001, 5.0, 7.0, 7.5),
+    (7.5000001, 10.0, 13.0),
+    (13.0000001, 19.0, 25.0),
+    (25.0000001, 28.0),
+)
+
+
+def k_seeds_mpmath(mp, z: complex) -> tuple[complex, complex]:
+    """(e^z K_0(z), e^z K_1(z)) to 30 digits by the ascending series
+    (DLMF 10.31.1-2) in mpmath, with the digits its cancellation costs, at
+    most 2|z| / ln 10: a tenth of the time of mpmath's ``besselk``."""
+    with mp.workdps(30 + int(0.87 * abs(z)) + 5):
+        z = mp.mpc(z.real, z.imag)
+        h = z * z / 4
+        euler = +mp.euler
+        term = i0 = i1 = mp.mpc(1)  # term = h^k / (k!)^2
+        harmonic, harmonic_next = mp.mpf(0), mp.mpf(1)  # H_k, H_(k+1)
+        s0, s1 = mp.mpf(0), 1 - 2 * euler
+        k = 0
+        while abs(term) * (harmonic + 2) >= 1e-3 * mp.eps * abs(i0):
+            k += 1
+            term = term * h / (k * k)
+            harmonic, harmonic_next = harmonic_next, harmonic_next + mp.mpf(1) / (k + 1)
+            i0 += term
+            s0 += term * harmonic
+            i1 += (term_1 := term / (k + 1))
+            s1 += term_1 * (harmonic + harmonic_next - 2 * euler)
+        log_half = mp.log(z / 2)
+        k0 = -(log_half + euler) * i0 + s0
+        k1 = 1 / z + log_half * (z / 2) * i1 - z / 4 * s1
+        scale = mp.exp(z)
+        return complex(scale * k0), complex(scale * k1)
+
+
+def test_point_rules_meet_the_k_bound_where_no_narrower_rule_does():
+    # one point takes the narrowest rule its |z| allows: each point rule
+    # lies within K_BOUND of 30-digit mpmath across its span, at 39 angles
+    # from the real axis to 1e-9 off the imaginary one in both
+    # half-planes; just above each cut the next narrower rule does not,
+    # and one unit below each cut between 3 and the last (a lane cut too)
+    # the rule above it does not either, so each rule takes over near
+    # where it can
+    mp = pytest.importorskip("mpmath")
+    half_pi = 0.5 * math.pi
+    angles = [*np.linspace(0.0, half_pi, 38)[:-1].tolist(), half_pi - 1e-6, half_pi - 1e-9]
+    z = 5.0 + 5.0j
+    exact = mp.mpc(z.real, z.imag)
+    for n, value in enumerate(k_seeds_mpmath(mp, z)):
+        assert value == pytest.approx(complex(mp.besselk(n, exact) * mp.exp(exact)), rel=1e-16)
+    refs = {}
+
+    def error(size, rule=None):
+        """The worst relative error of the seeds at |z| = size, by the
+        point's own rule, or by ``rule``."""
+        worst = 0.0
+        for angle in angles:
+            z = cmath.rect(size, angle)
+            if z not in refs:
+                refs[z] = k_seeds_mpmath(mp, z)
+            ref = refs[z]
+            for point, exact in ((z, ref), (z.conjugate(), [x.conjugate() for x in ref])):
+                if rule is None:
+                    got = bessel_k_scaled_many(range(2), point)
+                else:
+                    got = _k01_quadrature(point, rule)
+                worst = max(worst, *(abs(g - x) / abs(x) for g, x in zip(got, exact)))
+        return worst
+
+    assert [sizes[0] - 1e-7 for sizes in POINT_RULE_SIZES] == pytest.approx(_K_POINT_CUTS)
+    for i, sizes in enumerate(POINT_RULE_SIZES):
+        for size in sizes:
+            assert _k_regime(size) == i + 1
+            assert error(size) <= K_BOUND, size
+        if i + 1 < len(_K_RULES):
+            assert error(sizes[0], _K_RULES[i + 1]) > K_BOUND, sizes[0]
+    for cut, rule in zip(_K_POINT_CUTS[1:-1], _K_RULES[1:-1]):
+        assert error(cut - 1.0, rule) > K_BOUND, cut
+
+
 class TestBesselJDerivative:
     """Derivatives of J, as the interior waves of ``radial_basis`` carry
     them."""
@@ -522,16 +624,20 @@ class TestBesselK:
 
     # points in every seed regime and beside their cuts: the log series
     # (|z| <= 3), the Gauss-Hermite rungs (|z| > 3, cut at 14.5 and 25,
-    # from near the imaginary axis to |z| = 1000), and the lower half-plane
+    # from near the imaginary axis to |z| = 1000), either side of the
+    # point cuts 7.5 and 13, where a lane and a point take different
+    # rules, and the lower half-plane
     LANE_POINTS = (
         1e-6 + 0j, 0.5 + 0.5j, 1.5 + 0.7j, 2.0 + 0j, 2.0000001 + 0j,
         1.0 + 1.7320509j, 3.0 + 0j,
-        3.0000001 + 0j, 0.1 + 3.01j, 0.5 + 3j, 3 + 2j, 6 + 6j, 0.3 + 7.9j,
+        3.0000001 + 0j, 0.1 + 3.01j, 0.5 + 3j, 3 + 2j, 6 + 6j, 7.5 + 0j,
+        7.5000001 + 0j, 0.3 + 7.49j, 0.3 + 7.9j, 13.0 + 0j, 13.0000001 + 0j,
+        0.2 + 12.99j, 0.2 + 13.01j,
         0.5 + 12j, 0.99 + 12.4j, 1 + 12.4j, 12.4999 + 0j, 12.5 + 0j,
         14.5 + 0j, 14.5000001 + 0j, 0.2 + 14.6j, 10 + 20j, 25.0 + 0j,
         25.0000001 + 0j, 1e-3 + 25.1j,
         30 + 40j, 140 + 139j, 1000 + 5j,
-        1.5 - 0.7j, 0.3 - 7.9j, 3 - 2j, 30 - 40j,
+        1.5 - 0.7j, 0.3 - 7.9j, 3 - 2j, 7.4 - 1.3j, 12.9 - 1.6j, 30 - 40j,
     )
 
     def test_lanes_match_scalar(self):
@@ -658,19 +764,44 @@ class TestBesselK:
             assert [row[0] for row in alone] == [row[i] for row in batch]
 
     def test_quadrature_nodes_are_the_pruned_hermite_rule(self):
-        # each rung is its rule folded onto its positive nodes as
-        # (s^2, 2 w), keeping the nodes with w (1 + t) > 1e-18 w_0, and
-        # carries the K_1 weight w t; the rungs run from the widest rule
-        rules = ((56, _K_NODES_56, 21), (16, _K_NODES_16, 8), (12, _K_NODES_12, 6))
-        for (points, nodes, kept), rung in zip(rules, _K_RUNGS, strict=True):
-            s, weights = np.polynomial.hermite.hermgauss(points)
-            positive = s > 0.0
-            t, w = s[positive] ** 2, 2.0 * weights[positive]
-            keep = w * (1.0 + t) > 1e-18 * w[0]
-            assert tuple(zip(t[keep].tolist(), w[keep].tolist())) == nodes
+        # every literal rule is its Gauss-Hermite rule folded onto its
+        # positive nodes as (s^2, 2 w), keeping the nodes with
+        # w (1 + t) > 1e-18 w_0; the family runs from the widest rule, each
+        # carrying the K_1 weight w t, and each lane rung is the rule a
+        # point takes just above the rung's lane cut
+        literals = {name for name in vars(special_functions) if name.startswith("_K_NODES_")}
+        assert literals == {"_K_NODES_56", "_K_NODES_24", "_K_NODES_16", "_K_NODES_12"}
+        rules = (
+            (56, _K_NODES_56, 21), (24, _K_NODES_24, 12), (16, _K_NODES_16, 8), (12, _K_NODES_12, 6)
+        )
+        for (points, nodes, kept), rule in zip(rules, _K_RULES, strict=True):
+            assert pruned_hermite_rule(points) == nodes
             assert len(nodes) == kept
-            assert rung == tuple((t, w, w * t) for t, w in nodes)
+            assert rule == tuple((t, w, w * t) for t, w in nodes)
         assert _K_CUTS == (3.0, 14.5, 25.0)
+        assert _K_POINT_CUTS == (3.0, 7.5, 13.0, 25.0)
+        for cut, rung in zip(_K_CUTS, _K_RUNGS, strict=True):
+            assert rung is _K_RULES[_k_regime(math.nextafter(cut, math.inf)) - 1]
+
+    def test_lanes_keep_the_rung_ladder(self):
+        # lanes take the rung of their lane span whatever rule a point
+        # takes at their |z|: the seeds of 600 lanes over both half-planes,
+        # 3 < |z| <= 60, are byte for byte those of the 56-, 16- and
+        # 12-point rules, built here from hermgauss, above the cuts 3, 14.5
+        # and 25
+        rng = np.random.default_rng(29)
+        sizes = np.concatenate([rng.uniform(3.0, 60.0, 594), [7.5, 13.0, 14.5, 14.6, 25.0, 25.1]])
+        zs = sizes * np.exp(1j * rng.uniform(-1.5, 1.5, sizes.size))
+        sizes = np.abs(zs)
+        k0, k1 = bessel_k_scaled_lanes(range(0, 2), zs)
+        spans = ((3.0, 14.5, 56), (14.5, 25.0, 16), (25.0, math.inf, 12))
+        for low, high, points in spans:
+            lanes = (low < sizes) & (sizes <= high)
+            assert lanes.sum() >= 50
+            rung = np.array([(t, w, w * t) for t, w in pruned_hermite_rule(points)])
+            seeds = _k01_quadrature(zs[lanes], rung.T[:, :, None])
+            assert k0[lanes].tobytes() == seeds[0].tobytes()
+            assert k1[lanes].tobytes() == seeds[1].tobytes()
 
     def test_lanes_raise_as_scalar(self):
         with pytest.raises(ArgumentOutOfRange, match="requires a finite z with Re z > 0"):
@@ -790,15 +921,15 @@ class TestLiveHighPrecisionOracle:
                 assert abs(got - ref) <= 1e-13 * abs(ref)
 
     def test_k_seeds_beyond_the_series(self):
-        # e^z K_0 and e^z K_1 from each quadrature rung, 3 < |z| <= 1000
+        # e^z K_0 and e^z K_1 from each quadrature rule, 3 < |z| <= 1000
         # with sizes at and just above each cut, from the real axis to 1e-9
         # off the imaginary one and in the lower half-plane
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         half_pi = 0.5 * math.pi
         for size in (
-            3.0000001, 3.2, 4.5, 8.0, 12.5, 14.5, 14.5000001, 15.0, 20.0, 25.0,
-            25.0000001, 26.0, 30.0, 100.0, 400.0, 1000.0,
+            3.0000001, 3.2, 4.5, 7.5, 7.5000001, 8.0, 12.5, 13.0, 13.0000001, 14.5,
+            14.5000001, 15.0, 20.0, 25.0, 25.0000001, 26.0, 30.0, 100.0, 400.0, 1000.0,
         ):
             for angle in (
                 0.0, 0.3, 0.8, 1.2, 1.5, half_pi - 1e-6, half_pi - 1e-9,

@@ -215,17 +215,18 @@ def test_j_regime_split_is_read_in_one_function():
 
 def test_k_regime_cuts_are_read_in_one_function():
     # the scalar and the lane K entry points take their seed regime, the
-    # log series or a quadrature rung, from one place, so a lane and the
-    # scalar cannot disagree on it
+    # log series, a point's quadrature rule or a lane's rung, from one
+    # function, the only reader of the point cuts and of the lane cuts
     tree = ast.parse((PACKAGE / "special_functions.py").read_text())
-    readers = {
-        function.name
-        for function in ast.walk(tree)
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Name) and node.id == "_K_CUTS"
-    }
-    assert readers == {"_k_regime"}
+    for constant in ("_K_CUTS", "_K_POINT_CUTS"):
+        readers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == constant
+        }
+        assert readers == {"_k_regime"}, constant
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
