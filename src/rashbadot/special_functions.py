@@ -62,8 +62,8 @@ worst relative error near 1e-13 over 1e-6 <= |z| <= 200, Re z > 0):
   allows (``_K_POINT_CUTS``): 56 points for 3 < |z| <= 7.5, 24 up to 13,
   16 up to 25 and 12 beyond.  Each rule comes within 8.2e-16 of mpmath
   at its cut (from |z| = 7.25 and 13 on sizes 0.25 apart), where the
-  next narrower rule is off by 3e-13 or more.  Lanes, as the J series
-  do, run what their regime's worst argument needs: a rung
+  next narrower rule is off by 3e-13 or more.  Lanes, as every series
+  does in both forms, run what their regime's worst argument needs: a rung
   (``_K_RUNGS``) above each lane cut 3, 14.5 and 25, the rule a point
   takes just above it (56, 16 and 12 points).  Lane cuts are few, since
   a lane call whose lanes straddle a cut runs every rung it touches;
@@ -84,26 +84,25 @@ derivatives of the basis built from these functions live in
 ``radial_basis``.
 
 Each function comes in two evaluation forms, and each regime is written once
-for both.  Given one argument, a regime runs interpreter arithmetic, and
-each series leaves its loop when its stopping rule passes.  Given a 1-D
-array of lanes, ``bessel_j_over_power`` (one entry point for both forms) and
-``bessel_k_scaled_lanes`` pick each lane's regime by mask, and the regime
-makes one numpy call per term, node or step over all its lanes and orders,
-with no stopping rule: each series sums the terms its rule needs at the
-regime's worst argument (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
-``_K_SERIES_TERMS``), each K quadrature rung its nodes, ``_K_BLOCK`` (node,
-lane) pairs at a time, and each lane's Miller recurrence starts at its own
-index, holding zeros until its seed.  A lane thus does the scalar's
-arithmetic in its order, bit-identical alone or in any batch, unless a numpy
-trap breaks it: ``np.add.reduce`` over a first axis with a one-number
-cross-section sums pairwise, so only stacks of two or more sums a lane are
-reduced; complex ``np.multiply.accumulate`` rounds unlike the binary
-multiply, so running products stay loops; a (steps x lanes) factor table
-must pay for its memory in time, as Miller's does.  The terms a lane sums
-past the scalar's stopping point lie below the rule's 1e-18, so it agrees
-with the scalar form to rounding (numpy's complex arithmetic rounds
-differently from the interpreter's by an ulp, which the log series magnifies
-by its cancellation, at most e^6 at |z| = 3).
+for both.  Given one argument, a regime runs interpreter arithmetic.  Given
+a 1-D array of lanes, ``bessel_j_over_power`` (one entry point for both
+forms) and ``bessel_k_scaled_lanes`` pick each lane's regime by mask, and
+the regime makes one numpy call per term, node or step over all its lanes
+and orders.  No series has a stopping rule in either form: each sums one
+fixed count of terms (``_J_SERIES_TERMS``, ``_J_HANKEL_PAIRS``,
+``_K_SERIES_TERMS``), each K quadrature rule its nodes, which lanes take
+``_K_BLOCK`` (node, lane) pairs at a time, and each lane's Miller
+recurrence starts at its own index, holding zeros until its seed.  A lane
+thus does the scalar's arithmetic in its order, bit-identical alone or in
+any batch, unless a numpy trap breaks it: ``np.add.reduce`` over a first
+axis with a one-number cross-section sums pairwise, so only stacks of two
+or more sums a lane are reduced; complex ``np.multiply.accumulate`` rounds
+unlike the binary multiply, so running products stay loops; a (steps x
+lanes) factor table must pay for its memory in time, as Miller's does.  A
+lane agrees with its point to an ulp, not bit for bit: numpy's complex
+arithmetic and ``np.power`` (the x^-power of J) round unlike the
+interpreter's, and the log series magnifies that ulp by its cancellation,
+at most e^6 at |z| = 3.
 
 The scalar form stays for single points: the steps of root refinement,
 the kernel solve, the normalization and the wave-function samples
@@ -135,11 +134,11 @@ _J_HANKEL_RADIUS = 25.0
 _K_CUTS = (3.0, 14.5, 25.0)
 _K_POINT_CUTS = (3.0, 7.5, 13.0, 25.0)
 
-# the terms each series sums on lanes, and the most it sums for one
-# argument before its stopping rule passes: the count that rule needs at
-# the regime's worst argument, the J series at x = 2 (n = 0), Hankel's
-# expansion at x = 25 (in pairs of a Q and a P term) and the K log series
-# on |z| = 3
+# the terms each series sums, for one argument and for lanes alike: the
+# count a stopping rule (a term below 1e-18 of the sum, which only the
+# tests apply) needs at the regime's worst argument, the J series at x = 2
+# (n = 0), Hankel's expansion at x = 25 (in pairs of a Q and a P term) and
+# the K log series on |z| = 3
 _J_SERIES_TERMS = 13
 _J_HANKEL_PAIRS = 12
 _K_SERIES_TERMS = 15
@@ -257,8 +256,6 @@ def _j_series(n_max: int, x, power: int) -> list:
         for k in range(1, _J_SERIES_TERMS + 1):
             term = term * (factors[k - 1] if lanes else q / (k * (n + k)))
             total = total + term
-            if not lanes and abs(term) < 1e-18 * abs(total):
-                break
         rows.append(total)
     return rows[0] if lanes else rows
 
@@ -341,8 +338,6 @@ def _j_hankel(n_max: int, x, power: int) -> list:
             t1 = t1 * (p1_step / x)
             p0 = p0 + t0
             p1 = p1 + t1
-            if abs(t0) + abs(t1) < 1e-18:
-                break
     # J_nu = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (2 nu + 1) pi/4,
     # where cos w and sin w are sums of sin x and cos x over sqrt(2)
     sin, cos = lib.sin(x), lib.cos(x)
@@ -434,8 +429,6 @@ def _k01_series(z) -> tuple:
             i1_sum = i1_sum + t1
             s0 = s0 + t0 * harmonic
             s1 = s1 + t1 * (harmonic + harmonic_next - 2.0 * EULER_GAMMA)
-            if abs(t0) * (harmonic_next + 1.0) < 1e-18 * (abs(s0) + abs(i0)):
-                break
     i1 = 0.5 * z * i1_sum
     k0 = -(log_half_z + EULER_GAMMA) * i0 + s0
     k1 = 1.0 / z + log_half_z * i1 - 0.25 * z * s1

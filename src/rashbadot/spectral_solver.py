@@ -163,14 +163,6 @@ def _check_window(params: DotParameters, e: float | np.ndarray) -> None:
     raise InvalidInput(f"e = {float(e)!r} outside open window ({lo!r}, {hi!r}) of {params}")
 
 
-def _hypot_lanes(a, b, c, d):
-    """The Euclidean norm of (a, b, c, d) lane by lane, as nested
-    ``np.hypot``: it agrees with ``math.hypot(a, b, c, d)`` to rounding,
-    not bit for bit, which ``test_lanes_independent_of_batch`` pins at
-    1e-14."""
-    return np.hypot(np.hypot(a, b), np.hypot(c, d))
-
-
 def equilibrated_matrix(
     params: DotParameters, e: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,24 +171,22 @@ def equilibrated_matrix(
     (exterior edge-scaled): column = matrix[..., j] * scale[..., j].
 
     ``e`` is a float, giving a (4, 4) matrix and (4,) scales, or a 1-D
-    array of N energies, giving an (N, 4, 4) stack and (N, 4) scales."""
+    array of N energies, giving an (N, 4, 4) stack and (N, 4) scales.
+    Both forms take one column norm, the nested ``np.hypot`` below."""
     _check_window(params, e)
     minus, plus = interior_pair(params.m, interior_wave_numbers(e, params.beta), 1.0)
     kappa = exterior_wave_numbers(e, params.v, params.beta)
     x, y = exterior_pair_scaled(params.m, kappa, 1.0)
-    columns = (
+    matrix = np.array((
         (minus.value[0], minus.slope[0], minus.value[1], minus.slope[1]),
         (-x.value[0], -x.slope[0], -x.value[1], -x.slope[1]),
         (plus.value[0], plus.slope[0], -plus.value[1], -plus.slope[1]),
         (-y.value[0], -y.slope[0], y.value[1], y.slope[1]),
-    )
-    matrix = np.array(columns)
+    ))
     # hypot: the K columns near the window top square past the float range;
-    # on lanes one call takes the four columns' entries row by row
-    if isinstance(e, np.ndarray):
-        norms = _hypot_lanes(*matrix.swapaxes(0, 1))
-    else:
-        norms = np.array([math.hypot(*column) for column in columns])
+    # each call takes the entries of two rows, column by column (and lane by lane)
+    a, b, c, d = matrix.swapaxes(0, 1)
+    norms = np.hypot(np.hypot(a, b), np.hypot(c, d))
     scale = norms * np.array((minus.divisor, x.divisor, plus.divisor, y.divisor))
     matrix /= norms[:, None]
     return matrix.T, scale.T

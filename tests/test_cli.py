@@ -23,7 +23,7 @@ from rashbadot.cli import (
     to_dimensionless,
 )
 from conftest import avx512_groups
-from golden_check import GOLDEN, matches_golden
+from golden_check import GOLDEN, GOLDEN_COMMANDS, matches_golden
 from rashbadot import cli, spectral_solver
 from rashbadot.errors import InvalidInput, NumericalFailure
 from rashbadot.radial_basis import DotParameters
@@ -595,69 +595,12 @@ class TestUsageLines:
         assert capsys.readouterr().err.startswith(f"usage: rashbadot {argv[0]} ")
 
 
-# the commands whose stdout tests/golden pins, and the file of each
-GOLDEN_COMMANDS = [
-    (["table"], "table.csv"),
-    (["sweep", "--v", "25", "--beta-range", "0:10:2.5", "--m-list", "0,1,2"], "sweep.csv"),
-    (["spectrum", "--v", "25", "--beta", "5", "--m", "0"], "spectrum.csv"),
-    (
-        ["spectrum", "--physical", "--m", "0", "--effective-mass", "0.067"]
-        + ["--dot-radius", "12.5", "--well-depth", "180", "--rashba-coefficient", "32"],
-        "spectrum_physical.csv",
-    ),
-    (
-        # a deep well: its scan takes J in all three regimes, at k_- from
-        # -50 to 42, K on the 6-node rung (|z| >= 50), and its brackets
-        # two probe rounds
-        ["spectrum", "--v", "6000", "--beta", "100", "--m", "8"],
-        "spectrum_deep.csv",
-    ),
-    (
-        # the same levels in full precision, within REFINE_TOL
-        ["spectrum", "--v", "6000", "--beta", "100", "--m", "8", "--format", "json"],
-        "spectrum_deep.json",
-    ),
-    (
-        ["wavefunction", "--v", "100", "--beta", "2", "--m", "1", "--level", "2"]
-        + ["--rmax", "3", "--samples", "300"],
-        "wavefunction.csv",
-    ),
-    (
-        # the symmetry partner of the one above: negative odd orders
-        ["wavefunction", "--v", "100", "--beta", "-2", "--m", "-2", "--level", "2"]
-        + ["--rmax", "3", "--samples", "300"],
-        "wavefunction_partner.csv",
-    ),
-    (
-        # a deep level whose exterior samples cross the K lane cuts 14.5
-        # and 25 and the point cuts 13 and 25 (|z| from 11.0 to 33.1)
-        ["wavefunction", "--v", "400", "--beta", "6", "--m", "2", "--level", "8"]
-        + ["--rmax", "3", "--samples", "300"],
-        "wavefunction_deep.csv",
-    ),
-    (
-        # the top level of its window, |kappa| = 2.79: its exterior samples
-        # cross the K point cuts 3, 7.5 and 13 (|z| from 2.79 to 13.93)
-        ["wavefunction", "--v", "50", "--beta", "5", "--m", "-3", "--level", "2"]
-        + ["--rmax", "5", "--samples", "300"],
-        "wavefunction_window_top.csv",
-    ),
-    (
-        # a level below e = 0 (e = -97.84): k_- = -8.53, so its interior
-        # samples take J at negative arguments, in the series and Miller
-        # regimes
-        ["wavefunction", "--v", "100", "--beta", "20", "--m", "2", "--level", "0"]
-        + ["--rmax", "3", "--samples", "300"],
-        "wavefunction_negative_k.csv",
-    ),
-]
-
-
 class TestGoldenBytes:
     """The CSV bytes (stdout) of the README commands, and the JSON of one
     deep spectrum, pinned in ``tests/golden``: every byte, except that the
-    JSON's full-precision levels hold within ``REFINE_TOL``
-    (``golden_check.py``).
+    JSON's full-precision levels hold within ``REFINE_TOL``.  The commands
+    are ``golden_check.GOLDEN_COMMANDS``, which CI also runs through the
+    installed console script (``python tests/golden_check.py``).
 
     A change that means to alter them regenerates the files with the
     same commands, e.g. ``rashbadot table > tests/golden/table.csv``."""

@@ -362,9 +362,9 @@ def exterior_derivatives(m, e, v, beta):
 
 
 def j_series_stop(x):
-    """The term at which the J series leaves its loop at x, the most over
-    the rows n = 0 .. ORDER_CAP: the first whose size is below 1e-18 of
-    the sum."""
+    """The term at which a stopping rule would end the J series at x,
+    the most over the rows n = 0 .. ORDER_CAP: the first whose size is
+    below 1e-18 of the sum."""
     stops = []
     for n in range(ORDER_CAP + 1):
         total = term = (0.5 * x) ** n / math.factorial(n)
@@ -378,9 +378,9 @@ def j_series_stop(x):
 
 
 def hankel_stop(x):
-    """The pair of terms (of Q, then of P) at which Hankel's expansion of
-    J_0 and J_1 leaves its loop at x: the first whose P terms of J_0 and
-    J_1 sum in size below 1e-18."""
+    """The pair of terms (of Q, then of P) at which a stopping rule would
+    end Hankel's expansion of J_0 and J_1 at x: the first whose P terms of
+    J_0 and J_1 sum in size below 1e-18."""
     t = [1.0, 1.0]
     for pair in range(1, 100):
         for m in (2 * pair - 1, 2 * pair):
@@ -391,9 +391,9 @@ def hankel_stop(x):
 
 
 def k_series_stop(z):
-    """The term at which the K log series leaves its loop at z: the first
-    h^k / (k!)^2, h = z^2/4, whose size times H_(k+1) + 1 is below 1e-18
-    of |sum_k h^k H_k / (k!)^2| + |I_0(z)|."""
+    """The term at which a stopping rule would end the K log series at z:
+    the first h^k / (k!)^2, h = z^2/4, whose size times H_(k+1) + 1 is
+    below 1e-18 of |sum_k h^k H_k / (k!)^2| + |I_0(z)|."""
     h = 0.25 * z * z
     t0, i0, s0, harmonic = 1.0, 1.0, 0.0, 0.0
     for k in range(1, 100):
@@ -435,10 +435,11 @@ K_SERIES_EDGE = _K_CUTS[0] * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 91)[:-1
     ids=["j_series", "hankel", "k_series"],
 )
 def test_fixed_series_length_is_what_the_stopping_rule_needs(stop, count, edge, regime):
-    # on lanes each series sums a fixed count of terms; at its regime's
-    # worst argument, on the edge the regime split sets, the last of them
-    # is the first that meets the scalar's stopping rule, and no argument
-    # inside the regime needs more
+    # each series sums a fixed count of terms, for one argument and for
+    # lanes alike; the stopping rules above, which live here alone, derive
+    # it: at its regime's worst argument, on the edge the regime split
+    # sets, the last of the terms is the first that meets the rule, and no
+    # argument inside the regime needs more
     assert max(stop(a) for a in edge) == count
     assert max(stop(a) for a in regime) <= count
 
@@ -494,10 +495,13 @@ def test_point_rules_meet_the_k_bound_where_no_narrower_rule_does():
     mp = pytest.importorskip("mpmath")
     half_pi = 0.5 * math.pi
     angles = [*np.linspace(0.0, half_pi, 38)[:-1].tolist(), half_pi - 1e-6, half_pi - 1e-9]
-    z = 5.0 + 5.0j
-    exact = mp.mpc(z.real, z.imag)
-    for n, value in enumerate(k_seeds_mpmath(mp, z)):
-        assert value == pytest.approx(complex(mp.besselk(n, exact) * mp.exp(exact)), rel=1e-16)
+    # the oracle against mpmath's besselk, inside its range and at its top
+    # on the real axis, where its series cancels most
+    for z in (5.0 + 5.0j, 30.0 + 0.0j):
+        exact = mp.mpc(z.real, z.imag)
+        for n, value in enumerate(k_seeds_mpmath(mp, z)):
+            ref = complex(mp.besselk(n, exact) * mp.exp(exact))
+            assert value == pytest.approx(ref, rel=1e-16)
     refs = {}
 
     def error(size, rule=None):
@@ -923,7 +927,10 @@ class TestLiveHighPrecisionOracle:
     def test_k_seeds_beyond_the_series(self):
         # e^z K_0 and e^z K_1 from each quadrature rule, 3 < |z| <= 1000
         # with sizes at and just above each cut, from the real axis to 1e-9
-        # off the imaginary one and in the lower half-plane
+        # off the imaginary one and in the lower half-plane; up to |z| = 30
+        # against the series oracle, which takes a tenth of besselk's time
+        # there, and beyond against besselk, where the series would need
+        # too many digits
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         half_pi = 0.5 * math.pi
@@ -937,9 +944,12 @@ class TestLiveHighPrecisionOracle:
             ):
                 z = cmath.rect(size, angle)
                 got = bessel_k_scaled_many(range(2), z)
-                exact = mp.mpc(z.real, z.imag)
-                for n in (0, 1):
-                    ref = complex(mp.besselk(n, exact) * mp.exp(exact))
+                if size <= 30.0:
+                    refs = k_seeds_mpmath(mp, z)
+                else:
+                    exact = mp.mpc(z.real, z.imag)
+                    refs = [complex(mp.besselk(n, exact) * mp.exp(exact)) for n in (0, 1)]
+                for n, ref in enumerate(refs):
                     assert abs(got[n] - ref) <= 2e-15 * abs(ref), (n, z)
 
 

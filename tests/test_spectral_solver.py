@@ -119,10 +119,12 @@ class TestMatchMatrix:
 
     def test_lanes_independent_of_batch(self):
         # a lane's matrix is the same alone, in a chunk and in the full
-        # 2000-point batch, and it is the scalar's within rounding; the
-        # second well takes negative and odd orders, a negative sign factor,
-        # J arguments of both signs in one call (k_+ < 0 < k_-) and
-        # conjugated K arguments (Im kappa < 0)
+        # 2000-point batch, and within 1e-14 of the scalar's: both forms sum
+        # the same terms and take the same column norm, but numpy's complex
+        # arithmetic (K) and np.power (the x^-power of J) round unlike the
+        # interpreter's by an ulp; the second well takes negative and odd
+        # orders, a negative sign factor, J arguments of both signs in one
+        # call (k_+ < 0 < k_-) and conjugated K arguments (Im kappa < 0)
         for params in (DotParameters(100.0, 2.0, 1), DotParameters(100.0, -20.0, -3)):
             lo, hi = params.window
             grid = np.linspace(lo + 1e-9, hi - 1e-9, 2000)

@@ -1,7 +1,9 @@
 """Structural rules of the package: the benchmark tracer finds every name
 it wraps, no module reaches into another module's private names, each
-Bessel regime is written once, one function picks the J regime and one
-the K regime, every Bessel value of the basis comes through the pair
+Bessel regime is written once, a point runs its lane's arithmetic (no
+series stops early, one column norm for both forms of the matching
+matrix), one function picks the J regime and one the K regime, every
+Bessel value of the basis comes through the pair
 functions of ``radial_basis``, root refinement reads no guess,
 ``narrow_bracket`` alone reads a bracket's slope, importing the package
 leaves ``numpy.polynomial`` unloaded, the spectrum search takes a well
@@ -88,6 +90,26 @@ def test_special_functions_writes_each_regime_once():
         if isinstance(node, ast.FunctionDef) and node.name.endswith("_lanes")
     }
     assert lane_functions == {"bessel_k_scaled_lanes"}
+
+
+def function_nodes(module: str, name: str) -> list[ast.AST]:
+    """Every AST node of the module-level function ``name`` of ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (function,) = (node for node in tree.body if getattr(node, "name", None) == name)
+    return list(ast.walk(function))
+
+
+def test_a_point_runs_the_arithmetic_of_its_lane():
+    # one argument sums the fixed count of terms a lane sums, with no
+    # stopping rule to leave the loop early, and the matching matrix takes
+    # one column norm for an energy and for lanes, with no branch on the form
+    for name in ("_j_series", "_j_hankel", "_k01_series"):
+        nodes = function_nodes("special_functions", name)
+        assert not any(isinstance(node, ast.Break) for node in nodes), name
+    assert not any(
+        isinstance(node, ast.Name) and node.id == "isinstance"
+        for node in function_nodes("spectral_solver", "equilibrated_matrix")
+    )
 
 
 # the Bessel entry points and regime bodies of special_functions
